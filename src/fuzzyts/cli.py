@@ -44,8 +44,6 @@ from .stability import (
 )
 from .timescale import TimeScale
 
-log = logging.getLogger("fuzzyts")
-
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$", re.S)
 
 _TS_DEFAULTS = {"integer": (32,)}

@@ -10,13 +10,13 @@ approximates the maximal solution and reports itself as approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import BlowUpError, InvalidShapeError
-from .timescale import TimeScale
+from .timescale import SwitchSchedule, TimeScale
 
 GFn = Callable[[float, float, float], float]
 PsiFn = Callable[[float], float]
@@ -31,27 +31,16 @@ class ScalarHybridSystem:
     g: GFn
     psi: tuple[PsiFn, ...]
     r0: float
+    schedule: SwitchSchedule = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.switch_times)
-        if not times:
-            raise InvalidShapeError("at least one switch time (the start) is required")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidShapeError("switch times must be strictly increasing")
-        for t in times:
-            self.ts.index_of(t)
-        if times[0] != float(self.ts.points[0]):
-            raise InvalidShapeError("the first switch time must be the initial point")
-        if len(self.psi) != len(times):
+        self.schedule = SwitchSchedule(self.ts, self.switch_times)
+        if len(self.psi) != len(self.schedule.times):
             raise InvalidShapeError("need exactly one psi per switch time")
         if self.r0 < 0:
             raise InvalidShapeError("r0 must be nonnegative")
-        self.switch_times = times
+        self.switch_times = self.schedule.times
         self.psi = tuple(self.psi)
-
-    def segment_of(self, t: float) -> int:
-        k = int(np.searchsorted(np.asarray(self.switch_times), t, side="right")) - 1
-        return max(k, 0)
 
 
 @dataclass(eq=False)
@@ -83,32 +72,18 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
     psi_k is evaluated once, at segment entry, with the handoff value
     r_k = r(t_k).  Raises BlowUpError when g produces a non-finite value.
     """
-    ts = sys.ts
-    if horizon is None:
-        horizon = float(ts.points[-1])
-    h_idx = ts.index_of(horizon)
+    def freeze(k: int, r: float) -> float:
+        return sys.psi[k](r)
 
-    values = [float(sys.r0)]
-    segments = [0]
-    frozen_v = None
-    seg = -1
-    dense = False
-    for i in range(h_idx):
-        t = float(ts.points[i])
-        k = sys.segment_of(t)
-        if k != seg:
-            seg = k
-            frozen_v = sys.psi[seg](values[i])
-        mu = ts.mu(t)
-        dense = dense or ts.is_right_dense(t)
-        gval = sys.g(t, values[i], frozen_v)
-        nxt = values[i] + mu * gval
+    def advance(t: float, mu: float, r: float, v: float) -> float:
+        nxt = r + mu * sys.g(t, r, v)
         if not math.isfinite(nxt):
             raise BlowUpError(t, f"comparison state became non-finite stepping from t={t}")
-        values.append(nxt)
-        segments.append(sys.segment_of(float(ts.points[i + 1])))
-    return ScalarTrajectory(ts, np.asarray(values), np.asarray(segments, dtype=int),
-                            approximate_maximality=dense)
+        return nxt
+
+    values, segments = sys.schedule.march(float(sys.r0), horizon, freeze, advance)
+    dense = bool(np.any(sys.ts.graininess[: len(values) - 1] <= sys.ts.dense_threshold))
+    return ScalarTrajectory(sys.ts, np.asarray(values), segments, approximate_maximality=dense)
 
 
 @dataclass

@@ -7,7 +7,7 @@ non-existence is reported as a ``None`` return rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fuzzy
 from .errors import GHDifferenceError, NoSuccessorError, VerificationInconclusive
@@ -25,13 +25,12 @@ class FuzzyTrajectory:
 
     ``values[i]`` is the state at ``ts.points[i]``; a trajectory may stop
     before the end of the scale (solvers fill it up to their horizon).
-    ``segments`` and ``residuals`` are attached by the hybrid solver.
+    ``segments`` is attached by the hybrid solver.
     """
 
     ts: TimeScale
     values: list[FuzzyVector]
     segments: list[int] | None = None
-    residuals: list[float] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.values:

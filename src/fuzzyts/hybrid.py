@@ -11,23 +11,24 @@ quotient, which has two branches:
     i.e. a classical Hukuhara difference that may fail to exist.
 
 On isolated scales the expansive recursion is exact for the derivative it
-induces (the per-step residuals recorded on the trajectory are zero up to
-rounding); dense segments inherit the sampling resolution.
+induces (the Hukuhara delta derivative of the trajectory reproduces the
+frozen right-hand side up to rounding); dense segments inherit the
+sampling resolution.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import fuzzy, timescale as tsmod
-from .errors import GHDifferenceError, InvalidShapeError, StepFailureError, UnknownPointError
+from .errors import GHDifferenceError, InvalidShapeError, StepFailureError
 from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
-from .hukuhara import FuzzyTrajectory, delta_h_derivative
-from .timescale import TimeScale
+# delta_h_derivative is unused here but stays importable from this module:
+# perfbench/tracer.py wraps fuzzyts.hybrid.delta_h_derivative by name.
+from .hukuhara import FuzzyTrajectory, delta_h_derivative  # noqa: F401
+from .timescale import SwitchSchedule, TimeScale
 
 RhsFn = Callable[[float, FuzzyVector, FuzzyVector], FuzzyVector]
 SwitchMap = Callable[[float, FuzzyVector], FuzzyVector]
@@ -56,30 +57,18 @@ class HybridFuzzySystem:
     switch_maps: tuple[SwitchMap, ...]
     rho: float
     u0: FuzzyVector
+    schedule: SwitchSchedule = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.switch_times)
-        if not times:
-            raise InvalidShapeError("at least one switch time (the start) is required")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidShapeError("switch times must be strictly increasing")
-        for t in times:
-            self.ts.index_of(t)  # raises UnknownPointError if absent
-        if times[0] != float(self.ts.points[0]):
-            raise InvalidShapeError("the first switch time must be the initial point")
-        if len(self.switch_maps) != len(times):
+        self.schedule = SwitchSchedule(self.ts, self.switch_times)
+        if len(self.switch_maps) != len(self.schedule.times):
             raise InvalidShapeError("need exactly one switch map per switch time")
         if self.rho <= 0:
             raise InvalidShapeError("rho must be positive")
         if fuzzy.norm(self.u0) >= self.rho:
             raise InvalidShapeError("initial state lies outside the validity ball")
-        self.switch_times = times
+        self.switch_times = self.schedule.times
         self.switch_maps = tuple(self.switch_maps)
-
-    def segment_of(self, t: float) -> int:
-        """Index of the latest switch time at or before t."""
-        k = int(np.searchsorted(np.asarray(self.switch_times), t, side="right")) - 1
-        return max(k, 0)
 
 
 def _expansive_step(u: FuzzyNumber, w: FuzzyNumber) -> FuzzyNumber:
@@ -96,51 +85,24 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
           horizon: float | None = None) -> FuzzyTrajectory:
     """Integrate the system forward to the horizon (a stored point).
 
-    Returns a trajectory carrying the segment index of every point and the
-    per-step derivative residual (metric gap between the derivative of the
-    produced trajectory and the frozen right-hand side) for diagnostics.
+    Returns a trajectory carrying the segment index of every point.
     Raises StepFailureError when a contractive step has no valid state or
     the right-hand side produces an invalid value.
     """
-    ts = sys.ts
-    if horizon is None:
-        horizon = float(ts.points[-1])
-    h_idx = ts.index_of(horizon)
-
     step = _expansive_step if mode is StepMode.EXPANSIVE else _contractive_step
-    values: list[FuzzyVector] = [sys.u0]
-    segments: list[int] = [0]
-    frozen: dict[int, FuzzyVector] = {}  # switch value, evaluated once per segment
-    seg = -1
-    for i in range(h_idx):
-        t = float(ts.points[i])
-        k = sys.segment_of(t)
-        if k != seg:
-            seg = k
-            frozen[seg] = sys.switch_maps[seg](sys.switch_times[seg], values[i])
-        mu = ts.mu(t)
+
+    def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
+        return sys.switch_maps[k](sys.switch_times[k], u)
+
+    def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
         try:
-            fval = sys.rhs(t, values[i], frozen[seg])
-            contribution = fuzzy.vec_scale(mu, fval)
-            nxt = FuzzyVector(tuple(
-                step(uc, wc) for uc, wc in zip(values[i], contribution)
-            ))
+            contribution = fuzzy.vec_scale(mu, sys.rhs(t, u, lam))
+            return FuzzyVector(tuple(step(uc, wc) for uc, wc in zip(u, contribution)))
         except (InvalidShapeError, GHDifferenceError) as exc:
             raise StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}") from exc
-        values.append(nxt)
-        segments.append(sys.segment_of(float(ts.points[i + 1])))
 
-    traj = FuzzyTrajectory(ts, values, segments=segments)
-    residuals = []
-    for i in range(len(values) - 1):
-        t = float(ts.points[i])
-        deriv = delta_h_derivative(traj, t)
-        if deriv is None:
-            residuals.append(float("nan"))
-        else:
-            residuals.append(fuzzy.vec_dist(deriv, sys.rhs(t, values[i], frozen[segments[i]])))
-    traj.residuals = residuals
-    return traj
+    values, segments = sys.schedule.march(sys.u0, horizon, freeze, advance)
+    return FuzzyTrajectory(sys.ts, values, segments=segments.tolist())
 
 
 def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,

@@ -81,20 +81,6 @@ def write_scalar_csv(path: Path, traj: ScalarTrajectory) -> None:
                              _fmt(float(traj.values[i]))])
 
 
-def load_scalar_csv(path: Path) -> tuple[list[float], list[int], list[float]]:
-    times, segments, values = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SCALAR_HEADER:
-            raise ValueError(f"unexpected scalar header: {header}")
-        for t_s, seg_s, r_s in reader:
-            times.append(float(t_s))
-            segments.append(int(seg_s))
-            values.append(float(r_s))
-    return times, segments, values
-
-
 def write_comparison_csv(path: Path, times, v_values, r_values) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -121,34 +121,13 @@ class StabilityQuery:
 # Dini derivative along a trajectory and the comparison bound
 # ---------------------------------------------------------------------------
 
-def dini_along_solution(V: LyapunovFn, traj: FuzzyTrajectory, t: float, k: int = 8) -> float:
+def dini_along_solution(V: LyapunovFn, traj: FuzzyTrajectory, t: float) -> float:
     """Upper Dini derivative of t -> V(t, u(t)) along a stored trajectory.
 
-    Exact quotient [V(sigma, u(sigma)) - V(t, u(t))] / mu at right-scattered
-    points; sup of forward quotients over the next ``k`` samples at
-    right-dense points.
+    The time scale's upper Dini estimate of that function, with quotients
+    taken only over points the trajectory reaches.
     """
-    ts = traj.ts
-    i = ts.index_of(t)
-    if i >= len(traj.values) - 1:
-        raise InvalidShapeError(f"trajectory has no successor value at t={t}")
-
-    def m(s: float) -> float:
-        return V(s, traj.value_at(s))
-
-    limit = min(len(traj.values) - 1, len(ts) - 1)
-    t0 = float(ts.points[i])
-    t1 = float(ts.points[i + 1])
-    if not ts.is_right_dense(t0):
-        return (m(t1) - m(t0)) / (t1 - t0)
-    quotients = []
-    fst = m(t1)
-    for j in range(i + 2, min(i + 2 + k, limit + 1)):
-        s = float(ts.points[j])
-        quotients.append((fst - m(s)) / (t1 - s))
-    if not quotients:
-        return (m(t1) - m(t0)) / (t1 - t0)
-    return max(quotients)
+    return traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
 
 
 @dataclass
@@ -398,7 +377,7 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
         seg_entry_v: dict[int, float] = {}
         for i in range(len(traj.values) - 1):
             t = float(traj.ts.points[i])
-            k = comp.segment_of(t)
+            k = comp.schedule.segment_of(t)
             if k not in seg_entry_v:
                 tk = comp.switch_times[k]
                 seg_entry_v[k] = V(tk, traj.value_at(tk))

@@ -11,7 +11,7 @@ error scale of anything computed there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +24,10 @@ from .errors import (
 
 _LOOKUP_ATOL = 1e-9
 
+# Forward quotients sampled beyond sigma(t) by the upper Dini estimate at
+# right-dense points.
+DINI_SAMPLES = 8
+
 
 @dataclass(frozen=True, eq=False)
 class TimeScale:
@@ -33,6 +37,7 @@ class TimeScale:
     dense_threshold: float = 1e-6
     kind: str = "explicit"
     _index: dict = field(init=False, repr=False)
+    graininess: np.ndarray = field(init=False, repr=False)  # mu at every non-terminal point
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -45,8 +50,11 @@ class TimeScale:
         if self.dense_threshold <= 0:
             raise InvalidShapeError("dense_threshold must be positive")
         points.setflags(write=False)
+        graininess = np.diff(points)
+        graininess.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_index", {float(t): i for i, t in enumerate(points)})
+        object.__setattr__(self, "graininess", graininess)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -69,9 +77,6 @@ class TimeScale:
         except UnknownPointError:
             return False
 
-    def is_terminal(self, t: float) -> bool:
-        return self.index_of(t) == len(self) - 1
-
     def sigma(self, t: float) -> float:
         """Forward jump: the next stored point."""
         i = self.index_of(t)
@@ -81,7 +86,10 @@ class TimeScale:
 
     def mu(self, t: float) -> float:
         """Graininess sigma(t) - t."""
-        return self.sigma(t) - float(self.points[self.index_of(t)])
+        i = self.index_of(t)
+        if i == len(self) - 1:
+            raise NoSuccessorError(f"t={t} is the terminal point")
+        return float(self.graininess[i])
 
     def is_right_dense(self, t: float) -> bool:
         return self.mu(t) <= self.dense_threshold
@@ -103,28 +111,88 @@ class TimeScale:
         t1 = float(self.points[i + 1])
         return (f(t1) - f(t0)) / (t1 - t0)
 
-    def upper_dini(self, f: Callable[[float], float], t: float, k: int = 8) -> float:
+    def upper_dini(self, f: Callable[[float], float], t: float,
+                   horizon: float | None = None) -> float:
         """Upper Dini derivative estimate of f at a stored point.
 
-        At right-scattered points (continuity assumed) this coincides with
-        delta_derivative.  At right-dense points it is the sup of the
-        quotients [f(sigma(t)) - f(s)] / (sigma(t) - s) over the next ``k``
-        stored s beyond sigma(t).
+        ``f`` need only be defined up to the stored point ``horizon`` (the
+        terminal point by default).  At right-scattered points (continuity
+        assumed) this coincides with delta_derivative.  At right-dense points
+        it is the sup of the quotients [f(sigma(t)) - f(s)] / (sigma(t) - s)
+        over the next ``DINI_SAMPLES`` stored s beyond sigma(t), up to the
+        horizon.
         """
         i = self.index_of(t)
-        if i == len(self) - 1:
-            raise NoSuccessorError(f"t={t} is the terminal point")
-        if not self.is_right_dense(t):
+        last = len(self) - 1 if horizon is None else self.index_of(horizon)
+        if i >= last:
+            raise NoSuccessorError(f"t={t} has no successor at or before the horizon")
+        if self.graininess[i] > self.dense_threshold:
             return self.delta_derivative(f, t)
         st = float(self.points[i + 1])
         fst = f(st)
         quotients = []
-        for j in range(i + 2, min(i + 2 + k, len(self))):
+        for j in range(i + 2, min(i + 2 + DINI_SAMPLES, last + 1)):
             s = float(self.points[j])
             quotients.append((fst - f(s)) / (st - s))
         if not quotients:
             return self.delta_derivative(f, t)
         return max(quotients)
+
+
+@dataclass(frozen=True, eq=False)
+class SwitchSchedule:
+    """Switching instants on a time scale and the segment of every stored point.
+
+    ``times`` must be strictly increasing stored points starting at the
+    first point of the scale.  Segment k holds from ``times[k]`` up to the
+    next switch, and a switch point belongs to the segment it opens.
+    """
+
+    ts: TimeScale
+    times: tuple[float, ...]
+    segments: np.ndarray = field(init=False, repr=False)  # segment index per stored point
+
+    def __post_init__(self):
+        times = tuple(float(t) for t in self.times)
+        if not times:
+            raise InvalidShapeError("at least one switch time (the start) is required")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise InvalidShapeError("switch times must be strictly increasing")
+        for t in times:
+            self.ts.index_of(t)  # raises UnknownPointError if absent
+        if times[0] != float(self.ts.points[0]):
+            raise InvalidShapeError("the first switch time must be the initial point")
+        segments = np.searchsorted(np.asarray(times), self.ts.points, side="right") - 1
+        segments.setflags(write=False)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "segments", segments)
+
+    def segment_of(self, t: float) -> int:
+        """Index of the latest switch time at or before the stored point t."""
+        return int(self.segments[self.ts.index_of(t)])
+
+    def march(self, x0: Any, horizon: float | None,
+              freeze: Callable[[int, Any], Any],
+              advance: Callable[[float, float, Any, Any], Any]) -> tuple[list, np.ndarray]:
+        """Forward Euler march from the first point to the horizon.
+
+        On entry to segment k the held value is ``freeze(k, x)``, computed
+        once from the state at the segment's first point.  Each step maps
+        the state at t to ``advance(t, mu(t), x, held)``.  Returns the
+        states and their segment indices, one per point up to the horizon
+        (the last point by default).
+        """
+        ts = self.ts
+        last = len(ts) - 1 if horizon is None else ts.index_of(horizon)
+        values = [x0]
+        seg = -1
+        held = None
+        for i in range(last):
+            if self.segments[i] != seg:
+                seg = int(self.segments[i])
+                held = freeze(seg, values[i])
+            values.append(advance(float(ts.points[i]), float(ts.graininess[i]), values[i], held))
+        return values, self.segments[: last + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import fuzzyts as f
+from fuzzyts.comparison import ScalarHybridSystem
 from fuzzyts.errors import InvalidShapeError, StepFailureError
+from fuzzyts.hukuhara import delta_h_derivative
 from fuzzyts.hybrid import HybridFuzzySystem, StepMode, build_example_system, solve
 
 import oracles
@@ -104,11 +106,30 @@ def test_expansive_width_nondecreasing():
     assert all(b >= a - TOL for a, b in zip(widths, widths[1:]))
 
 
+def max_derivative_residual(sys, traj):
+    """Largest gap between the trajectory's delta derivative and the right-hand
+    side, with the switch value re-frozen at each segment's first point."""
+    frozen = {}
+    gaps = []
+    for i in range(len(traj) - 1):
+        t = float(traj.times[i])
+        k = traj.segments[i]
+        if k not in frozen:
+            t_k = sys.switch_times[k]
+            frozen[k] = sys.switch_maps[k](t_k, traj.value_at(t_k))
+        deriv = delta_h_derivative(traj, t)
+        assert deriv is not None
+        gaps.append(f.vec_dist(deriv, sys.rhs(t, traj.values[i], frozen[k])))
+    return max(gaps)
+
+
 def test_derivative_residuals_vanish():
     sys = build_example_system(GRID, 2, 5)
-    assert max(solve(sys, StepMode.EXPANSIVE, horizon=15.0).residuals) <= 1e-9
+    traj = solve(sys, StepMode.EXPANSIVE, horizon=15.0)
+    assert max_derivative_residual(sys, traj) <= 1e-9
     # the contractive branch exists on the first segment only
-    assert max(solve(sys, StepMode.CONTRACTIVE, horizon=5.0).residuals) <= 1e-9
+    traj = solve(sys, StepMode.CONTRACTIVE, horizon=5.0)
+    assert max_derivative_residual(sys, traj) <= 1e-9
 
 
 def test_contractive_mode_shrinks_example():
@@ -137,11 +158,28 @@ def test_initial_state_outside_ball_rejected():
                           rho=0.5, u0=f.vector(f.crisp(1.0, GRID)))
 
 
-def test_switch_times_must_be_stored_points():
-    ts = f.integer(4)
-    with pytest.raises(f.UnknownPointError):
-        HybridFuzzySystem(ts, (0.0, 2.5), lambda t, u, lam: u, (zero_map, zero_map),
-                          rho=10.0, u0=f.vector(f.crisp(0.0, GRID)))
+def fuzzy_system(ts, switch_times, n_maps):
+    return HybridFuzzySystem(ts, switch_times, lambda t, u, lam: u, (zero_map,) * n_maps,
+                             rho=10.0, u0=f.vector(f.crisp(0.0, GRID)))
+
+
+def scalar_system(ts, switch_times, n_maps):
+    return ScalarHybridSystem(ts, switch_times, lambda t, r, v: 0.0,
+                              (lambda v: v,) * n_maps, r0=0.0)
+
+
+@pytest.mark.parametrize("build", [fuzzy_system, scalar_system], ids=["fuzzy", "scalar"])
+@pytest.mark.parametrize("switch_times, n_maps, error", [
+    ((), 0, InvalidShapeError),
+    ((0.0, 2.0, 2.0), 3, InvalidShapeError),
+    ((0.0, 2.5), 2, f.UnknownPointError),
+    ((1.0, 2.0), 2, InvalidShapeError),
+    ((0.0, 2.0), 1, InvalidShapeError),
+], ids=["empty", "not-increasing", "not-stored", "not-t0", "map-count"])
+def test_switch_time_validation(build, switch_times, n_maps, error):
+    with pytest.raises(error):
+        build(f.integer(4), switch_times, n_maps)
+    build(f.integer(4), (0.0, 2.0), 2)  # the valid schedule is accepted
 
 
 def test_switch_map_called_once_per_segment():

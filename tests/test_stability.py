@@ -6,7 +6,7 @@ import pytest
 import fuzzyts as f
 from fuzzyts import catalog
 from fuzzyts.errors import ConfigError
-from fuzzyts.hukuhara import delta_h_derivative
+from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
 from fuzzyts.hybrid import StepMode, solve
 from fuzzyts.stability import (
     HOLDS,
@@ -68,6 +68,18 @@ def test_dini_matches_quotient_oracle_at_scattered_points():
         mu = traj.ts.mu(t)
         quotient = (V(t + mu, traj.values[i + 1]) - V(t, traj.values[i])) / mu
         assert dini_along_solution(V, traj, t) == pytest.approx(quotient, abs=TOL)
+
+
+def test_dini_on_dense_scale_stops_at_trajectory_end():
+    ts = f.uniform(0.0, 1e-7, 20)
+    xs = [2.0 + np.sin(i) for i in range(16)]  # trajectory ends at point 15
+    traj = FuzzyTrajectory(ts, [f.vector(f.crisp(x, GRID)) for x in xs])
+    V = norm_lyapunov()
+    t = ts.points
+    for i in range(8, 15):
+        quotients = [(xs[i + 1] - xs[j]) / (t[i + 1] - t[j]) for j in range(i + 2, 16)]
+        expected = max(quotients) if quotients else (xs[i + 1] - xs[i]) / (t[i + 1] - t[i])
+        assert dini_along_solution(V, traj, float(t[i])) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dini_bounded_by_derivative_norm_along_example():
