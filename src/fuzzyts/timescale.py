@@ -187,11 +187,13 @@ class SwitchSchedule:
         values = [x0]
         seg = -1
         held = None
-        for i in range(last):
-            if self.segments[i] != seg:
-                seg = int(self.segments[i])
-                held = freeze(seg, values[i])
-            values.append(advance(float(ts.points[i]), float(ts.graininess[i]), values[i], held))
+        steps = zip(self.segments[:last].tolist(), ts.points[:last].tolist(),
+                    ts.graininess[:last].tolist())
+        for k, t, mu in steps:
+            if k != seg:
+                seg = k
+                held = freeze(k, values[-1])
+            values.append(advance(t, mu, values[-1], held))
         return values, self.segments[: last + 1]
 
 
