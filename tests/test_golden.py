@@ -62,6 +62,14 @@ seed = 0
 alpha_levels = 5
 """
 
+# DSL run on a right-dense scale: condition (ii) takes the dense branch of
+# the upper Dini estimate (sampled quotients beyond sigma(t)).
+DSL_DENSE_STABILITY = DSL_STABILITY.replace(
+    "scale = intervals([[0,1],[1.5,2.5]], 0.1)",
+    "scale = intervals([[0,1e-6],[5e-6,1e-5]], 1e-7)",
+).replace("switch_times = 0 1.5", "switch_times = 0 5e-6").replace(
+    "horizon = 2.4", "horizon = 9e-6").replace("samples = 6", "samples = 4")
+
 CATALOG_COMPARE = """
 [system]
 name = example_3_9
@@ -78,6 +86,9 @@ CASES = {
     }),
     "dsl-stability": ("stability", DSL_STABILITY, 1, {
         "verdict.json": "9df4781accbe30c6e8c34f90c44bb89219c438cdfb323aa240aa043a5ba2b316",
+    }),
+    "dsl-dense-stability": ("stability", DSL_DENSE_STABILITY, 0, {
+        "verdict.json": "ed2a90fe9e3a882b71a92b2584b8a0f7a4006f91dbb2a7a2d4bd7ddba29111d6",
     }),
     "catalog-compare": ("compare", CATALOG_COMPARE, 0, {
         "trajectory.csv": "24da126164e5e739decdc1169433eb0dd0c9320040f0c295a27c9c039388047c",
