@@ -96,11 +96,13 @@ class FuzzyNumber:
         m = self.grid.m
         if lower.shape != (m,) or upper.shape != (m,):
             raise InvalidShapeError("endpoint arrays must match the grid size")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        # ndarray methods and slice differences (what np.diff computes) keep
+        # these checks cheap enough to run on every kernel result.
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise InvalidShapeError("endpoints must be finite")
-        if np.any(lower > upper + ATOL):
+        if (lower > upper + ATOL).any():
             raise InvalidShapeError("lower endpoint exceeds upper endpoint")
-        if np.any(np.diff(lower) < -ATOL) or np.any(np.diff(upper) > ATOL):
+        if (lower[1:] - lower[:-1] < -ATOL).any() or (upper[1:] - upper[:-1] > ATOL).any():
             raise InvalidShapeError("alpha cuts are not nested")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
@@ -305,7 +307,11 @@ def vec_dist(u: FuzzyVector, v: FuzzyVector) -> float:
 def norm(u: FuzzyVector) -> float:
     """Distance to the crisp zero vector.
 
-    Behaves like a norm: zero exactly on the zero vector, absolutely
-    homogeneous under scalar multiplication, subadditive under addition.
+    Computed from the endpoints as the max over components and levels of
+    ``max(|lower|, |upper|)``, without building the zero vector; since
+    ``x - 0.0 == x`` this equals ``vec_dist(u, zero_vector(u.grid, u.n))``
+    exactly.  Behaves like a norm: zero exactly on the zero vector,
+    absolutely homogeneous under scalar multiplication, subadditive under
+    addition.
     """
-    return vec_dist(u, zero_vector(u.grid, u.n))
+    return max(float(np.maximum(np.abs(c.lower), np.abs(c.upper)).max()) for c in u)

@@ -184,34 +184,43 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
 # Initial-condition sampling
 # ---------------------------------------------------------------------------
 
+# Draws a sample may take before the sampler gives up.  Nearly-zero draws
+# are redrawn; a generator that keeps producing them is broken, not unlucky.
+MAX_SAMPLE_ATTEMPTS = 1000
+
+
 def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
                          family: str, target: float) -> FuzzyVector:
     """Random fuzzy vector with distance to zero exactly ``target``.
 
     Cores and widths are drawn uniformly, then the vector is rescaled; by
     absolute homogeneity of the metric the rescale lands the distance on
-    target while preserving shape.
+    target while preserving shape.  A nearly-zero draw cannot be rescaled
+    and is redrawn from the same generator, at most ``MAX_SAMPLE_ATTEMPTS``
+    times in all before ConfigError is raised.
     """
-    comps = []
-    for _ in range(n):
-        c = float(rng.uniform(-1.0, 1.0))
-        if family == "crisp":
-            comps.append((c, c, c, c))
-        elif family == "triangular":
-            wl = float(rng.uniform(0.0, 1.0))
-            wr = float(rng.uniform(0.0, 1.0))
-            comps.append((c - wl, c, c, c + wr))
-        else:
-            wl = float(rng.uniform(0.0, 1.0))
-            wr = float(rng.uniform(0.0, 1.0))
-            half = float(rng.uniform(0.0, 0.5))
-            comps.append((c - half - wl, c - half, c + half, c + wr + half))
-    raw = FuzzyVector(tuple(fuzzy.make_trapezoid(a, b, c2, d, grid) for a, b, c2, d in comps))
-    size = fuzzy.norm(raw)
-    if size <= 1e-9:
-        # a nearly-zero draw cannot be rescaled; recurse on fresh randomness
-        return sample_initial_state(rng, grid, n, family, target)
-    return fuzzy.vec_scale(target / size, raw)
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        comps = []
+        for _ in range(n):
+            c = float(rng.uniform(-1.0, 1.0))
+            if family == "crisp":
+                comps.append((c, c, c, c))
+            elif family == "triangular":
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                comps.append((c - wl, c, c, c + wr))
+            else:
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                half = float(rng.uniform(0.0, 0.5))
+                comps.append((c - half - wl, c - half, c + half, c + wr + half))
+        raw = FuzzyVector(tuple(fuzzy.make_trapezoid(a, b, c2, d, grid)
+                                for a, b, c2, d in comps))
+        size = fuzzy.norm(raw)
+        if size > 1e-9:
+            return fuzzy.vec_scale(target / size, raw)
+    raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
+                      f"{family} states in a row; the random generator is degenerate")
 
 
 def boundary_probe(grid: AlphaGrid, n: int, family: str, lam: float) -> FuzzyVector:
@@ -237,8 +246,7 @@ class Witness:
     bound: float
     mode: str
     sample: int  # -1 marks the boundary probe
-    u0_distance: float
-    u0: list  # per-component (alpha, lower, upper) records
+    u0: FuzzyVector  # serialised only when reported
 
     def sort_key(self):
         return (self.t, self.sample, self.mode, self.property)
@@ -251,8 +259,8 @@ class Witness:
             "bound": self.bound,
             "mode": self.mode,
             "sample": self.sample,
-            "u0_distance": self.u0_distance,
-            "u0": self.u0,
+            "u0_distance": fuzzy.norm(self.u0),
+            "u0": self.u0.to_records(),
         }
 
 
@@ -374,15 +382,19 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
     violations = []
     checked = 0
     for mode, sample_id, traj in trajectories:
+        # V at every point, once; the Dini estimate looks its values up by time.
+        times = traj.times.tolist()
+        vs = [V(t, u) for t, u in zip(times, traj.values)]
+        v_at = dict(zip(times, vs))
         seg_entry_v: dict[int, float] = {}
-        for i in range(len(traj.values) - 1):
-            t = float(traj.ts.points[i])
+        for i, t in enumerate(times[:-1]):
             k = comp.schedule.segment_of(t)
             if k not in seg_entry_v:
                 tk = comp.switch_times[k]
-                seg_entry_v[k] = V(tk, traj.value_at(tk))
-            lhs = dini_along_solution(V, traj, t)
-            rhs = comp.g(t, V(t, traj.values[i]), comp.psi[k](seg_entry_v[k]))
+                # a switch time matches its stored point only up to lookup noise
+                seg_entry_v[k] = v_at[tk] if tk in v_at else V(tk, traj.value_at(tk))
+            lhs = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
+            rhs = comp.g(t, vs[i], comp.psi[k](seg_entry_v[k]))
             margin = rhs - lhs
             worst = min(worst, margin)
             checked += 1
@@ -501,20 +513,26 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     witnesses: list[Witness] = []
     probe_grazes = []
 
+    # Interior trajectory of the shrunken probe per mode, None when its solve
+    # failed.  Probe and solver are deterministic, so one solve serves every
+    # exceeding instant of that mode.
+    inner_runs: dict[str, FuzzyTrajectory | None] = {}
+
     def record(prop, t, value, bound, mode, sample_id, u0):
-        witnesses.append(Witness(prop, t, value, bound, mode, sample_id,
-                                 u0_distance=fuzzy.norm(u0), u0=u0.to_records()))
+        witnesses.append(Witness(prop, t, value, bound, mode, sample_id, u0))
 
     def confirmed_probe_excess(mode: str, t: float, bound: float, u0: FuzzyVector) -> bool:
-        # Re-simulate a shrunken interior copy; count the probe only if the
-        # interior trajectory also reaches the bound at the same instant.
-        inner = fuzzy.vec_scale(1.0 - 1e-9, u0)
-        try:
-            traj = hybrid.solve(dataclasses.replace(sys, u0=inner),
-                                mode=StepMode(mode), horizon=horizon)
-        except StepFailureError:
-            return False
-        return fuzzy.norm(traj.value_at(t)) >= bound
+        # Count the probe only if a shrunken interior copy also reaches the
+        # bound at the same instant.
+        if mode not in inner_runs:
+            inner = fuzzy.vec_scale(1.0 - 1e-9, u0)
+            try:
+                inner_runs[mode] = hybrid.solve(dataclasses.replace(sys, u0=inner),
+                                                mode=StepMode(mode), horizon=horizon)
+            except StepFailureError:
+                inner_runs[mode] = None
+        traj = inner_runs[mode]
+        return traj is not None and fuzzy.norm(traj.value_at(t)) >= bound
 
     def check_bound(prop, t, d, bound, mode, sample_id, u0):
         if d < bound:

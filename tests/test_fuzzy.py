@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
 from fuzzyts.errors import GHDifferenceError, GridMismatchError, InvalidShapeError
+from fuzzyts.fuzzy import ATOL
 
 import oracles
 
@@ -64,13 +65,33 @@ def test_trapezoid_ordering_error():
         f.make_trapezoid(1, 0, 2, 3, GRID)
 
 
-def test_fuzzy_number_invariant_enforcement():
-    with pytest.raises(InvalidShapeError):
-        f.FuzzyNumber(GRID, np.linspace(0, 1, 11), np.linspace(-1, 0, 11))
-    with pytest.raises(InvalidShapeError):  # lower must be nondecreasing
-        f.FuzzyNumber(GRID, np.linspace(1, 0, 11), np.full(11, 2.0))
-    with pytest.raises(InvalidShapeError):
-        f.FuzzyNumber(GRID, np.full(11, np.nan), np.full(11, 1.0))
+def _dip(depth):
+    """Flat lower endpoints at 0 that drop by ``depth`` at one level."""
+    lower = np.zeros(11)
+    lower[6:] = -depth
+    return lower
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    (np.zeros(10), np.ones(11), "endpoint arrays must match the grid size"),
+    (np.full(11, np.nan), np.full(11, 1.0), "endpoints must be finite"),
+    (np.linspace(0, 1, 11), np.linspace(-1, 0, 11), "lower endpoint exceeds upper endpoint"),
+    (np.linspace(1, 0, 11), np.full(11, 2.0), "alpha cuts are not nested"),
+    # non-finite and non-nested at once: finiteness is reported first
+    (np.linspace(1, 0, 11), np.full(11, np.inf), "endpoints must be finite"),
+    (_dip(2 * ATOL), np.ones(11), "alpha cuts are not nested"),
+    # tolerance-level slack is accepted
+    (_dip(ATOL), np.ones(11), None),
+    (np.full(11, ATOL), np.zeros(11), None),
+], ids=["shape", "finite", "nonempty", "nested", "finite-before-nested",
+        "drop-2atol", "drop-atol", "lower-eq-upper-plus-atol"])
+def test_fuzzy_number_invariant_enforcement(lower, upper, message):
+    if message is None:
+        u = f.FuzzyNumber(GRID, lower, upper)
+        assert np.array_equal(u.lower, lower) and np.array_equal(u.upper, upper)
+    else:
+        with pytest.raises(InvalidShapeError, match=message):
+            f.FuzzyNumber(GRID, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +258,26 @@ def test_norm_properties(a, b, k):
     assert (f.norm(u) <= TOL) == (f.dist(a, f.zero(GRID)) <= TOL)
     assert abs(f.norm(f.vec_scale(k, u)) - abs(k) * f.norm(u)) <= 1e-11
     assert f.norm(f.vec_add(u, v)) <= f.norm(u) + f.norm(v) + TOL
-    assert abs(f.vec_dist(u, f.zero_vector(GRID)) - f.norm(u)) <= TOL
+    assert f.vec_dist(u, f.zero_vector(GRID)) == f.norm(u)
+    # negative-only and -0.0 endpoints in a two-component vector
+    w = f.vector(tri(-3, -2, -1), f.FuzzyNumber(GRID, np.linspace(-1, -0.0, 11),
+                                                np.full(11, -0.0)))
+    for x in (w, f.vector(a, f.scale(-1.0, b))):
+        assert f.vec_dist(x, f.zero_vector(GRID, 2)) == f.norm(x)
+
+
+def test_norm_builds_no_fuzzy_number(monkeypatch):
+    u = f.vector(tri(-1, 0, 1), tri(-3, -2, -1))
+    built = []
+    post_init = f.FuzzyNumber.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(f.FuzzyNumber, "__post_init__", counting)
+    assert f.norm(u) == 3.0
+    assert not built
 
 
 def test_norm_zero_iff_zero():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import fuzzyts as f
-from fuzzyts import catalog
+from fuzzyts import catalog, hybrid
 from fuzzyts.errors import ConfigError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
 from fuzzyts.hybrid import StepMode, solve
 from fuzzyts.stability import (
     HOLDS,
+    MAX_SAMPLE_ATTEMPTS,
     NOT_TESTED,
     VIOLATED,
     ClassKPair,
@@ -22,6 +23,7 @@ from fuzzyts.stability import (
     norm_lyapunov,
     sample_initial_state,
     verify_comparison_bound,
+    _check_condition_ii,
     _validate_class_k,
 )
 
@@ -172,6 +174,33 @@ def test_sampler_is_deterministic_under_seed():
     a = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
     b = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
     assert f.vec_dist(a, b) == 0.0
+
+
+class ScriptedRng:
+    """Stand-in generator: plays back ``values`` then repeats ``rest``."""
+
+    def __init__(self, values=(), rest=0.0):
+        self.values = list(values)
+        self.rest = rest
+        self.draws = 0
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return self.values.pop(0) if self.values else self.rest
+
+
+def test_sampler_gives_up_on_degenerate_generator():
+    rng = ScriptedRng()
+    with pytest.raises(ConfigError, match="nearly-zero"):
+        sample_initial_state(rng, GRID, 2, "crisp", 0.5)
+    assert rng.draws == 2 * MAX_SAMPLE_ATTEMPTS
+
+
+def test_sampler_redraws_nearly_zero_states_from_the_same_generator():
+    rng = ScriptedRng(values=[0.0, 1e-12, 0.25, -0.5], rest=0.9)
+    u = sample_initial_state(rng, GRID, 2, "crisp", 2.0)
+    assert rng.draws == 4  # one rejected draw, one accepted
+    assert [c.crisp_value() for c in u] == [1.0, -2.0]
 
 
 def test_boundary_probe_distance():
@@ -335,3 +364,54 @@ def test_consistency_never_flagged_across_catalog():
                                             bundle.lyapunov, bundle.kpair,
                                             query, 10.0)
         assert not verdict.consistency["inconsistent"]
+
+
+# ---------------------------------------------------------------------------
+# cost guards: deterministic counts of repeated work
+# ---------------------------------------------------------------------------
+
+def test_probe_is_resolved_at_most_once_per_mode(monkeypatch):
+    calls = []
+    real_solve = hybrid.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(kwargs.get("mode"))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "solve", counting_solve)
+    b = catalog.make_example_3_9(GRID, 10.0)
+    plan = SamplingPlan(count=8, seed=13, family="triangular")
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=plan)
+    verdict = check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+    assert verdict.properties["practically_stable"]["witness"]["sample"] == -1
+    assert len(calls) <= (plan.count + 1) * 2 + 2
+
+
+class CountingLyapunov(LyapunovFn):
+    def __init__(self):
+        super().__init__(lambda t, u: f.norm(u))
+        object.__setattr__(self, "calls", 0)
+
+    def __call__(self, t, u):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().__call__(t, u)
+
+
+@pytest.mark.parametrize("ts", [f.integer(12), f.uniform(0.0, 1e-7, 12)],
+                         ids=["scattered", "dense"])
+def test_condition_ii_evaluates_V_once_per_point(ts):
+    switch_times = (0.0, float(ts.points[5]))
+
+    def hold_zero(t, u):
+        return f.zero_vector(u.grid, u.n)
+
+    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.vec_scale(-0.5, u),
+                              (hold_zero, lambda t, u: u), 100.0, f.vector(tri(-1, 0, 1)))
+    comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w,
+                                (lambda v: v, lambda v: v), 1.0)
+    trajs = [("expansive", 0, solve(sys, horizon=float(ts.points[10]))),
+             ("expansive", 1, solve(sys))]
+    V = CountingLyapunov()
+    report = _check_condition_ii(V, comp, trajs, tol=1e-9)
+    assert report["checked_steps"] == 10 + 12
+    assert V.calls <= sum(len(traj) for _, _, traj in trajs)
