@@ -384,17 +384,16 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
     for mode, sample_id, traj in trajectories:
         # V at every point, once; the Dini estimate looks its values up by time.
         times = traj.times.tolist()
-        vs = [V(t, u) for t, u in zip(times, traj.values)]
-        v_at = dict(zip(times, vs))
+        v_at = {t: V(t, u) for t, u in zip(times, traj.values)}
         seg_entry_v: dict[int, float] = {}
-        for i, t in enumerate(times[:-1]):
+        for t in times[:-1]:
             k = comp.schedule.segment_of(t)
             if k not in seg_entry_v:
                 tk = comp.switch_times[k]
                 # a switch time matches its stored point only up to lookup noise
                 seg_entry_v[k] = v_at[tk] if tk in v_at else V(tk, traj.value_at(tk))
             lhs = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
-            rhs = comp.g(t, vs[i], comp.psi[k](seg_entry_v[k]))
+            rhs = comp.g(t, v_at[t], comp.psi[k](seg_entry_v[k]))
             margin = rhs - lhs
             worst = min(worst, margin)
             checked += 1

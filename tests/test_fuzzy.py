@@ -66,7 +66,7 @@ def test_trapezoid_ordering_error():
 
 
 def _dip(depth):
-    """Flat lower endpoints at 0 that drop by ``depth`` at one level."""
+    """Lower endpoints at 0 that step down by ``depth`` at level 6."""
     lower = np.zeros(11)
     lower[6:] = -depth
     return lower
