@@ -70,6 +70,46 @@ DSL_DENSE_STABILITY = DSL_STABILITY.replace(
 ).replace("switch_times = 0 1.5", "switch_times = 0 5e-6").replace(
     "horizon = 2.4", "horizon = 9e-6").replace("samples = 6", "samples = 4")
 
+# Catalog run with a tail bound: quasi and strong stability are tested, and
+# the strong witness is the earlier (stable) one of its two parts.
+CATALOG_QUASI_STABILITY = """
+[system]
+name = example_3_9
+horizon = 20
+
+[stability]
+lambda = 1
+A = 2
+B = 0.5
+T0 = 5
+samples = 16
+shape = trapezoid
+modes = expansive
+seed = 5
+
+[output]
+alpha_levels = 5
+"""
+
+# Three-component DSL system: ghsub, a literal summand, a crisp lambda_0 and a
+# lambda_k that adds a literal to the switch state.
+DSL_THREE_COMPONENTS = """
+[timescale]
+scale = intervals([[0,1],[1.5,2.5]], 0.1)
+
+[system]
+rhs = ghsub(smul(-0.5, u), smul(0.25, u)) fadd smul(eta(t), lam) fadd crisp(0.1)
+lambda_0 = crisp(0.25)
+lambda_k = u_k fadd trap(0,0.1,0.2,0.3)
+switch_times = 0 1.5
+u0 = tri(-1,0,1) | trap(-2,-1,0,1) | crisp(0.5)
+horizon = 2.5
+mode = expansive
+
+[output]
+alpha_levels = 5
+"""
+
 CATALOG_COMPARE = """
 [system]
 name = example_3_9
@@ -89,6 +129,15 @@ CASES = {
     }),
     "dsl-dense-stability": ("stability", DSL_DENSE_STABILITY, 0, {
         "verdict.json": "ed2a90fe9e3a882b71a92b2584b8a0f7a4006f91dbb2a7a2d4bd7ddba29111d6",
+    }),
+    "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
+        "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",
+    }),
+    "dsl-three-simulate": ("simulate", DSL_THREE_COMPONENTS, 0, {
+        "trajectory.csv": "1c096ad59d41e8b28f748607b558766c39273589655e31a05e60db972e8702f8",
+    }),
+    "dsl-three-deriv": ("deriv", DSL_THREE_COMPONENTS, 0, {
+        "derivative.csv": "a8682d60f365de3a33ea1187deff514096ff2bad225033ee619da1960f25eff7",
     }),
     "catalog-compare": ("compare", CATALOG_COMPARE, 0, {
         "trajectory.csv": "24da126164e5e739decdc1169433eb0dd0c9320040f0c295a27c9c039388047c",
