@@ -31,6 +31,6 @@ print("derivative where the difference is missing:", delta_h_derivative(broken, 
 # The defining inequalities can be checked directly against any candidate.
 print("\ntrue candidate accepted: ",
       verify_derivative_definition(traj, 4.0, d, eps=1e-9))
-off = f.vec_add(d, f.vector(f.crisp(1.0, grid)))
+off = f.add(d, f.vector(f.crisp(1.0, grid)))
 print("shifted candidate rejected:",
       not verify_derivative_definition(traj, 4.0, off, eps=0.5))

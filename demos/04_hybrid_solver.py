@@ -36,8 +36,8 @@ for t in (0.0, 1.0, 2.0, 5.0):
 frozen = {k: sys.switch_maps[k](t_k, traj.value_at(t_k))
           for k, t_k in enumerate(sys.switch_times)}
 residual = max(
-    f.vec_dist(delta_h_derivative(traj, t),
-               sys.rhs(t, traj.value_at(t), frozen[traj.segment_at(t)]))
+    f.dist(delta_h_derivative(traj, t),
+           sys.rhs(t, traj.value_at(t), frozen[traj.segment_at(t)]))
     for t in map(float, traj.times[:-1]))
 print("\nmax derivative residual (expansive run):", residual)
 

@@ -28,15 +28,12 @@ from .fuzzy import (
     crisp,
     dist,
     gh_difference,
+    h_difference,
     hausdorff_interval,
     make_trapezoid,
     make_triangle,
     norm,
     scale,
-    vec_add,
-    vec_dist,
-    vec_gh_difference,
-    vec_scale,
     vector,
     zero,
     zero_vector,

@@ -71,7 +71,7 @@ def make_crisp_contraction(grid: AlphaGrid, horizon: float,
         u0 = FuzzyVector((fuzzy.crisp(0.5, grid),))
 
     def rhs(t: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
-        return fuzzy.vec_scale(-1.0 / (1.0 + ts.mu(t)), u)
+        return fuzzy.scale(-1.0 / (1.0 + ts.mu(t)), u)
 
     def hold_zero(t_k: float, u_k: FuzzyVector) -> FuzzyVector:
         return fuzzy.zero_vector(u_k.grid, u_k.n)

@@ -228,20 +228,21 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     lamk_expr = dsl.parse_fuzzy(_get(cfg, "system", "lambda_k", "u_k"),
                                 variables={"u_k"}, scalar_variables={"t"})
 
+    # Variables bind the whole state and every operation acts component-wise,
+    # so one evaluation serves all components; a result that names no fuzzy
+    # variable is a fuzzy number, given to every component.
+    def state(expr, u: FuzzyVector, env: Env) -> FuzzyVector:
+        value = dsl.eval_fuzzy(expr, env)
+        return value if isinstance(value, FuzzyVector) else FuzzyVector((value,) * u.n)
+
     def rhs(t: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
-        comps = []
-        for uc, lc in zip(u, lam):
-            env = Env(scalars={"t": t}, fuzzies={"u": uc, "lam": lc}, ts=ts, grid=grid)
-            comps.append(dsl.eval_fuzzy(rhs_expr, env))
-        return FuzzyVector(tuple(comps))
+        env = Env(scalars={"t": t}, fuzzies={"u": u, "lam": lam}, ts=ts, grid=grid)
+        return state(rhs_expr, u, env)
 
     def make_switch_map(expr):
         def switch_map(t_k: float, u_k: FuzzyVector) -> FuzzyVector:
-            comps = []
-            for comp in u_k:
-                env = Env(scalars={"t": t_k}, fuzzies={"u_k": comp}, ts=ts, grid=grid)
-                comps.append(dsl.eval_fuzzy(expr, env))
-            return FuzzyVector(tuple(comps))
+            env = Env(scalars={"t": t_k}, fuzzies={"u_k": u_k}, ts=ts, grid=grid)
+            return state(expr, u_k, env)
         return switch_map
 
     maps = (make_switch_map(lam0_expr),) + tuple(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import fuzzy
 from .errors import FuzzyTSError, NoSuccessorError, UnknownPointError
-from .fuzzy import AlphaGrid, FuzzyNumber
+from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
 from .timescale import TimeScale
 
 
@@ -482,13 +482,14 @@ def _print_fuzzy(e: FuzzyExpr) -> str:
 class Env:
     """Bindings for evaluation.
 
-    ``scalars`` binds scalar variables, ``fuzzies`` binds fuzzy variables;
+    ``scalars`` binds scalar variables, ``fuzzies`` binds fuzzy variables
+    (fuzzy numbers, or whole fuzzy vectors);
     ``ts`` supplies the time-scale context required by mu/sigma/eta, and
     ``grid`` the alpha grid required by fuzzy literals.
     """
 
     scalars: dict[str, float] = field(default_factory=dict)
-    fuzzies: dict[str, FuzzyNumber] = field(default_factory=dict)
+    fuzzies: dict[str, FuzzyNumber | FuzzyVector] = field(default_factory=dict)
     ts: TimeScale | None = None
     grid: AlphaGrid | None = None
 
@@ -500,7 +501,7 @@ class Env:
             return self.scalars[alias]
         raise EvalError(f"unbound variable {name!r}", span)
 
-    def fuzzy(self, name: str, span) -> FuzzyNumber:
+    def fuzzy(self, name: str, span) -> FuzzyNumber | FuzzyVector:
         if name in self.fuzzies:
             return self.fuzzies[name]
         raise EvalError(f"unbound fuzzy variable {name!r}", span)
@@ -556,8 +557,11 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float:
     raise TypeError(f"not a scalar expression: {e!r}")
 
 
-def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber:
-    """Evaluate a fuzzy expression to one fuzzy-vector component.
+def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
+    """Evaluate a fuzzy expression.
+
+    Operations act component-wise, so with vectors bound the result is a
+    vector; literals are fuzzy numbers and act on every component.
 
     A non-existent generalized Hukuhara difference inside ghsub propagates
     as GHDifferenceError so callers can branch on it.

@@ -7,9 +7,11 @@ scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored;
 validity (nonempty, nested, finite cuts) is enforced at construction.
 
-Fuzzy vectors are boxes: tuples of independent fuzzy numbers on one grid.
-Their metric uses the max norm on the underlying space, so it decomposes
-component-wise into the scalar metric.
+Fuzzy vectors are boxes of independent components on one grid, stored as
+``(n, m)`` endpoint arrays (a number's are ``(m,)``).  Each operation is
+written once and takes numbers or vectors as they stand; a number meeting a
+vector acts on every component.  The vector metric uses the max norm on the
+underlying space, so it decomposes component-wise into the scalar metric.
 """
 
 from __future__ import annotations
@@ -70,31 +72,29 @@ class AlphaGrid:
         return f"AlphaGrid(m={self.m})"
 
 
-def _require_same_grid(u: "FuzzyNumber", v: "FuzzyNumber") -> None:
-    if not u.grid.matches(v.grid):
-        raise GridMismatchError("operands live on different alpha grids")
-
-
 @dataclass(frozen=True, eq=False)
-class FuzzyNumber:
-    """A fuzzy number as sampled alpha-cut endpoints on a shared grid.
+class _Cuts:
+    """Sampled alpha-cut endpoints on one grid, checked at construction.
 
-    Invariants, checked at construction:
-      * ``lower[i] <= upper[i]`` at every level (nonempty cuts),
+    A fuzzy number holds ``(m,)`` endpoint arrays and a fuzzy vector
+    ``(n, m)`` ones, one row per component.  Invariants, row by row:
+      * all endpoints finite,
+      * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
-        (cuts are nested), and
-      * all endpoints finite.
+        (cuts are nested).
     """
 
     grid: AlphaGrid
     lower: np.ndarray
     upper: np.ndarray
 
+    _ndim = 1  # rank of the endpoint arrays; not a field
+
     def __post_init__(self):
         lower = _frozen_array(self.lower)
         upper = _frozen_array(self.upper)
-        m = self.grid.m
-        if lower.shape != (m,) or upper.shape != (m,):
+        if (lower.ndim != self._ndim or lower.shape != upper.shape
+                or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
         # ndarray methods and slice differences (what np.diff computes) keep
         # these checks cheap enough to run on every kernel result.
@@ -102,18 +102,31 @@ class FuzzyNumber:
             raise InvalidShapeError("endpoints must be finite")
         if (lower > upper + ATOL).any():
             raise InvalidShapeError("lower endpoint exceeds upper endpoint")
-        if (lower[1:] - lower[:-1] < -ATOL).any() or (upper[1:] - upper[:-1] > ATOL).any():
+        if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
+                or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
             raise InvalidShapeError("alpha cuts are not nested")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def cut(self, i: int) -> tuple[float, float]:
-        """Endpoints of the cut at grid level ``i``."""
-        return float(self.lower[i]), float(self.upper[i])
-
     @property
     def is_crisp(self) -> bool:
         return bool(np.all(np.abs(self.upper - self.lower) <= ATOL))
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __mul__(self, k: float):
+        return scale(float(k), self)
+
+    __rmul__ = __mul__
+
+
+class FuzzyNumber(_Cuts):
+    """A fuzzy number: ``(m,)`` endpoint arrays on a shared grid."""
+
+    def cut(self, i: int) -> tuple[float, float]:
+        """Endpoints of the cut at grid level ``i``."""
+        return float(self.lower[i]), float(self.upper[i])
 
     def crisp_value(self) -> float:
         """The represented real when this number is crisp."""
@@ -123,23 +136,72 @@ class FuzzyNumber:
 
     def to_records(self) -> list[tuple[float, float, float]]:
         """Per-level (alpha, lower, upper) records for serialization."""
-        return [
-            (float(a), float(lo), float(hi))
-            for a, lo, hi in zip(self.grid.levels, self.lower, self.upper)
-        ]
-
-    def __add__(self, other: "FuzzyNumber") -> "FuzzyNumber":
-        return add(self, other)
-
-    def __mul__(self, k: float) -> "FuzzyNumber":
-        return scale(float(k), self)
-
-    __rmul__ = __mul__
+        return list(zip(self.grid.levels.tolist(), self.lower.tolist(), self.upper.tolist()))
 
     def __repr__(self) -> str:
         lo, hi = self.cut(0)
         core_lo, core_hi = self.cut(self.grid.m - 1)
         return f"FuzzyNumber([{lo}, {hi}] .. core [{core_lo}, {core_hi}])"
+
+
+class FuzzyVector(_Cuts):
+    """A box-valued fuzzy state: ``(n, m)`` endpoint arrays, one row per
+    independent component, all on one grid.
+
+    Built from its components, ``FuzzyVector((u1, u2, ...))``, or from
+    endpoint arrays with ``FuzzyVector.from_arrays``.  Indexing and
+    iteration yield the components as fuzzy numbers.
+    """
+
+    _ndim = 2
+
+    def __init__(self, components):
+        components = tuple(components)
+        if not components:
+            raise DimensionMismatchError("fuzzy vector needs at least one component")
+        grid = components[0].grid
+        for c in components[1:]:
+            if not grid.matches(c.grid):
+                raise GridMismatchError("vector components live on different grids")
+        super().__init__(grid, [c.lower for c in components], [c.upper for c in components])
+
+    @classmethod
+    def from_arrays(cls, grid: AlphaGrid, lower, upper) -> "FuzzyVector":
+        vec = cls.__new__(cls)
+        _Cuts.__init__(vec, grid, lower, upper)
+        return vec
+
+    @property
+    def n(self) -> int:
+        return self.lower.shape[0]
+
+    def __getitem__(self, i: int) -> FuzzyNumber:
+        return FuzzyNumber(self.grid, self.lower[i], self.upper[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(self.n))
+
+    def to_records(self) -> list[list[tuple[float, float, float]]]:
+        return [c.to_records() for c in self]
+
+    def __repr__(self) -> str:
+        return f"FuzzyVector(n={self.n})"
+
+
+def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
+    """The number or vector that endpoint arrays of this shape make."""
+    if lower.ndim == 1:
+        return FuzzyNumber(grid, lower, upper)
+    return FuzzyVector.from_arrays(grid, lower, upper)
+
+
+def _require_compatible(u: _Cuts, v: _Cuts) -> None:
+    """One grid, and one dimension when both are vectors (a number meets
+    every component of a vector)."""
+    if u.lower.ndim == v.lower.ndim == 2 and u.n != v.n:
+        raise DimensionMismatchError(f"dimension mismatch: {u.n} vs {v.n}")
+    if not u.grid.matches(v.grid):
+        raise GridMismatchError("operands live on different alpha grids")
 
 
 def make_trapezoid(a: float, b: float, c: float, d: float, grid: AlphaGrid) -> FuzzyNumber:
@@ -169,20 +231,30 @@ def zero(grid: AlphaGrid) -> FuzzyNumber:
     return crisp(0.0, grid)
 
 
-def add(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
+def add(u: _Cuts, v: _Cuts) -> _Cuts:
     """Level-wise interval sum (Minkowski sum of the cuts)."""
-    _require_same_grid(u, v)
-    return FuzzyNumber(u.grid, u.lower + v.lower, u.upper + v.upper)
+    _require_compatible(u, v)
+    return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper)
 
 
-def scale(k: float, u: FuzzyNumber) -> FuzzyNumber:
+def scale(k: float, u: _Cuts) -> _Cuts:
     """Level-wise scalar multiple; endpoints swap when k < 0."""
     if k >= 0:
-        return FuzzyNumber(u.grid, k * u.lower, k * u.upper)
-    return FuzzyNumber(u.grid, k * u.upper, k * u.lower)
+        return _cuts(u.grid, k * u.lower, k * u.upper)
+    return _cuts(u.grid, k * u.upper, k * u.lower)
 
 
-def gh_difference(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
+def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:
+    """Classical Hukuhara difference: the w with ``u = v + w``.
+
+    Endpoints subtract level-wise; when the result is not a valid state the
+    difference does not exist and construction raises InvalidShapeError.
+    """
+    _require_compatible(u, v)
+    return _cuts(u.grid, u.lower - v.lower, u.upper - v.upper)
+
+
+def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     """Generalized Hukuhara difference ``u (-)gH v``.
 
     Level-wise the only candidate is
@@ -192,14 +264,15 @@ def gh_difference(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
     otherwise the difference does not exist and GHDifferenceError is
     raised.  No repair or projection is attempted.
     """
-    _require_same_grid(u, v)
+    _require_compatible(u, v)
     dlo = u.lower - v.lower
     dhi = u.upper - v.upper
     lower = np.minimum(dlo, dhi)
     upper = np.maximum(dlo, dhi)
-    if np.any(np.diff(lower) < -ATOL) or np.any(np.diff(upper) > ATOL):
+    if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
+            or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
         raise GHDifferenceError("gH difference does not exist: cuts are not nested")
-    return FuzzyNumber(u.grid, lower, upper)
+    return _cuts(u.grid, lower, upper)
 
 
 def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -210,108 +283,35 @@ def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def dist(u: FuzzyNumber, v: FuzzyNumber) -> float:
-    """Sup over alpha of the Hausdorff distance between the cuts."""
-    _require_same_grid(u, v)
+def dist(u: _Cuts, v: _Cuts) -> float:
+    """Sup over alpha of the Hausdorff distance between the cuts.
+
+    On vectors this is the max over components (the max norm on the
+    underlying space).
+    """
+    _require_compatible(u, v)
     return float(
         np.max(np.maximum(np.abs(u.lower - v.lower), np.abs(u.upper - v.upper)))
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FuzzyVector:
-    """A box-valued fuzzy state: independent components on one grid."""
-
-    components: tuple[FuzzyNumber, ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        if not components:
-            raise DimensionMismatchError("fuzzy vector needs at least one component")
-        grid = components[0].grid
-        for c in components[1:]:
-            if not grid.matches(c.grid):
-                raise GridMismatchError("vector components live on different grids")
-        object.__setattr__(self, "components", components)
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-    @property
-    def grid(self) -> AlphaGrid:
-        return self.components[0].grid
-
-    def __getitem__(self, i: int) -> FuzzyNumber:
-        return self.components[i]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __add__(self, other: "FuzzyVector") -> "FuzzyVector":
-        return vec_add(self, other)
-
-    def __mul__(self, k: float) -> "FuzzyVector":
-        return vec_scale(float(k), self)
-
-    __rmul__ = __mul__
-
-    @property
-    def is_crisp(self) -> bool:
-        return all(c.is_crisp for c in self.components)
-
-    def to_records(self) -> list[list[tuple[float, float, float]]]:
-        return [c.to_records() for c in self.components]
-
-    def __repr__(self) -> str:
-        return f"FuzzyVector(n={self.n})"
-
-
-def vector(*components: FuzzyNumber) -> FuzzyVector:
-    return FuzzyVector(tuple(components))
-
-
-def zero_vector(grid: AlphaGrid, n: int = 1) -> FuzzyVector:
-    return FuzzyVector(tuple(zero(grid) for _ in range(n)))
-
-
-def _require_same_shape(u: FuzzyVector, v: FuzzyVector) -> None:
-    if u.n != v.n:
-        raise DimensionMismatchError(f"dimension mismatch: {u.n} vs {v.n}")
-
-
-def vec_add(u: FuzzyVector, v: FuzzyVector) -> FuzzyVector:
-    _require_same_shape(u, v)
-    return FuzzyVector(tuple(add(a, b) for a, b in zip(u, v)))
-
-
-def vec_scale(k: float, u: FuzzyVector) -> FuzzyVector:
-    return FuzzyVector(tuple(scale(k, c) for c in u))
-
-
-def vec_gh_difference(u: FuzzyVector, v: FuzzyVector) -> FuzzyVector:
-    _require_same_shape(u, v)
-    return FuzzyVector(tuple(gh_difference(a, b) for a, b in zip(u, v)))
-
-
-def vec_dist(u: FuzzyVector, v: FuzzyVector) -> float:
-    """Sup-Hausdorff metric on box fuzzy vectors under the max norm.
-
-    Decomposes as the max over components of the scalar metric; equals
-    dist() for one-component vectors.
-    """
-    _require_same_shape(u, v)
-    return max(dist(a, b) for a, b in zip(u, v))
-
-
-def norm(u: FuzzyVector) -> float:
-    """Distance to the crisp zero vector.
+def norm(u: _Cuts) -> float:
+    """Distance to the crisp zero.
 
     Computed from the endpoints as the max over components and levels of
-    ``max(|lower|, |upper|)``, without building the zero vector; since
-    ``x - 0.0 == x`` this equals ``vec_dist(u, zero_vector(u.grid, u.n))``
+    ``max(|lower|, |upper|)``, without building the zero; since
+    ``x - 0.0 == x`` this equals ``dist(u, zero_vector(u.grid, u.n))``
     exactly.  Behaves like a norm: zero exactly on the zero vector,
     absolutely homogeneous under scalar multiplication, subadditive under
     addition.
     """
-    return max(float(np.maximum(np.abs(c.lower), np.abs(c.upper)).max()) for c in u)
+    return float(np.maximum(np.abs(u.lower), np.abs(u.upper)).max())
+
+
+def vector(*components: FuzzyNumber) -> FuzzyVector:
+    return FuzzyVector(components)
+
+
+def zero_vector(grid: AlphaGrid, n: int = 1) -> FuzzyVector:
+    zeros = np.zeros((n, grid.m))
+    return FuzzyVector.from_arrays(grid, zeros, zeros)

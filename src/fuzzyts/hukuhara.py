@@ -68,10 +68,10 @@ class FuzzyTrajectory:
 def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:
     """(a (-)gH b) / h component-wise, or None when a difference is missing."""
     try:
-        diff = fuzzy.vec_gh_difference(a, b)
+        diff = fuzzy.gh_difference(a, b)
     except GHDifferenceError:
         return None
-    return fuzzy.vec_scale(1.0 / h, diff)
+    return fuzzy.scale(1.0 / h, diff)
 
 
 def delta_h_derivative(traj: FuzzyTrajectory, t: float,
@@ -100,7 +100,7 @@ def delta_h_derivative(traj: FuzzyTrajectory, t: float,
     backward = _quotient(traj.values[i], traj.values[i - 1], t0 - tm)
     if backward is None:
         return None
-    gap = fuzzy.vec_dist(forward, backward)
+    gap = fuzzy.dist(forward, backward)
     magnitude = max(fuzzy.norm(forward), fuzzy.norm(backward))
     if gap > dense_tol * (1.0 + magnitude):
         return None
@@ -136,7 +136,7 @@ def verify_derivative_definition(traj: FuzzyTrajectory, t: float,
 
     def gh(a: FuzzyVector, b: FuzzyVector) -> FuzzyVector:
         try:
-            return fuzzy.vec_gh_difference(a, b)
+            return fuzzy.gh_difference(a, b)
         except GHDifferenceError as exc:
             raise VerificationInconclusive(
                 f"needed Hukuhara difference missing near t={t}"
@@ -145,15 +145,13 @@ def verify_derivative_definition(traj: FuzzyTrajectory, t: float,
     # Forward family: stored points at or beyond sigma(t).
     for j in range(i + 1, min(i + 1 + window, len(traj.values))):
         h = float(ts.points[j]) - t0
-        lhs = fuzzy.vec_dist(gh(traj.values[j], u_sigma),
-                             fuzzy.vec_scale(h - mu, candidate))
+        lhs = fuzzy.dist(gh(traj.values[j], u_sigma), fuzzy.scale(h - mu, candidate))
         if lhs > eps * (h - mu) + fuzzy.ATOL:
             return False
     # Backward family: stored points at or before t (h = 0 included).
     for j in range(i, max(i - window, -1), -1):
         h = t0 - float(ts.points[j])
-        lhs = fuzzy.vec_dist(gh(u_sigma, traj.values[j]),
-                             fuzzy.vec_scale(mu + h, candidate))
+        lhs = fuzzy.dist(gh(u_sigma, traj.values[j]), fuzzy.scale(mu + h, candidate))
         if lhs > eps * (mu + h) + fuzzy.ATOL:
             return False
     return True

@@ -24,7 +24,7 @@ from typing import Callable
 
 from . import fuzzy, timescale as tsmod
 from .errors import GHDifferenceError, InvalidShapeError, StepFailureError
-from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
+from .fuzzy import AlphaGrid, FuzzyVector
 # delta_h_derivative is unused here but stays importable from this module:
 # perfbench/tracer.py wraps fuzzyts.hybrid.delta_h_derivative by name.
 from .hukuhara import FuzzyTrajectory, delta_h_derivative  # noqa: F401
@@ -71,14 +71,9 @@ class HybridFuzzySystem:
         self.switch_maps = tuple(self.switch_maps)
 
 
-def _expansive_step(u: FuzzyNumber, w: FuzzyNumber) -> FuzzyNumber:
-    return fuzzy.add(u, w)
-
-
-def _contractive_step(u: FuzzyNumber, w: FuzzyNumber) -> FuzzyNumber:
-    # Solve u = next + (-1)*w for next: endpoints subtract pairwise.
-    neg = fuzzy.scale(-1.0, w)
-    return FuzzyNumber(u.grid, u.lower - neg.lower, u.upper - neg.upper)
+def _contractive_step(u: FuzzyVector, w: FuzzyVector) -> FuzzyVector:
+    # Solve u = next + (-1)*w for next.
+    return fuzzy.h_difference(u, fuzzy.scale(-1.0, w))
 
 
 def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
@@ -89,15 +84,14 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     Raises StepFailureError when a contractive step has no valid state or
     the right-hand side produces an invalid value.
     """
-    step = _expansive_step if mode is StepMode.EXPANSIVE else _contractive_step
+    step = fuzzy.add if mode is StepMode.EXPANSIVE else _contractive_step
 
     def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
         return sys.switch_maps[k](sys.switch_times[k], u)
 
     def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
         try:
-            contribution = fuzzy.vec_scale(mu, sys.rhs(t, u, lam))
-            return FuzzyVector(tuple(step(uc, wc) for uc, wc in zip(u, contribution)))
+            return step(u, fuzzy.scale(mu, sys.rhs(t, u, lam)))
         except (InvalidShapeError, GHDifferenceError) as exc:
             raise StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}") from exc
 
@@ -125,7 +119,7 @@ def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,
 
     def rhs(t: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
         eta = 1.0 / (1.0 + ts.mu(t))
-        return fuzzy.vec_add(fuzzy.vec_scale(-eta, u), fuzzy.vec_scale(eta, lam))
+        return fuzzy.add(fuzzy.scale(-eta, u), fuzzy.scale(eta, lam))
 
     def hold_zero(t_k: float, u_k: FuzzyVector) -> FuzzyVector:
         return fuzzy.zero_vector(u_k.grid, u_k.n)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .comparison import ScalarTrajectory
-from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
+from .errors import GridMismatchError
+from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory
 
 SCHEMA_VERSION = 1
@@ -24,52 +25,56 @@ SCALAR_HEADER = ["t", "segment_k", "r"]
 COMPARISON_HEADER = ["t", "V", "r", "margin"]
 DERIVATIVE_HEADER = ["t", "component", "alpha", "lower", "upper"]
 
+_FLOAT_FORMAT = ".17g"
+
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT_FORMAT)
+
+
+def _state_rows(head: list, value: FuzzyVector, alphas: list[str]) -> list[list]:
+    """One row per component and level: ``head``, component, alpha, lower, upper.
+
+    ``alphas`` are the formatted levels of the state's grid; ``tolist()``
+    yields Python floats, which need no conversion before formatting.
+    """
+    return [[*head, c, alpha, format(lo, _FLOAT_FORMAT), format(hi, _FLOAT_FORMAT)]
+            for c, (lows, highs) in enumerate(zip(value.lower.tolist(), value.upper.tolist()))
+            for alpha, lo, hi in zip(alphas, lows, highs)]
+
+
+def _alpha_strings(grid: AlphaGrid) -> list[str]:
+    return [_fmt(a) for a in grid.levels.tolist()]
 
 
 def write_trajectory_csv(path: Path, traj: FuzzyTrajectory) -> None:
+    alphas = _alpha_strings(traj.values[0].grid)
+    segments = traj.segments if traj.segments is not None else [0] * len(traj)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_HEADER)
-        for i, value in enumerate(traj.values):
-            t = float(traj.ts.points[i])
-            seg = traj.segments[i] if traj.segments is not None else 0
-            for c, comp in enumerate(value):
-                for alpha, lo, hi in comp.to_records():
-                    writer.writerow([_fmt(t), seg, c, _fmt(alpha), _fmt(lo), _fmt(hi)])
+        for t, seg, value in zip(traj.times.tolist(), segments, traj.values):
+            writer.writerows(_state_rows([_fmt(t), seg], value, alphas))
 
 
 def load_trajectory_csv(path: Path) -> tuple[list[float], list[int], list[FuzzyVector]]:
     """Rebuild (times, segments, values) from a trajectory CSV."""
-    rows: dict[float, dict[int, list[tuple[float, float, float]]]] = {}
-    segments: dict[float, int] = {}
-    order: list[float] = []
+    blocks: dict[float, list[list[str]]] = {}  # t -> its rows, in file order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != TRAJECTORY_HEADER:
             raise ValueError(f"unexpected trajectory header: {header}")
-        for t_s, seg_s, comp_s, alpha_s, lo_s, hi_s in reader:
-            t = float(t_s)
-            if t not in rows:
-                rows[t] = {}
-                order.append(t)
-                segments[t] = int(seg_s)
-            rows[t].setdefault(int(comp_s), []).append(
-                (float(alpha_s), float(lo_s), float(hi_s)))
+        for row in reader:
+            blocks.setdefault(float(row[0]), []).append(row)
     values = []
-    for t in order:
-        comps = []
-        for c in sorted(rows[t]):
-            records = rows[t][c]
-            grid = AlphaGrid(np.array([r[0] for r in records]))
-            comps.append(FuzzyNumber(grid,
-                                     np.array([r[1] for r in records]),
-                                     np.array([r[2] for r in records])))
-        values.append(FuzzyVector(tuple(comps)))
-    return order, [segments[t] for t in order], values
+    for rows in blocks.values():
+        rows.sort(key=lambda r: int(r[2]))  # component by component
+        cuts = np.array([r[3:] for r in rows], dtype=float).reshape(int(rows[-1][2]) + 1, -1, 3)
+        if (cuts[..., 0] != cuts[0, :, 0]).any():
+            raise GridMismatchError("vector components live on different grids")
+        values.append(FuzzyVector.from_arrays(AlphaGrid(cuts[0, :, 0]), cuts[..., 1], cuts[..., 2]))
+    return list(blocks), [int(rows[0][1]) for rows in blocks.values()], values
 
 
 def write_scalar_csv(path: Path, traj: ScalarTrajectory) -> None:
@@ -94,12 +99,13 @@ def write_derivative_csv(path: Path, entries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DERIVATIVE_HEADER)
+        alphas = None
         for t, deriv in entries:
             if deriv is None:
                 continue
-            for c, comp in enumerate(deriv):
-                for alpha, lo, hi in comp.to_records():
-                    writer.writerow([_fmt(t), c, _fmt(alpha), _fmt(lo), _fmt(hi)])
+            if alphas is None:
+                alphas = _alpha_strings(deriv.grid)
+            writer.writerows(_state_rows([_fmt(t)], deriv, alphas))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -218,7 +218,7 @@ def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
                                 for a, b, c2, d in comps))
         size = fuzzy.norm(raw)
         if size > 1e-9:
-            return fuzzy.vec_scale(target / size, raw)
+            return fuzzy.scale(target / size, raw)
     raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
                       f"{family} states in a row; the random generator is degenerate")
 
@@ -360,7 +360,7 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
         t = float(ts.points[rng.integers(0, len(ts))])
         u1 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
         u2 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
-        gap = fuzzy.vec_dist(u1, u2)
+        gap = fuzzy.dist(u1, u2)
         if gap <= 1e-12:
             continue
         estimate = max(estimate, abs(V(t, u1) - V(t, u2)) / gap)
@@ -509,7 +509,7 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     """Monte-Carlo test of the practical-stability definitions."""
     runs, skipped = _simulate_direct(sys, q, horizon, modes)
     t0 = float(sys.ts.points[0])
-    witnesses: list[Witness] = []
+    earliest: dict[str, Witness] = {}  # property -> its minimum-sort_key witness
     probe_grazes = []
 
     # Interior trajectory of the shrunken probe per mode, None when its solve
@@ -518,13 +518,15 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     inner_runs: dict[str, FuzzyTrajectory | None] = {}
 
     def record(prop, t, value, bound, mode, sample_id, u0):
-        witnesses.append(Witness(prop, t, value, bound, mode, sample_id, u0))
+        w = Witness(prop, t, value, bound, mode, sample_id, u0)
+        if prop not in earliest or w.sort_key() < earliest[prop].sort_key():
+            earliest[prop] = w
 
     def confirmed_probe_excess(mode: str, t: float, bound: float, u0: FuzzyVector) -> bool:
         # Count the probe only if a shrunken interior copy also reaches the
         # bound at the same instant.
         if mode not in inner_runs:
-            inner = fuzzy.vec_scale(1.0 - 1e-9, u0)
+            inner = fuzzy.scale(1.0 - 1e-9, u0)
             try:
                 inner_runs[mode] = hybrid.solve(dataclasses.replace(sys, u0=inner),
                                                 mode=StepMode(mode), horizon=horizon)
@@ -559,35 +561,30 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
             if in_tail:
                 check_bound("asymptotically_stable", t, d, q.A, mode, sample_id, u0)
 
-    witnesses.sort(key=Witness.sort_key)
-    by_prop: dict[str, list[Witness]] = {p: [] for p in PROPERTIES}
-    for w in witnesses:
-        by_prop[w.property].append(w)
-
     # no surviving trajectory means nothing was tested, never "holds"
     quasi_testable = bool(runs) and q.B is not None and q.T0 is not None
     stable_testable = bool(runs)
 
-    def outcome(testable, violated_list):
+    def outcome(testable, *props):
+        """Status of a property that fails with any of ``props``, carrying
+        the earliest witness among them."""
         if not testable:
             return {"status": NOT_TESTED, "witness": None}
-        if violated_list:
-            return {"status": VIOLATED, "witness": violated_list[0].to_dict()}
+        found = [earliest[p] for p in props if p in earliest]
+        if found:
+            return {"status": VIOLATED, "witness": min(found, key=Witness.sort_key).to_dict()}
         return {"status": HOLDS, "witness": None}
 
     outcomes: dict[str, dict] = {}
-    outcomes["practically_stable"] = outcome(stable_testable, by_prop["practically_stable"])
-    outcomes["quasi_stable"] = outcome(quasi_testable, by_prop["quasi_stable"])
-    # strong = stable and quasi; carry the earliest witness of either part
-    strong_wits = sorted(by_prop["practically_stable"] + by_prop["quasi_stable"],
-                         key=Witness.sort_key)
-    outcomes["strongly_stable"] = outcome(quasi_testable, strong_wits)
+    outcomes["practically_stable"] = outcome(stable_testable, "practically_stable")
+    outcomes["quasi_stable"] = outcome(quasi_testable, "quasi_stable")
+    # strong = stable and quasi
+    outcomes["strongly_stable"] = outcome(quasi_testable, "practically_stable", "quasi_stable")
     # asymptotic = stability plus the tail bound with A beyond t0 + T0; when
     # no T0 is given the tail requirement is witnessed by T0 = 0, so the
     # outcome coincides with plain stability
-    asym_wits = sorted(by_prop["practically_stable"] + by_prop["asymptotically_stable"],
-                       key=Witness.sort_key)
-    outcomes["asymptotically_stable"] = outcome(stable_testable, asym_wits)
+    outcomes["asymptotically_stable"] = outcome(stable_testable, "practically_stable",
+                                                "asymptotically_stable")
     return outcomes, runs, skipped, probe_grazes
 
 

@@ -86,7 +86,7 @@ def test_criterion_3_scattered_derivative_exactness():
         # fuzzy trajectory built by accumulation so the differences exist
         values = [f.vector(random_fuzzy(rng, span=1.0))]
         for _ in range(len(ts) - 1):
-            values.append(f.vec_add(values[-1], f.vector(random_fuzzy(rng, span=1.0))))
+            values.append(f.add(values[-1], f.vector(random_fuzzy(rng, span=1.0))))
         traj = FuzzyTrajectory(ts, values)
         for i, t in enumerate(ts.kappa_points()):
             t = float(t)

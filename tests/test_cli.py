@@ -1,11 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fuzzyts as f
-from fuzzyts import io as ftio
-from fuzzyts.cli import main, parse_timescale_spec
+from fuzzyts import dsl, hybrid, io as ftio
+from fuzzyts.cli import RunConfig, build_dsl_bundle, main, parse_timescale_spec
 from fuzzyts.errors import ConfigError
 from fuzzyts.hukuhara import delta_h_derivative
 
@@ -127,7 +129,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert times == [float(t) for t in traj.times]
     assert segments == traj.segments
     for loaded, original in zip(values, traj.values):
-        assert f.vec_dist(loaded, original) <= TOL
+        assert f.dist(loaded, original) <= TOL
 
 
 def test_simulate_dsl_system(tmp_path):
@@ -293,3 +295,43 @@ def test_eval_fuzzy_literal(capsys):
     assert run("eval", "--fuzzy", "tri(-1,0,1)") == 0
     out = capsys.readouterr().out
     assert out.startswith("alpha=0 [-1, 1]")
+
+
+# ---------------------------------------------------------------------------
+# DSL systems: one evaluation per state
+# ---------------------------------------------------------------------------
+
+def dsl_system(n, rhs="circminus(u) fadd smul(eta(t), lam)", lambda_0="u_k"):
+    sections = {
+        "timescale": {"scale": "integer(12)"},
+        "system": {"rhs": rhs, "lambda_0": lambda_0, "lambda_k": "u_k",
+                   "switch_times": "0 6", "u0": " | ".join(["tri(-1,0,1)"] * n)},
+    }
+    cfg = RunConfig(sections, Path("out"), GRID.m, None)
+    return build_dsl_bundle(cfg, GRID, 12.0, 100.0).system
+
+
+def test_literal_only_dsl_result_is_given_to_every_component():
+    sys = dsl_system(3, rhs="crisp(1)", lambda_0="trap(0,0.1,0.2,0.3)")
+    lam = sys.switch_maps[0](0.0, sys.u0)
+    assert lam.n == 3 and sys.rhs(0.0, sys.u0, lam).n == 3
+    for row in lam:
+        assert np.array_equal(row.lower, f.make_trapezoid(0, 0.1, 0.2, 0.3, GRID).lower)
+    traj = hybrid.solve(sys)
+    assert [v.n for v in traj.values] == [3] * len(traj)
+
+
+def test_dsl_system_is_evaluated_once_per_state(monkeypatch):
+    built, nodes = [], []
+    post_init, eval_fuzzy = f.FuzzyNumber.__post_init__, dsl.eval_fuzzy
+    monkeypatch.setattr(f.FuzzyNumber, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(dsl, "eval_fuzzy", lambda e, env: nodes.append(e) or eval_fuzzy(e, env))
+    counts = {}
+    for n in (1, 3):
+        sys = dsl_system(n)
+        built.clear()
+        nodes.clear()
+        hybrid.solve(sys)
+        counts[n] = (len(built), len(nodes))
+    assert counts[3] == (0, counts[1][1])

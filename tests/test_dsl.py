@@ -235,3 +235,24 @@ def test_fuzzy_eval_matches_module_composition():
         got = dsl.eval_fuzzy(expr, env)
         expected = f.add(f.scale(-0.5, u), f.scale(0.5, lam))
         assert f.dist(got, expected) <= TOL
+
+
+@pytest.mark.parametrize("src", [
+    "circminus(u) fadd smul(eta(t), lam)",
+    "ghsub(smul(-0.5, u), smul(0.25, u)) fadd smul(eta(t), lam) fadd crisp(0.1)",
+    "ghsub(trap(-4,-1,1,4), u) fadd lam",
+    "crisp(1) fadd smul(-1, trap(0,1,2,3))",
+])
+def test_eval_on_whole_vectors_equals_per_component_evaluation(src):
+    expr = dsl.parse_fuzzy(src, variables={"u", "lam"}, scalar_variables={"t"})
+    u = f.vector(f.make_triangle(-1, 0, 1, GRID), f.make_trapezoid(-2, -1, 0, 1, GRID),
+                 f.crisp(0.5, GRID))
+    lam = f.vector(f.crisp(0.25, GRID), f.make_triangle(0, 1, 2, GRID),
+                   f.make_trapezoid(0, 0.1, 0.2, 0.3, GRID))
+    got = dsl.eval_fuzzy(expr, fuzzy_env(u=u, lam=lam))
+    per_component = [dsl.eval_fuzzy(expr, fuzzy_env(u=uc, lam=lc)) for uc, lc in zip(u, lam)]
+    if isinstance(got, f.FuzzyNumber):  # names no fuzzy variable: one value for all
+        got = f.vector(got, got, got)
+    assert got.n == 3
+    for row, want in zip(got, per_component):
+        assert np.array_equal(row.lower, want.lower) and np.array_equal(row.upper, want.upper)

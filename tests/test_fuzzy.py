@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
-from fuzzyts.errors import GHDifferenceError, GridMismatchError, InvalidShapeError
+from fuzzyts.errors import (
+    DimensionMismatchError,
+    GHDifferenceError,
+    GridMismatchError,
+    InvalidShapeError,
+)
 from fuzzyts.fuzzy import ATOL
 
 import oracles
@@ -233,16 +238,16 @@ def test_vec_dist_examples():
     z = f.zero(GRID)
     u = f.vector(tri(0, 1, 2), z)
     v = f.vector(tri(3, 4, 5), z)
-    assert f.vec_dist(u, u) == 0.0
-    assert f.vec_dist(u, v) == pytest.approx(3.0, abs=TOL)
+    assert f.dist(u, u) == 0.0
+    assert f.dist(u, v) == pytest.approx(3.0, abs=TOL)
     # n = 1 reduces to dist
-    assert f.vec_dist(f.vector(tri(0, 1, 2)), f.vector(tri(3, 4, 5))) == pytest.approx(
+    assert f.dist(f.vector(tri(0, 1, 2)), f.vector(tri(3, 4, 5))) == pytest.approx(
         f.dist(tri(0, 1, 2), tri(3, 4, 5)), abs=TOL)
 
 
 def test_vec_dist_dimension_mismatch():
     with pytest.raises(f.DimensionMismatchError):
-        f.vec_dist(f.vector(tri(0, 1, 2)), f.vector(tri(0, 1, 2), tri(0, 1, 2)))
+        f.dist(f.vector(tri(0, 1, 2)), f.vector(tri(0, 1, 2), tri(0, 1, 2)))
 
 
 def test_norm_examples():
@@ -256,14 +261,14 @@ def test_norm_properties(a, b, k):
     u = f.vector(a)
     v = f.vector(b)
     assert (f.norm(u) <= TOL) == (f.dist(a, f.zero(GRID)) <= TOL)
-    assert abs(f.norm(f.vec_scale(k, u)) - abs(k) * f.norm(u)) <= 1e-11
-    assert f.norm(f.vec_add(u, v)) <= f.norm(u) + f.norm(v) + TOL
-    assert f.vec_dist(u, f.zero_vector(GRID)) == f.norm(u)
+    assert abs(f.norm(f.scale(k, u)) - abs(k) * f.norm(u)) <= 1e-11
+    assert f.norm(f.add(u, v)) <= f.norm(u) + f.norm(v) + TOL
+    assert f.dist(u, f.zero_vector(GRID)) == f.norm(u)
     # negative-only and -0.0 endpoints in a two-component vector
     w = f.vector(tri(-3, -2, -1), f.FuzzyNumber(GRID, np.linspace(-1, -0.0, 11),
                                                 np.full(11, -0.0)))
     for x in (w, f.vector(a, f.scale(-1.0, b))):
-        assert f.vec_dist(x, f.zero_vector(GRID, 2)) == f.norm(x)
+        assert f.dist(x, f.zero_vector(GRID, 2)) == f.norm(x)
 
 
 def test_norm_builds_no_fuzzy_number(monkeypatch):
@@ -302,3 +307,85 @@ def test_serialization_records():
     assert len(records) == GRID.m
     assert records[0] == (0.0, -1.0, 1.0)
     assert records[-1] == (1.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one representation: kernels on (n, m) vectors equal the per-component ones
+# ---------------------------------------------------------------------------
+
+@st.composite
+def fuzzy_vectors(draw, n=None):
+    n = draw(st.integers(1, 4)) if n is None else n
+    return f.vector(*(draw(fuzzy_numbers()) for _ in range(n)))
+
+
+def _same(got, want):
+    """Bit-equal endpoints, component by component."""
+    assert got.n == len(want)
+    for row, comp in zip(got, want):
+        assert np.array_equal(row.lower, comp.lower) and np.array_equal(row.upper, comp.upper)
+
+
+def _each(kernel, *operands):
+    """``kernel`` per component; a number operand meets every component."""
+    n = max(x.n for x in operands if isinstance(x, f.FuzzyVector))
+    rows = [[x[i] if isinstance(x, f.FuzzyVector) else x for x in operands] for i in range(n)]
+    return [kernel(*r) for r in rows]
+
+
+@given(st.data(), st.floats(-5, 5, allow_nan=False), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_vector_kernels_equal_per_component_kernels(data, k, number_operand):
+    u = data.draw(fuzzy_vectors())
+    v = data.draw(fuzzy_numbers() if number_operand else fuzzy_vectors(n=u.n))
+    for a, b in ((u, v), (v, u)):
+        _same(f.add(a, b), _each(f.add, a, b))
+        assert f.dist(a, b) == max(_each(f.dist, a, b))
+        try:
+            want = _each(f.gh_difference, a, b)
+        except GHDifferenceError:
+            with pytest.raises(GHDifferenceError):
+                f.gh_difference(a, b)
+        else:
+            _same(f.gh_difference(a, b), want)
+        try:
+            want = _each(f.h_difference, a, b)
+        except InvalidShapeError:
+            with pytest.raises(InvalidShapeError):
+                f.h_difference(a, b)
+        else:
+            _same(f.h_difference(a, b), want)
+    _same(f.scale(k, u), [f.scale(k, c) for c in u])
+    assert f.norm(u) == max(f.norm(c) for c in u)
+
+
+@pytest.mark.parametrize("kernel", [f.add, f.gh_difference, f.h_difference, f.dist])
+def test_vectors_of_different_dimension_do_not_broadcast(kernel):
+    one = f.vector(tri(0, 1, 2))
+    three = f.vector(tri(0, 1, 2), tri(0, 1, 2), tri(0, 1, 2))
+    for a, b in ((one, three), (three, one)):
+        with pytest.raises(DimensionMismatchError):
+            kernel(a, b)
+
+
+def test_vector_with_one_bad_component_is_rejected():
+    good = tri(-1, 0, 1)
+    lower = np.stack([good.lower, good.lower, good.upper])  # last row: lower > upper
+    upper = np.stack([good.upper, good.upper, good.lower])
+    with pytest.raises(InvalidShapeError, match="lower endpoint exceeds upper endpoint"):
+        f.FuzzyVector.from_arrays(GRID, lower, upper)
+    # a kernel result with one bad component: the last h difference is empty
+    with pytest.raises(InvalidShapeError, match="lower endpoint exceeds upper endpoint"):
+        f.h_difference(f.vector(good, good, good), f.vector(good, good, tri(-2, 0, 2)))
+    with pytest.raises(InvalidShapeError, match="endpoint arrays must match the grid size"):
+        f.FuzzyVector.from_arrays(GRID, good.lower, good.upper)
+
+
+def test_vector_components_round_trip():
+    comps = (tri(-1, 0, 1), f.crisp(2.0, GRID), f.make_trapezoid(0, 1, 2, 3, GRID))
+    u = f.FuzzyVector(comps)
+    assert u.lower.shape == u.upper.shape == (3, GRID.m)
+    assert not u.lower.flags.writeable
+    _same(u, comps)
+    _same(u, [u[0], u[1], u[-1]])
+    assert u.to_records() == [c.to_records() for c in comps]

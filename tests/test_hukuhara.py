@@ -39,7 +39,7 @@ def test_linear_fuzzy_trajectory_on_integers():
     for t in ts.kappa_points():
         d = delta_h_derivative(traj, float(t))
         assert d is not None
-        assert f.vec_dist(d, vec(w)) <= TOL
+        assert f.dist(d, vec(w)) <= TOL
 
 
 def test_crisp_square_matches_scalar_delta_derivative():
@@ -61,7 +61,7 @@ def test_scattered_quotient_matches_endpoint_oracle():
     values = [vec(tri(-1, 0, 1))]
     for _ in range(len(ts) - 1):
         lower, upper = oracles.random_cuts(rng, GRID.m, span=1.0)
-        values.append(f.vec_add(values[-1], vec(f.FuzzyNumber(GRID, lower, upper))))
+        values.append(f.add(values[-1], vec(f.FuzzyNumber(GRID, lower, upper))))
     traj = FuzzyTrajectory(ts, values)
     for i, t in enumerate(ts.kappa_points()):
         t = float(t)
@@ -137,7 +137,7 @@ def test_definition_rejects_perturbed_candidate():
     ts = f.integer(10)
     traj = linear_traj(ts)
     candidate = delta_h_derivative(traj, 4.0)
-    shifted = f.vec_add(candidate, f.vector(f.crisp(1.0, GRID)))
+    shifted = f.add(candidate, f.vector(f.crisp(1.0, GRID)))
     assert not verify_derivative_definition(traj, 4.0, shifted, eps=0.5)
     assert verify_derivative_definition(traj, 4.0, shifted, eps=1.5)
 
@@ -170,12 +170,12 @@ def test_uniqueness_via_shrinking_eps():
     rng = np.random.default_rng(9)
     for _ in range(25):
         delta = float(rng.uniform(-0.8, 0.8))
-        other = f.vec_add(true, f.vector(f.crisp(delta, GRID)))
+        other = f.add(true, f.vector(f.crisp(delta, GRID)))
         for eps in (1.0, 0.5, 0.25, 0.1, 0.05):
             a = verify_derivative_definition(traj, t, true, eps=eps)
             b = verify_derivative_definition(traj, t, other, eps=eps)
             if a and b:
-                assert f.vec_dist(true, other) <= 2 * eps + TOL
+                assert f.dist(true, other) <= 2 * eps + TOL
 
 
 def test_crisp_reduction_of_derivative():

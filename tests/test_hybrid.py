@@ -28,7 +28,7 @@ def test_zero_dynamics_constant_trajectory():
         rho=10.0, u0=f.vector(tri(-1, 0, 1)))
     traj = solve(sys)
     for v in traj.values:
-        assert f.vec_dist(v, sys.u0) <= TOL
+        assert f.dist(v, sys.u0) <= TOL
 
 
 def test_example_system_crisp_halving():
@@ -44,8 +44,8 @@ def test_example_system_crisp_halving():
 def test_example_system_triangular_widths():
     sys = build_example_system(GRID, 1, 12)
     traj = solve(sys, horizon=12.0)
-    assert f.vec_dist(traj.values[1], f.vector(tri(-1.5, 0, 1.5))) <= TOL
-    assert f.vec_dist(traj.values[2], f.vector(tri(-2.25, 0, 2.25))) <= TOL
+    assert f.dist(traj.values[1], f.vector(tri(-1.5, 0, 1.5))) <= TOL
+    assert f.dist(traj.values[2], f.vector(tri(-2.25, 0, 2.25))) <= TOL
     dists = [f.norm(v) for v in traj.values]
     for w, d in zip(oracles.expansive_width_sequence(1.0, 12), dists):
         assert d == pytest.approx(w, abs=1e-9)
@@ -96,7 +96,7 @@ def test_segment_consistency_frozen_subsystem():
                             (lambda t_k, u_k: lam1,), sys.rho, u1)
     sub_traj = solve(sub, horizon=10.0)
     for off in range(6):
-        assert f.vec_dist(sub_traj.values[off], traj.value_at(5.0 + off)) <= TOL
+        assert f.dist(sub_traj.values[off], traj.value_at(5.0 + off)) <= TOL
 
 
 def test_expansive_width_nondecreasing():
@@ -119,7 +119,7 @@ def max_derivative_residual(sys, traj):
             frozen[k] = sys.switch_maps[k](t_k, traj.value_at(t_k))
         deriv = delta_h_derivative(traj, t)
         assert deriv is not None
-        gaps.append(f.vec_dist(deriv, sys.rhs(t, traj.values[i], frozen[k])))
+        gaps.append(f.dist(deriv, sys.rhs(t, traj.values[i], frozen[k])))
     return max(gaps)
 
 
@@ -135,8 +135,8 @@ def test_derivative_residuals_vanish():
 def test_contractive_mode_shrinks_example():
     sys = build_example_system(GRID, 1, 10)
     traj = solve(sys, StepMode.CONTRACTIVE, horizon=10.0)
-    assert f.vec_dist(traj.values[1], f.vector(tri(-0.5, 0, 0.5))) <= TOL
-    assert f.vec_dist(traj.values[2], f.vector(tri(-0.25, 0, 0.25))) <= TOL
+    assert f.dist(traj.values[1], f.vector(tri(-0.5, 0, 0.5))) <= TOL
+    assert f.dist(traj.values[2], f.vector(tri(-0.25, 0, 0.25))) <= TOL
 
 
 def test_contractive_step_failure_carries_time():
@@ -191,7 +191,7 @@ def test_switch_map_called_once_per_segment():
 
     ts = f.integer(9)
     sys = HybridFuzzySystem(ts, (0.0, 3.0, 6.0),
-                            lambda t, u, lam: f.vec_scale(-0.5, u),
+                            lambda t, u, lam: f.scale(-0.5, u),
                             (counting_map,) * 3, rho=10.0,
                             u0=f.vector(f.crisp(1.0, GRID)))
     solve(sys, horizon=9.0)

@@ -173,7 +173,7 @@ def test_sampler_hits_target_distance(family):
 def test_sampler_is_deterministic_under_seed():
     a = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
     b = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
-    assert f.vec_dist(a, b) == 0.0
+    assert f.dist(a, b) == 0.0
 
 
 class ScriptedRng:
@@ -395,7 +395,7 @@ def test_condition_ii_evaluates_V_once_per_point(ts):
     def hold_zero(t, u):
         return f.zero_vector(u.grid, u.n)
 
-    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.vec_scale(-0.5, u),
+    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
                               (hold_zero, lambda t, u: u), 100.0, f.vector(tri(-1, 0, 1)))
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w,
                                 (lambda v: v, lambda v: v), 1.0)
