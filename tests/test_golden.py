@@ -110,6 +110,12 @@ mode = expansive
 alpha_levels = 5
 """
 
+# Catalog run at the premise boundary lambda = A: in one contractive stack
+# sixteen samples fail at t=5 while the probe reaches the horizon, and the
+# probe grazes A at t0 in both modes.
+CATALOG_MIXED_STABILITY = CATALOG_STABILITY.replace("horizon = 20", "horizon = 6").replace(
+    "lambda = 1", "lambda = 2")
+
 CATALOG_COMPARE = """
 [system]
 name = example_3_9
@@ -123,6 +129,9 @@ alpha_levels = 5
 CASES = {
     "catalog-stability": ("stability", CATALOG_STABILITY, 1, {
         "verdict.json": "365fa06dd67cca0d88434b5c0503348d53fa35ed356e51c849b40e942420deb2",
+    }),
+    "catalog-mixed-stability": ("stability", CATALOG_MIXED_STABILITY, 1, {
+        "verdict.json": "b468deeb947f74cda2719db942299ddb9edc4da122842bb2e2073e152f0caec8",
     }),
     "dsl-stability": ("stability", DSL_STABILITY, 1, {
         "verdict.json": "9df4781accbe30c6e8c34f90c44bb89219c438cdfb323aa240aa043a5ba2b316",
