@@ -228,9 +228,10 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     lamk_expr = dsl.parse_fuzzy(_get(cfg, "system", "lambda_k", "u_k"),
                                 variables={"u_k"}, scalar_variables={"t"})
 
-    # Variables bind the whole state and every operation acts component-wise,
-    # so one evaluation serves all components; a result that names no fuzzy
-    # variable is a fuzzy number, given to every component.
+    # Variables bind the whole state (or stack of states) and every operation
+    # acts component-wise, so one evaluation serves all components and
+    # samples; a result that names no fuzzy variable is a fuzzy number, given
+    # to every component (and so to every sample).
     def state(expr, u: FuzzyVector, env: Env) -> FuzzyVector:
         value = dsl.eval_fuzzy(expr, env)
         return value if isinstance(value, FuzzyVector) else FuzzyVector((value,) * u.n)

@@ -75,11 +75,11 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
     def freeze(k: int, r: float) -> float:
         return sys.psi[k](r)
 
-    def advance(t: float, mu: float, r: float, v: float) -> float:
+    def advance(t: float, mu: float, r: float, v: float) -> tuple[float, float]:
         nxt = r + mu * sys.g(t, r, v)
         if not math.isfinite(nxt):
             raise BlowUpError(t, f"comparison state became non-finite stepping from t={t}")
-        return nxt
+        return nxt, v
 
     values, segments = sys.schedule.march(float(sys.r0), horizon, freeze, advance)
     dense = bool(np.any(sys.ts.graininess[: len(values) - 1] <= sys.ts.dense_threshold))

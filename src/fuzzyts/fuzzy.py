@@ -8,10 +8,14 @@ exact on the represented class.  Membership functions are never stored;
 validity (nonempty, nested, finite cuts) is enforced at construction.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
-``(n, m)`` endpoint arrays (a number's are ``(m,)``).  Each operation is
-written once and takes numbers or vectors as they stand; a number meeting a
-vector acts on every component.  The vector metric uses the max norm on the
-underlying space, so it decomposes component-wise into the scalar metric.
+``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
+is one ``(S, n, m)`` pair.  Each operation is written once and takes
+numbers, vectors or stacks as they stand; a number meeting a vector acts on
+every component, a vector meeting a stack on every sample.  Every operation
+is elementwise on the endpoints, so each sample of a stack comes out exactly
+as it would on its own.  The vector metric uses the max norm on the
+underlying space, so it decomposes component-wise into the scalar metric;
+on a stack it gives one value per sample.
 """
 
 from __future__ import annotations
@@ -76,8 +80,9 @@ class AlphaGrid:
 class _Cuts:
     """Sampled alpha-cut endpoints on one grid, checked at construction.
 
-    A fuzzy number holds ``(m,)`` endpoint arrays and a fuzzy vector
-    ``(n, m)`` ones, one row per component.  Invariants, row by row:
+    A fuzzy number holds ``(m,)`` endpoint arrays, a fuzzy vector ``(n, m)``
+    ones, one row per component, and a stack of vectors ``(S, n, m)`` ones.
+    Invariants, row by row:
       * all endpoints finite,
       * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
@@ -88,12 +93,12 @@ class _Cuts:
     lower: np.ndarray
     upper: np.ndarray
 
-    _ndim = 1  # rank of the endpoint arrays; not a field
+    _ranks = (1,)  # allowed ranks of the endpoint arrays; not a field
 
     def __post_init__(self):
         lower = _frozen_array(self.lower)
         upper = _frozen_array(self.upper)
-        if (lower.ndim != self._ndim or lower.shape != upper.shape
+        if (lower.ndim not in self._ranks or lower.shape != upper.shape
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
         # ndarray methods and slice differences (what np.diff computes) keep
@@ -107,6 +112,21 @@ class _Cuts:
             raise InvalidShapeError("alpha cuts are not nested")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
+        """Frozen pieces of endpoint arrays that already passed the checks,
+        taken without checking them again."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "grid", grid)
+        object.__setattr__(obj, "lower", lower)
+        object.__setattr__(obj, "upper", upper)
+        return obj
+
+    @property
+    def samples(self) -> int | None:
+        """Number of samples in a stack; None for a single state."""
+        return self.lower.shape[0] if self.lower.ndim == 3 else None
 
     @property
     def is_crisp(self) -> bool:
@@ -151,9 +171,14 @@ class FuzzyVector(_Cuts):
     Built from its components, ``FuzzyVector((u1, u2, ...))``, or from
     endpoint arrays with ``FuzzyVector.from_arrays``.  Indexing and
     iteration yield the components as fuzzy numbers.
+
+    With a leading samples axis, ``(S, n, m)`` arrays, it is a stack of S
+    states checked once as a whole.  A stack has no components to index;
+    ``unstack`` gives its samples as single states and ``take`` a sub-stack,
+    both views of the checked arrays.
     """
 
-    _ndim = 2
+    _ranks = (2, 3)
 
     def __init__(self, components):
         components = tuple(components)
@@ -171,11 +196,35 @@ class FuzzyVector(_Cuts):
         _Cuts.__init__(vec, grid, lower, upper)
         return vec
 
+    @classmethod
+    def stack(cls, states) -> "FuzzyVector":
+        """One ``(S, n, m)`` stack of single states that share grid and shape."""
+        states = tuple(states)
+        first = states[0]
+        for s in states:
+            if s.lower.ndim != 2 or s.lower.shape != first.lower.shape:
+                raise DimensionMismatchError("only single states of one shape stack")
+            if not first.grid.matches(s.grid):
+                raise GridMismatchError("stacked states live on different grids")
+        return cls._view(first.grid, _frozen_array([s.lower for s in states]),
+                         _frozen_array([s.upper for s in states]))
+
     @property
     def n(self) -> int:
-        return self.lower.shape[0]
+        return self.lower.shape[-2]
+
+    def take(self, rows) -> "FuzzyVector":
+        """The sub-stack of the given sample rows, in that order."""
+        return self._view(self.grid, _frozen_array(self.lower[rows]),
+                          _frozen_array(self.upper[rows]))
+
+    def unstack(self) -> list["FuzzyVector"]:
+        """The samples of a stack as single states."""
+        return [self._view(self.grid, lo, hi) for lo, hi in zip(self.lower, self.upper)]
 
     def __getitem__(self, i: int) -> FuzzyNumber:
+        if self.samples is not None:
+            raise InvalidShapeError("a stack of states has no components; unstack it first")
         return FuzzyNumber(self.grid, self.lower[i], self.upper[i])
 
     def __iter__(self):
@@ -185,6 +234,8 @@ class FuzzyVector(_Cuts):
         return [c.to_records() for c in self]
 
     def __repr__(self) -> str:
+        if self.samples is not None:
+            return f"FuzzyVector(samples={self.samples}, n={self.n})"
         return f"FuzzyVector(n={self.n})"
 
 
@@ -196,10 +247,13 @@ def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber 
 
 
 def _require_compatible(u: _Cuts, v: _Cuts) -> None:
-    """One grid, and one dimension when both are vectors (a number meets
-    every component of a vector)."""
-    if u.lower.ndim == v.lower.ndim == 2 and u.n != v.n:
+    """One grid, one dimension when both are vectors and one sample count
+    when both are stacks (a number meets every component, a vector every
+    sample)."""
+    if min(u.lower.ndim, v.lower.ndim) >= 2 and u.n != v.n:
         raise DimensionMismatchError(f"dimension mismatch: {u.n} vs {v.n}")
+    if u.lower.ndim == v.lower.ndim == 3 and u.samples != v.samples:
+        raise DimensionMismatchError(f"sample count mismatch: {u.samples} vs {v.samples}")
     if not u.grid.matches(v.grid):
         raise GridMismatchError("operands live on different alpha grids")
 
@@ -283,20 +337,25 @@ def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
-def dist(u: _Cuts, v: _Cuts) -> float:
+def _sup(gaps: np.ndarray) -> float | np.ndarray:
+    """Max over levels and components; one value per sample of a stack."""
+    if gaps.ndim < 3:
+        return float(gaps.max())
+    return gaps.max(axis=(-2, -1))
+
+
+def dist(u: _Cuts, v: _Cuts) -> float | np.ndarray:
     """Sup over alpha of the Hausdorff distance between the cuts.
 
     On vectors this is the max over components (the max norm on the
-    underlying space).
+    underlying space); on a stack, an ``(S,)`` array of per-sample values.
     """
     _require_compatible(u, v)
-    return float(
-        np.max(np.maximum(np.abs(u.lower - v.lower), np.abs(u.upper - v.upper)))
-    )
+    return _sup(np.maximum(np.abs(u.lower - v.lower), np.abs(u.upper - v.upper)))
 
 
-def norm(u: _Cuts) -> float:
-    """Distance to the crisp zero.
+def norm(u: _Cuts) -> float | np.ndarray:
+    """Distance to the crisp zero (per sample for a stack).
 
     Computed from the endpoints as the max over components and levels of
     ``max(|lower|, |upper|)``, without building the zero; since
@@ -305,7 +364,7 @@ def norm(u: _Cuts) -> float:
     absolutely homogeneous under scalar multiplication, subadditive under
     addition.
     """
-    return float(np.maximum(np.abs(u.lower), np.abs(u.upper)).max())
+    return _sup(np.maximum(np.abs(u.lower), np.abs(u.upper)))
 
 
 def vector(*components: FuzzyNumber) -> FuzzyVector:

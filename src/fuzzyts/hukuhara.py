@@ -7,10 +7,17 @@ non-existence is reported as a ``None`` return rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import fuzzy
-from .errors import GHDifferenceError, NoSuccessorError, VerificationInconclusive
+from .errors import (
+    GHDifferenceError,
+    NoSuccessorError,
+    StepFailureError,
+    VerificationInconclusive,
+)
 from .fuzzy import FuzzyVector
 from .timescale import TimeScale
 
@@ -26,11 +33,17 @@ class FuzzyTrajectory:
     ``values[i]`` is the state at ``ts.points[i]``; a trajectory may stop
     before the end of the scale (solvers fill it up to their horizon).
     ``segments`` is attached by the hybrid solver.
+
+    A solution from a stack of initial states holds stacks: ``rows`` names
+    the rows of that initial stack that reached the horizon, and
+    ``failures`` maps every other row to the StepFailureError it stopped at.
     """
 
     ts: TimeScale
     values: list[FuzzyVector]
     segments: list[int] | None = None
+    rows: np.ndarray | None = None
+    failures: dict[int, StepFailureError] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.values:
@@ -63,6 +76,12 @@ class FuzzyTrajectory:
         if self.segments is None:
             return 0
         return self.segments[self.ts.index_of(t)]
+
+    def unstack(self) -> list["FuzzyTrajectory"]:
+        """One trajectory per sample of a stacked solution, in stack order;
+        their states are views of the stacks."""
+        return [FuzzyTrajectory(self.ts, list(states), self.segments)
+                for states in zip(*(v.unstack() for v in self.values))]
 
 
 def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:

@@ -14,6 +14,10 @@ On isolated scales the expansive recursion is exact for the derivative it
 induces (the Hukuhara delta derivative of the trajectory reproduces the
 frozen right-hand side up to rounding); dense segments inherit the
 sampling resolution.
+
+A stack of initial states (a ``(S, n, m)`` fuzzy vector) is stepped as one
+stack through the same loop, which gives each sample exactly the solution
+it has on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import fuzzy, timescale as tsmod
 from .errors import GHDifferenceError, InvalidShapeError, StepFailureError
@@ -30,8 +36,16 @@ from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory, delta_h_derivative  # noqa: F401
 from .timescale import SwitchSchedule, TimeScale
 
+# The right-hand side and the switch maps may be given a stack of states
+# (and of held values) and must then act sample by sample, as any
+# composition of the fuzzy kernels does.  A result that is the same for
+# every sample may be a single state.  One that cannot take a stack (say, it
+# indexes components) raises InvalidShapeError there, and the solver then
+# calls it once per sample.
 RhsFn = Callable[[float, FuzzyVector, FuzzyVector], FuzzyVector]
 SwitchMap = Callable[[float, FuzzyVector], FuzzyVector]
+
+_STEP_ERRORS = (InvalidShapeError, GHDifferenceError)
 
 
 class StepMode(enum.Enum):
@@ -48,7 +62,9 @@ class HybridFuzzySystem:
     ``switch_times`` must be stored points starting at the first point of
     the scale; ``switch_maps[k]`` produces the value held on the segment
     [t_k, t_{k+1}].  The initial state must lie inside the validity ball
-    of radius ``rho`` around the crisp zero.
+    of radius ``rho`` around the crisp zero; ``u0`` may be a stack of
+    initial states, each of which must.  ``rhs`` and ``switch_maps`` then
+    receive stacks (see ``RhsFn``).
     """
 
     ts: TimeScale
@@ -65,7 +81,7 @@ class HybridFuzzySystem:
             raise InvalidShapeError("need exactly one switch map per switch time")
         if self.rho <= 0:
             raise InvalidShapeError("rho must be positive")
-        if fuzzy.norm(self.u0) >= self.rho:
+        if np.any(fuzzy.norm(self.u0) >= self.rho):
             raise InvalidShapeError("initial state lies outside the validity ball")
         self.switch_times = self.schedule.times
         self.switch_maps = tuple(self.switch_maps)
@@ -83,20 +99,72 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     Returns a trajectory carrying the segment index of every point.
     Raises StepFailureError when a contractive step has no valid state or
     the right-hand side produces an invalid value.
+
+    A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
+    that step is re-run for each sample on its own; a sample whose own step
+    fails leaves the stack, its StepFailureError kept in the trajectory's
+    ``failures`` under its row of ``u0``, and the others carry on.  The
+    trajectory holds the stacks of the rows that reach the horizon (its
+    ``rows``), each row equal to the solution of that sample on its own.
     """
     step = fuzzy.add if mode is StepMode.EXPANSIVE else _contractive_step
 
     def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
         return sys.switch_maps[k](sys.switch_times[k], u)
 
-    def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
+    def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
         try:
-            return step(u, fuzzy.scale(mu, sys.rhs(t, u, lam)))
-        except (InvalidShapeError, GHDifferenceError) as exc:
+            return step(u, fuzzy.scale(mu, sys.rhs(t, u, lam))), lam
+        except _STEP_ERRORS as exc:
             raise StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}") from exc
 
-    values, segments = sys.schedule.march(sys.u0, horizon, freeze, advance)
-    return FuzzyTrajectory(sys.ts, values, segments=segments.tolist())
+    if sys.u0.samples is None:
+        values, segments = sys.schedule.march(sys.u0, horizon, freeze, advance)
+        return FuzzyTrajectory(sys.ts, values, segments=segments.tolist())
+
+    live = [np.arange(sys.u0.samples)]  # rows of u0 in the stack at each point
+    failures: dict[int, StepFailureError] = {}
+
+    def each(u: FuzzyVector):
+        return u.unstack() if u.samples is not None else [u] * len(live[-1])
+
+    def freeze_stack(k: int, u: FuzzyVector) -> FuzzyVector:
+        if not u.samples:  # every sample has left
+            return u
+        try:
+            return freeze(k, u)
+        except _STEP_ERRORS:
+            return FuzzyVector.stack([freeze(k, row) for row in each(u)])
+
+    def advance_stack(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
+        try:
+            out = advance(t, mu, u, lam) if u.samples else (u, lam)  # an emptied stack idles
+        except StepFailureError:
+            return advance_each(t, mu, u, lam)
+        live.append(live[-1])
+        return out
+
+    def advance_each(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
+        # the same step for each sample on its own; failed samples leave
+        kept, states = [], []
+        for j, (row, held) in enumerate(zip(each(u), each(lam))):
+            try:
+                states.append(advance(t, mu, row, held)[0])
+                kept.append(j)
+            except StepFailureError as exc:
+                failures[int(live[-1][j])] = exc
+        live.append(live[-1][kept])
+        if lam.samples is not None:
+            lam = lam.take(kept)
+        return (FuzzyVector.stack(states) if states else u.take(kept)), lam
+
+    values, segments = sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack)
+    rows = live[-1]
+    if failures:  # keep the rows that reached the horizon
+        values = [v if r is rows else v.take(np.searchsorted(r, rows))
+                  for v, r in zip(values, live)]
+    return FuzzyTrajectory(sys.ts, values, segments=segments.tolist(),
+                           rows=rows, failures=failures)
 
 
 def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,

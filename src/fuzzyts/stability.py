@@ -189,6 +189,36 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
 MAX_SAMPLE_ATTEMPTS = 1000
 
 
+def _draw(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str,
+          target: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, m)`` lower and upper endpoints of one ``sample_initial_state``."""
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        nodes = []  # per component: support and core ends (a, b, c, d)
+        for _ in range(n):
+            c = float(rng.uniform(-1.0, 1.0))
+            if family == "crisp":
+                nodes.append((c, c, c, c))
+            elif family == "triangular":
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                nodes.append((c - wl, c, c, c + wr))
+            else:
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                half = float(rng.uniform(0.0, 0.5))
+                nodes.append((c - half - wl, c - half, c + half, c + wr + half))
+        # make_trapezoid's cuts, one row per component, and the draw's norm
+        a, b, c, d = np.array(nodes).T[:, :, None]
+        lower = a + grid.levels * (b - a)
+        upper = d - grid.levels * (d - c)
+        size = float(np.maximum(np.abs(lower), np.abs(upper)).max())
+        if size > 1e-9:
+            k = target / size
+            return k * lower, k * upper
+    raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
+                      f"{family} states in a row; the random generator is degenerate")
+
+
 def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
                          family: str, target: float) -> FuzzyVector:
     """Random fuzzy vector with distance to zero exactly ``target``.
@@ -199,28 +229,7 @@ def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
     and is redrawn from the same generator, at most ``MAX_SAMPLE_ATTEMPTS``
     times in all before ConfigError is raised.
     """
-    for _ in range(MAX_SAMPLE_ATTEMPTS):
-        comps = []
-        for _ in range(n):
-            c = float(rng.uniform(-1.0, 1.0))
-            if family == "crisp":
-                comps.append((c, c, c, c))
-            elif family == "triangular":
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                comps.append((c - wl, c, c, c + wr))
-            else:
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                half = float(rng.uniform(0.0, 0.5))
-                comps.append((c - half - wl, c - half, c + half, c + wr + half))
-        raw = FuzzyVector(tuple(fuzzy.make_trapezoid(a, b, c2, d, grid)
-                                for a, b, c2, d in comps))
-        size = fuzzy.norm(raw)
-        if size > 1e-9:
-            return fuzzy.scale(target / size, raw)
-    raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
-                      f"{family} states in a row; the random generator is degenerate")
+    return FuzzyVector.from_arrays(grid, *_draw(rng, grid, n, family, target))
 
 
 def boundary_probe(grid: AlphaGrid, n: int, family: str, lam: float) -> FuzzyVector:
@@ -247,9 +256,6 @@ class Witness:
     mode: str
     sample: int  # -1 marks the boundary probe
     u0: FuzzyVector  # serialised only when reported
-
-    def sort_key(self):
-        return (self.t, self.sample, self.mode, self.property)
 
     def to_dict(self) -> dict:
         return {
@@ -467,49 +473,56 @@ def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQ
 
 def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
                      modes: tuple[StepMode, ...]):
-    """All direct-route trajectories: (mode, sample_id, u0, trajectory).
+    """One stacked solution per mode of every direct-route initial state.
 
-    sample_id -1 is the deterministic boundary probe; nonnegative ids are
+    Sample id -1 is the deterministic boundary probe; nonnegative ids are
     seeded Monte-Carlo draws with premise distance uniform in (0, lambda).
-    Contractive failures are recorded and skipped, not treated as verdicts.
+    Returns (mode, surviving sample ids, stacked trajectory) per mode and
+    the skipped samples: contractive failures are recorded and skipped,
+    not treated as verdicts.
     """
     grid = sys.u0.grid
     n = sys.u0.n
     plan = q.sampling
-    initial_states: list[tuple[int, FuzzyVector]] = []
-    initial_states.append((-1, boundary_probe(grid, n, plan.family, q.lam)))
+    probe = boundary_probe(grid, n, plan.family, q.lam)
+    lower, upper = [probe.lower], [probe.upper]
     for i in range(plan.count):
         rng = np.random.default_rng([plan.seed, i])
         target = float(rng.uniform(0.0, q.lam))
         while target <= 0.0:
             target = float(rng.uniform(0.0, q.lam))
-        initial_states.append((i, sample_initial_state(rng, grid, n, plan.family, target)))
+        lo, hi = _draw(rng, grid, n, plan.family, target)
+        lower.append(lo)
+        upper.append(hi)
+    batch = FuzzyVector.from_arrays(grid, np.stack(lower), np.stack(upper))
+    sample_ids = np.arange(-1, plan.count)
+    try:
+        system = dataclasses.replace(sys, u0=batch)
+    except InvalidShapeError as exc:
+        distance = fuzzy.norm(batch)
+        first = int(np.argmax(distance >= sys.rho))
+        raise ConfigError(
+            f"sampled initial state (distance {distance[first]:g}) lies "
+            f"outside the validity ball of radius {sys.rho:g}") from exc
 
-    runs = []
+    stacks = []
     skipped = []
     for mode in modes:
-        for sample_id, u0 in initial_states:
-            try:
-                system = dataclasses.replace(sys, u0=u0)
-            except InvalidShapeError as exc:
-                raise ConfigError(
-                    f"sampled initial state (distance {fuzzy.norm(u0):g}) lies "
-                    f"outside the validity ball of radius {sys.rho:g}") from exc
-            try:
-                traj = hybrid.solve(system, mode=mode, horizon=horizon)
-            except StepFailureError as exc:
-                skipped.append({"mode": mode.value, "sample": sample_id, "t": exc.t})
-                continue
-            runs.append((mode.value, sample_id, u0, traj))
-    return runs, skipped
+        traj = hybrid.solve(system, mode=mode, horizon=horizon)
+        skipped += [{"mode": mode.value, "sample": int(sample_ids[row]), "t": traj.failures[row].t}
+                    for row in sorted(traj.failures)]
+        stacks.append((mode.value, sample_ids[traj.rows].tolist(), traj))
+    return stacks, skipped
 
 
 def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
                   modes: tuple[StepMode, ...]):
     """Monte-Carlo test of the practical-stability definitions."""
-    runs, skipped = _simulate_direct(sys, q, horizon, modes)
+    stacks, skipped = _simulate_direct(sys, q, horizon, modes)
     t0 = float(sys.ts.points[0])
-    earliest: dict[str, Witness] = {}  # property -> its minimum-sort_key witness
+    # property -> (sort key, value, bound, u0) of its earliest exceedance;
+    # a Witness is built only for the ones reported
+    earliest: dict[str, tuple] = {}
     probe_grazes = []
 
     # Interior trajectory of the shrunken probe per mode, None when its solve
@@ -518,9 +531,9 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     inner_runs: dict[str, FuzzyTrajectory | None] = {}
 
     def record(prop, t, value, bound, mode, sample_id, u0):
-        w = Witness(prop, t, value, bound, mode, sample_id, u0)
-        if prop not in earliest or w.sort_key() < earliest[prop].sort_key():
-            earliest[prop] = w
+        key = (t, sample_id, mode, prop)
+        if prop not in earliest or key < earliest[prop][0]:
+            earliest[prop] = (key, value, bound, u0)
 
     def confirmed_probe_excess(mode: str, t: float, bound: float, u0: FuzzyVector) -> bool:
         # Count the probe only if a shrunken interior copy also reaches the
@@ -535,31 +548,38 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         traj = inner_runs[mode]
         return traj is not None and fuzzy.norm(traj.value_at(t)) >= bound
 
-    def check_bound(prop, t, d, bound, mode, sample_id, u0):
-        if d < bound:
-            return
-        if sample_id == -1:  # boundary probe: strict excess, interior-confirmed
-            if d > bound and confirmed_probe_excess(mode, t, bound, u0):
-                record(prop, t, d, bound, mode, sample_id, u0)
-            else:
-                probe_grazes.append({"property": prop, "mode": mode,
-                                     "t": t, "value": d})
-        else:
-            record(prop, t, d, bound, mode, sample_id, u0)
-
-    for mode, sample_id, u0, traj in runs:
-        for t, v in zip(traj.times, traj.values):
-            t = float(t)
-            d = fuzzy.norm(v)
-            in_tail = q.T0 is not None and t >= t0 + q.T0
-            # stability: distance must stay below A for all t
-            check_bound("practically_stable", t, d, q.A, mode, sample_id, u0)
-            # quasi: distance below B from t0 + T0 on
-            if q.B is not None and in_tail:
-                check_bound("quasi_stable", t, d, q.B, mode, sample_id, u0)
-            # asymptotic tail: distance below A from t0 + T0 on
-            if in_tail:
-                check_bound("asymptotically_stable", t, d, q.A, mode, sample_id, u0)
+    runs = []
+    for mode, sample_ids, stack in stacks:
+        times = stack.times.tolist()
+        distance = np.array([fuzzy.norm(v) for v in stack.values])  # (points, samples)
+        everywhere = np.ones(len(times), dtype=bool)
+        tail = (stack.times >= t0 + q.T0) if q.T0 is not None else ~everywhere
+        bounds = [("practically_stable", q.A, everywhere)]  # below A for all t
+        if q.B is not None:
+            bounds.append(("quasi_stable", q.B, tail))  # below B from t0 + T0 on
+        bounds.append(("asymptotically_stable", q.A, tail))  # below A from t0 + T0 on
+        trajs = stack.unstack()
+        runs += [(mode, sample_id, traj) for sample_id, traj in zip(sample_ids, trajs)]
+        first = 0
+        if sample_ids[:1] == [-1]:  # boundary probe: strict excess, interior-confirmed
+            first = 1
+            u0 = trajs[0].values[0]
+            for i, t in enumerate(times):
+                d = float(distance[i, 0])
+                for prop, bound, when in bounds:
+                    if not when[i] or d < bound:
+                        continue
+                    if d > bound and confirmed_probe_excess(mode, t, bound, u0):
+                        record(prop, t, d, bound, mode, -1, u0)
+                    else:
+                        probe_grazes.append({"property": prop, "mode": mode,
+                                             "t": t, "value": d})
+        for prop, bound, when in bounds:
+            hit = (distance[:, first:] >= bound) & when[:, None]
+            if hit.any():  # the earliest point, then the lowest sample id
+                i, j = np.unravel_index(np.argmax(hit), hit.shape)
+                record(prop, times[i], float(distance[i, first + j]), bound, mode,
+                       sample_ids[first + j], trajs[first + j].values[0])
 
     # no surviving trajectory means nothing was tested, never "holds"
     quasi_testable = bool(runs) and q.B is not None and q.T0 is not None
@@ -572,7 +592,9 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
             return {"status": NOT_TESTED, "witness": None}
         found = [earliest[p] for p in props if p in earliest]
         if found:
-            return {"status": VIOLATED, "witness": min(found, key=Witness.sort_key).to_dict()}
+            (t, sample_id, mode, prop), value, bound, u0 = min(found, key=lambda f: f[0])
+            witness = Witness(prop, t, value, bound, mode, sample_id, u0)
+            return {"status": VIOLATED, "witness": witness.to_dict()}
         return {"status": HOLDS, "witness": None}
 
     outcomes: dict[str, dict] = {}
@@ -623,7 +645,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
     outcomes, runs, skipped, grazes = _direct_route(sys, q, horizon, modes)
-    cond_ii = _check_condition_ii(V, comp, [(m, s, tr) for m, s, _, tr in runs], tol)
+    cond_ii = _check_condition_ii(V, comp, runs, tol)
 
     hypothesis_report = {
         "class_k": class_k,

@@ -178,9 +178,11 @@ class SwitchSchedule:
 
         On entry to segment k the held value is ``freeze(k, x)``, computed
         once from the state at the segment's first point.  Each step maps
-        the state at t to ``advance(t, mu(t), x, held)``.  Returns the
-        states and their segment indices, one per point up to the horizon
-        (the last point by default).
+        the state at t to ``advance(t, mu(t), x, held)``, which returns the
+        next state and the value held from then on (the same one unless the
+        step dropped samples from a stacked state).  Returns the states and
+        their segment indices, one per point up to the horizon (the last
+        point by default).
         """
         ts = self.ts
         last = len(ts) - 1 if horizon is None else ts.index_of(horizon)
@@ -193,7 +195,8 @@ class SwitchSchedule:
             if k != seg:
                 seg = k
                 held = freeze(k, values[-1])
-            values.append(advance(t, mu, values[-1], held))
+            x, held = advance(t, mu, values[-1], held)
+            values.append(x)
         return values, self.segments[: last + 1]
 
 

@@ -389,3 +389,71 @@ def test_vector_components_round_trip():
     _same(u, comps)
     _same(u, [u[0], u[1], u[-1]])
     assert u.to_records() == [c.to_records() for c in comps]
+
+
+# ---------------------------------------------------------------------------
+# stacks of states: a leading samples axis
+# ---------------------------------------------------------------------------
+
+def _bits(u):
+    return u.lower.tobytes(), u.upper.tobytes()
+
+
+@given(st.data(), st.integers(1, 5), st.floats(-5, 5, allow_nan=False))
+@settings(max_examples=100, deadline=None)
+def test_stack_kernels_equal_per_sample_kernels(data, samples, k):
+    states = [data.draw(fuzzy_vectors(n=2)) for _ in range(samples)]
+    others = [data.draw(fuzzy_vectors(n=2)) for _ in range(samples)]
+    u, v = f.FuzzyVector.stack(states), f.FuzzyVector.stack(others)
+    assert u.samples == samples and u.n == 2
+    pairs = list(zip(states, others))
+    for kernel in (f.add, f.gh_difference, f.h_difference):
+        for a, b, rows in ((u, v, pairs), (u, others[0], [(s, others[0]) for s in states])):
+            try:
+                want = [kernel(x, y) for x, y in rows]
+            except (GHDifferenceError, InvalidShapeError) as exc:
+                with pytest.raises(type(exc)):
+                    kernel(a, b)
+            else:
+                assert [_bits(r) for r in kernel(a, b).unstack()] == [_bits(w) for w in want]
+    got = f.scale(k, u).unstack()
+    assert [_bits(r) for r in got] == [_bits(f.scale(k, s)) for s in states]
+
+
+def test_norm_and_dist_of_a_stack_give_one_value_per_sample():
+    states = [f.vector(tri(-1, 0, 1), tri(0, 1, 3)), f.vector(tri(-4, 0, 1), f.crisp(0.5, GRID)),
+              f.vector(f.crisp(0.0, GRID), f.crisp(-0.25, GRID))]
+    u = f.FuzzyVector.stack(states)
+    ref = f.vector(tri(0, 1, 2), tri(-1, 0, 1))
+    assert f.norm(u).shape == (3,)
+    assert f.norm(u).tolist() == [f.norm(s) for s in states] == [3.0, 4.0, 0.25]
+    assert f.dist(u, ref).shape == f.dist(ref, u).shape == (3,)
+    assert f.dist(u, ref).tolist() == [f.dist(s, ref) for s in states]
+    assert f.dist(u, u).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_stack_round_trip_and_shape_rules():
+    states = [f.vector(tri(-1, 0, 1), tri(0, 1, 2)), f.vector(tri(-2, 0, 2), tri(0, 0, 0))]
+    u = f.FuzzyVector.stack(states)
+    assert u.lower.shape == (2, 2, GRID.m) and not u.lower.flags.writeable
+    assert [_bits(r) for r in u.unstack()] == [_bits(s) for s in states]
+    assert [_bits(r) for r in u.take([1]).unstack()] == [_bits(states[1])]
+    assert u.take([]).samples == 0 and states[0].samples is None
+    with pytest.raises(InvalidShapeError, match="no components"):
+        u[0]
+    with pytest.raises(DimensionMismatchError):
+        f.add(u, u.take([0]))  # two stacks need one sample count
+    with pytest.raises(DimensionMismatchError):
+        f.add(u, f.vector(tri(0, 1, 2)))  # and a vector the stack's dimension
+    with pytest.raises(DimensionMismatchError):
+        f.FuzzyVector.stack([states[0], f.vector(tri(0, 1, 2))])
+
+
+def test_stack_with_one_bad_sample_is_rejected():
+    good = f.vector(tri(-1, 0, 1))
+    lower = np.stack([good.lower, good.upper])  # second sample: lower > upper
+    upper = np.stack([good.upper, good.lower])
+    with pytest.raises(InvalidShapeError, match="lower endpoint exceeds upper endpoint"):
+        f.FuzzyVector.from_arrays(GRID, lower, upper)
+    with pytest.raises(InvalidShapeError, match="endpoint arrays must match the grid size"):
+        f.FuzzyVector.from_arrays(GRID, lower[None], upper[None])

@@ -1,11 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
+from fuzzyts import catalog
+from fuzzyts.cli import RunConfig, build_dsl_bundle
 from fuzzyts.comparison import ScalarHybridSystem
 from fuzzyts.errors import InvalidShapeError, StepFailureError
 from fuzzyts.hukuhara import delta_h_derivative
 from fuzzyts.hybrid import HybridFuzzySystem, StepMode, build_example_system, solve
+from fuzzyts.stability import sample_initial_state
 
 import oracles
 
@@ -227,3 +234,86 @@ def test_crisp_systems_match_real_euler_oracle():
             [lambda tk, xk: d0 * xk + d1] * n_switch, x0)
         for i, x in enumerate(expected):
             assert traj.values[i][0].crisp_value() == pytest.approx(x, abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# stacked solves: every sample of a stack at once
+# ---------------------------------------------------------------------------
+
+def ghsub_dsl_system():
+    """Two-component DSL system whose ghsub fails for some states only."""
+    sections = {
+        "timescale": {"scale": "intervals([[0,1],[1.5,2.5]], 0.25)"},
+        "system": {"rhs": "ghsub(smul(0.5, u), lam) fadd crisp(0.1)",
+                   "lambda_0": "trap(-0.5,-0.2,0.2,0.5)", "lambda_k": "u_k",
+                   "switch_times": "0 1.5", "u0": "tri(-1,0,1) | tri(-0.5,0,0.5)"},
+    }
+    return build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 2.5, 100.0).system
+
+
+SYSTEMS = {
+    "example_3_9": lambda: catalog.make_example_3_9(GRID, 12.0).system,
+    "dsl-ghsub": ghsub_dsl_system,
+}
+
+
+def assert_rows_equal_single_solves(sys, states, mode):
+    """Each row of the stacked solve is the single-state solve of its state:
+    bit-equal values, or a failure at the same t with the same cause."""
+    stacked = solve(dataclasses.replace(sys, u0=f.FuzzyVector.stack(states)), mode)
+    survivors = iter(zip(stacked.rows, stacked.unstack()))
+    for i, u0 in enumerate(states):
+        try:
+            single = solve(dataclasses.replace(sys, u0=u0), mode)
+        except StepFailureError as exc:
+            assert (stacked.failures[i].t, str(stacked.failures[i])) == (exc.t, str(exc))
+            continue
+        row, traj = next(survivors)
+        assert row == i and i not in stacked.failures
+        assert traj.segments == single.segments
+        assert [(v.lower.tobytes(), v.upper.tobytes()) for v in traj.values] == \
+            [(v.lower.tobytes(), v.upper.tobytes()) for v in single.values]
+    assert next(survivors, None) is None
+    return stacked
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+       family=st.sampled_from(["crisp", "triangular", "trapezoid"]),
+       mode=st.sampled_from(list(StepMode)), target=st.floats(0.05, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_stacked_solve_rows_equal_single_state_solves(system, seeds, family, mode, target):
+    sys = SYSTEMS[system]()
+    states = [sample_initial_state(np.random.default_rng(s), GRID, sys.u0.n, family, target)
+              for s in seeds]
+    assert_rows_equal_single_solves(sys, states, mode)
+
+
+def test_stacked_solve_keeps_survivors_of_a_partly_failed_step():
+    sys = ghsub_dsl_system()
+    states = [sample_initial_state(np.random.default_rng(s), GRID, 2, "trapezoid", 0.9)
+              for s in range(20)]
+    stacked = assert_rows_equal_single_solves(sys, states, StepMode.EXPANSIVE)
+    # failures inside the right-hand side, at several instants, and survivors
+    assert 0 < len(stacked.rows) < len(states)
+    assert len({exc.t for exc in stacked.failures.values()}) > 1
+    assert all(isinstance(exc.__cause__, f.GHDifferenceError)
+               for exc in stacked.failures.values())
+    assert [v.samples for v in stacked.values] == [len(stacked.rows)] * len(stacked)
+
+
+def test_stacked_solve_with_every_sample_failed():
+    ts = f.integer(5)
+    wide = f.vector(tri(-1, 0, 1))
+    sys = HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide, (zero_map,), rho=10.0,
+                            u0=f.FuzzyVector.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
+    stacked = solve(sys, StepMode.CONTRACTIVE)
+    assert sorted(stacked.failures) == [0, 1] and stacked.failures[1].t == 0.0
+    assert stacked.unstack() == [] and len(stacked.rows) == 0
+
+
+def test_stacked_initial_states_must_each_lie_in_the_ball():
+    inside, outside = f.vector(f.crisp(0.25, GRID)), f.vector(f.crisp(1.0, GRID))
+    with pytest.raises(InvalidShapeError, match="validity ball"):
+        HybridFuzzySystem(f.integer(4), (0.0,), lambda t, u, lam: u, (zero_map,), rho=0.5,
+                          u0=f.FuzzyVector.stack([inside, outside]))

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import fuzzyts as f
-from fuzzyts import catalog, hybrid
-from fuzzyts.errors import ConfigError
+from fuzzyts import catalog, hybrid, stability
+from fuzzyts.errors import ConfigError, StepFailureError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
 from fuzzyts.hybrid import StepMode, solve
 from fuzzyts.stability import (
@@ -168,6 +169,41 @@ def test_sampler_hits_target_distance(family):
         assert f.norm(u) == pytest.approx(target, rel=1e-9)
         if family == "crisp":
             assert u.is_crisp
+
+
+def reference_sample(rng, grid, n, family, target):
+    """The sampler built the long way: one make_trapezoid number per
+    component, a vector of them, then a rescale by the kernels."""
+    while True:
+        comps = []
+        for _ in range(n):
+            c = float(rng.uniform(-1.0, 1.0))
+            if family == "crisp":
+                comps.append((c, c, c, c))
+            elif family == "triangular":
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                comps.append((c - wl, c, c, c + wr))
+            else:
+                wl = float(rng.uniform(0.0, 1.0))
+                wr = float(rng.uniform(0.0, 1.0))
+                half = float(rng.uniform(0.0, 0.5))
+                comps.append((c - half - wl, c - half, c + half, c + wr + half))
+        raw = f.FuzzyVector(tuple(f.make_trapezoid(*nodes, grid) for nodes in comps))
+        size = f.norm(raw)
+        if size > 1e-9:
+            return f.scale(target / size, raw)
+
+
+@pytest.mark.parametrize("family", ["crisp", "triangular", "trapezoid"])
+def test_sampler_equals_per_component_trapezoids(family):
+    for seed in range(25):
+        for n in (1, 3):
+            target = 0.05 + 0.1 * seed
+            got = sample_initial_state(np.random.default_rng(seed), GRID, n, family, target)
+            want = reference_sample(np.random.default_rng(seed), GRID, n, family, target)
+            assert got.lower.tobytes() == want.lower.tobytes()
+            assert got.upper.tobytes() == want.upper.tobytes()
 
 
 def test_sampler_is_deterministic_under_seed():
@@ -406,3 +442,111 @@ def test_condition_ii_evaluates_V_once_per_point(ts):
     report = _check_condition_ii(V, comp, trajs, tol=1e-9)
     assert report["checked_steps"] == 10 + 12
     assert len(calls) <= sum(len(traj) for _, _, traj in trajs)
+
+
+def test_stability_check_solves_each_mode_at_most_twice(monkeypatch):
+    calls = []
+    real_solve = hybrid.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hybrid, "solve", counting_solve)
+    b = catalog.make_example_3_9(GRID, 10.0)
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
+                       sampling=SamplingPlan(count=8, seed=13, family="triangular"))
+    verdict = check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+    assert verdict.properties["practically_stable"]["witness"]["sample"] == -1
+    assert verdict.metadata["skipped_step_failures"]  # contractive samples failed
+    assert len(calls) <= 2 * 2  # per mode: the stack and the shrunken probe
+
+
+def test_witnesses_are_built_only_for_reported_properties(monkeypatch):
+    built = []
+    init = stability.Witness.__init__
+    monkeypatch.setattr(stability.Witness, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    b = catalog.make_example_3_9(GRID, 20.0)
+    q = StabilityQuery(lam=1.0, A=2.0, B=0.5, T0=5.0, rho=100.0,
+                       sampling=SamplingPlan(count=40, seed=5, family="trapezoid"))
+    verdict = check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 20.0)
+    assert all(p["status"] == VIOLATED for p in verdict.properties.values())
+    assert len(built) <= 4
+
+
+def test_catalog_check_builds_a_handful_of_fuzzy_numbers(monkeypatch):
+    built = []
+    post_init = f.FuzzyNumber.__post_init__
+    monkeypatch.setattr(f.FuzzyNumber, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    b = catalog.make_example_3_9(GRID, 10.0)
+    counts = []
+    for count in (10, 40):
+        q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
+                           sampling=SamplingPlan(count=count, seed=3, family="triangular"))
+        built.clear()
+        check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 6
+
+
+# ---------------------------------------------------------------------------
+# the direct route on stacked solves
+# ---------------------------------------------------------------------------
+
+def solve_each_sample(sys, mode=StepMode.EXPANSIVE, horizon=None, *, real_solve=solve):
+    """Reference for a stacked solve: one single-state solve per sample."""
+    if sys.u0.samples is None:
+        return real_solve(sys, mode, horizon)
+    survivors, failures = {}, {}
+    for row, u0 in enumerate(sys.u0.unstack()):
+        try:
+            survivors[row] = real_solve(dataclasses.replace(sys, u0=u0), mode, horizon)
+        except StepFailureError as exc:
+            failures[row] = exc
+    trajs = list(survivors.values())
+    values = [f.FuzzyVector.stack(states) for states in zip(*(t.values for t in trajs))]
+    return FuzzyTrajectory(sys.ts, values or [sys.u0.take([])],
+                           trajs[0].segments if trajs else None,
+                           rows=np.array(list(survivors), dtype=int), failures=failures)
+
+
+def test_component_indexing_rhs_gives_the_verdict_of_one_solve_per_sample(monkeypatch):
+    b = catalog.make_example_3_9(GRID, 10.0)
+    ts = b.system.ts
+
+    # the catalog dynamics, written one component at a time
+    def rhs(t, u, lam):
+        eta = 1.0 / (1.0 + ts.mu(t))
+        return f.vector(f.add(f.scale(-eta, u[0]), f.scale(eta, lam[0])))
+
+    def hold_zero(t_k, u_k):
+        return f.vector(f.crisp(0.0, u_k[0].grid))
+
+    def reinject(t_k, u_k):
+        return f.vector(u_k[0])
+
+    maps = (hold_zero,) + (reinject,) * (len(b.system.switch_maps) - 1)
+    indexing = dataclasses.replace(b.system, rhs=rhs, switch_maps=maps)
+    q = StabilityQuery(lam=1.0, A=2.0, B=1.5, T0=4.0, rho=100.0,
+                       sampling=SamplingPlan(count=12, seed=4, family="trapezoid"))
+
+    def verdict(system):
+        v = check_practical_stability(system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+        return json.dumps(v.to_dict(), sort_keys=True)
+
+    stacked = verdict(indexing)
+    assert json.loads(stacked)["metadata"]["skipped_step_failures"]
+    assert stacked == verdict(b.system)
+    monkeypatch.setattr(hybrid, "solve", solve_each_sample)
+    assert stacked == verdict(indexing) == verdict(b.system)
+
+
+def test_direct_route_reports_the_first_initial_state_outside_the_ball():
+    b = catalog.make_example_3_9(GRID, 10.0)
+    sys = dataclasses.replace(b.system, u0=f.vector(tri(-0.1, 0, 0.1)), rho=0.75)
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=4, seed=1))
+    with pytest.raises(ConfigError, match=r"sampled initial state \(distance 1\) lies outside "
+                                          r"the validity ball of radius 0.75"):
+        check_practical_stability(sys, b.comparison, b.lyapunov, b.kpair, q, 10.0)
