@@ -174,8 +174,8 @@ class FuzzyVector(_Cuts):
 
     With a leading samples axis, ``(S, n, m)`` arrays, it is a stack of S
     states checked once as a whole.  A stack has no components to index;
-    ``unstack`` gives its samples as single states and ``take`` a sub-stack,
-    both views of the checked arrays.
+    ``unstack`` gives its samples as single states and ``take`` one sample
+    or a sub-stack, all views of the checked arrays.
     """
 
     _ranks = (2, 3)
@@ -214,13 +214,16 @@ class FuzzyVector(_Cuts):
         return self.lower.shape[-2]
 
     def take(self, rows) -> "FuzzyVector":
-        """The sub-stack of the given sample rows, in that order."""
-        return self._view(self.grid, _frozen_array(self.lower[rows]),
-                          _frozen_array(self.upper[rows]))
+        """The sample at one row as a single state, or the sub-stack of a
+        sequence of rows, in that order."""
+        lower, upper = self.lower[rows], self.upper[rows]
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        return self._view(self.grid, lower, upper)
 
     def unstack(self) -> list["FuzzyVector"]:
         """The samples of a stack as single states."""
-        return [self._view(self.grid, lo, hi) for lo, hi in zip(self.lower, self.upper)]
+        return [self.take(j) for j in range(self.samples)]
 
     def __getitem__(self, i: int) -> FuzzyNumber:
         if self.samples is not None:

@@ -8,6 +8,7 @@ non-existence is reported as a ``None`` return rather than an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -77,11 +78,11 @@ class FuzzyTrajectory:
             return 0
         return self.segments[self.ts.index_of(t)]
 
-    def unstack(self) -> list["FuzzyTrajectory"]:
-        """One trajectory per sample of a stacked solution, in stack order;
-        their states are views of the stacks."""
-        return [FuzzyTrajectory(self.ts, list(states), self.segments)
-                for states in zip(*(v.unstack() for v in self.values))]
+    def unstack(self) -> Iterator["FuzzyTrajectory"]:
+        """The trajectory of each sample of a stacked solution, in stack
+        order and one at a time; their states are views of the stacks."""
+        for j in range(self.values[0].samples):
+            yield FuzzyTrajectory(self.ts, [v.take(j) for v in self.values], self.segments)
 
 
 def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -381,7 +381,7 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
 
 
 def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
-                        trajectories: list[tuple[str, int, FuzzyTrajectory]],
+                        trajectories: Iterable[tuple[str, int, FuzzyTrajectory]],
                         tol: float) -> dict:
     """Differential inequality along every sampled trajectory."""
     worst = math.inf
@@ -548,7 +548,6 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         traj = inner_runs[mode]
         return traj is not None and fuzzy.norm(traj.value_at(t)) >= bound
 
-    runs = []
     for mode, sample_ids, stack in stacks:
         times = stack.times.tolist()
         distance = np.array([fuzzy.norm(v) for v in stack.values])  # (points, samples)
@@ -558,12 +557,10 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         if q.B is not None:
             bounds.append(("quasi_stable", q.B, tail))  # below B from t0 + T0 on
         bounds.append(("asymptotically_stable", q.A, tail))  # below A from t0 + T0 on
-        trajs = stack.unstack()
-        runs += [(mode, sample_id, traj) for sample_id, traj in zip(sample_ids, trajs)]
         first = 0
         if sample_ids[:1] == [-1]:  # boundary probe: strict excess, interior-confirmed
             first = 1
-            u0 = trajs[0].values[0]
+            u0 = stack.values[0].take(0)
             for i, t in enumerate(times):
                 d = float(distance[i, 0])
                 for prop, bound, when in bounds:
@@ -579,11 +576,11 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
             if hit.any():  # the earliest point, then the lowest sample id
                 i, j = np.unravel_index(np.argmax(hit), hit.shape)
                 record(prop, times[i], float(distance[i, first + j]), bound, mode,
-                       sample_ids[first + j], trajs[first + j].values[0])
+                       sample_ids[first + j], stack.values[0].take(first + j))
 
     # no surviving trajectory means nothing was tested, never "holds"
-    quasi_testable = bool(runs) and q.B is not None and q.T0 is not None
-    stable_testable = bool(runs)
+    stable_testable = any(sample_ids for _, sample_ids, _ in stacks)
+    quasi_testable = stable_testable and q.B is not None and q.T0 is not None
 
     def outcome(testable, *props):
         """Status of a property that fails with any of ``props``, carrying
@@ -607,7 +604,7 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     # outcome coincides with plain stability
     outcomes["asymptotically_stable"] = outcome(stable_testable, "practically_stable",
                                                 "asymptotically_stable")
-    return outcomes, runs, skipped, probe_grazes
+    return outcomes, stacks, skipped, probe_grazes
 
 
 def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
@@ -644,7 +641,10 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         box=(0.0, max(1.0, 2.0 * b_A)))
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
-    outcomes, runs, skipped, grazes = _direct_route(sys, q, horizon, modes)
+    outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)
+    # every surviving sample's trajectory, built one at a time as it is read
+    runs = ((mode, sample_id, traj) for mode, sample_ids, stack in stacks
+            for sample_id, traj in zip(sample_ids, stack.unstack()))
     cond_ii = _check_condition_ii(V, comp, runs, tol)
 
     hypothesis_report = {
@@ -696,7 +696,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         "horizon": horizon,
         "modes": [m.value for m in modes],
         "sampling": {"count": plan.count, "seed": plan.seed, "family": plan.family},
-        "trajectories": len(runs),
+        "trajectories": sum(len(sample_ids) for _, sample_ids, _ in stacks),
         "skipped_step_failures": skipped[:20],
         "probe_grazes": grazes[:20],
         "quantifier_note": (

@@ -309,7 +309,7 @@ def test_stacked_solve_with_every_sample_failed():
                             u0=f.FuzzyVector.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
     stacked = solve(sys, StepMode.CONTRACTIVE)
     assert sorted(stacked.failures) == [0, 1] and stacked.failures[1].t == 0.0
-    assert stacked.unstack() == [] and len(stacked.rows) == 0
+    assert list(stacked.unstack()) == [] and len(stacked.rows) == 0
 
 
 def test_stacked_initial_states_must_each_lie_in_the_ball():
