@@ -20,8 +20,8 @@ print("switch times:", sys.switch_times)
 traj = solve(sys, StepMode.EXPANSIVE, horizon=10.0)
 print("\nexpansive branch (support width grows by x1.5 per step):")
 for t in (0.0, 1.0, 2.0, 5.0, 10.0):
-    v = traj.value_at(t)[0]
-    print(f"  t={t:4g}  segment {traj.segment_at(t)}  support {v.cut(0)}")
+    i = traj.ts.index_of(t)
+    print(f"  t={t:4g}  segment {traj.segments[i]}  support {traj.values[i][0].cut(0)}")
 
 # The contractive branch inverts the other decomposition of the derivative;
 # it shrinks uncertainty but may cease to exist mid-run.
@@ -36,9 +36,8 @@ for t in (0.0, 1.0, 2.0, 5.0):
 frozen = {k: sys.switch_maps[k](t_k, traj.value_at(t_k))
           for k, t_k in enumerate(sys.switch_times)}
 residual = max(
-    f.dist(delta_h_derivative(traj, t),
-           sys.rhs(t, traj.value_at(t), frozen[traj.segment_at(t)]))
-    for t in map(float, traj.times[:-1]))
+    f.dist(delta_h_derivative(traj, t), sys.rhs(t, traj.values[i], frozen[traj.segments[i]]))
+    for i, t in enumerate(traj.times[:-1].tolist()))
 print("\nmax derivative residual (expansive run):", residual)
 
 # Crisp initial data reduce everything to a plain real recursion:

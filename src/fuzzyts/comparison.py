@@ -18,8 +18,11 @@ import numpy as np
 from .errors import BlowUpError, InvalidShapeError
 from .timescale import SwitchSchedule, TimeScale
 
-GFn = Callable[[float, float, float], float]
-PsiFn = Callable[[float], float]
+# g and psi may be given ``(S,)`` arrays, one value per sample, and must then
+# act element by element, as any composition of numpy arithmetic does.  A
+# result that is the same for every sample may be a single float.
+GFn = Callable[[float, float | np.ndarray, float | np.ndarray], float | np.ndarray]
+PsiFn = Callable[[float | np.ndarray], float | np.ndarray]
 
 
 @dataclass(eq=False)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import fuzzy
 from .errors import FuzzyTSError, NoSuccessorError, UnknownPointError
 from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
@@ -482,18 +484,18 @@ def _print_fuzzy(e: FuzzyExpr) -> str:
 class Env:
     """Bindings for evaluation.
 
-    ``scalars`` binds scalar variables, ``fuzzies`` binds fuzzy variables
-    (fuzzy numbers, or whole fuzzy vectors);
+    ``scalars`` binds scalar variables (floats or arrays), ``fuzzies`` binds
+    fuzzy variables (fuzzy numbers, or whole fuzzy vectors);
     ``ts`` supplies the time-scale context required by mu/sigma/eta, and
     ``grid`` the alpha grid required by fuzzy literals.
     """
 
-    scalars: dict[str, float] = field(default_factory=dict)
+    scalars: dict[str, float | np.ndarray] = field(default_factory=dict)
     fuzzies: dict[str, FuzzyNumber | FuzzyVector] = field(default_factory=dict)
     ts: TimeScale | None = None
     grid: AlphaGrid | None = None
 
-    def scalar(self, name: str, span) -> float:
+    def scalar(self, name: str, span) -> float | np.ndarray:
         if name in self.scalars:
             return self.scalars[name]
         alias = VAR_ALIASES.get(name)
@@ -512,7 +514,13 @@ class Env:
         return self.ts
 
 
-def eval_scalar(e: ScalarExpr, env: Env) -> float:
+_MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element
+
+
+def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
+    """Evaluate with float or array variables; arrays act element by element,
+    each element as its float evaluation (min and max as the builtins, pow as
+    math.pow), and an error in any element raises EvalError at that node."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -528,7 +536,7 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float:
             return a - b
         if e.op == "*":
             return a * b
-        if b == 0.0:
+        if np.any(b == 0.0):
             raise EvalError("division by zero", e.span)
         return a / b
     if isinstance(e, Call):
@@ -545,13 +553,14 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float:
         args = [eval_scalar(a, env) for a in e.args]
         if e.func == "abs":
             return abs(args[0])
+        # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a
         if e.func == "min":
-            return min(args)
+            return np.where(args[1] < args[0], args[1], args[0])[()]
         if e.func == "max":
-            return max(args)
+            return np.where(args[1] > args[0], args[1], args[0])[()]
         if e.func == "pow":
             try:
-                return math.pow(args[0], args[1])
+                return np.asarray(_MATH_POW(*args), dtype=float)[()]
             except (ValueError, OverflowError) as exc:
                 raise EvalError(f"pow({args[0]}, {args[1]}) failed: {exc}", e.span) from exc
     raise TypeError(f"not a scalar expression: {e!r}")

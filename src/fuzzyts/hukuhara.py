@@ -8,7 +8,6 @@ non-existence is reported as a ``None`` return rather than an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -72,17 +71,6 @@ class FuzzyTrajectory:
         if i >= len(self.values):
             raise NoSuccessorError(f"trajectory is not defined at t={t}")
         return self.values[i]
-
-    def segment_at(self, t: float) -> int:
-        if self.segments is None:
-            return 0
-        return self.segments[self.ts.index_of(t)]
-
-    def unstack(self) -> Iterator["FuzzyTrajectory"]:
-        """The trajectory of each sample of a stacked solution, in stack
-        order and one at a time; their states are views of the stacks."""
-        for j in range(self.values[0].samples):
-            yield FuzzyTrajectory(self.ts, [v.take(j) for v in self.values], self.segments)
 
 
 def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:

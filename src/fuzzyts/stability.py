@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,13 +55,18 @@ NOT_TESTED = "not-tested"
 
 @dataclass(frozen=True)
 class LyapunovFn:
-    """Nonnegative energy-like function of (t, state)."""
+    """Nonnegative energy-like function of (t, state).
 
-    fn: Callable[[float, FuzzyVector], float]
+    V may be given a stack of states and must then return an ``(S,)`` array,
+    each sample's value as V of that state alone, as any composition of
+    ``fuzzy.norm`` and array arithmetic does.  A result that is the same for
+    every sample may be a single float."""
+
+    fn: Callable[[float, FuzzyVector], float | np.ndarray]
     lipschitz: float | None = None
 
-    def __call__(self, t: float, u: FuzzyVector) -> float:
-        return float(self.fn(t, u))
+    def __call__(self, t: float, u: FuzzyVector) -> float | np.ndarray:
+        return self.fn(t, u)
 
 
 def norm_lyapunov() -> LyapunovFn:
@@ -282,14 +287,7 @@ class Verdict:
     metadata: dict
 
     def to_dict(self) -> dict:
-        return {
-            "properties": self.properties,
-            "hypothesis_report": self.hypothesis_report,
-            "comparison_verdict": self.comparison_verdict,
-            "implied_conclusions": self.implied_conclusions,
-            "consistency": self.consistency,
-            "metadata": self.metadata,
-        }
+        return dataclasses.asdict(self)
 
     @property
     def any_violation(self) -> bool:
@@ -381,35 +379,44 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
 
 
 def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
-                        trajectories: Iterable[tuple[str, int, FuzzyTrajectory]],
+                        stacks: Sequence[tuple[str, list[int], FuzzyTrajectory]],
                         tol: float) -> dict:
-    """Differential inequality along every sampled trajectory."""
+    """Differential inequality along each sampled trajectory (on comp's time
+    scale); V, g and psi get one ``(S,)`` array per point of a mode's stack."""
     worst = math.inf
     violations = []
     checked = 0
-    for mode, sample_id, traj in trajectories:
-        # V at every point, once; the Dini estimate looks its values up by time.
+    for mode, sample_ids, traj in stacks:
         times = traj.times.tolist()
-        v_at = {t: V(t, u) for t, u in zip(times, traj.values)}
-        seg_entry_v: dict[int, float] = {}
-        for t in times[:-1]:
-            k = comp.schedule.segment_of(t)
-            if k not in seg_entry_v:
+        if not sample_ids or len(times) < 2:
+            continue
+        # V at every point, once; the Dini estimate looks its rows up by time.
+        v = np.empty((len(times), len(sample_ids)))
+        for i, (t, u) in enumerate(zip(times, traj.values)):
+            v[i] = V(t, u)
+        v_at = dict(zip(times, v))
+        held = {}  # segment k -> psi_k(V at its switch time)
+        lhs, rhs = np.empty((2, len(times) - 1, len(sample_ids)))
+        for i, (t, k) in enumerate(zip(times[:-1], comp.schedule.segments.tolist())):
+            if k not in held:
                 tk = comp.switch_times[k]
                 # a switch time matches its stored point only up to lookup noise
-                seg_entry_v[k] = v_at[tk] if tk in v_at else V(tk, traj.value_at(tk))
-            lhs = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
-            rhs = comp.g(t, v_at[t], comp.psi[k](seg_entry_v[k]))
-            margin = rhs - lhs
-            worst = min(worst, margin)
-            checked += 1
-            if margin < -tol:
-                violations.append((t, lhs, rhs, mode, sample_id))
+                held[k] = comp.psi[k](v_at[tk] if tk in v_at else V(tk, traj.value_at(tk)))
+            lhs[i] = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
+            rhs[i] = comp.g(t, v[i], held[k])
+        margin = (rhs - lhs).T  # (samples, points), in listing order
+        kept = margin[~np.isnan(margin)]  # min() never picks a NaN
+        if kept.size:  # as min(): the first of equal minima
+            worst = min(worst, float(kept[np.argmin(kept)]))
+        checked += margin.size
+        bad = np.argwhere(margin < -tol)[: 10 - len(violations)].tolist()
+        violations += [[times[i], float(lhs[i, j]), float(rhs[i, j]), mode, sample_ids[j]]
+                       for j, i in bad]
     return {
         "passed": not violations,
         "checked_steps": checked,
         "worst_margin": worst if checked else None,
-        "violations": [list(v) for v in violations[:10]],
+        "violations": violations,
     }
 
 
@@ -642,10 +649,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
     outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)
-    # every surviving sample's trajectory, built one at a time as it is read
-    runs = ((mode, sample_id, traj) for mode, sample_ids, stack in stacks
-            for sample_id, traj in zip(sample_ids, stack.unstack()))
-    cond_ii = _check_condition_ii(V, comp, runs, tol)
+    cond_ii = _check_condition_ii(V, comp, stacks, tol)
 
     hypothesis_report = {
         "class_k": class_k,

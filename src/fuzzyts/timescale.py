@@ -111,8 +111,8 @@ class TimeScale:
         t1 = float(self.points[i + 1])
         return (f(t1) - f(t0)) / (t1 - t0)
 
-    def upper_dini(self, f: Callable[[float], float], t: float,
-                   horizon: float | None = None) -> float:
+    def upper_dini(self, f: Callable[[float], float | np.ndarray], t: float,
+                   horizon: float | None = None) -> float | np.ndarray:
         """Upper Dini derivative estimate of f at a stored point.
 
         ``f`` need only be defined up to the stored point ``horizon`` (the
@@ -120,7 +120,7 @@ class TimeScale:
         assumed) this coincides with delta_derivative.  At right-dense points
         it is the sup of the quotients [f(sigma(t)) - f(s)] / (sigma(t) - s)
         over the next ``DINI_SAMPLES`` stored s beyond sigma(t), up to the
-        horizon.
+        horizon.  An ``f`` that returns arrays gets the estimate per element.
         """
         i = self.index_of(t)
         last = len(self) - 1 if horizon is None else self.index_of(horizon)
@@ -130,13 +130,12 @@ class TimeScale:
             return self.delta_derivative(f, t)
         st = float(self.points[i + 1])
         fst = f(st)
-        quotients = []
-        for j in range(i + 2, min(i + 2 + DINI_SAMPLES, last + 1)):
-            s = float(self.points[j])
-            quotients.append((fst - f(s)) / (st - s))
-        if not quotients:
-            return self.delta_derivative(f, t)
-        return max(quotients)
+        best = None
+        for s in self.points[i + 2:min(i + 2 + DINI_SAMPLES, last + 1)].tolist():
+            q = (fst - f(s)) / (st - s)
+            # as max(): a later quotient wins only where it is larger
+            best = q if best is None else np.where(q > best, q, best)[()]
+        return self.delta_derivative(f, t) if best is None else best
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +165,6 @@ class SwitchSchedule:
         segments.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "segments", segments)
-
-    def segment_of(self, t: float) -> int:
-        """Index of the latest switch time at or before the stored point t."""
-        return int(self.segments[self.ts.index_of(t)])
 
     def march(self, x0: Any, horizon: float | None,
               freeze: Callable[[int, Any], Any],

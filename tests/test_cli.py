@@ -153,6 +153,32 @@ horizon = 12
     assert float(at_t2["lower"]) == pytest.approx(0.25, abs=TOL)
 
 
+DSL_SIMULATE_CFG = """
+[timescale]
+scale = integer(6)
+
+[system]
+rhs = {rhs}
+u0 = tri(-1,0,1)
+mode = expansive
+horizon = 6
+"""
+
+
+@pytest.mark.parametrize("rhs, message", [
+    ("ghsub(tri(-1,0,1), trap(-0.5,-0.5,0.5,0.5))",
+     "solver step failed at t=0.0: expansive step failed at t=0.0: gH difference does not exist"),
+    ("smul(1e200, u)",
+     "solver step failed at t=1.0: expansive step failed at t=1.0: endpoints must be finite"),
+], ids=["gh-difference-missing", "non-finite-state"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
+    cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs=rhs))
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
 from fuzzyts import dsl
@@ -256,3 +259,80 @@ def test_eval_on_whole_vectors_equals_per_component_evaluation(src):
     assert got.n == 3
     for row, want in zip(got, per_component):
         assert np.array_equal(row.lower, want.lower) and np.array_equal(row.upper, want.upper)
+
+
+# ---------------------------------------------------------------------------
+# array bindings: one evaluator, element by element
+# ---------------------------------------------------------------------------
+
+ARRAY_EXPRS = [
+    "r + v", "r - v", "r * v", "r / v", "-r", "-(r * 0)", "abs(r)",
+    "min(r, v)", "max(r, v)", "min(v, r) - max(v, r)", "pow(r, v)", "pow(abs(r), 0.5)",
+    "mu(t) * r + eta(t) * v", "(sigma(t) - r) / (1 + abs(d))",
+    "max(min(r, -v), d) / v", "pow(d, 2) / (r - v) + 1",
+]
+# ties, signed zeros and values whose pow overflows or leaves the domain
+ARRAY_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300]),
+                         st.floats(-1e3, 1e3))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # as floats: inf
+@pytest.mark.parametrize("src", ARRAY_EXPRS)
+@given(data=st.data(), size=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_array_bindings_equal_float_evaluation_element_by_element(src, data, size):
+    e = dsl.parse_scalar(src)
+    ts = f.qscale(1.0, 2.0, 5)
+    arrays = {name: np.array(data.draw(st.lists(ARRAY_FLOATS, min_size=size, max_size=size)))
+              for name in ("r", "v", "d")}
+    expected, spans = [], set()
+    for i in range(size):
+        env = Env(scalars={"t": 4.0, **{k: float(a[i]) for k, a in arrays.items()}}, ts=ts)
+        try:
+            expected.append(dsl.eval_scalar(e, env))
+        except EvalError as exc:
+            spans.add(exc.span)
+    env = Env(scalars={"t": 4.0, **arrays}, ts=ts)
+    if spans:  # an element fails, so the array fails at a node where one does
+        with pytest.raises(EvalError) as info:
+            dsl.eval_scalar(e, env)
+        assert info.value.span in spans
+    else:
+        got = np.broadcast_to(dsl.eval_scalar(e, env), (size,))
+        assert [bits(x) for x in got] == [bits(x) for x in expected]
+
+
+def test_array_division_by_any_zero_raises_at_the_division():
+    e = dsl.parse_scalar("r + 1 / v")
+    with pytest.raises(EvalError) as float_info:
+        dsl.eval_scalar(e, Env(scalars={"r": 1.0, "v": -0.0}))
+    with pytest.raises(EvalError) as array_info:
+        dsl.eval_scalar(e, Env(scalars={"r": np.ones(3), "v": np.array([2.0, -0.0, 1.0])}))
+    assert array_info.value.span == float_info.value.span == (1, 7)
+    assert "division by zero" in str(array_info.value)
+
+
+@given(pairs=st.lists(st.tuples(ARRAY_FLOATS, ARRAY_FLOATS), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_array_pow_is_math_pow_on_every_element(pairs):
+    env = Env(scalars={"r": np.array([a for a, _ in pairs]), "v": np.array([b for _, b in pairs])})
+    e = dsl.parse_scalar("pow(r, v)")
+    try:
+        want = [math.pow(a, b) for a, b in pairs]
+    except (ValueError, OverflowError):
+        with pytest.raises(EvalError):
+            dsl.eval_scalar(e, env)
+        return
+    assert bits(dsl.eval_scalar(e, env)) == bits(want)
+
+
+def test_min_max_pick_what_the_builtins_pick():
+    r, v = np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, 1.0])
+    env = Env(scalars={"r": r, "v": v})
+    for func, builtin in (("min", min), ("max", max)):
+        got = dsl.eval_scalar(dsl.parse_scalar(f"{func}(r, v)"), env)
+        assert [bits(x) for x in got] == [bits(builtin(a, b)) for a, b in zip(r.tolist(), v.tolist())]

@@ -1,11 +1,16 @@
+import configparser
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fuzzyts as f
+import test_golden
 from fuzzyts import catalog, hybrid, stability
+from fuzzyts.cli import RunConfig, build_bundle, build_query
 from fuzzyts.errors import ConfigError, StepFailureError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
 from fuzzyts.hybrid import StepMode, solve
@@ -431,17 +436,37 @@ def test_condition_ii_evaluates_V_once_per_point(ts):
     def hold_zero(t, u):
         return f.zero_vector(u.grid, u.n)
 
-    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
-                              (hold_zero, lambda t, u: u), 100.0, f.vector(tri(-1, 0, 1)))
+    def stacked_system(*states):
+        return f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
+                                   (hold_zero, lambda t, u: u), 100.0,
+                                   f.FuzzyVector.stack([f.vector(s) for s in states]))
+
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w,
                                 (lambda v: v, lambda v: v), 1.0)
-    trajs = [("expansive", 0, solve(sys, horizon=float(ts.points[10]))),
-             ("expansive", 1, solve(sys))]
+    stacks = [("expansive", [0, 1], solve(stacked_system(tri(-1, 0, 1), tri(0, 1, 2)),
+                                          horizon=float(ts.points[10]))),
+              ("contractive", [-1, 0, 1], solve(stacked_system(tri(-1, 0, 1), tri(0, 1, 2),
+                                                               tri(-2, -1, 1))))]
     calls = []
     V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u))
-    report = _check_condition_ii(V, comp, trajs, tol=1e-9)
-    assert report["checked_steps"] == 10 + 12
-    assert len(calls) <= sum(len(traj) for _, _, traj in trajs)
+    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
+    assert report["checked_steps"] == 10 * 2 + 12 * 3
+    assert len(calls) <= sum(len(traj) for _, _, traj in stacks)
+
+
+def test_condition_ii_calls_g_once_per_point_per_mode(monkeypatch):
+    b = catalog.make_example_3_9(f.AlphaGrid.uniform(5), 10.0)
+    calls = []
+    g = b.comparison.g
+    monkeypatch.setattr(b.comparison, "g", lambda *args: calls.append(args) or g(*args))
+    counts = []
+    for count in (10, 40):
+        q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
+                           sampling=SamplingPlan(count=count, seed=3, family="triangular"))
+        calls.clear()
+        check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_stability_check_solves_each_mode_at_most_twice(monkeypatch):
@@ -550,3 +575,106 @@ def test_direct_route_reports_the_first_initial_state_outside_the_ball():
     with pytest.raises(ConfigError, match=r"sampled initial state \(distance 1\) lies outside "
                                           r"the validity ball of radius 0.75"):
         check_practical_stability(sys, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# condition (ii) on stacks against the per-sample check
+# ---------------------------------------------------------------------------
+
+def condition_ii_per_sample(V, comp, stacks, tol):
+    """Reference: condition (ii) one surviving sample at a time, with V, g and
+    psi called on floats and the Dini estimate of ``dini_along_solution``."""
+    worst, violations, checked = math.inf, [], 0
+    for mode, sample_ids, stack in stacks:
+        for j, sample_id in enumerate(sample_ids):
+            traj = FuzzyTrajectory(stack.ts, [v.take(j) for v in stack.values])
+            for t in traj.times[:-1].tolist():
+                k = int(np.searchsorted(comp.switch_times, t, side="right")) - 1
+                tk = comp.switch_times[k]
+                lhs = dini_along_solution(V, traj, t)
+                rhs = comp.g(t, V(t, traj.value_at(t)), comp.psi[k](V(tk, traj.value_at(tk))))
+                margin = rhs - lhs
+                worst = min(worst, margin)
+                checked += 1
+                if margin < -tol:
+                    violations.append([t, lhs, rhs, mode, sample_id])
+    return {"passed": not violations, "checked_steps": checked,
+            "worst_margin": worst if checked else None, "violations": violations[:10]}
+
+
+def dsl_stacks(config):
+    """Bundle and direct-route stacks of a stability config, as the CLI builds them."""
+    parser = configparser.ConfigParser()
+    parser.read_string(config)
+    cfg = RunConfig({name: dict(parser[name]) for name in parser.sections()},
+                    Path("out"), int(parser.get("output", "alpha_levels", fallback="11")), None)
+    bundle, horizon, _ = build_bundle(cfg)
+    q = build_query(cfg, bundle.system.rho)
+    stacks, _ = stability._simulate_direct(bundle.system, q, horizon, tuple(StepMode))
+    return bundle, stacks
+
+
+def assert_stacked_check_equals_per_sample_check(V, comp, stacks):
+    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
+    reference = condition_ii_per_sample(V, comp, stacks, tol=1e-9)
+    assert report == reference
+    assert json.dumps(report) == json.dumps(reference)  # also tells -0.0 from 0.0
+    return report
+
+
+def test_condition_ii_on_stacks_with_failed_contractive_samples():
+    b = catalog.make_example_3_9(GRID, 6.0)
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
+                       sampling=SamplingPlan(count=12, seed=3, family="triangular"))
+    stacks, skipped = stability._simulate_direct(b.system, q, 6.0, tuple(StepMode))
+    assert [ids for _, ids, _ in stacks] == [list(range(-1, 12)), [-1]] and len(skipped) == 12
+    # a V with one value for every sample is broadcast over the stack
+    for V in (b.lyapunov, LyapunovFn(lambda t, u: 1.0)):
+        report = assert_stacked_check_equals_per_sample_check(V, b.comparison, stacks)
+        assert report["checked_steps"] == 6 * 14
+
+
+@pytest.mark.parametrize("config", ["DSL_STABILITY", "DSL_DENSE_STABILITY"],
+                         ids=["gap-two-segments", "dense"])
+def test_condition_ii_on_stacks_of_a_dsl_system(config):
+    bundle, stacks = dsl_stacks(getattr(test_golden, config))
+    assert len(bundle.comparison.switch_times) == 2
+    report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
+                                                          stacks)
+    assert report["checked_steps"] > 0
+
+
+def test_condition_ii_on_a_stack_whose_samples_all_failed():
+    ts = f.integer(5)
+    wide = f.vector(tri(-1, 0, 1))
+    sys = f.HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide,
+                              (lambda t, u: f.zero_vector(u.grid, u.n),), 10.0,
+                              f.FuzzyVector.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
+    comp = f.ScalarHybridSystem(ts, (0.0,), lambda t, w, wk: w, (lambda v: v,), 1.0)
+    failed = solve(sys, StepMode.CONTRACTIVE)
+    assert len(failed.rows) == 0
+    survived = solve(sys, StepMode.EXPANSIVE)
+    for stacks in ([("contractive", [], failed)],
+                   [("contractive", [], failed), ("expansive", [0, 1], survived)]):
+        report = assert_stacked_check_equals_per_sample_check(norm_lyapunov(), comp, stacks)
+        assert report["checked_steps"] == 5 * len(stacks[-1][1])
+    assert report["worst_margin"] is not None
+
+
+def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
+    ts = f.integer(8)
+    switch_times = (0.0, 4.0 - 1e-12)  # 4.0 up to lookup noise
+    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.add(f.scale(-0.5, u), lam),
+                              (lambda t, u: f.zero_vector(u.grid, u.n), lambda t, u: u), 100.0,
+                              f.FuzzyVector.stack([f.vector(tri(-1, 0, 1)), f.vector(tri(0, 1, 3))]))
+    comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w + wk,
+                                (lambda v: 0.0 * v, lambda v: 0.5 * v), 1.0)
+    traj = solve(sys)
+    assert switch_times[1] not in traj.times.tolist()
+    calls = []
+    V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u) * (1.0 + t))
+    stacks = [("expansive", [0, 1], traj)]
+    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
+    assert switch_times[1] in calls  # its own V call, not V at 4.0
+    assert report == assert_stacked_check_equals_per_sample_check(V, comp, stacks)
+    assert report["violations"]

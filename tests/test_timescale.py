@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
 from fuzzyts.errors import (
@@ -176,3 +177,21 @@ def test_circle_plus_formula():
     for t in ts.kappa_points():
         t = float(t)
         assert s(t) == pytest.approx(0.25 + 0.5 + ts.mu(t) * 0.125, abs=TOL)
+
+
+@pytest.mark.parametrize("ts", [f.integer(12), f.uniform(0.0, 1e-7, 12)],
+                         ids=["scattered", "dense"])
+@given(data=st.data(), samples=st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_upper_dini_of_array_valued_f_equals_its_per_column_results(ts, data, samples):
+    # few distinct values, so quotients tie and zero quotients carry both signs
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(-10, 10))
+    table = np.array(data.draw(st.lists(st.lists(values, min_size=samples, max_size=samples),
+                                        min_size=len(ts), max_size=len(ts))))
+    horizon = float(ts.points[data.draw(st.integers(1, len(ts) - 1))])
+    row = {t: r for t, r in zip(ts.points.tolist(), table)}
+    for t in ts.points[: ts.index_of(horizon)].tolist():
+        got = ts.upper_dini(row.__getitem__, t, horizon=horizon)
+        want = [ts.upper_dini(lambda s: float(row[s][j]), t, horizon=horizon)
+                for j in range(samples)]
+        assert np.asarray(got).tobytes() == np.array(want, dtype=float).tobytes()
