@@ -4,8 +4,10 @@ A fuzzy number is stored as its family of alpha-level intervals sampled on
 a shared grid of alpha values: ``[u]^a = [lower(a), upper(a)]``.  Every
 operation here acts level-wise on those endpoints, which makes addition,
 scalar multiplication, the generalized Hukuhara difference and the metrics
-exact on the represented class.  Membership functions are never stored;
-validity (nonempty, nested, finite cuts) is enforced at construction.
+exact on the represented class.  Membership functions are never stored.
+Validity (nonempty, nested, finite cuts) is checked at the boundary, on
+outside data and on H and gH differences; fuzzy numbers are closed under
+``+`` and scalar multiples, so ``add`` and ``scale`` check finiteness only.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -101,8 +103,6 @@ class _Cuts:
         if (lower.ndim not in self._ranks or lower.shape != upper.shape
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
-        # ndarray methods and slice differences (what np.diff computes) keep
-        # these checks cheap enough to run on every kernel result.
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise InvalidShapeError("endpoints must be finite")
         if (lower > upper + ATOL).any():
@@ -115,8 +115,10 @@ class _Cuts:
 
     @classmethod
     def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
-        """Frozen pieces of endpoint arrays that already passed the checks,
-        taken without checking them again."""
+        """A state on endpoint arrays that need no checks (pieces of checked
+        ones, or an ``add`` or ``scale`` result), set read-only."""
+        lower.setflags(write=False)
+        upper.setflags(write=False)
         obj = cls.__new__(cls)
         object.__setattr__(obj, "grid", grid)
         object.__setattr__(obj, "lower", lower)
@@ -216,10 +218,7 @@ class FuzzyVector(_Cuts):
     def take(self, rows) -> "FuzzyVector":
         """The sample at one row as a single state, or the sub-stack of a
         sequence of rows, in that order."""
-        lower, upper = self.lower[rows], self.upper[rows]
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        return self._view(self.grid, lower, upper)
+        return self._view(self.grid, self.lower[rows], self.upper[rows])
 
     def unstack(self) -> list["FuzzyVector"]:
         """The samples of a stack as single states."""
@@ -288,17 +287,26 @@ def zero(grid: AlphaGrid) -> FuzzyNumber:
     return crisp(0.0, grid)
 
 
+def _closed(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
+    """An ``add`` or ``scale`` result: valid operands make a valid state
+    unless it overflowed, so only finiteness is checked."""
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvalidShapeError("endpoints must be finite")
+    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper)
+
+
 def add(u: _Cuts, v: _Cuts) -> _Cuts:
     """Level-wise interval sum (Minkowski sum of the cuts)."""
     _require_compatible(u, v)
-    return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper)
+    with np.errstate(over="ignore"):  # an overflow is reported by _closed
+        return _closed(u.grid, u.lower + v.lower, u.upper + v.upper)
 
 
 def scale(k: float, u: _Cuts) -> _Cuts:
     """Level-wise scalar multiple; endpoints swap when k < 0."""
-    if k >= 0:
-        return _cuts(u.grid, k * u.lower, k * u.upper)
-    return _cuts(u.grid, k * u.upper, k * u.lower)
+    lower, upper = (u.lower, u.upper) if k >= 0 else (u.upper, u.lower)
+    with np.errstate(over="ignore"):  # an overflow is reported by _closed
+        return _closed(u.grid, k * lower, k * upper)
 
 
 def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:

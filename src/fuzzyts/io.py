@@ -3,6 +3,8 @@
 Column orders and header names are frozen; the schema version travels in
 the run metadata.  Floats are written with 17 significant digits so a
 loader reconstructs exactly the in-memory values.
+Rows are written as formatted strings with CRLF ends, as the csv module
+writes them: every field is a number, so no field ever needs quoting.
 """
 
 from __future__ import annotations
@@ -32,29 +34,32 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def _state_rows(head: list, value: FuzzyVector, alphas: list[str]) -> list[list]:
-    """One row per component and level: ``head``, component, alpha, lower, upper.
-
-    ``alphas`` are the formatted levels of the state's grid; ``tolist()``
-    yields Python floats, which need no conversion before formatting.
-    """
-    return [[*head, c, alpha, format(lo, _FLOAT_FORMAT), format(hi, _FLOAT_FORMAT)]
-            for c, (lows, highs) in enumerate(zip(value.lower.tolist(), value.upper.tolist()))
-            for alpha, lo, hi in zip(alphas, lows, highs)]
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """``header``, then each string of ``rows`` (one or more whole rows) in one write."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            fh.write(row)
 
 
-def _alpha_strings(grid: AlphaGrid) -> list[str]:
-    return [_fmt(a) for a in grid.levels.tolist()]
+def _state_rows(points):
+    """Per ``(head, state)`` point, its rows (head, component, alpha, lower,
+    upper) as one string: the row tails, formatted once from the first state,
+    are filled in one ``%``, which writes the floats as ``_fmt`` does."""
+    tails = None
+    for head, value in points:
+        if tails is None:
+            tails = [f",{c},{_fmt(alpha)},%{_FLOAT_FORMAT},%{_FLOAT_FORMAT}\r\n"
+                     for c in range(value.n) for alpha in value.grid.levels.tolist()]
+        cuts = np.stack((value.lower, value.upper), -1).ravel().tolist()
+        yield (head + head.join(tails)) % tuple(cuts)
 
 
 def write_trajectory_csv(path: Path, traj: FuzzyTrajectory) -> None:
-    alphas = _alpha_strings(traj.values[0].grid)
     segments = traj.segments if traj.segments is not None else [0] * len(traj)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for t, seg, value in zip(traj.times.tolist(), segments, traj.values):
-            writer.writerows(_state_rows([_fmt(t), seg], value, alphas))
+    rows = _state_rows((f"{_fmt(t)},{seg}", value)
+                       for t, seg, value in zip(traj.times.tolist(), segments, traj.values))
+    _write_rows(path, TRAJECTORY_HEADER, rows)
 
 
 def load_trajectory_csv(path: Path) -> tuple[list[float], list[int], list[FuzzyVector]]:
@@ -78,34 +83,19 @@ def load_trajectory_csv(path: Path) -> tuple[list[float], list[int], list[FuzzyV
 
 
 def write_scalar_csv(path: Path, traj: ScalarTrajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCALAR_HEADER)
-        for i in range(len(traj)):
-            writer.writerow([_fmt(float(traj.ts.points[i])), int(traj.segments[i]),
-                             _fmt(float(traj.values[i]))])
+    _write_rows(path, SCALAR_HEADER, (f"{_fmt(t)},{int(seg)},{_fmt(r)}\r\n"
+                                      for t, seg, r in zip(traj.times, traj.segments, traj.values)))
 
 
 def write_comparison_csv(path: Path, times, v_values, r_values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for t, v, r in zip(times, v_values, r_values):
-            writer.writerow([_fmt(t), _fmt(v), _fmt(r), _fmt(r - v)])
+    _write_rows(path, COMPARISON_HEADER, (f"{_fmt(t)},{_fmt(v)},{_fmt(r)},{_fmt(r - v)}\r\n"
+                                          for t, v, r in zip(times, v_values, r_values)))
 
 
 def write_derivative_csv(path: Path, entries) -> None:
-    """entries: iterable of (t, FuzzyVector | None)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DERIVATIVE_HEADER)
-        alphas = None
-        for t, deriv in entries:
-            if deriv is None:
-                continue
-            if alphas is None:
-                alphas = _alpha_strings(deriv.grid)
-            writer.writerows(_state_rows([_fmt(t)], deriv, alphas))
+    """entries: iterable of (t, FuzzyVector | None); None entries are skipped."""
+    _write_rows(path, DERIVATIVE_HEADER, _state_rows(
+        (_fmt(t), deriv) for t, deriv in entries if deriv is not None))
 
 
 def write_json(path: Path, payload: dict) -> None:

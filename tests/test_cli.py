@@ -171,7 +171,7 @@ horizon = 6
     ("smul(1e200, u)",
      "solver step failed at t=1.0: expansive step failed at t=1.0: endpoints must be finite"),
 ], ids=["gh-difference-missing", "non-finite-state"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
     cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs=rhs))
     assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1

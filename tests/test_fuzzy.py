@@ -9,6 +9,7 @@ from fuzzyts.errors import (
     GridMismatchError,
     InvalidShapeError,
 )
+from fuzzyts import fuzzy, io as ftio
 from fuzzyts.fuzzy import ATOL
 
 import oracles
@@ -222,12 +223,133 @@ def test_metric_structure_properties(u, v, w, k):
     assert f.dist(f.add(u, v), f.add(w, e)) <= f.dist(u, w) + f.dist(v, e) + TOL
 
 
-@given(fuzzy_numbers(), fuzzy_numbers(), st.floats(-4, 4, allow_nan=False))
-@settings(max_examples=150, deadline=None)
-def test_nestedness_closure(u, v, k):
-    # construction of the results re-validates the invariants
-    f.add(u, v)
-    f.scale(k, u)
+# ---------------------------------------------------------------------------
+# add / scale check finiteness only; the boundary keeps every check
+# ---------------------------------------------------------------------------
+
+def _full_check(u):
+    """Every construction check, run again on a state's endpoints."""
+    fuzzy._cuts(u.grid, u.lower, u.upper)
+
+
+@st.composite
+def exact_states(draw, shapes=((), (3,), (2, 3))):
+    """A number, an (n, m) vector or an (S, n, m) stack whose cuts are
+    ordered and nested exactly, with no ATOL slack, at magnitudes from the
+    subnormals to near overflow."""
+    shape = draw(st.sampled_from(shapes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.floats(0.0, 8e306))  # random_cuts stays within 20
+    cuts = [oracles.random_cuts(rng, GRID.m) for _ in range(int(np.prod(shape)))]
+    lower = np.reshape([lo for lo, _ in cuts], (*shape, GRID.m)) * size
+    upper = np.reshape([hi for _, hi in cuts], (*shape, GRID.m)) * size
+    return fuzzy._cuts(GRID, lower, upper)
+
+
+def _returns_checked_or_overflows(kernel, lower, upper):
+    """``kernel()`` gives the state with these endpoints, which passes the
+    full check, when they are finite, and the finite rejection otherwise."""
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        with pytest.raises(InvalidShapeError, match="^endpoints must be finite$"):
+            kernel()
+        return
+    got = kernel()
+    assert type(got) is (f.FuzzyNumber if lower.ndim == 1 else f.FuzzyVector)
+    assert _bits(got) == (lower.tobytes(), upper.tobytes())
+    assert not got.lower.flags.writeable and not got.upper.flags.writeable
+    _full_check(got)
+
+
+@given(st.data(), st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nestedness_closure(data, k):
+    u = data.draw(exact_states())
+    v = data.draw(exact_states(((), u.lower.shape[:-1])))
+    with np.errstate(over="ignore"):
+        added = u.lower + v.lower, u.upper + v.upper
+        scaled = (k * u.lower, k * u.upper) if k >= 0 else (k * u.upper, k * u.lower)
+    _returns_checked_or_overflows(lambda: f.add(u, v), *added)
+    _returns_checked_or_overflows(lambda: f.add(v, u), *added)
+    _returns_checked_or_overflows(lambda: f.scale(k, u), *scaled)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: f.scale(1e300, tri(-1e10, 0, 1)),
+    lambda: f.scale(-1e300, f.vector(tri(-1, 0, 1e10))),
+    lambda: f.add(f.crisp(1e308, GRID), f.vector(f.crisp(1e308, GRID))),
+], ids=["scale", "negative-scale", "add"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_raises_the_finite_rejection_and_prints_nothing(kernel):
+    with pytest.raises(InvalidShapeError, match="^endpoints must be finite$"):
+        kernel()
+
+
+_WIDE = f.vector(f.make_trapezoid(-20, -10, 10, 20, GRID))
+_HUGE = f.vector(f.crisp(1e308, GRID))
+
+# one component's endpoints that each check rejects, with its message
+_BAD = {
+    "shape": (np.zeros(10), np.ones(11), "endpoint arrays must match the grid size"),
+    "finite": (np.full(11, np.inf), np.full(11, np.inf), "endpoints must be finite"),
+    "nonempty": (np.linspace(0, 1, 11), np.linspace(-1, 0, 11),
+                 "lower endpoint exceeds upper endpoint"),
+    "nested": (np.linspace(1, 0, 11), np.full(11, 2.0), "alpha cuts are not nested"),
+}
+
+
+def _reach(route, lower, upper, tmp_path):
+    """A state with these endpoints, reached through ``route``."""
+    if route == "from_arrays":
+        return f.FuzzyVector.from_arrays(GRID, lower[None], upper[None])
+    if route == "load_trajectory_csv":
+        rows = [",".join(ftio.TRAJECTORY_HEADER)] + [
+            f"0,0,0,{a!r},{lo!r},{hi!r}"
+            for a, lo, hi in zip(GRID.levels.tolist(), lower.tolist(), upper.tolist())]
+        (tmp_path / "t.csv").write_text("\r\n".join(rows) + "\r\n")
+        return ftio.load_trajectory_csv(tmp_path / "t.csv")
+    kernel = getattr(f, route)
+    if np.isinf(lower).any():  # valid operands overflow
+        return kernel(_HUGE, f.scale(-1.0, _HUGE))
+    # valid operands whose endpoint differences are these, up to rounding
+    u = f.FuzzyVector.from_arrays(GRID, lower + _WIDE.lower, upper + _WIDE.upper)
+    return kernel(u, _WIDE)
+
+
+@pytest.mark.parametrize("route, case", [
+    *(("from_arrays", case) for case in _BAD),
+    *(("h_difference", case) for case in ("finite", "nonempty", "nested")),
+    ("gh_difference", "finite"),
+    *(("load_trajectory_csv", case) for case in ("finite", "nonempty", "nested")),
+])
+def test_boundary_keeps_every_check(route, case, tmp_path):
+    """Each rejection still fires where it can arise.  A shape mismatch
+    cannot come out of a kernel (operands are checked compatible) or the
+    loader (the grid is read from the same rows); a gH difference is never
+    empty, and its nesting failure is GHDifferenceError (see
+    test_gh_nonexistence_growing_cuts)."""
+    lower, upper, message = _BAD[case]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidShapeError, match=f"^{message}$"):
+        _reach(route, lower, upper, tmp_path)
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    (_dip(ATOL / 2), np.ones(11), "alpha cuts are not nested"),
+    (np.full(11, ATOL / 2), np.zeros(11), "lower endpoint exceeds upper endpoint"),
+], ids=["nesting-slack", "ordering-slack"])
+def test_scale_passes_on_slack_within_atol_enlarged(lower, upper, message):
+    """An operand may carry slack within ATOL: a gH difference's cuts may,
+    and so may a trapezoid's core (``a + (b - a)`` can round above
+    ``d - (d - c)``).  ``scale`` passes the slack on multiplied by |k| and
+    does not reject it; the next full check, at the boundary, does."""
+    w = f.FuzzyNumber(GRID, lower, upper)
+    big = f.scale(-1e6, w)
+    assert _bits(big) == ((-1e6 * upper).tobytes(), (-1e6 * lower).tobytes())
+    with pytest.raises(InvalidShapeError, match=message):
+        _full_check(big)
+    with pytest.raises(InvalidShapeError, match=message):
+        f.h_difference(big, f.zero(GRID))
 
 
 # ---------------------------------------------------------------------------

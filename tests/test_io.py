@@ -1,0 +1,142 @@
+"""Artifact writers: byte-identical to csv.writer output, and cheap in writes.
+
+The reference writers below are the csv.writer implementations the
+formatted writers replaced; the formatted ones must produce the same bytes.
+"""
+
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fuzzyts as f
+from fuzzyts import catalog, hybrid, io as ftio
+from fuzzyts.hukuhara import FuzzyTrajectory
+
+_FLOAT_FORMAT = ".17g"
+
+
+def _state_rows(head, value, alphas):
+    return [[*head, c, alpha, format(lo, _FLOAT_FORMAT), format(hi, _FLOAT_FORMAT)]
+            for c, (lows, highs) in enumerate(zip(value.lower.tolist(), value.upper.tolist()))
+            for alpha, lo, hi in zip(alphas, lows, highs)]
+
+
+def _alpha_strings(grid):
+    return [format(a, _FLOAT_FORMAT) for a in grid.levels.tolist()]
+
+
+def reference_write_trajectory_csv(path, traj):
+    alphas = _alpha_strings(traj.values[0].grid)
+    segments = traj.segments if traj.segments is not None else [0] * len(traj)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ftio.TRAJECTORY_HEADER)
+        for t, seg, value in zip(traj.times.tolist(), segments, traj.values):
+            writer.writerows(_state_rows([format(t, _FLOAT_FORMAT), seg], value, alphas))
+
+
+def reference_write_derivative_csv(path, entries):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ftio.DERIVATIVE_HEADER)
+        alphas = None
+        for t, deriv in entries:
+            if deriv is None:
+                continue
+            if alphas is None:
+                alphas = _alpha_strings(deriv.grid)
+            writer.writerows(_state_rows([format(float(t), _FLOAT_FORMAT)], deriv, alphas))
+
+
+# Floats whose formatting is easy to get wrong: signed zero, the smallest
+# subnormal, the extremes and an integral value (written "2").
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, 0.1, -1 / 3]
+endpoints = st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def states(draw, grid, n):
+    """A valid (n, m) state: each component's 2m sorted draws give its
+    lower endpoints (ascending) and upper endpoints (descending)."""
+    lower, upper = [], []
+    for _ in range(n):
+        ends = sorted(draw(st.lists(endpoints, min_size=2 * grid.m, max_size=2 * grid.m)))
+        lower.append(ends[:grid.m])
+        upper.append(ends[grid.m:][::-1])
+    with np.errstate(over="ignore"):  # the nesting check subtracts extremes
+        return f.FuzzyVector.from_arrays(grid, lower, upper)
+
+
+@st.composite
+def trajectories(draw):
+    grid = f.AlphaGrid.uniform(draw(st.integers(2, 6)))
+    n = draw(st.integers(1, 3))
+    times = sorted(draw(st.lists(st.sampled_from([-0.0, 5e-324, 2.0]) | st.floats(-1e6, 1e6),
+                                 min_size=2, max_size=5, unique=True)))
+    points = draw(st.integers(1, len(times)))
+    values = [draw(states(grid, n)) for _ in range(points)]
+    segments = draw(st.none() | st.lists(st.integers(0, 5), min_size=points, max_size=points))
+    return FuzzyTrajectory(f.explicit(times), values, segments)
+
+
+def _bits(u):
+    return u.lower.tobytes(), u.upper.tobytes()
+
+
+@given(trajectories(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_writers_match_csv_writer_bytes_and_round_trip(traj, data):
+    entries = [(t, data.draw(st.none() | st.just(value)))
+               for t, value in zip(traj.times.tolist(), traj.values)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ftio.write_trajectory_csv(tmp / "new.csv", traj)
+        reference_write_trajectory_csv(tmp / "ref.csv", traj)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+        ftio.write_derivative_csv(tmp / "new_d.csv", entries)
+        reference_write_derivative_csv(tmp / "ref_d.csv", entries)
+        assert (tmp / "new_d.csv").read_bytes() == (tmp / "ref_d.csv").read_bytes()
+        with np.errstate(over="ignore"):
+            times, segments, values = ftio.load_trajectory_csv(tmp / "new.csv")
+    assert [np.float64(t).tobytes() for t in times] == [t.tobytes() for t in traj.times]
+    assert segments == (traj.segments or [0] * len(traj))
+    assert [_bits(v) for v in values] == [_bits(v) for v in traj.values]
+
+
+class _CountingFile:
+    """A text file that counts the calls to its ``write``."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_trajectory_writer_makes_one_write_per_point(tmp_path, monkeypatch):
+    grid = f.AlphaGrid.uniform(5)
+    traj = hybrid.solve(catalog.make_example_3_9(grid, 10.0).system, horizon=10.0)
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(_CountingFile(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(ftio, "open", counting_open, raising=False)
+    ftio.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    assert len(files) == 1
+    assert 0 < files[0].writes <= len(traj) + 1  # the header, then one per point
