@@ -5,9 +5,12 @@ a shared grid of alpha values: ``[u]^a = [lower(a), upper(a)]``.  Every
 operation here acts level-wise on those endpoints, which makes addition,
 scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored.
-Validity (nonempty, nested, finite cuts) is checked at the boundary, on
-outside data and on H and gH differences; fuzzy numbers are closed under
-``+`` and scalar multiples, so ``add`` and ``scale`` check finiteness only.
+Validity (nonempty, nested, finite cuts) is checked on every state made,
+by one routine: on outside data, and on the results of the kernels, which
+wrap their fresh arrays without copying them.  ``add`` and ``scale`` are
+checked too, although fuzzy numbers are closed under both: a valid state
+may carry ordering or nesting slack within ``ATOL`` (a trapezoid's core
+may), and a scalar multiple enlarges it.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -78,6 +81,17 @@ class AlphaGrid:
         return f"AlphaGrid(m={self.m})"
 
 
+def _check(lower: np.ndarray, upper: np.ndarray) -> None:
+    """The finite, nonempty and nested checks on endpoint arrays."""
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvalidShapeError("endpoints must be finite")
+    if (lower > upper + ATOL).any():
+        raise InvalidShapeError("lower endpoint exceeds upper endpoint")
+    if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
+            or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
+        raise InvalidShapeError("alpha cuts are not nested")
+
+
 @dataclass(frozen=True, eq=False)
 class _Cuts:
     """Sampled alpha-cut endpoints on one grid, checked at construction.
@@ -103,20 +117,14 @@ class _Cuts:
         if (lower.ndim not in self._ranks or lower.shape != upper.shape
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
-        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-            raise InvalidShapeError("endpoints must be finite")
-        if (lower > upper + ATOL).any():
-            raise InvalidShapeError("lower endpoint exceeds upper endpoint")
-        if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
-                or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
-            raise InvalidShapeError("alpha cuts are not nested")
+        _check(lower, upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
     @classmethod
     def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
-        """A state on endpoint arrays that need no checks (pieces of checked
-        ones, or an ``add`` or ``scale`` result), set read-only."""
+        """A state on endpoint arrays that passed the checks (pieces of
+        checked ones, or a checked kernel result), set read-only."""
         lower.setflags(write=False)
         upper.setflags(write=False)
         obj = cls.__new__(cls)
@@ -242,10 +250,11 @@ class FuzzyVector(_Cuts):
 
 
 def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
-    """The number or vector that endpoint arrays of this shape make."""
-    if lower.ndim == 1:
-        return FuzzyNumber(grid, lower, upper)
-    return FuzzyVector.from_arrays(grid, lower, upper)
+    """The number or vector that a kernel's fresh endpoint arrays make,
+    checked and wrapped without a copy.  Their shape needs no check: it is
+    the broadcast of two compatible operands'."""
+    _check(lower, upper)
+    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper)
 
 
 def _require_compatible(u: _Cuts, v: _Cuts) -> None:
@@ -287,26 +296,18 @@ def zero(grid: AlphaGrid) -> FuzzyNumber:
     return crisp(0.0, grid)
 
 
-def _closed(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
-    """An ``add`` or ``scale`` result: valid operands make a valid state
-    unless it overflowed, so only finiteness is checked."""
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise InvalidShapeError("endpoints must be finite")
-    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper)
-
-
 def add(u: _Cuts, v: _Cuts) -> _Cuts:
     """Level-wise interval sum (Minkowski sum of the cuts)."""
     _require_compatible(u, v)
-    with np.errstate(over="ignore"):  # an overflow is reported by _closed
-        return _closed(u.grid, u.lower + v.lower, u.upper + v.upper)
+    with np.errstate(over="ignore"):  # _check reports an overflow
+        return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper)
 
 
 def scale(k: float, u: _Cuts) -> _Cuts:
     """Level-wise scalar multiple; endpoints swap when k < 0."""
     lower, upper = (u.lower, u.upper) if k >= 0 else (u.upper, u.lower)
-    with np.errstate(over="ignore"):  # an overflow is reported by _closed
-        return _closed(u.grid, k * lower, k * upper)
+    with np.errstate(over="ignore"):  # _check reports an overflow
+        return _cuts(u.grid, k * lower, k * upper)
 
 
 def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:

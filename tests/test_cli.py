@@ -196,6 +196,23 @@ def test_compare_example_margins(tmp_path):
     assert [r["t"] for r in scalar_rows][:2] == ["0", "1"]
 
 
+def test_compare_growing_slack_fails_or_writes_a_loadable_csv(tmp_path, capsys):
+    """tri(-0.3,0.1,0.9)'s core carries rounding slack (-0.3 + 0.4 rounds
+    above 0.1) that the expansive run enlarges with the state.  The run
+    either fails at the step that takes it past ATOL or writes a
+    trajectory the loader accepts."""
+    out = tmp_path / "out"
+    code = run("compare", "--system", "example_3_9", "--horizon", 30,
+               "--u0", "tri(-0.3,0.1,0.9)", "--out", out)
+    if code == 0:
+        ftio.load_trajectory_csv(out / "trajectory.csv")
+    else:
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "solver step failed at t=19.0: expansive step failed at t=19.0: "
+            "lower endpoint exceeds upper endpoint")
+
+
 def test_compare_precondition_gate_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "c.cfg", """
 [system]
