@@ -5,12 +5,11 @@ a shared grid of alpha values: ``[u]^a = [lower(a), upper(a)]``.  Every
 operation here acts level-wise on those endpoints, which makes addition,
 scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored.
-Validity (nonempty, nested, finite cuts) is checked on every state made,
-by one routine: on outside data, and on the results of the kernels, which
-wrap their fresh arrays without copying them.  ``add`` and ``scale`` are
-checked too, although fuzzy numbers are closed under both: a valid state
-may carry ordering or nesting slack within ``ATOL`` (a trapezoid's core
-may), and a scalar multiple enlarges it.
+Validity (nonempty, nested, finite cuts) is checked by one routine on
+every state made, outside data and kernel results alike; kernels wrap
+their fresh result arrays without a copy.  ``add`` and ``scale`` are no
+exception: fuzzy numbers are closed under both, but a valid state may
+carry slack within ``ATOL`` (a trapezoid's core may), which they enlarge.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -82,7 +81,9 @@ class AlphaGrid:
 
 
 def _check(lower: np.ndarray, upper: np.ndarray) -> None:
-    """The finite, nonempty and nested checks on endpoint arrays."""
+    """The finite, nonempty and nested checks on endpoint arrays.  Ndarray
+    methods and slice differences (what np.diff computes) keep them cheap
+    enough to run on every kernel result."""
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidShapeError("endpoints must be finite")
     if (lower > upper + ATOL).any():
@@ -251,8 +252,8 @@ class FuzzyVector(_Cuts):
 
 def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
     """The number or vector that a kernel's fresh endpoint arrays make,
-    checked and wrapped without a copy.  Their shape needs no check: it is
-    the broadcast of two compatible operands'."""
+    checked and wrapped without a copy.  Their shape needs no check: it
+    comes from checked, compatible operands."""
     _check(lower, upper)
     return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper)
 
