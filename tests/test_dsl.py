@@ -89,6 +89,20 @@ def test_slot_variable_restriction():
         dsl.parse_scalar("t + d", variables={"t", "r", "v"})
     with pytest.raises(ParseError):
         dsl.parse_scalar("u_k", variables={"x"})
+    # the fuzzy grammar checks its fuzzy variables first, then the scalar
+    # ones inside literals and smul; every message points at the start
+    dsl.parse_fuzzy("smul(w, u) fadd tri(0, t, 1)", variables={"u"}, scalar_variables={"t", "r"})
+    for src, fuzzy_vars, scalar_vars, message in [
+        ("u fadd smul(d, lam)", {"u"}, {"t"}, "variable(s) ['lam'] not allowed here "
+                                              "(allowed: ['u'])"),
+        ("u fadd tri(0, t, x)", {"u"}, {"t"}, "variable(s) ['x'] not allowed here "
+                                              "(allowed: ['t'])"),
+        ("smul(eta(t) * r, u)", {"u"}, set(), "variable(s) ['r', 't'] not allowed here "
+                                              "(allowed: [])"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            dsl.parse_fuzzy(src, variables=fuzzy_vars, scalar_variables=scalar_vars)
+        assert str(err.value) == f"{message} at line 1, column 1"
 
 
 def test_unbound_variable_and_division_by_zero():
