@@ -213,9 +213,11 @@ VAR_ALIASES = {"w": "r", "w_k": "v", "r": "w", "v": "w_k"}
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = tokenize(src)
         self.pos = 0
+        # names of the Var and FuzzyVar nodes built so far
+        self.scalar_names: set[str] = set()
+        self.fuzzy_names: set[str] = set()
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -285,6 +287,7 @@ class _Parser:
             if self.peek().kind == "(":
                 raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.col,
                                  expected=tuple(sorted(SCALAR_FUNCS)))
+            self.scalar_names.add(tok.text)
             return Var(tok.text, span=(tok.line, tok.col))
         raise self.fail(expected=("num", "ident", "(", "-"))
 
@@ -344,6 +347,7 @@ class _Parser:
                 self.expect(")")
                 return CircMinus(f, span=(tok.line, tok.col))
             if tok.text in FUZZY_VARS:
+                self.fuzzy_names.add(tok.text)
                 return FuzzyVar(tok.text, span=(tok.line, tok.col))
             raise ParseError(f"unknown fuzzy term {tok.text!r}", tok.line, tok.col,
                              expected=tuple(sorted(FUZZY_VARS | set(FUZZY_LITS)
@@ -358,7 +362,7 @@ def parse_scalar(src: str, variables: set[str] | None = None) -> ScalarExpr:
     p = _Parser(src)
     node = p.scalar()
     p.expect("eof")
-    _check_vars(free_scalar_vars(node), variables, src)
+    _check_vars(p.scalar_names, variables)
     return node
 
 
@@ -370,13 +374,12 @@ def parse_fuzzy(src: str, variables: set[str] | None = None,
     p = _Parser(src)
     node = p.fuzzy_expr()
     p.expect("eof")
-    fvars, svars = free_fuzzy_vars(node)
-    _check_vars(fvars, variables, src)
-    _check_vars(svars, scalar_variables, src)
+    _check_vars(p.fuzzy_names, variables)
+    _check_vars(p.scalar_names, scalar_variables)
     return node
 
 
-def _check_vars(seen: set[str], allowed: set[str] | None, src: str) -> None:
+def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
     if allowed is None:
         return
     closed = set(allowed)
@@ -389,43 +392,6 @@ def _check_vars(seen: set[str], allowed: set[str] | None, src: str) -> None:
         raise ParseError(
             f"variable(s) {sorted(stray)} not allowed here (allowed: {sorted(allowed)})",
             1, 1)
-
-
-def free_scalar_vars(e: ScalarExpr) -> set[str]:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_scalar_vars(e.operand)
-    if isinstance(e, BinOp):
-        return free_scalar_vars(e.left) | free_scalar_vars(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_scalar_vars(a)
-        return out
-    raise TypeError(f"not a scalar expression: {e!r}")
-
-
-def free_fuzzy_vars(e: FuzzyExpr) -> tuple[set[str], set[str]]:
-    if isinstance(e, FuzzyVar):
-        return {e.name}, set()
-    if isinstance(e, FuzzyLit):
-        s: set[str] = set()
-        for a in e.args:
-            s |= free_scalar_vars(a)
-        return set(), s
-    if isinstance(e, FAdd) or isinstance(e, GHSub):
-        fl, sl = free_fuzzy_vars(e.left)
-        fr, sr = free_fuzzy_vars(e.right)
-        return fl | fr, sl | sr
-    if isinstance(e, SMul):
-        f, s = free_fuzzy_vars(e.operand)
-        return f, s | free_scalar_vars(e.scalar)
-    if isinstance(e, CircMinus):
-        return free_fuzzy_vars(e.operand)
-    raise TypeError(f"not a fuzzy expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
