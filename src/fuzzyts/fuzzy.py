@@ -83,7 +83,9 @@ class AlphaGrid:
 def _check(lower: np.ndarray, upper: np.ndarray) -> None:
     """The finite, nonempty and nested checks on endpoint arrays.  Ndarray
     methods and slice differences (what np.diff computes) keep them cheap
-    enough to run on every kernel result."""
+    enough to run on every kernel result.  Every caller runs it with
+    overflow ignored: a nesting difference of two finite endpoints may pass
+    the largest float, and as an infinity it compares the same way."""
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidShapeError("endpoints must be finite")
     if (lower > upper + ATOL).any():
@@ -118,7 +120,8 @@ class _Cuts:
         if (lower.ndim not in self._ranks or lower.shape != upper.shape
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
-        _check(lower, upper)
+        with np.errstate(over="ignore"):  # see _check
+            _check(lower, upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -318,7 +321,8 @@ def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     difference does not exist and construction raises InvalidShapeError.
     """
     _require_compatible(u, v)
-    return _cuts(u.grid, u.lower - v.lower, u.upper - v.upper)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check reports an overflow
+        return _cuts(u.grid, u.lower - v.lower, u.upper - v.upper)
 
 
 def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
@@ -332,14 +336,15 @@ def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     raised.  No repair or projection is attempted.
     """
     _require_compatible(u, v)
-    dlo = u.lower - v.lower
-    dhi = u.upper - v.upper
-    lower = np.minimum(dlo, dhi)
-    upper = np.maximum(dlo, dhi)
-    if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
-            or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
-        raise GHDifferenceError("gH difference does not exist: cuts are not nested")
-    return _cuts(u.grid, lower, upper)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check reports an overflow
+        dlo = u.lower - v.lower
+        dhi = u.upper - v.upper
+        lower = np.minimum(dlo, dhi)
+        upper = np.maximum(dlo, dhi)
+        if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
+                or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
+            raise GHDifferenceError("gH difference does not exist: cuts are not nested")
+        return _cuts(u.grid, lower, upper)
 
 
 def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:

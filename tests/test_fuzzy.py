@@ -296,11 +296,20 @@ def test_nestedness_closure(data, k):
     lambda: f.scale(1e300, tri(-1e10, 0, 1)),
     lambda: f.scale(-1e300, f.vector(tri(-1, 0, 1e10))),
     lambda: f.add(f.crisp(1e308, GRID), f.vector(f.crisp(1e308, GRID))),
-], ids=["scale", "negative-scale", "add"])
+    lambda: f.h_difference(f.vector(f.crisp(1e308, GRID)), f.vector(f.crisp(-1e308, GRID))),
+    lambda: f.gh_difference(f.vector(f.crisp(1e308, GRID)), f.vector(f.crisp(-1e308, GRID))),
+], ids=["scale", "negative-scale", "add", "h_difference", "gh_difference"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_raises_the_finite_rejection_and_prints_nothing(kernel):
     with pytest.raises(InvalidShapeError, match="^endpoints must be finite$"):
         kernel()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_valid_number_whose_nesting_steps_overflow_builds_silently():
+    lower = [-1e308, 1e308, 1e308]  # its first step, 2e308, passes the largest float
+    w = f.FuzzyNumber(f.AlphaGrid.uniform(3), lower, [1e308] * 3)
+    assert w.lower.tolist() == lower
 
 
 _WIDE = f.vector(f.make_trapezoid(-20, -10, 10, 20, GRID))
