@@ -82,16 +82,15 @@ def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:
     return fuzzy.scale(1.0 / h, diff)
 
 
-def delta_h_derivative(traj: FuzzyTrajectory, t: float,
-                       dense_tol: float = DENSE_AGREEMENT_TOL) -> FuzzyVector | None:
+def delta_h_derivative(traj: FuzzyTrajectory, t: float) -> FuzzyVector | None:
     """Hukuhara delta derivative of the trajectory at a stored point.
 
     At a right-scattered point this is the exact quotient
     ``[u(sigma(t)) (-)gH u(t)] / mu(t)``.  At a right-dense point the
     forward and backward quotients at the sampled spacing must both exist
-    and agree within ``dense_tol * (1 + magnitude)``; the forward quotient
-    is returned.  Returns None when the function is not differentiable in
-    this sense at ``t``.
+    and agree within ``DENSE_AGREEMENT_TOL * (1 + magnitude)``; the forward
+    quotient is returned.  Returns None when the function is not
+    differentiable in this sense at ``t``.
     """
     ts = traj.ts
     i = ts.index_of(t)
@@ -110,7 +109,7 @@ def delta_h_derivative(traj: FuzzyTrajectory, t: float,
         return None
     gap = fuzzy.dist(forward, backward)
     magnitude = max(fuzzy.norm(forward), fuzzy.norm(backward))
-    if gap > dense_tol * (1.0 + magnitude):
+    if gap > DENSE_AGREEMENT_TOL * (1.0 + magnitude):
         return None
     return forward
 

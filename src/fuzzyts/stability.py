@@ -18,9 +18,10 @@ The checker runs three layers and reports all of them:
    itself over initial states with distance to zero drawn uniformly in
    (0, lambda), plus one deterministic probe at the premise boundary
    (distance exactly lambda).  Because close-by interior states follow
-   close-by trajectories, a strict exceedance along the probe is confirmed
-   by re-simulating a shrunken interior copy before it is counted; probe
-   grazes (equality) are never counted.  The per-property outcomes are
+   close-by trajectories, a strict exceedance along the probe is counted
+   only where a shrunken interior copy of the probe, solved in the same
+   batch, also reaches the bound; every other probe exceedance, equality
+   included, is a graze and never counted.  The per-property outcomes are
    decided by this layer: "holds-on-samples" is the strongest positive
    verdict this tool ever states, never proof.
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import comparison as cmp, fuzzy, hybrid
 from .comparison import ScalarHybridSystem, ScalarTrajectory, check_monotonicity_hypothesis
-from .errors import ConfigError, InvalidShapeError, StepFailureError
+from .errors import ConfigError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory
 from .hybrid import HybridFuzzySystem, StepMode
@@ -311,6 +312,12 @@ class Verdict:
 # Hypothesis layer
 # ---------------------------------------------------------------------------
 
+# States drawn by each sampled hypothesis check, and the slack its margins
+# may show before a sample counts as a violation.
+HYPOTHESIS_SAMPLES = 100
+HYPOTHESIS_TOL = 1e-9
+
+
 def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict:
     xs = np.linspace(0.0, xmax, points)
     out = {}
@@ -378,6 +385,8 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
     }
 
 
+# V, g and psi on arrays overflow as silently as on one sample's floats
+@np.errstate(over="ignore", invalid="ignore")
 def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
                         stacks: Sequence[tuple[str, list[int], FuzzyTrajectory]],
                         tol: float) -> dict:
@@ -424,13 +433,18 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
 # Comparison route
 # ---------------------------------------------------------------------------
 
+# Starting values r0 of the comparison grid over [0, a(lambda)).
+COMPARISON_GRID_SIZE = 16
+
+
 def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQuery,
-                      horizon: float, grid_size: int = 16) -> dict:
+                      horizon: float) -> dict:
     a_lam = float(kpair.a(q.lam))
     b_A = float(kpair.b(q.A))
     b_B = float(kpair.b(q.B)) if q.B is not None else None
     t0 = float(comp.ts.points[0])
-    starts = np.linspace(0.0, a_lam, grid_size, endpoint=False) if a_lam > 0 else np.array([0.0])
+    starts = (np.linspace(0.0, a_lam, COMPARISON_GRID_SIZE, endpoint=False) if a_lam > 0
+              else np.array([0.0]))
     stable = True
     quasi = True if (b_B is not None and q.T0 is not None) else None
     approx = False
@@ -484,9 +498,12 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
 
     Sample id -1 is the deterministic boundary probe; nonnegative ids are
     seeded Monte-Carlo draws with premise distance uniform in (0, lambda).
-    Returns (mode, surviving sample ids, stacked trajectory) per mode and
-    the skipped samples: contractive failures are recorded and skipped,
-    not treated as verdicts.
+    A shrunken interior copy of the probe rides along as the batch's last
+    row and is never a sample.  Returns (mode, surviving sample ids, stacked
+    trajectory) per mode, the skipped samples (contractive failures are
+    recorded and skipped, not treated as verdicts) and, per mode, the
+    shrunken copy's distance to zero at every point, or None when its solve
+    failed.
     """
     grid = sys.u0.grid
     n = sys.u0.n
@@ -501,6 +518,10 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         lo, hi = _draw(rng, grid, n, plan.family, target)
         lower.append(lo)
         upper.append(hi)
+    shrunk = fuzzy.scale(1.0 - 1e-9, probe)
+    shrunk_row = len(lower)
+    lower.append(shrunk.lower)
+    upper.append(shrunk.upper)
     batch = FuzzyVector.from_arrays(grid, np.stack(lower), np.stack(upper))
     sample_ids = np.arange(-1, plan.count)
     try:
@@ -514,48 +535,32 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
 
     stacks = []
     skipped = []
+    shrunk_distance = []
     for mode in modes:
         traj = hybrid.solve(system, mode=mode, horizon=horizon)
+        inner = None
+        if traj.failures.pop(shrunk_row, None) is None:  # it reached the horizon: strip its row
+            inner = np.array([fuzzy.norm(v.take(-1)) for v in traj.values])
+            traj = dataclasses.replace(traj, values=[v.take(slice(-1)) for v in traj.values],
+                                       rows=traj.rows[:-1])
         skipped += [{"mode": mode.value, "sample": int(sample_ids[row]), "t": traj.failures[row].t}
                     for row in sorted(traj.failures)]
         stacks.append((mode.value, sample_ids[traj.rows].tolist(), traj))
-    return stacks, skipped
+        shrunk_distance.append(inner)
+    return stacks, skipped, shrunk_distance
 
 
 def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
                   modes: tuple[StepMode, ...]):
     """Monte-Carlo test of the practical-stability definitions."""
-    stacks, skipped = _simulate_direct(sys, q, horizon, modes)
+    stacks, skipped, shrunk_distance = _simulate_direct(sys, q, horizon, modes)
     t0 = float(sys.ts.points[0])
     # property -> (sort key, value, bound, u0) of its earliest exceedance;
     # a Witness is built only for the ones reported
     earliest: dict[str, tuple] = {}
     probe_grazes = []
 
-    # Interior trajectory of the shrunken probe per mode, None when its solve
-    # failed.  Probe and solver are deterministic, so one solve serves every
-    # exceeding instant of that mode.
-    inner_runs: dict[str, FuzzyTrajectory | None] = {}
-
-    def record(prop, t, value, bound, mode, sample_id, u0):
-        key = (t, sample_id, mode, prop)
-        if prop not in earliest or key < earliest[prop][0]:
-            earliest[prop] = (key, value, bound, u0)
-
-    def confirmed_probe_excess(mode: str, t: float, bound: float, u0: FuzzyVector) -> bool:
-        # Count the probe only if a shrunken interior copy also reaches the
-        # bound at the same instant.
-        if mode not in inner_runs:
-            inner = fuzzy.scale(1.0 - 1e-9, u0)
-            try:
-                inner_runs[mode] = hybrid.solve(dataclasses.replace(sys, u0=inner),
-                                                mode=StepMode(mode), horizon=horizon)
-            except StepFailureError:
-                inner_runs[mode] = None
-        traj = inner_runs[mode]
-        return traj is not None and fuzzy.norm(traj.value_at(t)) >= bound
-
-    for mode, sample_ids, stack in stacks:
+    for (mode, sample_ids, stack), inner in zip(stacks, shrunk_distance):
         times = stack.times.tolist()
         distance = np.array([fuzzy.norm(v) for v in stack.values])  # (points, samples)
         everywhere = np.ones(len(times), dtype=bool)
@@ -564,26 +569,22 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         if q.B is not None:
             bounds.append(("quasi_stable", q.B, tail))  # below B from t0 + T0 on
         bounds.append(("asymptotically_stable", q.A, tail))  # below A from t0 + T0 on
-        first = 0
-        if sample_ids[:1] == [-1]:  # boundary probe: strict excess, interior-confirmed
-            first = 1
-            u0 = stack.values[0].take(0)
-            for i, t in enumerate(times):
-                d = float(distance[i, 0])
-                for prop, bound, when in bounds:
-                    if not when[i] or d < bound:
-                        continue
-                    if d > bound and confirmed_probe_excess(mode, t, bound, u0):
-                        record(prop, t, d, bound, mode, -1, u0)
-                    else:
-                        probe_grazes.append({"property": prop, "mode": mode,
-                                             "t": t, "value": d})
-        for prop, bound, when in bounds:
-            hit = (distance[:, first:] >= bound) & when[:, None]
+        probe = sample_ids[:1] == [-1]
+        grazes = np.zeros((len(times), len(bounds)), dtype=bool)  # (points, properties)
+        for p, (prop, bound, when) in enumerate(bounds):
+            hit = (distance >= bound) & when[:, None]
+            if probe:  # a strict excess counts where the shrunken copy also reaches the bound
+                counted = hit[:, 0] & (distance[:, 0] > bound)
+                counted &= (inner >= bound) if inner is not None else False
+                grazes[:, p] = hit[:, 0] & ~counted
+                hit[:, 0] = counted
             if hit.any():  # the earliest point, then the lowest sample id
                 i, j = np.unravel_index(np.argmax(hit), hit.shape)
-                record(prop, times[i], float(distance[i, first + j]), bound, mode,
-                       sample_ids[first + j], stack.values[0].take(first + j))
+                key = (times[i], sample_ids[j], mode, prop)
+                if prop not in earliest or key < earliest[prop][0]:
+                    earliest[prop] = (key, float(distance[i, j]), bound, stack.values[0].take(j))
+        probe_grazes += [{"property": bounds[p][0], "mode": mode, "t": times[i],
+                          "value": float(distance[i, 0])} for i, p in np.argwhere(grazes)]
 
     # no surviving trajectory means nothing was tested, never "holds"
     stable_testable = any(sample_ids for _, sample_ids, _ in stacks)
@@ -618,9 +619,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
                               V: LyapunovFn, kpair: ClassKPair, q: StabilityQuery,
                               horizon: float,
                               modes: Sequence[StepMode] = (StepMode.EXPANSIVE,
-                                                           StepMode.CONTRACTIVE),
-                              hypothesis_samples: int = 100,
-                              tol: float = 1e-9) -> Verdict:
+                                                           StepMode.CONTRACTIVE)) -> Verdict:
     """Full practical-stability check; see the module docstring for the layers."""
     sys.ts.index_of(horizon)
     modes = tuple(modes)
@@ -639,17 +638,17 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     gate = {"a_lambda": a_lam, "b_A": b_A, "passed": a_lam < b_A}
     sandwich = _check_sandwich(V, kpair, sys.ts, grid, n, plan.family,
                                radius=q.A, rng=rng_sandwich,
-                               samples=hypothesis_samples, tol=tol)
+                               samples=HYPOTHESIS_SAMPLES, tol=HYPOTHESIS_TOL)
     lipschitz = _check_lipschitz(V, sys.ts, grid, n, plan.family,
                                  radius=min(q.rho, 2.0 * q.A), rng=rng_lipschitz,
-                                 samples=hypothesis_samples)
+                                 samples=HYPOTHESIS_SAMPLES)
     monotonicity = check_monotonicity_hypothesis(
-        comp, samples=max(hypothesis_samples, 50), seed=plan.seed,
+        comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,
         box=(0.0, max(1.0, 2.0 * b_A)))
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
     outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)
-    cond_ii = _check_condition_ii(V, comp, stacks, tol)
+    cond_ii = _check_condition_ii(V, comp, stacks, HYPOTHESIS_TOL)
 
     hypothesis_report = {
         "class_k": class_k,

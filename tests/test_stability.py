@@ -469,7 +469,7 @@ def test_condition_ii_calls_g_once_per_point_per_mode(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_stability_check_solves_each_mode_at_most_twice(monkeypatch):
+def test_stability_check_solves_each_mode_once(monkeypatch):
     calls = []
     real_solve = hybrid.solve
 
@@ -484,7 +484,7 @@ def test_stability_check_solves_each_mode_at_most_twice(monkeypatch):
     verdict = check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
     assert verdict.properties["practically_stable"]["witness"]["sample"] == -1
     assert verdict.metadata["skipped_step_failures"]  # contractive samples failed
-    assert len(calls) <= 2 * 2  # per mode: the stack and the shrunken probe
+    assert len(calls) == 2  # per mode one stack, the shrunken probe included
 
 
 def test_witnesses_are_built_only_for_reported_properties(monkeypatch):
@@ -568,6 +568,143 @@ def test_component_indexing_rhs_gives_the_verdict_of_one_solve_per_sample(monkey
     assert stacked == verdict(indexing) == verdict(b.system)
 
 
+def direct_route_with_probe_resolve(sys, q, horizon, modes):
+    """Reference for ``_direct_route``: the samples solved without the shrunken
+    probe and walked point by point, and a strict probe excess confirmed by
+    solving the shrunken probe on its own, at most once per mode."""
+    grid, n, plan = sys.u0.grid, sys.u0.n, q.sampling
+    states = [boundary_probe(grid, n, plan.family, q.lam)]
+    for i in range(plan.count):
+        rng = np.random.default_rng([plan.seed, i])
+        target = float(rng.uniform(0.0, q.lam))
+        while target <= 0.0:
+            target = float(rng.uniform(0.0, q.lam))
+        states.append(sample_initial_state(rng, grid, n, plan.family, target))
+    system = dataclasses.replace(sys, u0=f.FuzzyVector.stack(states))
+    t0 = float(sys.ts.points[0])
+    bounds = [("practically_stable", q.A, lambda t: True)]
+    if q.B is not None:
+        bounds.append(("quasi_stable", q.B, lambda t: q.T0 is not None and t >= t0 + q.T0))
+    bounds.append(("asymptotically_stable", q.A, lambda t: q.T0 is not None and t >= t0 + q.T0))
+    earliest, stacks, skipped, grazes, inner_runs = {}, [], [], [], {}
+
+    def record(prop, t, value, bound, mode, sample_id, u0):
+        key = (t, sample_id, mode, prop)
+        if prop not in earliest or key < earliest[prop][0]:
+            earliest[prop] = (key, value, bound, u0)
+
+    def confirmed(mode, t, bound, u0):
+        if mode not in inner_runs:
+            try:
+                inner_runs[mode] = solve(dataclasses.replace(sys, u0=f.scale(1.0 - 1e-9, u0)),
+                                         mode, horizon)
+            except StepFailureError:
+                inner_runs[mode] = None
+        return inner_runs[mode] is not None and f.norm(inner_runs[mode].value_at(t)) >= bound
+
+    for mode in modes:
+        stack = solve(system, mode, horizon)
+        skipped += [{"mode": mode.value, "sample": row - 1, "t": stack.failures[row].t}
+                    for row in sorted(stack.failures)]
+        sample_ids = [row - 1 for row in stack.rows.tolist()]
+        stacks.append((mode.value, sample_ids, stack))
+        for j, sample_id in enumerate(sample_ids):
+            u0 = stack.values[0].take(j)
+            for t, state in zip(stack.times.tolist(), stack.values):
+                d = f.norm(state.take(j))
+                for prop, bound, when in bounds:
+                    if not when(t) or d < bound:
+                        continue
+                    if sample_id >= 0 or (d > bound and confirmed(mode, t, bound, u0)):
+                        record(prop, t, d, bound, mode.value, sample_id, u0)
+                    else:
+                        grazes.append({"property": prop, "mode": mode.value, "t": t, "value": d})
+
+    stable_testable = any(ids for _, ids, _ in stacks)
+    quasi_testable = stable_testable and q.B is not None and q.T0 is not None
+
+    def outcome(testable, *props):
+        found = [earliest[p] for p in props if p in earliest]
+        if not testable:
+            return {"status": NOT_TESTED, "witness": None}
+        if not found:
+            return {"status": HOLDS, "witness": None}
+        (t, sample_id, mode, prop), value, bound, u0 = min(found, key=lambda e: e[0])
+        witness = stability.Witness(prop, t, value, bound, mode, sample_id, u0)
+        return {"status": VIOLATED, "witness": witness.to_dict()}
+
+    outcomes = {
+        "practically_stable": outcome(stable_testable, "practically_stable"),
+        "quasi_stable": outcome(quasi_testable, "quasi_stable"),
+        "strongly_stable": outcome(quasi_testable, "practically_stable", "quasi_stable"),
+        "asymptotically_stable": outcome(stable_testable, "practically_stable",
+                                         "asymptotically_stable"),
+    }
+    return outcomes, stacks, skipped, grazes
+
+
+def _widening_system(rhs, horizon):
+    ts = f.integer(int(horizon))
+    return f.HybridFuzzySystem(ts, (0.0,), rhs, (lambda t, u: f.zero_vector(u.grid, u.n),),
+                               100.0, f.vector(f.crisp(0.1, GRID)))
+
+
+def _wide(t, u, lam):
+    return f.vector(tri(-1, 0, 1))
+
+
+def _widen_inside_lambda(t, u, lam):
+    component = u[0]  # a stack has no components: the solver calls this per sample
+    if f.norm(component) < 1.0:
+        return f.vector(tri(-1, 0, 1))  # no contractive step exists
+    return f.vector(f.scale(0.5, component))
+
+
+def _probe_witness(prop, mode):
+    return lambda got: (got["properties"][prop]["witness"]["sample"] == -1
+                        and got["properties"][prop]["witness"]["mode"] == mode)
+
+
+@pytest.mark.parametrize("system, q, horizon, shows", [
+    (catalog.make_example_3_9(GRID, 10.0).system,
+     StabilityQuery(lam=1.0, A=2.0, B=1.5, T0=4.0, rho=100.0,
+                    sampling=SamplingPlan(count=12, seed=13, family="triangular")), 10.0,
+     _probe_witness("practically_stable", "expansive")),
+    (catalog.make_crisp_contraction(GRID, 8.0).system, crisp_query(), 8.0,
+     lambda got: {"property": "practically_stable", "mode": "expansive", "t": 0.0,
+                  "value": 1.0} in got["probe_grazes"]),
+    (_widening_system(_wide, 6.0),
+     StabilityQuery(lam=0.5, A=1.0, rho=100.0, sampling=SamplingPlan(10, 1, "crisp")), 6.0,
+     lambda got: (got["sample_ids"] == [list(range(-1, 10)), []]
+                  and {"mode": "contractive", "sample": -1, "t": 0.0}
+                  in got["skipped_step_failures"])),
+    (catalog.make_crisp_contraction(GRID, 10.0).system, crisp_query(B=0.01, T0=1.0), 10.0,
+     _probe_witness("quasi_stable", "contractive")),
+    # the probe survives both modes, its shrunken copy only the expansive one
+    (_widening_system(_widen_inside_lambda, 4.0),
+     StabilityQuery(lam=1.0, A=1.2, rho=100.0, sampling=SamplingPlan(6, 2, "crisp")), 4.0,
+     lambda got: (got["sample_ids"] == [list(range(-1, 6)), [-1]]
+                  and len(got["skipped_step_failures"]) == 6
+                  and got["properties"]["practically_stable"]["witness"]["mode"] == "expansive"
+                  and [g["t"] for g in got["probe_grazes"]] == [1.0, 2.0, 3.0, 4.0]
+                  and all(g["mode"] == "contractive" and g["value"] > 1.2
+                          for g in got["probe_grazes"]))),
+], ids=["probe-confirmed", "graze-lambda-equals-A", "probe-fails-contractive", "crisp-family",
+        "shrunken-copy-fails"])
+def test_direct_route_equals_the_probe_walk_with_its_own_shrunken_solve(system, q, horizon,
+                                                                         shows):
+    routes = [stability._direct_route(system, q, horizon, tuple(StepMode)),
+              direct_route_with_probe_resolve(system, q, horizon, tuple(StepMode))]
+    got, reference = [{"properties": outcomes,
+                       "sample_ids": [ids for _, ids, _ in stacks],
+                       "trajectories": sum(len(ids) for _, ids, _ in stacks),
+                       "skipped_step_failures": skipped,
+                       "probe_grazes": grazes} for outcomes, stacks, skipped, grazes in routes]
+    assert shows(got)
+    assert got == reference
+    assert json.dumps(got) == json.dumps(reference)
+
+
 def test_direct_route_reports_the_first_initial_state_outside_the_ball():
     b = catalog.make_example_3_9(GRID, 10.0)
     sys = dataclasses.replace(b.system, u0=f.vector(tri(-0.1, 0, 0.1)), rho=0.75)
@@ -610,7 +747,7 @@ def dsl_stacks(config):
                     Path("out"), int(parser.get("output", "alpha_levels", fallback="11")), None)
     bundle, horizon, _ = build_bundle(cfg)
     q = build_query(cfg, bundle.system.rho)
-    stacks, _ = stability._simulate_direct(bundle.system, q, horizon, tuple(StepMode))
+    stacks, _, _ = stability._simulate_direct(bundle.system, q, horizon, tuple(StepMode))
     return bundle, stacks
 
 
@@ -626,7 +763,7 @@ def test_condition_ii_on_stacks_with_failed_contractive_samples():
     b = catalog.make_example_3_9(GRID, 6.0)
     q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
                        sampling=SamplingPlan(count=12, seed=3, family="triangular"))
-    stacks, skipped = stability._simulate_direct(b.system, q, 6.0, tuple(StepMode))
+    stacks, skipped, _ = stability._simulate_direct(b.system, q, 6.0, tuple(StepMode))
     assert [ids for _, ids, _ in stacks] == [list(range(-1, 12)), [-1]] and len(skipped) == 12
     # a V with one value for every sample is broadcast over the stack
     for V in (b.lyapunov, LyapunovFn(lambda t, u: 1.0)):
@@ -642,6 +779,17 @@ def test_condition_ii_on_stacks_of_a_dsl_system(config):
     report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
                                                           stacks)
     assert report["checked_steps"] > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_condition_ii_overflows_as_silently_as_the_float_path():
+    # the states grow past 1e8, so V = d * 1e300 overflows to inf
+    config = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace(
+        "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)")
+    bundle, stacks = dsl_stacks(config)
+    report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
+                                                          stacks)
+    assert report["worst_margin"] == -math.inf
 
 
 def test_condition_ii_on_a_stack_whose_samples_all_failed():
