@@ -643,7 +643,7 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
     return outcomes, stacks, skipped, grazes
 
 
-def _widening_system(rhs, horizon):
+def _integer_system(rhs, horizon):
     ts = f.integer(int(horizon))
     return f.HybridFuzzySystem(ts, (0.0,), rhs, (lambda t, u: f.zero_vector(u.grid, u.n),),
                                100.0, f.vector(f.crisp(0.1, GRID)))
@@ -651,6 +651,19 @@ def _widening_system(rhs, horizon):
 
 def _wide(t, u, lam):
     return f.vector(tri(-1, 0, 1))
+
+
+def _zero_then_constant(t, u, lam):
+    # every state is crisp 0 at t=1 and crisp 1.5 at t=2, the probe's shrunken copy too
+    return f.scale(-1.0, u) if t == 0.0 else f.vector(f.crisp(1.5, GRID))
+
+
+def _grow_half(t, u, lam):
+    return f.scale(0.5, u)
+
+
+_SHRUNK = 1.0 - 1e-9
+_SHRUNK_AT_1 = _SHRUNK + 0.5 * _SHRUNK  # the shrunken crisp probe's distance at t=1
 
 
 def _widen_inside_lambda(t, u, lam):
@@ -673,24 +686,40 @@ def _probe_witness(prop, mode):
     (catalog.make_crisp_contraction(GRID, 8.0).system, crisp_query(), 8.0,
      lambda got: {"property": "practically_stable", "mode": "expansive", "t": 0.0,
                   "value": 1.0} in got["probe_grazes"]),
-    (_widening_system(_wide, 6.0),
+    (_integer_system(_wide, 6.0),
      StabilityQuery(lam=0.5, A=1.0, rho=100.0, sampling=SamplingPlan(10, 1, "crisp")), 6.0,
      lambda got: (got["sample_ids"] == [list(range(-1, 10)), []]
                   and {"mode": "contractive", "sample": -1, "t": 0.0}
                   in got["skipped_step_failures"])),
     (catalog.make_crisp_contraction(GRID, 10.0).system, crisp_query(B=0.01, T0=1.0), 10.0,
      _probe_witness("quasi_stable", "contractive")),
-    # the probe survives both modes, its shrunken copy only the expansive one
-    (_widening_system(_widen_inside_lambda, 4.0),
-     StabilityQuery(lam=1.0, A=1.2, rho=100.0, sampling=SamplingPlan(6, 2, "crisp")), 4.0,
+    # the probe survives both modes, its shrunken copy only the expansive one;
+    # from T0 on, three properties graze at each point
+    (_integer_system(_widen_inside_lambda, 4.0),
+     StabilityQuery(lam=1.0, A=1.2, B=1.2, T0=3.0, rho=100.0,
+                    sampling=SamplingPlan(6, 2, "crisp")), 4.0,
      lambda got: (got["sample_ids"] == [list(range(-1, 6)), [-1]]
                   and len(got["skipped_step_failures"]) == 6
                   and got["properties"]["practically_stable"]["witness"]["mode"] == "expansive"
-                  and [g["t"] for g in got["probe_grazes"]] == [1.0, 2.0, 3.0, 4.0]
+                  and [(g["t"], g["property"][0]) for g in got["probe_grazes"]] == [
+                      (1.0, "p"), (2.0, "p"), (3.0, "p"), (3.0, "q"), (3.0, "a"),
+                      (4.0, "p"), (4.0, "q"), (4.0, "a")]
                   and all(g["mode"] == "contractive" and g["value"] > 1.2
                           for g in got["probe_grazes"]))),
+    # the probe equals the bound where its shrunken copy reaches it: a graze
+    (_integer_system(_zero_then_constant, 2.0),
+     StabilityQuery(lam=1.0, A=1.5, rho=100.0, sampling=SamplingPlan(4, 3, "crisp")), 2.0,
+     lambda got: ({"property": "practically_stable", "mode": "expansive", "t": 2.0,
+                   "value": 1.5} in got["probe_grazes"]
+                  and got["properties"]["practically_stable"]["witness"]["sample"] == 0)),
+    # the probe exceeds the bound where its shrunken copy equals it: counted
+    (_integer_system(_grow_half, 3.0),
+     StabilityQuery(lam=1.0, A=_SHRUNK_AT_1, rho=100.0, sampling=SamplingPlan(4, 3, "crisp")),
+     3.0,
+     lambda got: (got["properties"]["practically_stable"]["witness"]["t"] == 1.0
+                  and got["properties"]["practically_stable"]["witness"]["sample"] == -1)),
 ], ids=["probe-confirmed", "graze-lambda-equals-A", "probe-fails-contractive", "crisp-family",
-        "shrunken-copy-fails"])
+        "shrunken-copy-fails", "probe-equals-bound", "shrunken-copy-equals-bound"])
 def test_direct_route_equals_the_probe_walk_with_its_own_shrunken_solve(system, q, horizon,
                                                                          shows):
     routes = [stability._direct_route(system, q, horizon, tuple(StepMode)),
