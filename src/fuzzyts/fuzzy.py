@@ -321,7 +321,7 @@ def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     difference does not exist and construction raises InvalidShapeError.
     """
     _require_compatible(u, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check reports an overflow
+    with np.errstate(over="ignore"):  # _check reports an overflow
         return _cuts(u.grid, u.lower - v.lower, u.upper - v.upper)
 
 

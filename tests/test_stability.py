@@ -662,11 +662,11 @@ def _grow_half(t, u, lam):
     return f.scale(0.5, u)
 
 
-_SHRUNK = 1.0 - 1e-9
-_SHRUNK_AT_1 = _SHRUNK + 0.5 * _SHRUNK  # the shrunken crisp probe's distance at t=1
+# the distance of the shrunken crisp probe of _grow_half at t=1
+_SHRUNK_AT_1 = (1.0 - 1e-9) + 0.5 * (1.0 - 1e-9)
 
 
-def _widen_inside_lambda(t, u, lam):
+def _widen_inside_lambda(t, u, lam):  # for lambda = 1
     component = u[0]  # a stack has no components: the solver calls this per sample
     if f.norm(component) < 1.0:
         return f.vector(tri(-1, 0, 1))  # no contractive step exists
