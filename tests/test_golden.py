@@ -126,6 +126,17 @@ mode = expansive
 alpha_levels = 5
 """
 
+# Catalog compare run from a triangle whose core carries rounding slack (its
+# lower endpoint is above its upper one by 5.6e-17): every kernel result is
+# checked in full.  With horizon 20 the grown slack passes ATOL in the step
+# from t=19 and the run fails.
+CATALOG_COMPARE_SLACK = """
+[system]
+name = example_3_9
+horizon = 19
+u0 = tri(-0.3,0.1,0.9)
+"""
+
 CASES = {
     "catalog-stability": ("stability", CATALOG_STABILITY, 1, {
         "verdict.json": "365fa06dd67cca0d88434b5c0503348d53fa35ed356e51c849b40e942420deb2",
@@ -152,6 +163,11 @@ CASES = {
         "trajectory.csv": "24da126164e5e739decdc1169433eb0dd0c9320040f0c295a27c9c039388047c",
         "scalar.csv": "094eb2e70f4c01124b80a04f269d2aa3e9f1b07e2869cda466e7024b0954ae48",
         "comparison.csv": "2b003e3dabaaba89bf2256f97e636851eed76005722834d68bd858bfc36869d5",
+    }),
+    "catalog-compare-slack": ("compare", CATALOG_COMPARE_SLACK, 0, {
+        "trajectory.csv": "dcd0548d157351fc549f3feff38bd41e4fbbbf20c22d7f2dd68a829445248252",
+        "scalar.csv": "fba120810d7c9437ad5dc994c5ca572d04b4557a273942229b032653da243910",
+        "comparison.csv": "5bce87c3da8792e941ccd761d53385e209a342bec26dfa04f7a0c36690ced4f2",
     }),
 }
 
