@@ -7,9 +7,14 @@ scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored.
 Validity (nonempty, nested, finite cuts) is checked by one routine on
 every state made, outside data and kernel results alike; kernels wrap
-their fresh result arrays without a copy.  ``add`` and ``scale`` are no
-exception: fuzzy numbers are closed under both, but a valid state may
-carry slack within ``ATOL`` (a trapezoid's core may), which they enlarge.
+their fresh result arrays without a copy.  The routine also tells whether
+the cuts are ordered and nested exactly, with no slack within ``ATOL``
+(a trapezoid's rounded core may carry some), and each state keeps that as
+its private ``_exact``.  Fuzzy numbers are closed under ``add`` and
+``scale`` and rounding is monotone, so on exact operands those two can
+only fail by overflow: they test finiteness only, and their result is
+exact.  On operands with slack, which they may enlarge past ``ATOL``, and
+in the Hukuhara differences, the result gets the full check.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -35,8 +40,10 @@ from .errors import (
     InvalidShapeError,
 )
 
-# Absolute tolerance for all endpoint comparisons.  Magnitudes in intended
-# use are O(1)-O(1e3), so this is far below arithmetic noise floor concerns.
+# Absolute tolerance of the ordering and nesting checks: the slack a state
+# may carry, such as the rounding of a trapezoid's core.  It does not scale
+# with the endpoints, so slack that a run carries at a fixed relative size
+# passes it once the state is large enough (example_3_9 reaches 2.6e6).
 ATOL = 1e-12
 
 
@@ -80,19 +87,31 @@ class AlphaGrid:
         return f"AlphaGrid(m={self.m})"
 
 
-def _check(lower: np.ndarray, upper: np.ndarray) -> None:
-    """The finite, nonempty and nested checks on endpoint arrays.  Ndarray
-    methods and slice differences (what np.diff computes) keep them cheap
-    enough to run on every kernel result.  Every caller runs it with
-    overflow ignored: a nesting difference of two finite endpoints may pass
-    the largest float, and as an infinity it compares the same way."""
+def _require_finite(lower: np.ndarray, upper: np.ndarray) -> None:
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidShapeError("endpoints must be finite")
+
+
+def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """The finite, nonempty and nested checks on endpoint arrays; True when
+    the cuts are ordered and nested exactly, False when they pass only
+    within ``ATOL``.  Ndarray methods and slice differences (what np.diff
+    computes) keep them cheap enough to run on every kernel result.  Every
+    caller runs it with overflow ignored: a nesting difference of two
+    finite endpoints may pass the largest float, and as an infinity it
+    compares the same way."""
+    _require_finite(lower, upper)
+    dlo = lower[..., 1:] - lower[..., :-1]
+    dup = upper[..., 1:] - upper[..., :-1]
+    if not ((lower > upper).any() or (dlo < 0).any() or (dup > 0).any()):
+        return True
+    nested = not ((dlo < -ATOL).any() or (dup > ATOL).any())
+    del dlo, dup  # a raised error's traceback, kept by a failed solve, holds this frame
     if (lower > upper + ATOL).any():
         raise InvalidShapeError("lower endpoint exceeds upper endpoint")
-    if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
-            or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
+    if not nested:
         raise InvalidShapeError("alpha cuts are not nested")
+    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +125,8 @@ class _Cuts:
       * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
         (cuts are nested).
+    ``_exact`` (not a field) tells whether they hold with no slack within
+    ``ATOL``.
     """
 
     grid: AlphaGrid
@@ -121,20 +142,24 @@ class _Cuts:
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
         with np.errstate(over="ignore"):  # see _check
-            _check(lower, upper)
+            exact = _check(lower, upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_exact", exact)
 
     @classmethod
-    def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
+    def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray,
+              exact: bool = False):
         """A state on endpoint arrays that passed the checks (pieces of
-        checked ones, or a checked kernel result), set read-only."""
+        checked ones, or a checked kernel result), set read-only; ``exact``
+        when they passed with no slack."""
         lower.setflags(write=False)
         upper.setflags(write=False)
         obj = cls.__new__(cls)
         object.__setattr__(obj, "grid", grid)
         object.__setattr__(obj, "lower", lower)
         object.__setattr__(obj, "upper", upper)
+        object.__setattr__(obj, "_exact", exact)
         return obj
 
     @property
@@ -221,7 +246,8 @@ class FuzzyVector(_Cuts):
             if not first.grid.matches(s.grid):
                 raise GridMismatchError("stacked states live on different grids")
         return cls._view(first.grid, _frozen_array([s.lower for s in states]),
-                         _frozen_array([s.upper for s in states]))
+                         _frozen_array([s.upper for s in states]),
+                         all(s._exact for s in states))
 
     @property
     def n(self) -> int:
@@ -230,7 +256,7 @@ class FuzzyVector(_Cuts):
     def take(self, rows) -> "FuzzyVector":
         """The sample at one row as a single state, or the sub-stack of a
         sequence of rows, in that order."""
-        return self._view(self.grid, self.lower[rows], self.upper[rows])
+        return self._view(self.grid, self.lower[rows], self.upper[rows], self._exact)
 
     def unstack(self) -> list["FuzzyVector"]:
         """The samples of a stack as single states."""
@@ -253,12 +279,17 @@ class FuzzyVector(_Cuts):
         return f"FuzzyVector(n={self.n})"
 
 
-def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
+def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray,
+          closed: bool = False) -> FuzzyNumber | FuzzyVector:
     """The number or vector that a kernel's fresh endpoint arrays make,
     checked and wrapped without a copy.  Their shape needs no check: it
-    comes from checked, compatible operands."""
-    _check(lower, upper)
-    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper)
+    comes from checked, compatible operands.  ``closed`` arrays are an
+    ``add`` or ``scale`` of exact operands, ordered and nested exactly by
+    construction, so only their finiteness is tested."""
+    if closed:
+        _require_finite(lower, upper)
+    exact = closed or _check(lower, upper)
+    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper, exact)
 
 
 def _require_compatible(u: _Cuts, v: _Cuts) -> None:
@@ -303,15 +334,15 @@ def zero(grid: AlphaGrid) -> FuzzyNumber:
 def add(u: _Cuts, v: _Cuts) -> _Cuts:
     """Level-wise interval sum (Minkowski sum of the cuts)."""
     _require_compatible(u, v)
-    with np.errstate(over="ignore"):  # _check reports an overflow
-        return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper)
+    with np.errstate(over="ignore"):  # _cuts reports an overflow
+        return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper, u._exact and v._exact)
 
 
 def scale(k: float, u: _Cuts) -> _Cuts:
     """Level-wise scalar multiple; endpoints swap when k < 0."""
     lower, upper = (u.lower, u.upper) if k >= 0 else (u.upper, u.lower)
-    with np.errstate(over="ignore"):  # _check reports an overflow
-        return _cuts(u.grid, k * lower, k * upper)
+    with np.errstate(over="ignore", invalid="ignore"):  # _cuts reports inf and nan
+        return _cuts(u.grid, k * lower, k * upper, u._exact)
 
 
 def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:

@@ -254,42 +254,80 @@ def states(draw, shapes=((), (3,), (2, 3))):
     return _construct(lower, upper), exact
 
 
-def _as_constructed(kernel, lower, upper):
+def _as_constructed(kernel, lower, upper, exact_operands):
     """``kernel()`` gives the state with these endpoints when the
     constructor accepts them and raises what the constructor raises
-    otherwise; returns that message, or None."""
+    otherwise; returns that message, or None.  On exact operands it can
+    only fail by overflow, and its result is exact; any result's ``_exact``
+    is what the full check says of it."""
     try:
         want = _construct(lower, upper)
     except InvalidShapeError as rejection:
         with pytest.raises(InvalidShapeError, match=f"^{rejection}$"):
             kernel()
+        assert not exact_operands or str(rejection) == "endpoints must be finite"
         return str(rejection)
     got = kernel()
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
     assert not got.lower.flags.writeable and not got.upper.flags.writeable
+    with np.errstate(over="ignore"):
+        assert got._exact is fuzzy._check(got.lower, got.upper) is want._exact
+    assert got._exact or not exact_operands
     return None
+
+
+def _scaled(k, u):
+    """The endpoints of ``k * u``, computed directly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (k * u.lower, k * u.upper) if k >= 0 else (k * u.upper, k * u.lower)
 
 
 @given(st.data(), st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nestedness_closure(data, k):
-    """``add`` and ``scale`` results are checked as the constructor checks
-    them.  Exactly ordered and nested operands give a valid state unless it
-    overflows; slack within ATOL may grow past it, and is then rejected."""
+    """``add`` and ``scale`` results are what the constructor makes of
+    their endpoints.  Exactly ordered and nested operands give an exact
+    state unless it overflows, and only its finiteness is tested; slack
+    within ATOL may grow past it, and is then rejected by the full check."""
     u, u_exact = data.draw(states())
     v, v_exact = data.draw(states(((), u.lower.shape[:-1])))
+    assert (u._exact or not u_exact) and (v._exact or not v_exact)
     with np.errstate(over="ignore"):
         added = u.lower + v.lower, u.upper + v.upper
-        scaled = (k * u.lower, k * u.upper) if k >= 0 else (k * u.upper, k * u.lower)
-    rejections = {_as_constructed(lambda: f.add(u, v), *added),
-                  _as_constructed(lambda: f.add(v, u), *added)}
-    if u_exact and v_exact:
-        assert rejections <= {None, "endpoints must be finite"}
-    rejection = _as_constructed(lambda: f.scale(k, u), *scaled)
-    if u_exact:
-        assert rejection in (None, "endpoints must be finite")
+    both = u._exact and v._exact
+    _as_constructed(lambda: f.add(u, v), *added, both)
+    _as_constructed(lambda: f.add(v, u), *added, both)
+    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u), u._exact)
+
+
+_SLACK = f.make_triangle(-0.3, 0.1, 0.9, GRID)  # its core's lower endpoint is 5.6e-17 above
+
+
+@pytest.mark.parametrize("k", [0.0, -0.0, np.inf, -np.inf, np.nan],
+                         ids=["zero", "negative-zero", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("u", [f.vector(tri(-1, 0, 2), f.zero(GRID)), f.vector(_SLACK)],
+                         ids=["exact", "slack"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scale_by_zero_or_non_finite_is_what_the_constructor_makes(u, k):
+    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u), u._exact)
+
+
+def test_exactness_is_tracked_per_state():
+    exact, slack = f.vector(tri(-1, 0, 1)), f.vector(_SLACK)
+    assert exact._exact and not _SLACK._exact and not slack._exact
+    assert f.FuzzyVector.stack([exact, exact])._exact
+    mixed = f.FuzzyVector.stack([exact, slack, exact])
+    assert not mixed._exact
+    assert not mixed.take(0)._exact and not mixed.take([0, 2])._exact
+    assert [s._exact for s in f.FuzzyVector.stack([exact] * 3).unstack()] == [True] * 3
+    assert f.FuzzyVector.from_arrays(GRID, exact.lower, exact.upper)._exact
+    assert not f.FuzzyVector.from_arrays(GRID, slack.lower, slack.upper)._exact
+    assert not f.FuzzyVector._view(GRID, exact.lower.copy(), exact.upper.copy())._exact
+    # the full check may find a sum with a slack operand exact
+    wide_core = f.vector(f.make_trapezoid(-2, -1, 1, 2, GRID))
+    assert f.add(slack, wide_core)._exact and not f.add(slack, exact)._exact
 
 
 @pytest.mark.parametrize("kernel", [
@@ -368,9 +406,10 @@ def test_boundary_keeps_every_check(route, case, tmp_path):
 def test_kernels_reject_slack_once_enlarged_past_atol(lower, upper, message):
     """An operand may carry slack within ATOL: a gH difference's cuts may,
     and so may a trapezoid's core (``a + (b - a)`` can round above
-    ``d - (d - c)``).  ``add`` and ``scale`` check their results in full:
-    a result whose slack stays within ATOL is returned, and one whose
-    slack an enlarging multiple or sum takes past it is rejected at once."""
+    ``d - (d - c)``).  On such operands ``add`` and ``scale`` check their
+    results in full: a result whose slack stays within ATOL is returned,
+    and one whose slack an enlarging multiple or sum takes past it is
+    rejected at once."""
     w = f.FuzzyNumber(GRID, lower, upper)
     assert _bits(f.scale(-2.0, w)) == ((-2.0 * upper).tobytes(), (-2.0 * lower).tobytes())
     with pytest.raises(InvalidShapeError, match=f"^{message}$"):

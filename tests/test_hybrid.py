@@ -322,3 +322,39 @@ def test_stacked_initial_states_must_each_lie_in_the_ball():
     with pytest.raises(InvalidShapeError, match="validity ball"):
         HybridFuzzySystem(f.integer(4), (0.0,), lambda t, u, lam: u, (zero_map,), rho=0.5,
                           u0=f.FuzzyVector.stack([inside, outside]))
+
+
+# ---------------------------------------------------------------------------
+# cost: exact states skip the full check in add and scale
+# ---------------------------------------------------------------------------
+
+def full_checks_per_step(monkeypatch, sys, mode, horizons=(1.0, 4.0)):
+    """Full endpoint checks per solver step, taken between two horizons on
+    the first segment so that switch maps add nothing."""
+    calls = []
+    check = f.fuzzy._check
+    monkeypatch.setattr(f.fuzzy, "_check", lambda lo, up: calls.append(1) or check(lo, up))
+    counts = []
+    for horizon in horizons:
+        calls.clear()
+        solve(sys, mode, horizon)
+        counts.append(len(calls))
+    return (counts[1] - counts[0]) / (horizons[1] - horizons[0])
+
+
+def test_expansive_steps_of_an_exact_state_make_no_full_check(monkeypatch):
+    sections = {
+        "timescale": {"scale": "integer(20)"},
+        "system": {"rhs": "smul(-0.5, u) fadd smul(0.25, lam)",
+                   "lambda_0": "trap(-0.5,-0.2,0.2,0.5)", "lambda_k": "u_k",
+                   "switch_times": "0 10", "u0": "tri(-1,0,1) | trap(-2,-1,0,1)"},
+    }
+    sys = build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 20.0, 100.0).system
+    assert sys.u0._exact
+    assert full_checks_per_step(monkeypatch, sys, StepMode.EXPANSIVE) == 0
+
+
+def test_contractive_steps_make_one_full_check(monkeypatch):
+    sys = catalog.make_example_3_9(GRID, 12.0).system
+    assert sys.u0._exact
+    assert full_checks_per_step(monkeypatch, sys, StepMode.CONTRACTIVE) == 1  # h_difference
