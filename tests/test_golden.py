@@ -70,6 +70,17 @@ DSL_DENSE_STABILITY = DSL_STABILITY.replace(
 ).replace("switch_times = 0 1.5", "switch_times = 0 5e-6").replace(
     "horizon = 2.4", "horizon = 9e-6").replace("samples = 6", "samples = 4")
 
+# DSL run whose comparison data use every scalar builtin: the comparison
+# grid grows past b(A) from its upper starts, each at its own instant, and
+# fails the tail bound.
+DSL_BUILTINS_STABILITY = DSL_STABILITY.replace(
+    "g = (-r + v)/(1 + mu(t))\npsi = v",
+    "g = (pow(r, 2) - r + max(min(v, r), 0) * eta(t)) / (sigma(t) - t + 1 + mu(t))\n"
+    "psi = min(abs(v), 1 + pow(v, 2))").replace(
+    "V = d", "V = max(d, pow(d, 2))").replace(
+    "a = x\nb = x", "a = max(x, pow(x, 2))\nb = min(x, pow(x, 2)) / 2").replace(
+    "A = 2", "A = 3\nB = 0.5\nT0 = 1")
+
 # Catalog run with a tail bound: quasi and strong stability are tested, and
 # the strong witness is the earlier (stable) one of its two parts.
 CATALOG_QUASI_STABILITY = """
@@ -149,6 +160,9 @@ CASES = {
     }),
     "dsl-dense-stability": ("stability", DSL_DENSE_STABILITY, 0, {
         "verdict.json": "ed2a90fe9e3a882b71a92b2584b8a0f7a4006f91dbb2a7a2d4bd7ddba29111d6",
+    }),
+    "dsl-builtins-stability": ("stability", DSL_BUILTINS_STABILITY, 1, {
+        "verdict.json": "ad135654a54ceaa1df3ef5c77c50f96217b7d9a6fa2cfb73d1a29c87753a2d18",
     }),
     "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
         "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",
