@@ -367,15 +367,19 @@ def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     raised.  No repair or projection is attempted.
     """
     _require_compatible(u, v)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check reports an overflow
-        dlo = u.lower - v.lower
-        dhi = u.upper - v.upper
-        lower = np.minimum(dlo, dhi)
-        upper = np.maximum(dlo, dhi)
-        if ((lower[..., 1:] - lower[..., :-1] < -ATOL).any()
-                or (upper[..., 1:] - upper[..., :-1] > ATOL).any()):
-            raise GHDifferenceError("gH difference does not exist: cuts are not nested")
-        return _cuts(u.grid, lower, upper)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test reports them
+        dlo, dhi = u.lower - v.lower, u.upper - v.upper
+        lower, upper = np.minimum(dlo, dhi), np.maximum(dlo, dhi)
+        # the level differences, taken once for the nesting and exactness tests
+        down, up = lower[..., 1:] - lower[..., :-1], upper[..., 1:] - upper[..., :-1]
+    nested = not ((down < -ATOL).any() or (up > ATOL).any())
+    exact = not ((down < 0).any() or (up > 0).any())
+    del dlo, dhi, down, up  # a raised error's traceback, kept by a failed solve, holds this frame
+    if not nested:
+        raise GHDifferenceError("gH difference does not exist: cuts are not nested")
+    # lower <= upper by construction, so of _check only the finiteness test is left
+    _require_finite(lower, upper)
+    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(u.grid, lower, upper, exact)
 
 
 def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:
