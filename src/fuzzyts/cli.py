@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__, catalog, comparison as cmp, dsl, fuzzy, hybrid, io, timescale as tsmod
 from .comparison import ScalarHybridSystem
-from .dsl import Env, EvalError, ParseError
+from .dsl import EvalError, ParseError
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -170,7 +170,7 @@ def parse_u0(src: str, grid: AlphaGrid) -> FuzzyVector:
     comps = []
     for part in src.split("|"):
         expr = dsl.parse_fuzzy(part, variables=set(), scalar_variables=set())
-        comps.append(dsl.eval_fuzzy(expr, Env(grid=grid)))
+        comps.append(dsl.compile_expr(expr, grid=grid)())
     return FuzzyVector(tuple(comps))
 
 
@@ -221,51 +221,47 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     switch_src = _get(cfg, "system", "switch_times", str(float(ts.points[0])))
     switch_times = tuple(float(x) for x in switch_src.split())
 
-    rhs_expr = dsl.parse_fuzzy(_require(cfg, "system", "rhs"),
-                               variables={"u", "lam"}, scalar_variables={"t"})
-    lam0_expr = dsl.parse_fuzzy(_get(cfg, "system", "lambda_0", "crisp(0)"),
-                                variables={"u_k"}, scalar_variables={"t"})
-    lamk_expr = dsl.parse_fuzzy(_get(cfg, "system", "lambda_k", "u_k"),
-                                variables={"u_k"}, scalar_variables={"t"})
+    # Each expression is parsed and compiled once, into a function of its
+    # variables' values in the order listed.
+    def fuzzy_fn(src: str, variables: tuple[str, ...]):
+        expr = dsl.parse_fuzzy(src, variables=set(variables), scalar_variables={"t"})
+        return dsl.compile_expr(expr, ("t",), variables, ts, grid)
+
+    def scalar_fn(section: str, key: str, default: str, variables: tuple[str, ...]):
+        expr = dsl.parse_scalar(_get(cfg, section, key, default), variables=set(variables))
+        return dsl.compile_expr(expr, variables, ts=ts)
+
+    rhs_fn = fuzzy_fn(_require(cfg, "system", "rhs"), ("u", "lam"))
+    lam0_fn = fuzzy_fn(_get(cfg, "system", "lambda_0", "crisp(0)"), ("u_k",))
+    lamk_fn = fuzzy_fn(_get(cfg, "system", "lambda_k", "u_k"), ("u_k",))
 
     # Variables bind the whole state (or stack of states) and every operation
     # acts component-wise, so one evaluation serves all components and
     # samples; a result that names no fuzzy variable is a fuzzy number, given
     # to every component (and so to every sample).
-    def state(expr, u: FuzzyVector, env: Env) -> FuzzyVector:
-        value = dsl.eval_fuzzy(expr, env)
+    def state(value, u: FuzzyVector) -> FuzzyVector:
         return value if isinstance(value, FuzzyVector) else FuzzyVector((value,) * u.n)
 
     def rhs(t: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
-        env = Env(scalars={"t": t}, fuzzies={"u": u, "lam": lam}, ts=ts, grid=grid)
-        return state(rhs_expr, u, env)
+        return state(rhs_fn(t, u, lam), u)
 
-    def make_switch_map(expr):
+    def make_switch_map(fn):
         def switch_map(t_k: float, u_k: FuzzyVector) -> FuzzyVector:
-            env = Env(scalars={"t": t_k}, fuzzies={"u_k": u_k}, ts=ts, grid=grid)
-            return state(expr, u_k, env)
+            return state(fn(t_k, u_k), u_k)
         return switch_map
 
-    maps = (make_switch_map(lam0_expr),) + tuple(
-        make_switch_map(lamk_expr) for _ in switch_times[1:])
+    maps = (make_switch_map(lam0_fn),) + tuple(
+        make_switch_map(lamk_fn) for _ in switch_times[1:])
     system = HybridFuzzySystem(ts, switch_times, rhs, maps, rho, u0)
 
-    g_expr = dsl.parse_scalar(_get(cfg, "comparison", "g", "0"),
-                              variables={"t", "r", "v"})
-    psi_expr = dsl.parse_scalar(_get(cfg, "comparison", "psi", "v"), variables={"v"})
-
-    def g(t: float, r: float, v: float) -> float:
-        return dsl.eval_scalar(g_expr, Env(scalars={"t": t, "r": r, "v": v}, ts=ts))
-
-    def psi(v: float) -> float:
-        return dsl.eval_scalar(psi_expr, Env(scalars={"v": v}, ts=ts))
-
-    V_expr = dsl.parse_scalar(_get(cfg, "lyapunov", "v", "d"), variables={"t", "d"})
-    a_expr = dsl.parse_scalar(_get(cfg, "lyapunov", "a", "x"), variables={"x"})
-    b_expr = dsl.parse_scalar(_get(cfg, "lyapunov", "b", "x"), variables={"x"})
+    g = scalar_fn("comparison", "g", "0", ("t", "r", "v"))
+    psi = scalar_fn("comparison", "psi", "v", ("v",))
+    V_fn = scalar_fn("lyapunov", "v", "d", ("t", "d"))
+    kpair = ClassKPair(a=scalar_fn("lyapunov", "a", "x", ("x",)),
+                       b=scalar_fn("lyapunov", "b", "x", ("x",)))
 
     def V(t: float, u: FuzzyVector) -> float:
-        return dsl.eval_scalar(V_expr, Env(scalars={"t": t, "d": fuzzy.norm(u)}, ts=ts))
+        return V_fn(t, fuzzy.norm(u))
 
     r0 = _get_float(cfg, "comparison", "r0")
     lyap = LyapunovFn(V)
@@ -273,10 +269,6 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
         r0 = lyap(float(ts.points[0]), u0)
     comp_sys = ScalarHybridSystem(ts, switch_times, g,
                                   tuple(psi for _ in switch_times), r0)
-    kpair = ClassKPair(
-        a=lambda x: dsl.eval_scalar(a_expr, Env(scalars={"x": x}, ts=ts)),
-        b=lambda x: dsl.eval_scalar(b_expr, Env(scalars={"x": x}, ts=ts)),
-    )
     return catalog.SystemBundle("dsl", system, comp_sys, lyap, kpair)
 
 
@@ -416,15 +408,13 @@ def cmd_eval(args) -> int:
             scalars[name] = value
     ts = parse_timescale_spec(args.timescale) if args.timescale else None
     grid = AlphaGrid.uniform(args.alpha_levels or 11)
-    env = Env(scalars=scalars, ts=ts, grid=grid)
+    expr = dsl.parse_fuzzy(args.expr) if args.fuzzy else dsl.parse_scalar(args.expr)
+    result = dsl.compile_expr(expr, tuple(scalars), (), ts, grid)(*scalars.values())
     if args.fuzzy:
-        expr = dsl.parse_fuzzy(args.expr)
-        result = dsl.eval_fuzzy(expr, env)
         for alpha, lo, hi in result.to_records():
             print(f"alpha={alpha:g} [{lo:.17g}, {hi:.17g}]")
     else:
-        expr = dsl.parse_scalar(args.expr)
-        print(f"{dsl.eval_scalar(expr, env):.17g}")
+        print(f"{result:.17g}")
     return 0
 
 

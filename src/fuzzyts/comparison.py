@@ -9,7 +9,6 @@ approximates the maximal solution and reports itself as approximate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,20 +26,21 @@ PsiFn = Callable[[float | np.ndarray], float | np.ndarray]
 
 @dataclass(eq=False)
 class ScalarHybridSystem:
-    """Real comparison dynamics with per-segment frozen psi values."""
+    """Real comparison dynamics with per-segment frozen psi values; ``r0``
+    may be an ``(S,)`` array of starts."""
 
     ts: TimeScale
     switch_times: tuple[float, ...]
     g: GFn
     psi: tuple[PsiFn, ...]
-    r0: float
+    r0: float | np.ndarray
     schedule: SwitchSchedule = field(init=False, repr=False)
 
     def __post_init__(self):
         self.schedule = SwitchSchedule(self.ts, self.switch_times)
         if len(self.psi) != len(self.schedule.times):
             raise InvalidShapeError("need exactly one psi per switch time")
-        if self.r0 < 0:
+        if np.any(np.asarray(self.r0) < 0):
             raise InvalidShapeError("r0 must be nonnegative")
         self.switch_times = self.schedule.times
         self.psi = tuple(self.psi)
@@ -48,7 +48,8 @@ class ScalarHybridSystem:
 
 @dataclass(eq=False)
 class ScalarTrajectory:
-    """Per-point real values with their segment indices."""
+    """Per-point real values, ``(points,)`` or ``(points, S)`` for a stacked
+    start, with their segment indices."""
 
     ts: TimeScale
     values: np.ndarray
@@ -56,7 +57,7 @@ class ScalarTrajectory:
     approximate_maximality: bool = False
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        return len(self.values)
 
     @property
     def times(self) -> np.ndarray:
@@ -73,18 +74,20 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
     """Euler recursion r(sigma(t)) = r(t) + mu(t) * g(t, r(t), psi_k(r_k)).
 
     psi_k is evaluated once, at segment entry, with the handoff value
-    r_k = r(t_k).  Raises BlowUpError when g produces a non-finite value.
+    r_k = r(t_k).  An ``(S,)`` r0 is marched as one array, each element as its
+    float march.  Raises BlowUpError when g produces a non-finite value.
     """
-    def freeze(k: int, r: float) -> float:
+    def freeze(k: int, r: float | np.ndarray) -> float | np.ndarray:
         return sys.psi[k](r)
 
-    def advance(t: float, mu: float, r: float, v: float) -> tuple[float, float]:
+    def advance(t: float, mu: float, r, v) -> tuple:
         nxt = r + mu * sys.g(t, r, v)
-        if not math.isfinite(nxt):
+        if not np.isfinite(nxt).all():
             raise BlowUpError(t, f"comparison state became non-finite stepping from t={t}")
         return nxt, v
 
-    values, segments = sys.schedule.march(float(sys.r0), horizon, freeze, advance)
+    r0 = np.array(sys.r0, dtype=float) if np.ndim(sys.r0) else float(sys.r0)
+    values, segments = sys.schedule.march(r0, horizon, freeze, advance)
     dense = bool(np.any(sys.ts.graininess[: len(values) - 1] <= sys.ts.dense_threshold))
     return ScalarTrajectory(sys.ts, np.asarray(values), segments, approximate_maximality=dense)
 

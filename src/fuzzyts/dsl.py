@@ -12,13 +12,14 @@ layers cannot be confused by overloading.
 
 Parsing is recursive descent with an explicit precedence ladder:
 unary minus binds tighter than * and /, which bind tighter than + and -;
-binary operators associate left.  Evaluation is pure: the same
-environment always produces the same value.
+binary operators associate left.  Each expression is compiled once into
+nested closures (compile_expr); evaluation is pure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,19 +70,11 @@ def tokenize(src: str) -> list[Token]:
     i = 0
     while i < len(src):
         c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
+        if c.isspace() or c in _SYMBOLS:
+            if c in _SYMBOLS:
+                tokens.append(Token(c, c, line, col))
+            line, col = (line + 1, 1) if c == "\n" else (line, col + 1)
             i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
             continue
         if c.isdigit() or (c == "." and i + 1 < len(src) and src[i + 1].isdigit()):
             start = i
@@ -228,10 +221,8 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
-                             expected=(kind,))
+        if self.peek().kind != kind:
+            raise self.fail(expected=(kind,))
         return self.advance()
 
     def fail(self, expected: tuple[str, ...]) -> "ParseError":
@@ -245,16 +236,14 @@ class _Parser:
         node = self.product()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.product()
-            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
+            node = BinOp(op.kind, node, self.product(), span=(op.line, op.col))
         return node
 
     def product(self) -> ScalarExpr:
         node = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            rhs = self.unary()
-            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
+            node = BinOp(op.kind, node, self.unary(), span=(op.line, op.col))
         return node
 
     def unary(self) -> ScalarExpr:
@@ -306,8 +295,7 @@ class _Parser:
         node = self.fuzzy_atom()
         while self.peek().kind == "ident" and self.peek().text == "fadd":
             op = self.advance()
-            rhs = self.fuzzy_atom()
-            node = FAdd(node, rhs, span=(op.line, op.col))
+            node = FAdd(node, self.fuzzy_atom(), span=(op.line, op.col))
         return node
 
     def fuzzy_atom(self) -> FuzzyExpr:
@@ -382,12 +370,7 @@ def parse_fuzzy(src: str, variables: set[str] | None = None,
 def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
     if allowed is None:
         return
-    closed = set(allowed)
-    for name in allowed:
-        alias = VAR_ALIASES.get(name)
-        if alias:
-            closed.add(alias)
-    stray = seen - closed
+    stray = seen - set(allowed) - {VAR_ALIASES[name] for name in allowed if name in VAR_ALIASES}
     if stray:
         raise ParseError(
             f"variable(s) {sorted(stray)} not allowed here (allowed: {sorted(allowed)})",
@@ -443,130 +426,147 @@ def _print_fuzzy(e: FuzzyExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation (Feeley & Lapalme 1987: one closure per syntax node)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Env:
-    """Bindings for evaluation.
-
-    ``scalars`` binds scalar variables (floats or arrays), ``fuzzies`` binds
-    fuzzy variables (fuzzy numbers, or whole fuzzy vectors);
-    ``ts`` supplies the time-scale context required by mu/sigma/eta, and
-    ``grid`` the alpha grid required by fuzzy literals.
-    """
+    """Bindings for ``eval_scalar`` and ``eval_fuzzy``: scalar variables
+    (floats or arrays), fuzzy variables (numbers or whole vectors), the time
+    scale that mu/sigma/eta need and the alpha grid that literals need."""
 
     scalars: dict[str, float | np.ndarray] = field(default_factory=dict)
     fuzzies: dict[str, FuzzyNumber | FuzzyVector] = field(default_factory=dict)
     ts: TimeScale | None = None
     grid: AlphaGrid | None = None
 
-    def scalar(self, name: str, span) -> float | np.ndarray:
-        if name in self.scalars:
-            return self.scalars[name]
-        alias = VAR_ALIASES.get(name)
-        if alias is not None and alias in self.scalars:
-            return self.scalars[alias]
-        raise EvalError(f"unbound variable {name!r}", span)
-
-    def fuzzy(self, name: str, span) -> FuzzyNumber | FuzzyVector:
-        if name in self.fuzzies:
-            return self.fuzzies[name]
-        raise EvalError(f"unbound fuzzy variable {name!r}", span)
-
-    def timescale(self, span) -> TimeScale:
-        if self.ts is None:
-            raise EvalError("no time-scale context for mu/sigma/eta", span)
-        return self.ts
-
 
 _MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_LITERALS = {"tri": "make_triangle", "trap": "make_trapezoid", "crisp": "crisp"}
+
+
+def compile_expr(e: ScalarExpr | FuzzyExpr, scalars: tuple[str, ...] = (),
+                 fuzzies: tuple[str, ...] = (), ts: TimeScale | None = None,
+                 grid: AlphaGrid | None = None):
+    """Compile once into a function of the values of ``scalars``, then of
+    ``fuzzies``, in order: ``compile_expr(e, ("t", "r"), ts=ts)(t, r)``.
+
+    Scalar values may be floats or arrays; arrays act element by element,
+    each element as its float evaluation (min and max as the builtins, pow
+    as math.pow), and an error in any element raises EvalError at that
+    node.  Fuzzy operations act component-wise, so with vectors bound the
+    result is a vector.  A gH difference that does not exist propagates as
+    GHDifferenceError.  An unbound variable, or mu/sigma/eta/circminus
+    without ``ts`` or a literal without ``grid``, raises EvalError when
+    evaluation reaches it.
+    """
+    slots = {name: i for i, name in enumerate(scalars)}
+    fuzzy_slots = {name: i for i, name in enumerate(fuzzies, len(scalars))}
+    root = _compile(e, slots, fuzzy_slots, ts, grid)
+    return lambda *values: root(values)
+
+
+def _fail(message: str, span):
+    def fail(x):
+        raise EvalError(message, span)
+    return fail
+
+
+def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
+    """The closure that evaluates ``e`` on the tuple of bound values."""
+    def sub(node):
+        return _compile(node, slots, fuzzy_slots, ts, grid)
+
+    span = e.span
+    if isinstance(e, Num):
+        value = e.value
+        return lambda x: value
+    if isinstance(e, (Var, FuzzyVar)):
+        kind = "variable" if isinstance(e, Var) else "fuzzy variable"
+        slot = (slots.get(e.name, slots.get(VAR_ALIASES.get(e.name))) if isinstance(e, Var)
+                else fuzzy_slots.get(e.name))
+        if slot is None:
+            return _fail(f"unbound {kind} {e.name!r}", span)
+        return operator.itemgetter(slot)
+    if isinstance(e, Neg):
+        operand = sub(e.operand)
+        return lambda x: -operand(x)
+    if isinstance(e, BinOp):
+        a, b = sub(e.left), sub(e.right)
+        if e.op in _ARITHMETIC:
+            op = _ARITHMETIC[e.op]
+            return lambda x: op(a(x), b(x))
+
+        def divide(x):
+            num, den = a(x), b(x)
+            if den == 0.0 if type(den) is float else np.any(den == 0.0):
+                raise EvalError("division by zero", span)
+            return num / den
+        return divide
+    if isinstance(e, (FAdd, GHSub)):
+        a, b, kernel = sub(e.left), sub(e.right), "add" if isinstance(e, FAdd) else "gh_difference"
+        return lambda x: getattr(fuzzy, kernel)(a(x), b(x))
+    if isinstance(e, SMul):
+        k, operand = sub(e.scalar), sub(e.operand)
+        return lambda x: fuzzy.scale(k(x), operand(x))
+    if isinstance(e, FuzzyLit):
+        if grid is None:
+            return _fail("no alpha grid in scope for a fuzzy literal", span)
+        make, args = _LITERALS[e.kind], [sub(a) for a in e.args]
+
+        def literal(x):
+            values = [a(x) for a in args]
+            try:
+                return getattr(fuzzy, make)(*values, grid)
+            except FuzzyTSError as exc:
+                raise EvalError(str(exc), span) from exc
+        return literal
+    if isinstance(e, CircMinus) or e.func in ("mu", "sigma", "eta"):
+        if ts is None:
+            return _fail("no time-scale context for mu/sigma/eta", span)
+        func = e.func if isinstance(e, Call) else "circminus"
+        t = sub(e.args[0] if isinstance(e, Call) else Var("t", span=span))
+
+        def at(x):
+            point = t(x)
+            try:
+                return ts.sigma(point) if func == "sigma" else ts.mu(point)
+            except (NoSuccessorError, UnknownPointError) as exc:
+                raise EvalError(str(exc), span) from exc
+        if func == "circminus":
+            operand = sub(e.operand)
+            return lambda x: fuzzy.scale(-1.0 / (1.0 + at(x)), operand(x))
+        return (lambda x: 1.0 / (1.0 + at(x))) if func == "eta" else at
+    args = [sub(a) for a in e.args]
+    if e.func == "abs":
+        return lambda x: abs(args[0](x))
+    a, b = args
+    if e.func in ("min", "max"):
+        # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a
+        wins = operator.lt if e.func == "min" else operator.gt
+
+        def pick(x):
+            p, q = a(x), b(x)
+            return np.where(wins(q, p), q, p)[()]
+        return pick
+
+    def power(x):
+        base, exponent = a(x), b(x)
+        try:
+            return np.asarray(_MATH_POW(base, exponent), dtype=float)[()]
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(f"pow({base}, {exponent}) failed: {exc}", span) from exc
+    return power
 
 
 def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
-    """Evaluate with float or array variables; arrays act element by element,
-    each element as its float evaluation (min and max as the builtins, pow as
-    math.pow), and an error in any element raises EvalError at that node."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env.scalar(e.name, e.span)
-    if isinstance(e, Neg):
-        return -eval_scalar(e.operand, env)
-    if isinstance(e, BinOp):
-        a = eval_scalar(e.left, env)
-        b = eval_scalar(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if np.any(b == 0.0):
-            raise EvalError("division by zero", e.span)
-        return a / b
-    if isinstance(e, Call):
-        if e.func in ("mu", "sigma", "eta"):
-            ts = env.timescale(e.span)
-            t = eval_scalar(e.args[0], env)
-            try:
-                if e.func == "sigma":
-                    return ts.sigma(t)
-                mu = ts.mu(t)
-            except (NoSuccessorError, UnknownPointError) as exc:
-                raise EvalError(str(exc), e.span) from exc
-            return mu if e.func == "mu" else 1.0 / (1.0 + mu)
-        args = [eval_scalar(a, env) for a in e.args]
-        if e.func == "abs":
-            return abs(args[0])
-        # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a
-        if e.func == "min":
-            return np.where(args[1] < args[0], args[1], args[0])[()]
-        if e.func == "max":
-            return np.where(args[1] > args[0], args[1], args[0])[()]
-        if e.func == "pow":
-            try:
-                return np.asarray(_MATH_POW(*args), dtype=float)[()]
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"pow({args[0]}, {args[1]}) failed: {exc}", e.span) from exc
-    raise TypeError(f"not a scalar expression: {e!r}")
+    """Evaluate once under ``env``: compile, then call (see compile_expr)."""
+    run = compile_expr(e, tuple(env.scalars), tuple(env.fuzzies), env.ts, env.grid)
+    return run(*env.scalars.values(), *env.fuzzies.values())
 
 
 def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
-    """Evaluate a fuzzy expression.
-
-    Operations act component-wise, so with vectors bound the result is a
-    vector; literals are fuzzy numbers and act on every component.
-
-    A non-existent generalized Hukuhara difference inside ghsub propagates
-    as GHDifferenceError so callers can branch on it.
-    """
-    if isinstance(e, FuzzyVar):
-        return env.fuzzy(e.name, e.span)
-    if isinstance(e, FuzzyLit):
-        if env.grid is None:
-            raise EvalError("no alpha grid in scope for a fuzzy literal", e.span)
-        args = [eval_scalar(a, env) for a in e.args]
-        try:
-            if e.kind == "tri":
-                return fuzzy.make_triangle(args[0], args[1], args[2], env.grid)
-            if e.kind == "trap":
-                return fuzzy.make_trapezoid(args[0], args[1], args[2], args[3], env.grid)
-            return fuzzy.crisp(args[0], env.grid)
-        except FuzzyTSError as exc:
-            raise EvalError(str(exc), e.span) from exc
-    if isinstance(e, FAdd):
-        return fuzzy.add(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
-    if isinstance(e, SMul):
-        return fuzzy.scale(eval_scalar(e.scalar, env), eval_fuzzy(e.operand, env))
-    if isinstance(e, GHSub):
-        return fuzzy.gh_difference(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
-    if isinstance(e, CircMinus):
-        ts = env.timescale(e.span)
-        t = env.scalar("t", e.span)
-        try:
-            mu = ts.mu(t)
-        except (NoSuccessorError, UnknownPointError) as exc:
-            raise EvalError(str(exc), e.span) from exc
-        return fuzzy.scale(-1.0 / (1.0 + mu), eval_fuzzy(e.operand, env))
-    raise TypeError(f"not a fuzzy expression: {e!r}")
+    """Evaluate once under ``env``: compile, then call (see compile_expr)."""
+    run = compile_expr(e, tuple(env.scalars), tuple(env.fuzzies), env.ts, env.grid)
+    return run(*env.scalars.values(), *env.fuzzies.values())

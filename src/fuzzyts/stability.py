@@ -41,7 +41,7 @@ import numpy as np
 
 from . import comparison as cmp, fuzzy, hybrid
 from .comparison import ScalarHybridSystem, ScalarTrajectory, check_monotonicity_hypothesis
-from .errors import ConfigError, InvalidShapeError
+from .errors import ConfigError, FuzzyTSError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory
 from .hybrid import HybridFuzzySystem, StepMode
@@ -445,24 +445,23 @@ def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQ
     t0 = float(comp.ts.points[0])
     starts = (np.linspace(0.0, a_lam, COMPARISON_GRID_SIZE, endpoint=False) if a_lam > 0
               else np.array([0.0]))
-    stable = True
+    try:  # one march of every start: as on floats, overflow and nan are silent, x/0 raises
+        with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+            traj = cmp.solve_comparison(dataclasses.replace(comp, r0=starts), horizon=horizon)
+    except (FuzzyTSError, ArithmeticError):  # start by start: the first failing start raises
+        trajs = [cmp.solve_comparison(dataclasses.replace(comp, r0=float(r0)), horizon=horizon)
+                 for r0 in starts]
+        traj = dataclasses.replace(trajs[0], values=np.stack([t.values for t in trajs], axis=1))
+    peaks = traj.values.max(axis=0)  # every value is finite
+    bad = np.flatnonzero(peaks >= b_A)
+    t_bad = traj.times[np.argmax(traj.values[:, bad] >= b_A, axis=0)]
+    failures = [{"r0": float(starts[j]), "t": float(t), "r": float(peaks[j]), "bound": b_A}
+                for j, t in zip(bad, t_bad)]
+    stable = not failures
     quasi = True if (b_B is not None and q.T0 is not None) else None
-    approx = False
-    worst_peak = -math.inf
-    failures = []
-    for r0 in starts:
-        traj = cmp.solve_comparison(dataclasses.replace(comp, r0=float(r0)), horizon=horizon)
-        approx = approx or traj.approximate_maximality
-        peak = float(np.max(traj.values))
-        worst_peak = max(worst_peak, peak)
-        if peak >= b_A:
-            stable = False
-            t_bad = float(traj.times[int(np.argmax(traj.values >= b_A))])
-            failures.append({"r0": float(r0), "t": t_bad, "r": peak, "bound": b_A})
-        if quasi is not None:
-            tail = traj.values[traj.times >= t0 + q.T0]
-            if tail.size and float(np.max(tail)) >= b_B:
-                quasi = False
+    if quasi is not None:
+        tail = traj.values[traj.times >= t0 + q.T0]
+        quasi = not (tail.size and float(np.max(tail)) >= b_B)
     # the tail bound with b(A) is implied by the full-horizon bound
     asymptotic = stable
     strong = None if quasi is None else (stable and quasi)
@@ -478,8 +477,8 @@ def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQ
         "a_lambda": a_lam,
         "b_A": b_A,
         "b_B": b_B,
-        "approximate_maximality": approx,
-        "worst_peak": worst_peak,
+        "approximate_maximality": traj.approximate_maximality,
+        "worst_peak": float(peaks.max()),
         "failures": failures[:10],
         "practically_stable": status(stable),
         "quasi_stable": status(quasi),

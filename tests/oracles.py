@@ -7,8 +7,17 @@ float recursions) and never calls the code paths it is used to check.
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
+
+from fuzzyts import fuzzy
+from fuzzyts.dsl import (
+    BinOp, Call, CircMinus, Env, EvalError, FAdd, FuzzyExpr, FuzzyLit, FuzzyVar, GHSub, Neg, Num,
+    ScalarExpr, SMul, Var, VAR_ALIASES,
+)
+from fuzzyts.errors import FuzzyTSError, NoSuccessorError, UnknownPointError
+from fuzzyts.fuzzy import FuzzyNumber, FuzzyVector
 
 
 # -- interval arithmetic by point sampling ----------------------------------
@@ -123,3 +132,120 @@ def gh_roundtrip_ok(u_records, v_records, w_records, atol=1e-12):
         if not (first or second):
             return False
     return True
+
+
+# -- the DSL as a tree walk ----------------------------------------------------
+# The evaluator the DSL had before it was compiled to closures: the reference
+# that the compiled closures must match bit for bit, error for error.
+
+def env_scalar(env, name, span):
+    if name in env.scalars:
+        return env.scalars[name]
+    alias = VAR_ALIASES.get(name)
+    if alias is not None and alias in env.scalars:
+        return env.scalars[alias]
+    raise EvalError(f"unbound variable {name!r}", span)
+
+
+def env_fuzzy(env, name, span):
+    if name in env.fuzzies:
+        return env.fuzzies[name]
+    raise EvalError(f"unbound fuzzy variable {name!r}", span)
+
+
+def env_timescale(env, span):
+    if env.ts is None:
+        raise EvalError("no time-scale context for mu/sigma/eta", span)
+    return env.ts
+
+
+_MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element
+
+
+def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
+    """Evaluate with float or array variables; arrays act element by element,
+    each element as its float evaluation (min and max as the builtins, pow as
+    math.pow), and an error in any element raises EvalError at that node."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return env_scalar(env, e.name, e.span)
+    if isinstance(e, Neg):
+        return -eval_scalar(e.operand, env)
+    if isinstance(e, BinOp):
+        a = eval_scalar(e.left, env)
+        b = eval_scalar(e.right, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if np.any(b == 0.0):
+            raise EvalError("division by zero", e.span)
+        return a / b
+    if isinstance(e, Call):
+        if e.func in ("mu", "sigma", "eta"):
+            ts = env_timescale(env, e.span)
+            t = eval_scalar(e.args[0], env)
+            try:
+                if e.func == "sigma":
+                    return ts.sigma(t)
+                mu = ts.mu(t)
+            except (NoSuccessorError, UnknownPointError) as exc:
+                raise EvalError(str(exc), e.span) from exc
+            return mu if e.func == "mu" else 1.0 / (1.0 + mu)
+        args = [eval_scalar(a, env) for a in e.args]
+        if e.func == "abs":
+            return abs(args[0])
+        # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a
+        if e.func == "min":
+            return np.where(args[1] < args[0], args[1], args[0])[()]
+        if e.func == "max":
+            return np.where(args[1] > args[0], args[1], args[0])[()]
+        if e.func == "pow":
+            try:
+                return np.asarray(_MATH_POW(*args), dtype=float)[()]
+            except (ValueError, OverflowError) as exc:
+                raise EvalError(f"pow({args[0]}, {args[1]}) failed: {exc}", e.span) from exc
+    raise TypeError(f"not a scalar expression: {e!r}")
+
+
+def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
+    """Evaluate a fuzzy expression.
+
+    Operations act component-wise, so with vectors bound the result is a
+    vector; literals are fuzzy numbers and act on every component.
+
+    A non-existent generalized Hukuhara difference inside ghsub propagates
+    as GHDifferenceError so callers can branch on it.
+    """
+    if isinstance(e, FuzzyVar):
+        return env_fuzzy(env, e.name, e.span)
+    if isinstance(e, FuzzyLit):
+        if env.grid is None:
+            raise EvalError("no alpha grid in scope for a fuzzy literal", e.span)
+        args = [eval_scalar(a, env) for a in e.args]
+        try:
+            if e.kind == "tri":
+                return fuzzy.make_triangle(args[0], args[1], args[2], env.grid)
+            if e.kind == "trap":
+                return fuzzy.make_trapezoid(args[0], args[1], args[2], args[3], env.grid)
+            return fuzzy.crisp(args[0], env.grid)
+        except FuzzyTSError as exc:
+            raise EvalError(str(exc), e.span) from exc
+    if isinstance(e, FAdd):
+        return fuzzy.add(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
+    if isinstance(e, SMul):
+        return fuzzy.scale(eval_scalar(e.scalar, env), eval_fuzzy(e.operand, env))
+    if isinstance(e, GHSub):
+        return fuzzy.gh_difference(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
+    if isinstance(e, CircMinus):
+        ts = env_timescale(env, e.span)
+        t = env_scalar(env, "t", e.span)
+        try:
+            mu = ts.mu(t)
+        except (NoSuccessorError, UnknownPointError) as exc:
+            raise EvalError(str(exc), e.span) from exc
+        return fuzzy.scale(-1.0 / (1.0 + mu), eval_fuzzy(e.operand, env))
+    raise TypeError(f"not a fuzzy expression: {e!r}")

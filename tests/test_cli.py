@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fuzzyts as f
-from fuzzyts import dsl, hybrid, io as ftio
+import test_golden
+from fuzzyts import cli, dsl, hybrid, io as ftio
 from fuzzyts.cli import RunConfig, build_dsl_bundle, main, parse_timescale_spec
 from fuzzyts.errors import ConfigError
 from fuzzyts.hukuhara import delta_h_derivative
@@ -334,6 +335,11 @@ def test_eval_syntax_error_exit_2(capsys):
     assert "column" in capsys.readouterr().err
 
 
+def test_eval_division_by_zero_exits_2_with_its_span(capsys):
+    assert run("eval", "1/(r-r)", "--r", 3) == 2
+    assert capsys.readouterr().err == "error: division by zero at line 1, column 2\n"
+
+
 def test_eval_fuzzy_literal(capsys):
     assert run("eval", "--fuzzy", "tri(-1,0,1)") == 0
     out = capsys.readouterr().out
@@ -365,16 +371,29 @@ def test_literal_only_dsl_result_is_given_to_every_component():
 
 
 def test_dsl_system_is_evaluated_once_per_state(monkeypatch):
-    built, nodes = [], []
-    post_init, eval_fuzzy = f.FuzzyNumber.__post_init__, dsl.eval_fuzzy
+    built, kernels = [], []
+    post_init, add, scale = f.FuzzyNumber.__post_init__, f.fuzzy.add, f.fuzzy.scale
     monkeypatch.setattr(f.FuzzyNumber, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
-    monkeypatch.setattr(dsl, "eval_fuzzy", lambda e, env: nodes.append(e) or eval_fuzzy(e, env))
+    monkeypatch.setattr(f.fuzzy, "add", lambda u, v: kernels.append("add") or add(u, v))
+    monkeypatch.setattr(f.fuzzy, "scale", lambda k, u: kernels.append("scale") or scale(k, u))
     counts = {}
     for n in (1, 3):
         sys = dsl_system(n)
         built.clear()
-        nodes.clear()
+        kernels.clear()
         hybrid.solve(sys)
-        counts[n] = (len(built), len(nodes))
+        counts[n] = (len(built), len(kernels))
+    assert counts[1][1] >= 3 * 12  # rhs: two scales and an add per step
     assert counts[3] == (0, counts[1][1])
+
+
+def test_dsl_stability_run_builds_no_env_after_the_bundle(tmp_path, monkeypatch):
+    built, envs = [], []
+    init, build_bundle = dsl.Env.__init__, cli.build_bundle
+    monkeypatch.setattr(dsl.Env, "__init__",
+                        lambda self, *a, **k: envs.append(bool(built)) or init(self, *a, **k))
+    monkeypatch.setattr(cli, "build_bundle", lambda cfg: built.append(1) or build_bundle(cfg))
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.DSL_STABILITY)
+    assert run("stability", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert built and True not in envs

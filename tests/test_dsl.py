@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
+import oracles
 from fuzzyts import dsl
 from fuzzyts.dsl import Env, EvalError, ParseError
 from fuzzyts.errors import GHDifferenceError
@@ -350,3 +351,99 @@ def test_min_max_pick_what_the_builtins_pick():
     for func, builtin in (("min", min), ("max", max)):
         got = dsl.eval_scalar(dsl.parse_scalar(f"{func}(r, v)"), env)
         assert [bits(x) for x in got] == [bits(builtin(a, b)) for a, b in zip(r.tolist(), v.tolist())]
+
+
+# ---------------------------------------------------------------------------
+# compiled closures against the tree walk they replace
+# ---------------------------------------------------------------------------
+
+TS = f.qscale(1.0, 2.0, 5)  # points 1, 2, 4, ..., 32
+SCALAR_NAMES = ["t", "r", "v", "w", "w_k", "d", "x"]
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+def scalar_sources(max_leaves=8):
+    leaves = st.one_of(st.sampled_from(["0", "1", "2", "0.5", "3.25", "1e300"]),
+                       st.sampled_from(SCALAR_NAMES + ["q"]))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({' '.join(p)})"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(st.sampled_from(["abs", "mu", "sigma", "eta"]), inner).map(
+            lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(st.sampled_from(["min", "max", "pow"]), inner, inner).map(
+            lambda p: f"{p[0]}({p[1]}, {p[2]})"),
+    ), max_leaves=max_leaves)
+
+
+def fuzzy_sources():
+    def literal_args(count):  # mostly ordered numbers, so that most literals exist
+        ordered = st.lists(st.floats(-2, 2), min_size=count, max_size=count).map(
+            lambda xs: [repr(x) for x in sorted(xs)])
+        return st.one_of(ordered, ordered, st.lists(scalar_sources(2), min_size=count,
+                                                    max_size=count))
+    literal = st.sampled_from([("tri", 3), ("trap", 4), ("crisp", 1)]).flatmap(
+        lambda kind: literal_args(kind[1]).map(lambda args: f"{kind[0]}({', '.join(args)})"))
+    leaves = st.one_of(st.sampled_from(["u", "lam", "u_k"]), literal)
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: f"({p[0]} fadd {p[1]})"),
+        st.tuples(inner, inner).map(lambda p: f"ghsub({p[0]}, {p[1]})"),
+        st.tuples(scalar_sources(3), inner).map(lambda p: f"smul({p[0]}, {p[1]})"),
+        inner.map(lambda a: f"circminus({a})"),
+    ), max_leaves=6)
+
+
+def scalar_values(size):
+    value = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
+    if size is None:
+        return value
+    return st.lists(value, min_size=size, max_size=size).map(np.array)
+
+
+def outcome(run):
+    """A result as its type and bytes, or an error as its type, message and span."""
+    with np.errstate(all="ignore"):  # the same operations warn the same way
+        try:
+            value = run()
+        except Exception as exc:
+            return ("error", type(exc), str(exc), getattr(exc, "span", None))
+    if isinstance(value, (f.FuzzyNumber, f.FuzzyVector)):
+        return (type(value), value.lower.tobytes(), value.upper.tobytes(), value._exact)
+    return (type(value), np.asarray(value).tobytes())
+
+
+@given(data=st.data(), src=scalar_sources(), size=st.sampled_from([None, 1, 4]))
+@settings(max_examples=200, deadline=None)
+def test_compiled_scalar_expressions_equal_the_tree_walk(data, src, size):
+    e = dsl.parse_scalar(src)
+    names = data.draw(st.lists(st.sampled_from(SCALAR_NAMES), unique=True))
+    ts = data.draw(st.sampled_from([TS, None]))
+    run = dsl.compile_expr(e, tuple(names), ts=ts)
+    for _ in range(2):  # one compiled closure, called on fresh values
+        scalars = {name: data.draw(st.sampled_from(TS.points.tolist() + [0.3, 32.0]))
+                   if name == "t" else data.draw(scalar_values(size)) for name in names}
+        env = Env(scalars=scalars, ts=ts)
+        want = outcome(lambda: oracles.eval_scalar(e, env))
+        assert outcome(lambda: run(*scalars.values())) == want
+        assert outcome(lambda: dsl.eval_scalar(e, env)) == want
+
+
+FUZZY_STATES = [f.make_triangle(-1, 0, 1, GRID), f.make_trapezoid(-2, -1, 0, 1, GRID),
+                f.crisp(0.5, GRID), f.make_triangle(-0.3, 0.1, 0.9, GRID),
+                f.vector(f.make_triangle(-1, 0, 1, GRID), f.crisp(0.5, GRID)),
+                f.vector(f.make_trapezoid(0, 1, 2, 4, GRID), f.make_triangle(-2, 0, 1, GRID))]
+
+
+@given(data=st.data(), src=fuzzy_sources())
+@settings(max_examples=120, deadline=None)
+def test_compiled_fuzzy_expressions_equal_the_tree_walk(data, src):
+    e = dsl.parse_fuzzy(src)
+
+    def bound(names):  # each name is left unbound one time in eight
+        return [name for name in names if data.draw(st.integers(0, 7))]
+    fuzzies = {name: data.draw(st.sampled_from(FUZZY_STATES)) for name in bound(["u", "lam", "u_k"])}
+    scalars = {name: data.draw(st.sampled_from(TS.points.tolist() + [0.3]))
+               if name == "t" else data.draw(scalar_values(None)) for name in bound(SCALAR_NAMES)}
+    env = Env(scalars=scalars, fuzzies=fuzzies, ts=data.draw(st.sampled_from([TS] * 7 + [None])),
+              grid=data.draw(st.sampled_from([GRID] * 7 + [None])))
+    want = outcome(lambda: oracles.eval_fuzzy(e, env))
+    assert outcome(lambda: dsl.eval_fuzzy(e, env)) == want

@@ -9,9 +9,9 @@ import pytest
 
 import fuzzyts as f
 import test_golden
-from fuzzyts import catalog, hybrid, stability
-from fuzzyts.cli import RunConfig, build_bundle, build_query
-from fuzzyts.errors import ConfigError, StepFailureError
+from fuzzyts import catalog, comparison as cmp, hybrid, stability
+from fuzzyts.cli import RunConfig, build_bundle, build_query, main
+from fuzzyts.errors import BlowUpError, ConfigError, FuzzyTSError, StepFailureError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
 from fuzzyts.hybrid import StepMode, solve
 from fuzzyts.stability import (
@@ -855,3 +855,55 @@ def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
     assert switch_times[1] in calls  # its own V call, not V at 4.0
     assert report == assert_stacked_check_equals_per_sample_check(V, comp, stacks)
     assert report["violations"]
+
+
+# ---------------------------------------------------------------------------
+# the comparison route: one stacked march, the per-start errors
+# ---------------------------------------------------------------------------
+
+def test_comparison_route_marches_its_starts_as_one_array(monkeypatch):
+    calls = []
+    real = cmp.solve_comparison
+    monkeypatch.setattr(cmp, "solve_comparison", lambda *a, **k: calls.append(a) or real(*a, **k))
+    b = catalog.make_example_3_9(GRID, 10.0)
+    q = StabilityQuery(lam=1.0, A=2.0, B=1.0, T0=3.0, rho=100.0)
+    route = stability._comparison_route(b.comparison, b.kpair, q, 10.0)
+    assert len(calls) == 1
+    # the same verdict as one march per start
+    calls.clear()
+    per_start = [real(dataclasses.replace(b.comparison, r0=float(r0)), horizon=10.0)
+                 for r0 in np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)]
+    peaks = [float(np.max(t.values)) for t in per_start]
+    assert route["worst_peak"] == max(peaks)
+    assert [fail["r0"] for fail in route["failures"]] == [
+        float(t.values[0]) for t, peak in zip(per_start, peaks) if peak >= 2.0][:10]
+    assert [fail["t"] for fail in route["failures"]] == [
+        float(t.times[np.argmax(t.values >= 2.0)]) for t, peak in zip(per_start, peaks)
+        if peak >= 2.0][:10]
+
+
+# An earlier start blows up at t=1.5; later ones blow up sooner, and the last
+# start divides by zero in its first step.
+@pytest.mark.parametrize("g", ["r * r * 100", "r * r * 100 + 1 / (16 * r - 15)"],
+                         ids=["blow-up", "division-by-zero"])
+def test_comparison_route_raises_what_the_first_failing_start_raises(tmp_path, capsys, g):
+    config = test_golden.DSL_STABILITY.replace("g = (-r + v)/(1 + mu(t))", f"g = {g}")
+    bundle, _ = dsl_stacks(config)
+    starts = np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)
+    with pytest.raises(FuzzyTSError) as stacked, np.errstate(over="ignore"):
+        cmp.solve_comparison(dataclasses.replace(bundle.comparison, r0=starts), horizon=2.4)
+    with pytest.raises(BlowUpError) as first:  # the per-start loop
+        for r0 in starts:
+            cmp.solve_comparison(dataclasses.replace(bundle.comparison, r0=float(r0)),
+                                 horizon=2.4)
+    assert str(stacked.value) != str(first.value)
+    q = StabilityQuery(lam=1.0, A=2.0)
+    with pytest.raises(BlowUpError) as route:
+        stability._comparison_route(bundle.comparison, bundle.kpair, q, 2.4)
+    assert (str(route.value), route.value.t) == (str(first.value), first.value.t)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    capsys.readouterr()
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"comparison dynamics blew up at t={first.value.t}: {first.value}\n")
