@@ -870,7 +870,6 @@ def test_comparison_route_marches_its_starts_as_one_array(monkeypatch):
     route = stability._comparison_route(b.comparison, b.kpair, q, 10.0)
     assert len(calls) == 1
     # the same verdict as one march per start
-    calls.clear()
     per_start = [real(dataclasses.replace(b.comparison, r0=float(r0)), horizon=10.0)
                  for r0 in np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)]
     peaks = [float(np.max(t.values)) for t in per_start]
@@ -880,6 +879,8 @@ def test_comparison_route_marches_its_starts_as_one_array(monkeypatch):
     assert [fail["t"] for fail in route["failures"]] == [
         float(t.times[np.argmax(t.values >= 2.0)]) for t, peak in zip(per_start, peaks)
         if peak >= 2.0][:10]
+    tail_peak = max(float(np.max(t.values[t.times >= 3.0])) for t in per_start)
+    assert route["quasi_stable"] == (VIOLATED if tail_peak >= 1.0 else HOLDS)
 
 
 # An earlier start blows up at t=1.5; later ones blow up sooner, and the last
