@@ -70,11 +70,19 @@ def tokenize(src: str) -> list[Token]:
     i = 0
     while i < len(src):
         c = src[i]
-        if c.isspace() or c in _SYMBOLS:
-            if c in _SYMBOLS:
-                tokens.append(Token(c, c, line, col))
-            line, col = (line + 1, 1) if c == "\n" else (line, col + 1)
+        if c == "\n":
+            line += 1
+            col = 1
             i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c in _SYMBOLS:
+            tokens.append(Token(c, c, line, col))
+            i += 1
+            col += 1
             continue
         if c.isdigit() or (c == "." and i + 1 < len(src) and src[i + 1].isdigit()):
             start = i
@@ -221,8 +229,10 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        if self.peek().kind != kind:
-            raise self.fail(expected=(kind,))
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
+                             expected=(kind,))
         return self.advance()
 
     def fail(self, expected: tuple[str, ...]) -> "ParseError":
@@ -236,14 +246,16 @@ class _Parser:
         node = self.product()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            node = BinOp(op.kind, node, self.product(), span=(op.line, op.col))
+            rhs = self.product()
+            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
         return node
 
     def product(self) -> ScalarExpr:
         node = self.unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            node = BinOp(op.kind, node, self.unary(), span=(op.line, op.col))
+            rhs = self.unary()
+            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
         return node
 
     def unary(self) -> ScalarExpr:
@@ -295,7 +307,8 @@ class _Parser:
         node = self.fuzzy_atom()
         while self.peek().kind == "ident" and self.peek().text == "fadd":
             op = self.advance()
-            node = FAdd(node, self.fuzzy_atom(), span=(op.line, op.col))
+            rhs = self.fuzzy_atom()
+            node = FAdd(node, rhs, span=(op.line, op.col))
         return node
 
     def fuzzy_atom(self) -> FuzzyExpr:
@@ -370,7 +383,12 @@ def parse_fuzzy(src: str, variables: set[str] | None = None,
 def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
     if allowed is None:
         return
-    stray = seen - set(allowed) - {VAR_ALIASES[name] for name in allowed if name in VAR_ALIASES}
+    closed = set(allowed)
+    for name in allowed:
+        alias = VAR_ALIASES.get(name)
+        if alias:
+            closed.add(alias)
+    stray = seen - closed
     if stray:
         raise ParseError(
             f"variable(s) {sorted(stray)} not allowed here (allowed: {sorted(allowed)})",
@@ -431,9 +449,13 @@ def _print_fuzzy(e: FuzzyExpr) -> str:
 
 @dataclass
 class Env:
-    """Bindings for ``eval_scalar`` and ``eval_fuzzy``: scalar variables
-    (floats or arrays), fuzzy variables (numbers or whole vectors), the time
-    scale that mu/sigma/eta need and the alpha grid that literals need."""
+    """Bindings for evaluation.
+
+    ``scalars`` binds scalar variables (floats or arrays), ``fuzzies`` binds
+    fuzzy variables (fuzzy numbers, or whole fuzzy vectors);
+    ``ts`` supplies the time-scale context required by mu/sigma/eta, and
+    ``grid`` the alpha grid required by fuzzy literals.
+    """
 
     scalars: dict[str, float | np.ndarray] = field(default_factory=dict)
     fuzzies: dict[str, FuzzyNumber | FuzzyVector] = field(default_factory=dict)
@@ -482,12 +504,17 @@ def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
     if isinstance(e, Num):
         value = e.value
         return lambda x: value
-    if isinstance(e, (Var, FuzzyVar)):
-        kind = "variable" if isinstance(e, Var) else "fuzzy variable"
-        slot = (slots.get(e.name, slots.get(VAR_ALIASES.get(e.name))) if isinstance(e, Var)
-                else fuzzy_slots.get(e.name))
+    if isinstance(e, Var):
+        slot = slots.get(e.name)
         if slot is None:
-            return _fail(f"unbound {kind} {e.name!r}", span)
+            slot = slots.get(VAR_ALIASES.get(e.name))
+        if slot is None:
+            return _fail(f"unbound variable {e.name!r}", span)
+        return operator.itemgetter(slot)
+    if isinstance(e, FuzzyVar):
+        slot = fuzzy_slots.get(e.name)
+        if slot is None:
+            return _fail(f"unbound fuzzy variable {e.name!r}", span)
         return operator.itemgetter(slot)
     if isinstance(e, Neg):
         operand = sub(e.operand)
@@ -500,13 +527,16 @@ def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
 
         def divide(x):
             num, den = a(x), b(x)
-            if den == 0.0 if type(den) is float else np.any(den == 0.0):
+            if np.any(den == 0.0):
                 raise EvalError("division by zero", span)
             return num / den
         return divide
-    if isinstance(e, (FAdd, GHSub)):
-        a, b, kernel = sub(e.left), sub(e.right), "add" if isinstance(e, FAdd) else "gh_difference"
-        return lambda x: getattr(fuzzy, kernel)(a(x), b(x))
+    if isinstance(e, FAdd):
+        a, b = sub(e.left), sub(e.right)
+        return lambda x: fuzzy.add(a(x), b(x))
+    if isinstance(e, GHSub):
+        a, b = sub(e.left), sub(e.right)
+        return lambda x: fuzzy.gh_difference(a(x), b(x))
     if isinstance(e, SMul):
         k, operand = sub(e.scalar), sub(e.operand)
         return lambda x: fuzzy.scale(k(x), operand(x))
@@ -522,22 +552,36 @@ def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
             except FuzzyTSError as exc:
                 raise EvalError(str(exc), span) from exc
         return literal
-    if isinstance(e, CircMinus) or e.func in ("mu", "sigma", "eta"):
+    if isinstance(e, CircMinus):
         if ts is None:
             return _fail("no time-scale context for mu/sigma/eta", span)
-        func = e.func if isinstance(e, Call) else "circminus"
-        t = sub(e.args[0] if isinstance(e, Call) else Var("t", span=span))
+        slot = slots.get("t")
+        if slot is None:
+            return _fail("unbound variable 't'", span)
+        operand = sub(e.operand)
+
+        def circminus(x):
+            try:
+                mu = ts.mu(x[slot])
+            except (NoSuccessorError, UnknownPointError) as exc:
+                raise EvalError(str(exc), span) from exc
+            return fuzzy.scale(-1.0 / (1.0 + mu), operand(x))
+        return circminus
+    if e.func in ("mu", "sigma", "eta"):
+        if ts is None:
+            return _fail("no time-scale context for mu/sigma/eta", span)
+        func, t = e.func, sub(e.args[0])
 
         def at(x):
             point = t(x)
             try:
-                return ts.sigma(point) if func == "sigma" else ts.mu(point)
+                if func == "sigma":
+                    return ts.sigma(point)
+                mu = ts.mu(point)
             except (NoSuccessorError, UnknownPointError) as exc:
                 raise EvalError(str(exc), span) from exc
-        if func == "circminus":
-            operand = sub(e.operand)
-            return lambda x: fuzzy.scale(-1.0 / (1.0 + at(x)), operand(x))
-        return (lambda x: 1.0 / (1.0 + at(x))) if func == "eta" else at
+            return mu if func == "mu" else 1.0 / (1.0 + mu)
+        return at
     args = [sub(a) for a in e.args]
     if e.func == "abs":
         return lambda x: abs(args[0](x))
