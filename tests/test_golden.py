@@ -81,6 +81,17 @@ DSL_BUILTINS_STABILITY = DSL_STABILITY.replace(
     "a = x\nb = x", "a = max(x, pow(x, 2))\nb = min(x, pow(x, 2)) / 2").replace(
     "A = 2", "A = 3\nB = 0.5\nT0 = 1")
 
+# DSL run whose gH difference fails inside the right-hand side for some
+# states only: expansive samples leave the stack at several instants, from
+# t = 0 on, while the others carry on; contractive steps fail too.
+DSL_GHSUB_STABILITY = DSL_STABILITY.replace(
+    "intervals([[0,1],[1.5,2.5]], 0.1)", "intervals([[0,1],[1.5,2.5]], 0.25)").replace(
+    "rhs = circminus(u) fadd smul(eta(t), lam)",
+    "rhs = ghsub(smul(0.5, u), lam) fadd crisp(0.1)").replace(
+    "lambda_0 = crisp(0)", "lambda_0 = trap(-0.5,-0.2,0.2,0.5)").replace(
+    "horizon = 2.4", "horizon = 2.5").replace(
+    "samples = 6", "samples = 20\nshape = trapezoid")
+
 # Catalog run with a tail bound: quasi and strong stability are tested, and
 # the strong witness is the earlier (stable) one of its two parts.
 CATALOG_QUASI_STABILITY = """
@@ -163,6 +174,9 @@ CASES = {
     }),
     "dsl-builtins-stability": ("stability", DSL_BUILTINS_STABILITY, 1, {
         "verdict.json": "ad135654a54ceaa1df3ef5c77c50f96217b7d9a6fa2cfb73d1a29c87753a2d18",
+    }),
+    "dsl-ghsub-stability": ("stability", DSL_GHSUB_STABILITY, 0, {
+        "verdict.json": "bc01acae7aec1332da698eb76695c224a7aa2d541ca732b2868f85c389bddacf",
     }),
     "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
         "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",
