@@ -14,7 +14,9 @@ its private ``_exact``.  Fuzzy numbers are closed under ``add`` and
 ``scale`` and rounding is monotone, so on exact operands those two can
 only fail by overflow: they test finiteness only, and their result is
 exact.  On operands with slack, which they may enlarge past ``ATOL``, and
-in the Hukuhara differences, the result gets the full check.
+in the Hukuhara differences, the result gets the full check.  A failed
+check on a stack raises the same error as ever; only then are its ``rows``
+worked out, the error each failing sample raises on its own.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -87,9 +89,35 @@ class AlphaGrid:
         return f"AlphaGrid(m={self.m})"
 
 
-def _require_finite(lower: np.ndarray, upper: np.ndarray) -> None:
+# The tests of a state, in the constructor's order: each gives the samples of
+# a stack that fail it, and the error it raises.
+_FINITE = (lambda lo, up: ~(np.isfinite(lo).all((-2, -1)) & np.isfinite(up).all((-2, -1))),
+           InvalidShapeError, "endpoints must be finite")
+_ORDERED = (lambda lo, up: (lo > up + ATOL).any((-2, -1)),
+            InvalidShapeError, "lower endpoint exceeds upper endpoint")
+_NESTED = (lambda lo, up: ((lo[..., 1:] - lo[..., :-1] < -ATOL)
+                           | (up[..., 1:] - up[..., :-1] > ATOL)).any((-2, -1)),
+           InvalidShapeError, "alpha cuts are not nested")
+_GH_NESTED = (_NESTED[0], GHDifferenceError, "gH difference does not exist: cuts are not nested")
+_CHECKS = (_FINITE, _ORDERED, _NESTED)
+
+
+def _fail(test, lower: np.ndarray, upper: np.ndarray, tests=(_FINITE,)):
+    """Raise the error of ``test``.  On a stack it carries ``rows``: each
+    failing sample's own error, from the first of ``tests`` that it fails."""
+    error = test[1](test[2])
+    if lower.ndim == 3:
+        error.rows = {}
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is nan: it passes
+            for failing, cls, message in tests:
+                for j in np.flatnonzero(failing(lower, upper)).tolist():
+                    error.rows.setdefault(j, cls(message))
+    raise error
+
+
+def _require_finite(lower: np.ndarray, upper: np.ndarray, tests=(_FINITE,)) -> None:
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise InvalidShapeError("endpoints must be finite")
+        _fail(_FINITE, lower, upper, tests)
 
 
 def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
@@ -100,7 +128,7 @@ def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
     caller runs it with overflow ignored: a nesting difference of two
     finite endpoints may pass the largest float, and as an infinity it
     compares the same way."""
-    _require_finite(lower, upper)
+    _require_finite(lower, upper, _CHECKS)
     dlo = lower[..., 1:] - lower[..., :-1]
     dup = upper[..., 1:] - upper[..., :-1]
     if not ((lower > upper).any() or (dlo < 0).any() or (dup > 0).any()):
@@ -108,9 +136,9 @@ def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
     nested = not ((dlo < -ATOL).any() or (dup > ATOL).any())
     del dlo, dup  # a raised error's traceback, kept by a failed solve, holds this frame
     if (lower > upper + ATOL).any():
-        raise InvalidShapeError("lower endpoint exceeds upper endpoint")
+        _fail(_ORDERED, lower, upper, _CHECKS)
     if not nested:
-        raise InvalidShapeError("alpha cuts are not nested")
+        _fail(_NESTED, lower, upper, _CHECKS)
     return False
 
 
@@ -376,7 +404,7 @@ def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     exact = not ((down < 0).any() or (up > 0).any())
     del dlo, dhi, down, up  # a raised error's traceback, kept by a failed solve, holds this frame
     if not nested:
-        raise GHDifferenceError("gH difference does not exist: cuts are not nested")
+        _fail(_GH_NESTED, lower, upper, (_GH_NESTED, _FINITE))
     # lower <= upper by construction, so of _check only the finiteness test is left
     _require_finite(lower, upper)
     return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(u.grid, lower, upper, exact)

@@ -17,7 +17,9 @@ sampling resolution.
 
 A stack of initial states (a ``(S, n, m)`` fuzzy vector) is stepped as one
 stack through the same loop, which gives each sample exactly the solution
-it has on its own.
+it has on its own.  When a step fails for some samples, they leave with
+their own errors and the step is re-run on the others, still as one stack;
+only a step that rejects the stack as a whole is run sample by sample.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from .timescale import SwitchSchedule, TimeScale
 
 # The right-hand side and the switch maps may be given a stack of states
 # (and of held values) and must then act sample by sample, as any
-# composition of the fuzzy kernels does.  A result that is the same for
-# every sample may be a single state.  One that cannot take a stack (say, it
-# indexes components) raises InvalidShapeError there, and the solver then
-# calls it once per sample.
+# composition of the fuzzy kernels does: a kernel that fails names the
+# failing samples, which leave, and the solver calls the right-hand side
+# again on the others.  A result that is the same for every sample may be a
+# single state.  One that cannot take a stack (say, it indexes components)
+# raises InvalidShapeError there, naming no samples, and the solver then
+# calls it once per sample for that step (a switch map, for that freeze).
 RhsFn = Callable[[float, FuzzyVector, FuzzyVector], FuzzyVector]
 SwitchMap = Callable[[float, FuzzyVector], FuzzyVector]
 
@@ -101,9 +105,11 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     the right-hand side produces an invalid value.
 
     A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
-    that step is re-run for each sample on its own; a sample whose own step
-    fails leaves the stack, its StepFailureError kept in the trajectory's
-    ``failures`` under its row of ``u0``, and the others carry on.  The
+    the failing kernel's error names the failed samples, each with the error
+    its own step raises (see ``fuzzy``): they leave the stack, their
+    StepFailureErrors kept in the trajectory's ``failures`` under their rows
+    of ``u0``, and the step is re-run on the others as one stack.  A step
+    whose error names no samples is re-run for each sample on its own.  The
     trajectory holds the stacks of the rows that reach the horizon (its
     ``rows``), each row equal to the solution of that sample on its own.
     """
@@ -112,11 +118,16 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
         return sys.switch_maps[k](sys.switch_times[k], u)
 
+    def failed(t: float, exc: Exception) -> StepFailureError:
+        failure = StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}")
+        failure.__cause__ = exc
+        return failure
+
     def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
         try:
             return step(u, fuzzy.scale(mu, sys.rhs(t, u, lam))), lam
         except _STEP_ERRORS as exc:
-            raise StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}") from exc
+            raise failed(t, exc) from exc
 
     if sys.u0.samples is None:
         values, segments = sys.schedule.march(sys.u0, horizon, freeze, advance)
@@ -125,35 +136,42 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     live = [np.arange(sys.u0.samples)]  # rows of u0 in the stack at each point
     failures: dict[int, StepFailureError] = {}
 
-    def each(u: FuzzyVector):
-        return u.unstack() if u.samples is not None else [u] * len(live[-1])
-
     def freeze_stack(k: int, u: FuzzyVector) -> FuzzyVector:
         if not u.samples:  # every sample has left
             return u
         try:
             return freeze(k, u)
         except _STEP_ERRORS:
-            return FuzzyVector.stack([freeze(k, row) for row in each(u)])
+            return FuzzyVector.stack([freeze(k, row) for row in u.unstack()])
 
     def advance_stack(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
-        try:
-            out = advance(t, mu, u, lam) if u.samples else (u, lam)  # an emptied stack idles
-        except StepFailureError:
-            return advance_each(t, mu, u, lam)
-        live.append(live[-1])
-        return out
-
-    def advance_each(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
-        # the same step for each sample on its own; failed samples leave
-        kept, states = [], []
-        for j, (row, held) in enumerate(zip(each(u), each(lam))):
+        rows = live[-1]
+        while u.samples:  # an emptied stack idles
             try:
-                states.append(advance(t, mu, row, held)[0])
+                u, lam = advance(t, mu, u, lam)
+                break
+            except StepFailureError as exc:
+                errors = getattr(exc.__cause__, "rows", None)
+            if not errors or max(errors) >= u.samples:  # the stack was rejected as a whole
+                return advance_each(t, mu, u, lam, rows)
+            for j, error in errors.items():  # these samples leave; the others step again
+                failures[int(rows[j])] = failed(t, error)
+            kept = [j for j in range(u.samples) if j not in errors]
+            rows, u, lam = rows[kept], u.take(kept), lam if lam.samples is None else lam.take(kept)
+        live.append(rows)
+        return u, lam
+
+    def advance_each(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector, rows):
+        # the same step for each sample on its own; failed samples leave
+        held = lam.unstack() if lam.samples is not None else [lam] * u.samples
+        kept, states = [], []
+        for j, (row, h) in enumerate(zip(u.unstack(), held)):
+            try:
+                states.append(advance(t, mu, row, h)[0])
                 kept.append(j)
             except StepFailureError as exc:
-                failures[int(live[-1][j])] = exc
-        live.append(live[-1][kept])
+                failures[int(rows[j])] = exc
+        live.append(rows[kept])
         if lam.samples is not None:
             lam = lam.take(kept)
         return (FuzzyVector.stack(states) if states else u.take(kept)), lam

@@ -607,6 +607,53 @@ def test_stack_kernels_equal_per_sample_kernels(data, samples, k):
     assert [_bits(r) for r in got] == [_bits(f.scale(k, s)) for s in states]
 
 
+# The tests of the kernels, in the order they run (gh_difference runs only
+# the first two, the others all but the first).
+_TEST_ORDER = ["gH difference does not exist: cuts are not nested", "endpoints must be finite",
+               "lower endpoint exceeds upper endpoint", "alpha cuts are not nested"]
+
+
+@st.composite
+def operands_near_overflow(draw, samples):
+    """Two lists of single states, in some rows of which a component of each
+    is moved near the largest float, where sums or differences overflow."""
+    states = [draw(fuzzy_vectors(n=2)) for _ in range(samples)]
+    others = [draw(fuzzy_vectors(n=2)) for _ in range(samples)]
+    for j in draw(st.sets(st.integers(0, samples - 1), max_size=3)):
+        i, x, y = draw(st.integers(0, 1)), 1e308, draw(st.sampled_from([1e308, -1e308]))
+        states[j] = f.vector(*(f.add(c, f.crisp(x, GRID)) if k == i else c
+                               for k, c in enumerate(states[j])))
+        others[j] = f.vector(*(f.add(c, f.crisp(y, GRID)) if k == i else c
+                               for k, c in enumerate(others[j])))
+    return states, others
+
+
+@given(st.data(), st.integers(1, 6), st.floats(-5, 5, allow_nan=False))
+@settings(max_examples=100, deadline=None)
+def test_a_failed_stack_kernel_carries_the_error_of_each_failing_row(data, samples, k):
+    states, others = data.draw(operands_near_overflow(samples))
+    u = f.FuzzyVector.stack(states)
+    kernels = (f.add, f.h_difference, f.gh_difference, lambda a, b: f.scale(k, a))
+    for kernel in kernels:
+        for v, pairs in ((f.FuzzyVector.stack(others), list(zip(states, others))),
+                         (others[0], [(s, others[0]) for s in states])):
+            want = {}
+            for j, (a, b) in enumerate(pairs):
+                try:
+                    kernel(a, b)
+                except (GHDifferenceError, InvalidShapeError) as exc:
+                    want[j] = (type(exc), str(exc))
+            try:
+                kernel(u, v)
+            except (GHDifferenceError, InvalidShapeError) as exc:
+                assert {j: (type(e), str(e)) for j, e in exc.rows.items()} == want
+                # the stack's own error: the first of the kernel's tests that any row fails
+                first = min(want.values(), key=lambda e: _TEST_ORDER.index(e[1]))
+                assert (type(exc), str(exc)) == first
+            else:
+                assert want == {}
+
+
 def test_norm_and_dist_of_a_stack_give_one_value_per_sample():
     states = [f.vector(tri(-1, 0, 1), tri(0, 1, 3)), f.vector(tri(-4, 0, 1), f.crisp(0.5, GRID)),
               f.vector(f.crisp(0.0, GRID), f.crisp(-0.25, GRID))]

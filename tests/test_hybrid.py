@@ -271,7 +271,8 @@ def assert_rows_equal_single_solves(sys, states, mode):
         try:
             single = solve(dataclasses.replace(sys, u0=u0), mode)
         except StepFailureError as exc:
-            assert (stacked.failures[i].t, str(stacked.failures[i])) == (exc.t, str(exc))
+            got = stacked.failures[i]
+            assert (got.t, str(got), type(got.__cause__)) == (exc.t, str(exc), type(exc.__cause__))
             continue
         row, values = next(survivors)
         assert row == i and i not in stacked.failures
@@ -305,6 +306,51 @@ def test_stacked_solve_keeps_survivors_of_a_partly_failed_step():
     assert all(isinstance(exc.__cause__, f.GHDifferenceError)
                for exc in stacked.failures.values())
     assert [v.samples for v in stacked.values] == [len(stacked.rows)] * len(stacked)
+
+
+def test_rows_failing_in_different_kernels_of_one_step_keep_their_own_errors():
+    # rhs = gh(h(2u, P), Q): each row fails in another kernel of it, or in none
+    P = Q = f.vector(tri(-1, 0, 1))
+    calls = []
+
+    def rhs(t, u, lam):
+        calls.append(u.samples)
+        return f.gh_difference(f.h_difference(f.scale(2.0, u), P), Q)
+
+    states = [f.vector(f.make_trapezoid(-1, -0.5, 0.5, 1, GRID)),    # gH difference, in gh
+              f.vector(f.make_trapezoid(-2, -1, 1, 2, GRID)),        # no failure
+              f.vector(f.make_trapezoid(-1, -0.75, 0.75, 1, GRID)),  # not nested, in h
+              f.vector(f.crisp(1e308, GRID)),                        # overflow, in scale
+              f.vector(f.crisp(0.0, GRID))]                          # lower > upper, in h
+    sys = HybridFuzzySystem(f.integer(2), (0.0,), rhs, (zero_map,), rho=1.7e308, u0=states[1])
+    stacked = assert_rows_equal_single_solves(sys, states, StepMode.EXPANSIVE)
+    assert calls[:5] == [5, 4, 2, 1, 1]  # each retry drops the rows its kernel flagged
+    assert stacked.rows.tolist() == [1] and {exc.t for exc in stacked.failures.values()} == {0.0}
+    assert {row: str(exc.__cause__) for row, exc in stacked.failures.items()} == {
+        0: "gH difference does not exist: cuts are not nested",
+        2: "alpha cuts are not nested",
+        3: "endpoints must be finite",
+        4: "lower endpoint exceeds upper endpoint"}
+
+
+def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack(monkeypatch):
+    sys = catalog.make_example_3_9(GRID, 12.0).system
+    calls, unstacked = [], []
+
+    def rhs(t, u, lam):
+        calls.append(u.samples)
+        return sys.rhs(t, u, lam)
+
+    unstack = f.FuzzyVector.unstack
+    monkeypatch.setattr(f.FuzzyVector, "unstack", lambda u: unstacked.append(u) or unstack(u))
+    states = [sample_initial_state(np.random.default_rng(s), GRID, 1,
+                                   ("crisp", "triangular")[s % 2], 0.9) for s in range(40)]
+    traj = solve(dataclasses.replace(sys, rhs=rhs, u0=f.FuzzyVector.stack(states)),
+                 StepMode.CONTRACTIVE, 12.0)
+    failed_steps = {exc.t for exc in traj.failures.values()}
+    assert len(traj.rows) and failed_steps  # rows fail and rows survive
+    assert None not in calls and unstacked == []
+    assert len(calls) <= len(traj) - 1 + len(failed_steps)
 
 
 def test_stacked_solve_with_every_sample_failed():
