@@ -17,10 +17,11 @@ import numpy as np
 from .errors import BlowUpError, InvalidShapeError
 from .timescale import SwitchSchedule, TimeScale
 
-# g and psi may be given ``(S,)`` arrays, one value per sample, and must then
-# act element by element, as any composition of numpy arithmetic does.  A
-# result that is the same for every sample may be a single float.
-GFn = Callable[[float, float | np.ndarray, float | np.ndarray], float | np.ndarray]
+# g and psi may be given ``(S,)`` arrays, one value per sample (g also an
+# ``(S,)`` t), and must then act element by element, as any composition of
+# numpy arithmetic and the time scale's mu/sigma does.  A result that is the
+# same for every sample may be a single float.
+GFn = Callable[[float | np.ndarray, float | np.ndarray, float | np.ndarray], float | np.ndarray]
 PsiFn = Callable[[float | np.ndarray], float | np.ndarray]
 
 
@@ -137,29 +138,32 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200,
     if samples < 1:
         raise InvalidShapeError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    ts = sys.ts
     lo, hi = box
-    kappa = ts.kappa_points()
-    g_mu_r: list[tuple[float, float, float, float]] = []
-    g_v: list[tuple[float, float, float, float]] = []
-    psi_bad: list[tuple[int, float, float]] = []
-    for _ in range(samples):
-        t = float(kappa[rng.integers(0, len(kappa))])
-        mu = ts.mu(t)
-        r1, r2 = sorted(rng.uniform(lo, hi, size=2))
-        v1, v2 = sorted(rng.uniform(lo, hi, size=2))
-        v = float(rng.uniform(lo, hi))
-        r = float(rng.uniform(lo, hi))
+    kappa = sys.ts.kappa_points()
+    # per sample: t, then an (r1, r2) pair, a (v1, v2) pair, v and r, in one
+    # uniform call (the same doubles as one call per value)
+    t, x = map(np.array, zip(*[(kappa[rng.integers(0, len(kappa))], rng.uniform(lo, hi, size=6))
+                               for _ in range(samples)]))
+    pairs = x[:, :4].reshape(-1, 2, 2)  # each put in order, as sorted() puts two floats
+    (r1, v1), (r2, v2) = pairs.min(axis=-1).T, pairs.max(axis=-1).T
+    v, r = x[:, 4], x[:, 5]
+    with np.errstate(over="ignore", invalid="ignore"):  # arrays overflow as silently as floats
+        mu = sys.ts.mu(t)
         left = sys.g(t, r1, v) * mu + r1
         right = sys.g(t, r2, v) * mu + r2
-        if right < left - tol:
-            g_mu_r.append((t, r1, r2, right - left))
         gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
-        if gv2 < gv1 - tol:
-            g_v.append((t, v1, v2, gv2 - gv1))
-    for k, psi in enumerate(sys.psi):
-        for _ in range(max(8, samples // max(1, len(sys.psi)))):
-            v1, v2 = sorted(rng.uniform(lo, hi, size=2))
-            if psi(v2) < psi(v1) - tol:
-                psi_bad.append((k, v1, v2))
+        g_mu_r = _entries(right < left - tol, t, r1, r2, right - left)
+        g_v = _entries(gv2 < gv1 - tol, t, v1, v2, gv2 - gv1)
+        psi_bad, count = [], max(8, samples // max(1, len(sys.psi)))
+        for k, psi in enumerate(sys.psi):
+            pairs = rng.uniform(lo, hi, size=(count, 2))
+            p1, p2 = pairs.min(axis=-1), pairs.max(axis=-1)
+            psi_bad += _entries(psi(p2) < psi(p1) - tol, k, p1, p2)
     return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad)
+
+
+def _entries(flags, *columns) -> list[tuple]:
+    """The columns' values, one tuple per sample where ``flags`` holds, in
+    sample order; a flag or column that is one value for all is repeated."""
+    flags, *columns = np.broadcast_arrays(flags, *columns)
+    return list(zip(*(c[flags].tolist() for c in columns)))

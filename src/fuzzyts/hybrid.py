@@ -41,11 +41,11 @@ from .timescale import SwitchSchedule, TimeScale
 # The right-hand side and the switch maps may be given a stack of states
 # (and of held values) and must then act sample by sample, as any
 # composition of the fuzzy kernels does: a kernel that fails names the
-# failing samples, which leave, and the solver calls the right-hand side
-# again on the others.  A result that is the same for every sample may be a
-# single state.  One that cannot take a stack (say, it indexes components)
-# raises InvalidShapeError there, naming no samples, and the solver then
-# calls it once per sample for that step (a switch map, for that freeze).
+# failing samples, which leave, and the solver calls the function again on
+# the others.  A result that is the same for every sample may be a single
+# state.  One that cannot take a stack (say, it indexes components) raises
+# InvalidShapeError there, naming no samples, and the solver then calls it
+# once per sample for that step (a switch map, for its segment's first step).
 RhsFn = Callable[[float, FuzzyVector, FuzzyVector], FuzzyVector]
 SwitchMap = Callable[[float, FuzzyVector], FuzzyVector]
 
@@ -102,7 +102,7 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
 
     Returns a trajectory carrying the segment index of every point.
     Raises StepFailureError when a contractive step has no valid state or
-    the right-hand side produces an invalid value.
+    the right-hand side or a switch map produces an invalid value.
 
     A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
     the failing kernel's error names the failed samples, each with the error
@@ -115,13 +115,16 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     """
     step = fuzzy.add if mode is StepMode.EXPANSIVE else _contractive_step
 
-    def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
-        return sys.switch_maps[k](sys.switch_times[k], u)
-
     def failed(t: float, exc: Exception) -> StepFailureError:
         failure = StepFailureError(t, f"{mode.value} step failed at t={t}: {exc}")
         failure.__cause__ = exc
         return failure
+
+    def freeze(k: int, u: FuzzyVector) -> FuzzyVector:
+        try:
+            return sys.switch_maps[k](sys.switch_times[k], u)
+        except _STEP_ERRORS as exc:
+            raise failed(sys.switch_times[k], exc) from exc
 
     def advance(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
         try:
@@ -136,19 +139,16 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     live = [np.arange(sys.u0.samples)]  # rows of u0 in the stack at each point
     failures: dict[int, StepFailureError] = {}
 
-    def freeze_stack(k: int, u: FuzzyVector) -> FuzzyVector:
-        if not u.samples:  # every sample has left
-            return u
-        try:
-            return freeze(k, u)
-        except _STEP_ERRORS:
-            return FuzzyVector.stack([freeze(k, row) for row in u.unstack()])
+    def freeze_stack(k: int, u: FuzzyVector):
+        # frozen by the segment's first step on the samples that take it, so
+        # that a sample whose switch map fails leaves there as on a failed step
+        return lambda stack: freeze(k, stack)
 
-    def advance_stack(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector):
+    def advance_stack(t: float, mu: float, u: FuzzyVector, lam):
         rows = live[-1]
         while u.samples:  # an emptied stack idles
             try:
-                u, lam = advance(t, mu, u, lam)
+                u, lam = advance(t, mu, u, lam(u) if callable(lam) else lam)
                 break
             except StepFailureError as exc:
                 errors = getattr(exc.__cause__, "rows", None)
@@ -157,23 +157,27 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
             for j, error in errors.items():  # these samples leave; the others step again
                 failures[int(rows[j])] = failed(t, error)
             kept = [j for j in range(u.samples) if j not in errors]
-            rows, u, lam = rows[kept], u.take(kept), lam if lam.samples is None else lam.take(kept)
+            rows, u = rows[kept], u.take(kept)
+            lam = lam if callable(lam) or lam.samples is None else lam.take(kept)
         live.append(rows)
         return u, lam
 
-    def advance_each(t: float, mu: float, u: FuzzyVector, lam: FuzzyVector, rows):
-        # the same step for each sample on its own; failed samples leave
-        held = lam.unstack() if lam.samples is not None else [lam] * u.samples
-        kept, states = [], []
+    def advance_each(t: float, mu: float, u: FuzzyVector, lam, rows):
+        # the same step, and a pending freeze, for each sample on its own;
+        # failed samples leave
+        held = [lam] * u.samples if callable(lam) or lam.samples is None else lam.unstack()
+        kept, states, holds = [], [], []
         for j, (row, h) in enumerate(zip(u.unstack(), held)):
             try:
+                h = h(row) if callable(h) else h
                 states.append(advance(t, mu, row, h)[0])
                 kept.append(j)
+                holds.append(h)
             except StepFailureError as exc:
                 failures[int(rows[j])] = exc
         live.append(rows[kept])
-        if lam.samples is not None:
-            lam = lam.take(kept)
+        if holds and (callable(lam) or lam.samples is not None):  # held per sample
+            lam = FuzzyVector.stack(holds)
         return (FuzzyVector.stack(states) if states else u.take(kept)), lam
 
     values, segments = sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack)

@@ -58,15 +58,17 @@ NOT_TESTED = "not-tested"
 class LyapunovFn:
     """Nonnegative energy-like function of (t, state).
 
-    V may be given a stack of states and must then return an ``(S,)`` array,
-    each sample's value as V of that state alone, as any composition of
-    ``fuzzy.norm`` and array arithmetic does.  A result that is the same for
-    every sample may be a single float."""
+    V may be given a stack of states, with one t or an ``(S,)`` array of
+    times aligned with the samples, and must then return an ``(S,)`` array,
+    each sample's value as V of that time and state alone, as any
+    composition of ``fuzzy.norm``, the time scale's ``mu``/``sigma`` and array
+    arithmetic does.  A result that is the same for every sample may be a
+    single float."""
 
-    fn: Callable[[float, FuzzyVector], float | np.ndarray]
+    fn: Callable[[float | np.ndarray, FuzzyVector], float | np.ndarray]
     lipschitz: float | None = None
 
-    def __call__(self, t: float, u: FuzzyVector) -> float | np.ndarray:
+    def __call__(self, t: float | np.ndarray, u: FuzzyVector) -> float | np.ndarray:
         return self.fn(t, u)
 
 
@@ -77,10 +79,11 @@ def norm_lyapunov() -> LyapunovFn:
 
 @dataclass(frozen=True)
 class ClassKPair:
-    """Candidate class-K bounds a, b used to sandwich V."""
+    """Candidate class-K bounds a, b used to sandwich V.  Each may be given an
+    ``(S,)`` array of distances and must then act element by element."""
 
-    a: Callable[[float], float]
-    b: Callable[[float], float]
+    a: Callable[[float | np.ndarray], float | np.ndarray]
+    b: Callable[[float | np.ndarray], float | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,23 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
 MAX_SAMPLE_ATTEMPTS = 1000
 
 
-def _draw(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str,
-          target: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(n, m)`` lower and upper endpoints of one ``sample_initial_state``."""
+def _cuts(grid: AlphaGrid, nodes: list, targets: list | None = None):
+    """make_trapezoid's ``(S, n, m)`` cuts of S draws' ``(S, n, 4)`` support and
+    core ends (a, b, c, d), each rescaled to its target distance as that draw
+    alone; without targets, the ``(S,)`` norms of the draws."""
+    a, b, c, d = np.moveaxis(np.array(nodes), -1, 0)[..., None]
+    lower, upper = a + grid.levels * (b - a), d - grid.levels * (d - c)
+    size = np.maximum(np.abs(lower), np.abs(upper)).max(axis=(-2, -1))
+    if targets is None:
+        return size
+    k = (np.array(targets) / size)[:, None, None]
+    return k * lower, k * upper
+
+
+def _draw(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str) -> list:
+    """Per component, the (a, b, c, d) of one ``sample_initial_state`` draw."""
     for _ in range(MAX_SAMPLE_ATTEMPTS):
-        nodes = []  # per component: support and core ends (a, b, c, d)
+        nodes = []
         for _ in range(n):
             c = float(rng.uniform(-1.0, 1.0))
             if family == "crisp":
@@ -213,14 +228,10 @@ def _draw(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str,
                 wr = float(rng.uniform(0.0, 1.0))
                 half = float(rng.uniform(0.0, 0.5))
                 nodes.append((c - half - wl, c - half, c + half, c + wr + half))
-        # make_trapezoid's cuts, one row per component, and the draw's norm
-        a, b, c, d = np.array(nodes).T[:, :, None]
-        lower = a + grid.levels * (b - a)
-        upper = d - grid.levels * (d - c)
-        size = float(np.maximum(np.abs(lower), np.abs(upper)).max())
-        if size > 1e-9:
-            k = target / size
-            return k * lower, k * upper
+        # the alpha-0 cut is exactly [a, d], so the draw's norm is at least max(|a|, |d|)
+        if (any(abs(a) > 1e-9 or abs(d) > 1e-9 for a, _, _, d in nodes)
+                or _cuts(grid, [nodes])[0] > 1e-9):
+            return nodes
     raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
                       f"{family} states in a row; the random generator is degenerate")
 
@@ -235,7 +246,8 @@ def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
     and is redrawn from the same generator, at most ``MAX_SAMPLE_ATTEMPTS``
     times in all before ConfigError is raised.
     """
-    return FuzzyVector.from_arrays(grid, *_draw(rng, grid, n, family, target))
+    lower, upper = _cuts(grid, [_draw(rng, grid, n, family)], [target])
+    return FuzzyVector.from_arrays(grid, lower[0], upper[0])
 
 
 def boundary_probe(grid: AlphaGrid, n: int, family: str, lam: float) -> FuzzyVector:
@@ -336,45 +348,59 @@ def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict
     return out
 
 
+def _draw_layer(ts: TimeScale, grid: AlphaGrid, n: int, family: str, radius: float,
+                rng: np.random.Generator, samples: int, states: int):
+    """A check's draws: per sample a point of ``ts``, then ``states`` states with
+    distance to zero uniform in (0, radius).  Returns the ``(samples,)`` points
+    and one stack of the states, in the order drawn."""
+    t, targets, nodes = [], [], []
+    for _ in range(samples):
+        t.append(float(ts.points[rng.integers(0, len(ts))]))
+        for _ in range(states):
+            targets.append(float(rng.uniform(0.0, radius)))
+            nodes.append(_draw(rng, grid, n, family))
+    return np.array(t), FuzzyVector.from_arrays(grid, *_cuts(grid, nodes, targets))
+
+
+def _first_min(values: np.ndarray) -> float:
+    """min() from inf over the values: NaNs never win; of equal minima, the first."""
+    kept = values[~np.isnan(values)]
+    return float(kept[np.argmin(kept)]) if kept.size else math.inf
+
+
+# V, a and b on arrays overflow as silently as on one sample's floats
+@np.errstate(over="ignore", invalid="ignore")
 def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, grid: AlphaGrid,
                     n: int, family: str, radius: float, rng: np.random.Generator,
                     samples: int, tol: float) -> dict:
-    violations = []
-    worst_low = math.inf
-    worst_high = math.inf
-    for _ in range(samples):
-        t = float(ts.points[rng.integers(0, len(ts))])
-        target = float(rng.uniform(0.0, radius))
-        u = sample_initial_state(rng, grid, n, family, target)
-        d = fuzzy.norm(u)
-        v = V(t, u)
-        low_margin = v - float(kpair.b(d))
-        high_margin = float(kpair.a(d)) - v
-        worst_low = min(worst_low, low_margin)
-        worst_high = min(worst_high, high_margin)
-        if low_margin < -tol or high_margin < -tol:
-            violations.append((t, d, v))
+    t, u = _draw_layer(ts, grid, n, family, radius, rng, samples, 1)
+    d = fuzzy.norm(u)
+    v = np.broadcast_to(V(t, u), d.shape)  # one V for every sample may be a float
+    low_margin = v - kpair.b(d)
+    high_margin = kpair.a(d) - v
+    bad = np.flatnonzero((low_margin < -tol) | (high_margin < -tol))
     return {
-        "passed": not violations,
+        "passed": not bad.size,
         "samples": samples,
-        "worst_lower_margin": worst_low,
-        "worst_upper_margin": worst_high,
-        "violations": [list(v) for v in violations[:10]],
+        "worst_lower_margin": _first_min(low_margin),
+        "worst_upper_margin": _first_min(high_margin),
+        "violations": [[float(t[i]), float(d[i]), float(v[i])] for i in bad[:10].tolist()],
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
                      family: str, radius: float, rng: np.random.Generator,
                      samples: int) -> dict:
+    t, pairs = _draw_layer(ts, grid, n, family, radius, rng, samples, 2)
+    u1, u2 = pairs.take(slice(0, None, 2)), pairs.take(slice(1, None, 2))
+    gap = fuzzy.dist(u1, u2)
+    rows = np.flatnonzero(gap > 1e-12)  # V is not called on the nearly equal pairs
     estimate = 0.0
-    for _ in range(samples):
-        t = float(ts.points[rng.integers(0, len(ts))])
-        u1 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
-        u2 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
-        gap = fuzzy.dist(u1, u2)
-        if gap <= 1e-12:
-            continue
-        estimate = max(estimate, abs(V(t, u1) - V(t, u2)) / gap)
+    if rows.size:
+        t = t[rows]
+        ratio = np.abs(V(t, u1.take(rows)) - V(t, u2.take(rows))) / gap[rows]
+        estimate = float(np.fmax.reduce(ratio, initial=0.0))  # as max(): NaNs never win
     declared = V.lipschitz
     ok = True if declared is None else estimate <= declared * (1.0 + 1e-9) + 1e-12
     return {
@@ -414,9 +440,7 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
             lhs[i] = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
             rhs[i] = comp.g(t, v[i], held[k])
         margin = (rhs - lhs).T  # (samples, points), in listing order
-        kept = margin[~np.isnan(margin)]  # min() never picks a NaN
-        if kept.size:  # as min(): the first of equal minima
-            worst = min(worst, float(kept[np.argmin(kept)]))
+        worst = min(worst, _first_min(margin))
         checked += margin.size
         bad = np.argwhere(margin < -tol)[: 10 - len(violations)].tolist()
         violations += [[times[i], float(lhs[i, j]), float(rhs[i, j]), mode, sample_ids[j]]
@@ -508,20 +532,19 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     n = sys.u0.n
     plan = q.sampling
     probe = boundary_probe(grid, n, plan.family, q.lam)
-    lower, upper = [probe.lower], [probe.upper]
+    targets, nodes = [], []
     for i in range(plan.count):
         rng = np.random.default_rng([plan.seed, i])
         target = float(rng.uniform(0.0, q.lam))
         while target <= 0.0:
             target = float(rng.uniform(0.0, q.lam))
-        lo, hi = _draw(rng, grid, n, plan.family, target)
-        lower.append(lo)
-        upper.append(hi)
+        targets.append(target)
+        nodes.append(_draw(rng, grid, n, plan.family))
+    lower, upper = _cuts(grid, nodes, targets)
     shrunk = fuzzy.scale(1.0 - 1e-9, probe)
-    shrunk_row = len(lower)
-    lower.append(shrunk.lower)
-    upper.append(shrunk.upper)
-    batch = FuzzyVector.from_arrays(grid, np.stack(lower), np.stack(upper))
+    shrunk_row = plan.count + 1
+    batch = FuzzyVector.from_arrays(grid, np.concatenate(([probe.lower], lower, [shrunk.lower])),
+                                    np.concatenate(([probe.upper], upper, [shrunk.upper])))
     sample_ids = np.arange(-1, plan.count)
     try:
         system = dataclasses.replace(sys, u0=batch)

@@ -59,16 +59,29 @@ class TimeScale:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def index_of(self, t: float) -> int:
-        """Index of a stored point, tolerating representation noise."""
-        i = self._index.get(float(t))
-        if i is not None:
-            return i
-        j = int(np.searchsorted(self.points, t))
-        for cand in (j - 1, j):
-            if 0 <= cand < len(self) and abs(self.points[cand] - t) <= _LOOKUP_ATOL * max(1.0, abs(t)):
-                return cand
-        raise UnknownPointError(f"t={t} is not a point of this time scale")
+    def index_of(self, t: float | np.ndarray, successor: bool = False) -> int | np.ndarray:
+        """Index of a stored point, tolerating representation noise; an array
+        of indices for an array of points.  The first point that is not stored,
+        or with ``successor`` the first terminal point, raises as it would alone."""
+        array = isinstance(t, np.ndarray) and t.ndim > 0
+        if not array:
+            i = self._index.get(float(t))
+            if i is not None and not (successor and i == len(self) - 1):
+                return i
+        x = np.asarray(t, dtype=float)
+        j = np.searchsorted(self.points, x)
+        near = np.minimum(np.stack((np.maximum(j - 1, 0), j)), len(self) - 1)
+        gap = np.abs(self.points[near] - x)
+        ok = gap <= _LOOKUP_ATOL * np.maximum(1.0, np.abs(x))
+        i = np.where(ok[0] & (gap[1] != 0), near[0], near[1])  # an exact match wins
+        unknown = np.ravel(~(ok[0] | ok[1]))
+        failed = np.flatnonzero(unknown | np.ravel(successor & (i == len(self) - 1)))
+        if failed.size:
+            at = float(x.flat[failed[0]]) if array else t
+            if unknown[failed[0]]:
+                raise UnknownPointError(f"t={at} is not a point of this time scale")
+            raise NoSuccessorError(f"t={at} is the terminal point")
+        return i if array else int(i)
 
     def __contains__(self, t: float) -> bool:
         try:
@@ -77,19 +90,15 @@ class TimeScale:
         except UnknownPointError:
             return False
 
-    def sigma(self, t: float) -> float:
-        """Forward jump: the next stored point."""
-        i = self.index_of(t)
-        if i == len(self) - 1:
-            raise NoSuccessorError(f"t={t} is the terminal point")
-        return float(self.points[i + 1])
+    def sigma(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Forward jump: the next stored point (per point of an array)."""
+        i = self.index_of(t, successor=True)
+        return self.points[i + 1] if isinstance(i, np.ndarray) else float(self.points[i + 1])
 
-    def mu(self, t: float) -> float:
-        """Graininess sigma(t) - t."""
-        i = self.index_of(t)
-        if i == len(self) - 1:
-            raise NoSuccessorError(f"t={t} is the terminal point")
-        return float(self.graininess[i])
+    def mu(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Graininess sigma(t) - t (per point of an array)."""
+        i = self.index_of(t, successor=True)
+        return self.graininess[i] if isinstance(i, np.ndarray) else float(self.graininess[i])
 
     def is_right_dense(self, t: float) -> bool:
         return self.mu(t) <= self.dense_threshold
@@ -104,9 +113,7 @@ class TimeScale:
         Exact at right-scattered points; at right-dense points the sampled
         spacing stands in for the limit.
         """
-        i = self.index_of(t)
-        if i == len(self) - 1:
-            raise NoSuccessorError(f"t={t} is the terminal point")
+        i = self.index_of(t, successor=True)
         t0 = float(self.points[i])
         t1 = float(self.points[i + 1])
         return (f(t1) - f(t0)) / (t1 - t0)

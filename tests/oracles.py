@@ -16,8 +16,10 @@ from fuzzyts.dsl import (
     BinOp, Call, CircMinus, Env, EvalError, FAdd, FuzzyExpr, FuzzyLit, FuzzyVar, GHSub, Neg, Num,
     ScalarExpr, SMul, Var, VAR_ALIASES,
 )
+from fuzzyts.comparison import MonotonicityReport
 from fuzzyts.errors import FuzzyTSError, NoSuccessorError, UnknownPointError
 from fuzzyts.fuzzy import FuzzyNumber, FuzzyVector
+from fuzzyts.stability import sample_initial_state
 
 
 # -- interval arithmetic by point sampling ----------------------------------
@@ -249,3 +251,83 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
             raise EvalError(str(exc), e.span) from exc
         return fuzzy.scale(-1.0 / (1.0 + mu), eval_fuzzy(e.operand, env))
     raise TypeError(f"not a fuzzy expression: {e!r}")
+
+
+# -- the hypothesis checks one draw at a time ----------------------------------
+# The sandwich, Lipschitz and monotonicity checks as they were before they drew
+# into arrays: the same draws, with V, a, b, g and psi called on one draw's
+# floats and state.  The stacked checks must match them bit for bit.  The
+# draws come from sample_initial_state, which the sampler tests pin to
+# make_trapezoid numbers rescaled by the kernels.
+
+def check_sandwich(V, kpair, ts, grid, n, family, radius, rng, samples, tol):
+    violations = []
+    worst_low = math.inf
+    worst_high = math.inf
+    for _ in range(samples):
+        t = float(ts.points[rng.integers(0, len(ts))])
+        target = float(rng.uniform(0.0, radius))
+        u = sample_initial_state(rng, grid, n, family, target)
+        d = fuzzy.norm(u)
+        v = V(t, u)
+        low_margin = v - float(kpair.b(d))
+        high_margin = float(kpair.a(d)) - v
+        worst_low = min(worst_low, low_margin)
+        worst_high = min(worst_high, high_margin)
+        if low_margin < -tol or high_margin < -tol:
+            violations.append((t, d, v))
+    return {
+        "passed": not violations,
+        "samples": samples,
+        "worst_lower_margin": worst_low,
+        "worst_upper_margin": worst_high,
+        "violations": [list(v) for v in violations[:10]],
+    }
+
+
+def check_lipschitz(V, ts, grid, n, family, radius, rng, samples):
+    estimate = 0.0
+    for _ in range(samples):
+        t = float(ts.points[rng.integers(0, len(ts))])
+        u1 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
+        u2 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
+        gap = fuzzy.dist(u1, u2)
+        if gap <= 1e-12:
+            continue
+        estimate = max(estimate, abs(V(t, u1) - V(t, u2)) / gap)
+    declared = V.lipschitz
+    ok = True if declared is None else estimate <= declared * (1.0 + 1e-9) + 1e-12
+    return {
+        "passed": bool(ok and math.isfinite(estimate)),
+        "estimated_constant": estimate,
+        "declared_constant": declared,
+        "samples": samples,
+    }
+
+
+def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9):
+    rng = np.random.default_rng(seed)
+    ts = sys.ts
+    lo, hi = box
+    kappa = ts.kappa_points()
+    g_mu_r, g_v, psi_bad = [], [], []
+    for _ in range(samples):
+        t = float(kappa[rng.integers(0, len(kappa))])
+        mu = ts.mu(t)
+        r1, r2 = sorted(rng.uniform(lo, hi, size=2))
+        v1, v2 = sorted(rng.uniform(lo, hi, size=2))
+        v = float(rng.uniform(lo, hi))
+        r = float(rng.uniform(lo, hi))
+        left = sys.g(t, r1, v) * mu + r1
+        right = sys.g(t, r2, v) * mu + r2
+        if right < left - tol:
+            g_mu_r.append((t, r1, r2, right - left))
+        gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
+        if gv2 < gv1 - tol:
+            g_v.append((t, v1, v2, gv2 - gv1))
+    for k, psi in enumerate(sys.psi):
+        for _ in range(max(8, samples // max(1, len(sys.psi)))):
+            v1, v2 = sorted(rng.uniform(lo, hi, size=2))
+            if psi(v2) < psi(v1) - tol:
+                psi_bad.append((k, v1, v2))
+    return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad)

@@ -180,6 +180,18 @@ def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+def test_simulate_switch_map_failure_exits_1(tmp_path, capsys):
+    # at t=2 the state is 0.81 * tri(-1,0,1), wider at alpha 0 than the trapezoid
+    # and narrower at its core, so the gH difference of the switch map fails
+    cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs="smul(-0.1, u)").replace(
+        "u0 =", "lambda_k = ghsub(u_k, trap(-0.5,-0.2,0.2,0.5))\nswitch_times = 0 2\nu0 =")
+        .replace("integer(6)", "integer(4)").replace("horizon = 6", "horizon = 4"))
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err.startswith(
+        "solver step failed at t=2.0: expansive step failed at t=2.0: "
+        "gH difference does not exist")
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -275,6 +287,36 @@ def test_stability_example_violation_exit_1(tmp_path):
 def test_stability_lambda_above_A_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "bad.cfg", CRISP_CFG.replace("lambda = 1", "lambda = 3"))
     assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+
+
+@pytest.mark.parametrize("command", ["stability", "compare"])
+def test_horizon_off_the_scale_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path / "h.cfg",
+                    test_golden.DSL_STABILITY.replace("horizon = 2.4", "horizon = 2.45"))
+    assert run(command, "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == "error: horizon 2.45 is not a point of the time scale\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_stability_zero_samples_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "s.cfg", test_golden.DSL_STABILITY.replace("samples = 6",
+                                                                           "samples = 0"))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == "error: sampling count must be >= 1\n"
+
+
+# A switch map whose gH difference fails for some samples at the second
+# switch time (t = 1.5) of the dsl-ghsub-stability golden case.
+GHSUB_SWITCH_STABILITY = test_golden.DSL_GHSUB_STABILITY.replace(
+    "lambda_k = u_k", "lambda_k = ghsub(u_k, trap(-0.5,-0.2,0.2,0.5))")
+
+
+def test_stability_skips_the_samples_whose_switch_map_fails(tmp_path):
+    cfg = write_cfg(tmp_path / "g.cfg", GHSUB_SWITCH_STABILITY)
+    out = tmp_path / "v"
+    assert run("stability", "--config", cfg, "--out", out) == 0
+    skipped = json.loads((out / "verdict.json").read_text())["metadata"]["skipped_step_failures"]
+    assert {"mode": "expansive", "sample": 5, "t": 1.5} in skipped
 
 
 def test_stability_missing_query_exits_2(tmp_path):

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fuzzyts as f
+import oracles
 import test_golden
-from fuzzyts import catalog, comparison as cmp, hybrid, stability
+from fuzzyts import catalog, comparison as cmp, dsl, fuzzy, hybrid, stability
 from fuzzyts.cli import RunConfig, build_bundle, build_query, main
 from fuzzyts.errors import BlowUpError, ConfigError, FuzzyTSError, StepFailureError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
@@ -768,14 +770,19 @@ def condition_ii_per_sample(V, comp, stacks, tol):
             "worst_margin": worst if checked else None, "violations": violations[:10]}
 
 
-def dsl_stacks(config):
-    """Bundle and direct-route stacks of a stability config, as the CLI builds them."""
+def dsl_query(config):
+    """Bundle, query and horizon of a stability config, as the CLI builds them."""
     parser = configparser.ConfigParser()
     parser.read_string(config)
     cfg = RunConfig({name: dict(parser[name]) for name in parser.sections()},
                     Path("out"), int(parser.get("output", "alpha_levels", fallback="11")), None)
     bundle, horizon, _ = build_bundle(cfg)
-    q = build_query(cfg, bundle.system.rho)
+    return bundle, build_query(cfg, bundle.system.rho), horizon
+
+
+def dsl_stacks(config):
+    """Bundle and direct-route stacks of a stability config, as the CLI builds them."""
+    bundle, q, horizon = dsl_query(config)
     stacks, _, _ = stability._simulate_direct(bundle.system, q, horizon, tuple(StepMode))
     return bundle, stacks
 
@@ -908,3 +915,164 @@ def test_comparison_route_raises_what_the_first_failing_start_raises(tmp_path, c
     assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         f"comparison dynamics blew up at t={first.value.t}: {first.value}\n")
+
+
+def test_samples_whose_switch_map_fails_leave_as_on_their_own_solves(monkeypatch):
+    bundle, q, horizon = dsl_query(test_golden.DSL_GHSUB_STABILITY.replace(
+        "lambda_k = u_k", "lambda_k = ghsub(u_k, trap(-0.5,-0.2,0.2,0.5))"))
+
+    def verdict():
+        v = check_practical_stability(bundle.system, bundle.comparison, bundle.lyapunov,
+                                      bundle.kpair, q, horizon)
+        return json.dumps(v.to_dict(), sort_keys=True)
+
+    stacked = verdict()
+    skipped = json.loads(stacked)["metadata"]["skipped_step_failures"]
+    assert {"mode": "expansive", "sample": 5, "t": 1.5} in skipped
+    monkeypatch.setattr(hybrid, "solve", solve_each_sample)
+    assert stacked == verdict()
+
+
+# ---------------------------------------------------------------------------
+# the hypothesis checks drawn into arrays against the per-draw loops
+# ---------------------------------------------------------------------------
+
+class SeededScriptedRng(ScriptedRng):
+    """Plays back ``values`` to the scalar uniform() calls, then draws every
+    value from a seeded generator."""
+
+    def __init__(self, values, seed):
+        super().__init__(values)
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size=None):
+        if self.values and size is None:
+            return super().uniform(low, high)
+        return self.rng.uniform(low, high, size)
+
+    def integers(self, low, high):
+        return self.rng.integers(low, high)
+
+
+HYPOTHESIS_TS = f.intervals([[0, 1], [1.5, 2.5]], 0.25)
+_DSL_V = dsl.compile_expr(dsl.parse_scalar("max(d, pow(d, 2)) * (1 + t)"), ("t", "d"),
+                          ts=HYPOTHESIS_TS)
+
+LYAPUNOV = {
+    "norm": norm_lyapunov(),
+    "norm-1-plus-t": LyapunovFn(lambda t, u: f.norm(u) * (1.0 + t), lipschitz=3.5),
+    "constant": LyapunovFn(lambda t, u: 0.5, lipschitz=0.0),
+    "dsl": LyapunovFn(lambda t, u: _DSL_V(t, f.norm(u))),
+    "inf-above-1.5": LyapunovFn(lambda t, u: np.where(f.norm(u) > 1.5, np.inf, f.norm(u))[()]),
+    # with the zero kpair, lower margins of -0.0 and 0.0: the first of equal minima wins
+    "signed-zero": LyapunovFn(lambda t, u: np.where(t > 1.0, 0.0, -0.0)[()]),
+}
+
+KPAIRS = {
+    "identity": ClassKPair(lambda x: x, lambda x: x),
+    "nan-above-0.5": ClassKPair(lambda x: np.where(x > 0.5, np.nan, 2.0 * x)[()],
+                                lambda x: 0.5 * x),
+    "all-nan": ClassKPair(lambda x: x * np.nan, lambda x: np.where(x < 1.0, np.nan, x)[()]),
+    "zero": ClassKPair(lambda x: 0.0 * x, lambda x: 0.0 * x),
+}
+
+# scalar uniform() draws of one state of each family per component
+_DRAWS_PER_COMPONENT = {"crisp": 1, "triangular": 3, "trapezoid": 4}
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # also tells -0.0 from 0.0
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(sorted(_DRAWS_PER_COMPONENT)),
+       n=st.sampled_from([1, 3]), V=st.sampled_from(sorted(LYAPUNOV)),
+       kpair=st.sampled_from(sorted(KPAIRS)), scripted=st.booleans())
+@example(seed=2, family="crisp", n=1, V="signed-zero", kpair="zero", scripted=False)
+@example(seed=2, family="triangular", n=3, V="dsl", kpair="nan-above-0.5", scripted=True)
+@settings(max_examples=30, deadline=None)
+def test_stacked_sandwich_and_lipschitz_equal_the_per_draw_loops(seed, family, n, V, kpair,
+                                                                 scripted):
+    V, kpair = LYAPUNOV[V], KPAIRS[kpair]
+    # scripted: the first state drawn (after its target 0.75) is nearly zero
+    # (1e-12 and zeros) and is redrawn
+    values = [0.75, 1e-12] + [0.0] * (_DRAWS_PER_COMPONENT[family] * n - 1) if scripted else []
+    for check, reference, args in [
+        (stability._check_sandwich, oracles.check_sandwich,
+         (V, kpair, HYPOTHESIS_TS, GRID, n, family, 2.0)),
+        (stability._check_lipschitz, oracles.check_lipschitz,
+         (V, HYPOTHESIS_TS, GRID, n, family, 2.0)),
+    ]:
+        extra = (40, 1e-9) if check is stability._check_sandwich else (40,)
+        rngs = [SeededScriptedRng(values, seed) for _ in range(2)]
+        got = check(*args, rngs[0], *extra)
+        with np.errstate(invalid="ignore"):  # inf - inf in the float loop
+            want = reference(*args, rngs[1], *extra)
+        assert_same_report(got, want)
+        assert not rngs[0].values  # every scripted value was drawn
+
+
+_G = {
+    "dsl-contraction": "(-r + v)/(1 + mu(t))",
+    "dsl-decreasing-in-r": "(v - 3 * r) / mu(t)",
+    "dsl-decreasing-in-v": "r - v * mu(t)",
+    "dsl-zero": "0",
+}
+_PSI = {"dsl-identity": "v", "dsl-folded": "abs(v - 1)", "dsl-constant": "2"}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), g=st.sampled_from(sorted(_G) + ["catalog"]),
+       psi=st.sampled_from(sorted(_PSI)), samples=st.integers(1, 120))
+@settings(max_examples=40, deadline=None)
+def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples):
+    ts = HYPOTHESIS_TS
+    if g == "catalog":
+        g = lambda t, w, w_k: (w + w_k) / (1.0 + ts.mu(t))  # noqa: E731
+    else:
+        g = dsl.compile_expr(dsl.parse_scalar(_G[g]), ("t", "r", "v"), ts=ts)
+    psi = dsl.compile_expr(dsl.parse_scalar(_PSI[psi]), ("v",), ts=ts)
+    comp = f.ScalarHybridSystem(ts, (0.0, 1.5), g, (psi, psi), 1.0)
+    got = cmp.check_monotonicity_hypothesis(comp, samples=samples, seed=seed, box=(0.0, 4.0))
+    want = oracles.check_monotonicity(comp, samples=samples, seed=seed, box=(0.0, 4.0))
+    assert got == want
+    assert_same_report(got.to_dict(), want.to_dict())
+
+
+def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
+    b = catalog.make_example_3_9(GRID, 10.0)
+    calls = {"V": 0, "g": 0, "psi": 0, "checked states": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(fuzzy, "_check", counted("checked states", fuzzy._check))
+    V = LyapunovFn(counted("V", b.lyapunov), lipschitz=1.0)
+    comp = dataclasses.replace(b.comparison, g=counted("g", b.comparison.g),
+                               psi=tuple(counted("psi", p) for p in b.comparison.psi))
+    seen = []
+    for samples in (10, 40):
+        for name in calls:
+            calls[name] = 0
+        rng = np.random.default_rng(samples)
+        stability._check_sandwich(V, b.kpair, b.system.ts, GRID, 1, "trapezoid", 2.0, rng,
+                                  samples, 1e-9)
+        assert calls["V"] == 1
+        stability._check_lipschitz(V, b.system.ts, GRID, 1, "trapezoid", 2.0, rng, samples)
+        assert calls["V"] <= 1 + 2
+        cmp.check_monotonicity_hypothesis(comp, samples=samples, seed=samples)
+        assert calls["g"] <= 4 and calls["psi"] <= 2 * len(comp.psi)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]  # one stack per check, whatever the sample count
+    assert seen[0]["checked states"] <= 2
+
+
+def test_sandwich_V_with_mu_still_raises_at_the_terminal_point(tmp_path, capsys):
+    # the sandwich draws t from every point, the terminal one included
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text(test_golden.DSL_STABILITY.replace(
+        "V = d", "V = max(d, pow(d, 2)) / (1 + mu(t))"))
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == "error: t=2.5 is the terminal point at line 1, column 26\n"

@@ -195,3 +195,53 @@ def test_upper_dini_of_array_valued_f_equals_its_per_column_results(ts, data, sa
         want = [ts.upper_dini(lambda s: float(row[s][j]), t, horizon=horizon)
                 for j in range(samples)]
         assert np.asarray(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# lookups of arrays of points
+# ---------------------------------------------------------------------------
+
+ARRAY_SCALES = [f.integer(6), f.qscale(1.0, 2.0, 6), f.intervals([[0.0, 1.0], [1.5, 2.5]], 0.1),
+                f.explicit([0.0, 1e-10, 1.0, 2.0])]
+
+
+@pytest.mark.parametrize("ts", ARRAY_SCALES, ids=["integer", "qscale", "intervals", "close"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_array_lookups_equal_their_scalar_lookups(ts, data):
+    # stored points, some with representation noise, every one with a successor
+    picks = data.draw(st.lists(st.integers(0, len(ts) - 2), min_size=1, max_size=8))
+    noise = data.draw(st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 5e-10]),
+                               min_size=len(picks), max_size=len(picks)))
+    t = ts.points[picks] + np.array(noise)
+    for lookup in (ts.index_of, ts.mu, ts.sigma):
+        got = lookup(t)
+        assert got.shape == t.shape
+        assert got.tolist() == [lookup(float(x)) for x in t]
+
+
+def _error_of(call):
+    try:
+        call()
+    except (UnknownPointError, NoSuccessorError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("points, first", [
+    ([0.0, 2.5, 6.0], 2.5),  # off the scale
+    ([1.0, 6.0, 2.5], 6.0),  # terminal
+    ([6.0 + 1e-12, 2.5], 6.0 + 1e-12),  # terminal up to lookup noise
+    ([-1.0, 3.0], -1.0),  # before the first point
+])
+def test_array_lookup_raises_what_its_first_failing_point_raises(points, first):
+    ts = f.integer(6)
+    for lookup in (ts.index_of, ts.mu, ts.sigma):
+        failing = [x for x in points if _error_of(lambda: lookup(x))]
+        if lookup != ts.index_of:  # index_of finds a terminal point
+            assert failing[0] == first
+        if failing:
+            assert _error_of(lambda: lookup(np.array(points))) == _error_of(
+                lambda: lookup(failing[0]))
+        else:
+            assert lookup(np.array(points)).tolist() == [lookup(x) for x in points]
