@@ -183,9 +183,18 @@ def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
 def test_simulate_switch_map_failure_exits_1(tmp_path, capsys):
     # at t=2 the state is 0.81 * tri(-1,0,1), wider at alpha 0 than the trapezoid
     # and narrower at its core, so the gH difference of the switch map fails
-    cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs="smul(-0.1, u)").replace(
-        "u0 =", "lambda_k = ghsub(u_k, trap(-0.5,-0.2,0.2,0.5))\nswitch_times = 0 2\nu0 =")
-        .replace("integer(6)", "integer(4)").replace("horizon = 6", "horizon = 4"))
+    cfg = write_cfg(tmp_path / "run.cfg", """
+[timescale]
+scale = integer(4)
+
+[system]
+rhs = smul(-0.1, u)
+lambda_k = ghsub(u_k, trap(-0.5,-0.2,0.2,0.5))
+switch_times = 0 2
+u0 = tri(-1,0,1)
+mode = expansive
+horizon = 4
+""")
     assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(
         "solver step failed at t=2.0: expansive step failed at t=2.0: "

@@ -999,15 +999,14 @@ def test_stacked_sandwich_and_lipschitz_equal_the_per_draw_loops(seed, family, n
     values = [0.75, 1e-12] + [0.0] * (_DRAWS_PER_COMPONENT[family] * n - 1) if scripted else []
     for check, reference, args in [
         (stability._check_sandwich, oracles.check_sandwich,
-         (V, kpair, HYPOTHESIS_TS, GRID, n, family, 2.0)),
+         lambda rng: (V, kpair, HYPOTHESIS_TS, GRID, n, family, 2.0, rng, 40, 1e-9)),
         (stability._check_lipschitz, oracles.check_lipschitz,
-         (V, HYPOTHESIS_TS, GRID, n, family, 2.0)),
+         lambda rng: (V, HYPOTHESIS_TS, GRID, n, family, 2.0, rng, 40)),
     ]:
-        extra = (40, 1e-9) if check is stability._check_sandwich else (40,)
         rngs = [SeededScriptedRng(values, seed) for _ in range(2)]
-        got = check(*args, rngs[0], *extra)
+        got = check(*args(rngs[0]))
         with np.errstate(invalid="ignore"):  # inf - inf in the float loop
-            want = reference(*args, rngs[1], *extra)
+            want = reference(*args(rngs[1]))
         assert_same_report(got, want)
         assert not rngs[0].values  # every scripted value was drawn
 
