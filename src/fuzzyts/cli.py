@@ -15,20 +15,19 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
-import logging
-import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, catalog, comparison as cmp, dsl, fuzzy, hybrid, io, timescale as tsmod
+from . import __version__, catalog, comparison as cmp, fuzzy, hybrid, io, timescale as tsmod
 from .comparison import ScalarHybridSystem
-from .dsl import EvalError, ParseError
 from .errors import (
     BlowUpError,
     ConfigError,
+    EvalError,
     FuzzyTSError,
+    ParseError,
     StepFailureError,
     UnknownPointError,
 )
@@ -167,6 +166,7 @@ def _get_int(cfg: RunConfig, section: str, key: str, default=None):
 
 def parse_u0(src: str, grid: AlphaGrid) -> FuzzyVector:
     """Fuzzy vector from '|'-separated constant fuzzy expressions."""
+    from . import dsl  # only DSL input compiles the DSL
     comps = []
     for part in src.split("|"):
         expr = dsl.parse_fuzzy(part, variables=set(), scalar_variables=set())
@@ -216,6 +216,7 @@ def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]
 def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
                      rho: float) -> catalog.SystemBundle:
     """Assemble a bundle from DSL expressions in the config."""
+    from . import dsl
     ts = parse_timescale_spec(_require(cfg, "timescale", "scale"))
     u0 = parse_u0(_require(cfg, "system", "u0"), grid)
     switch_src = _get(cfg, "system", "switch_times", str(float(ts.points[0])))
@@ -401,6 +402,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import dsl
     scalars = {}
     for name in ("t", "r", "v", "d", "x"):
         value = getattr(args, name, None)
@@ -462,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("FTL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -21,33 +21,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fuzzy
-from .errors import FuzzyTSError, NoSuccessorError, UnknownPointError
+from .errors import EvalError, FuzzyTSError, NoSuccessorError, ParseError, UnknownPointError
 from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
 from .timescale import TimeScale
-
-
-class ParseError(FuzzyTSError):
-    """Syntax error with position and the token set that was expected."""
-
-    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        self.line = line
-        self.col = col
-        self.expected = expected
-        hint = f" (expected {', '.join(expected)})" if expected else ""
-        super().__init__(f"{message} at line {line}, column {col}{hint}")
-
-
-class EvalError(FuzzyTSError):
-    """Evaluation failure carrying the source span of the offending node."""
-
-    def __init__(self, message: str, span: tuple[int, int] = (0, 0)):
-        self.span = span
-        super().__init__(f"{message} at line {span[0]}, column {span[1]}")
-
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -56,8 +37,7 @@ class EvalError(FuzzyTSError):
 _SYMBOLS = "+-*/(),"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num", "ident", one of _SYMBOLS, or "eof"
     text: str
     line: int
@@ -121,84 +101,86 @@ def tokenize(src: str) -> list[Token]:
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-def _span_field():
-    return field(default=(0, 0), compare=False, repr=False)
+class _Node:
+    """A frozen syntax node: its ``_fields``, then a source ``span`` that
+    equality, hashing and repr ignore."""
+
+    __slots__ = ("span",)
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, span: tuple[int, int] = (0, 0)):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} field(s), "
+                            f"got {len(values)}")
+        for name, value in zip(self._fields + ("span",), values + (span,)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    span: tuple[int, int] = _span_field()
+class Num(_Node):
+    __slots__ = _fields = ("value",)  # float
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    span: tuple[int, int] = _span_field()
+class Var(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "ScalarExpr"
-    span: tuple[int, int] = _span_field()
+class Neg(_Node):
+    __slots__ = _fields = ("operand",)  # ScalarExpr
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "ScalarExpr"
-    right: "ScalarExpr"
-    span: tuple[int, int] = _span_field()
+class BinOp(_Node):
+    __slots__ = _fields = ("op", "left", "right")  # str, ScalarExpr, ScalarExpr
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple["ScalarExpr", ...]
-    span: tuple[int, int] = _span_field()
+class Call(_Node):
+    __slots__ = _fields = ("func", "args")  # str, tuple of ScalarExpr
 
 
 ScalarExpr = Num | Var | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
-class FuzzyVar:
-    name: str
-    span: tuple[int, int] = _span_field()
+class FuzzyVar(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class FuzzyLit:
-    kind: str  # tri | trap | crisp
-    args: tuple[ScalarExpr, ...]
-    span: tuple[int, int] = _span_field()
+class FuzzyLit(_Node):
+    __slots__ = _fields = ("kind", "args")  # tri | trap | crisp, tuple of ScalarExpr
 
 
-@dataclass(frozen=True)
-class FAdd:
-    left: "FuzzyExpr"
-    right: "FuzzyExpr"
-    span: tuple[int, int] = _span_field()
+class FAdd(_Node):
+    __slots__ = _fields = ("left", "right")  # FuzzyExpr, FuzzyExpr
 
 
-@dataclass(frozen=True)
-class SMul:
-    scalar: ScalarExpr
-    operand: "FuzzyExpr"
-    span: tuple[int, int] = _span_field()
+class SMul(_Node):
+    __slots__ = _fields = ("scalar", "operand")  # ScalarExpr, FuzzyExpr
 
 
-@dataclass(frozen=True)
-class GHSub:
-    left: "FuzzyExpr"
-    right: "FuzzyExpr"
-    span: tuple[int, int] = _span_field()
+class GHSub(_Node):
+    __slots__ = _fields = ("left", "right")  # FuzzyExpr, FuzzyExpr
 
 
-@dataclass(frozen=True)
-class CircMinus:
-    operand: "FuzzyExpr"
-    span: tuple[int, int] = _span_field()
+class CircMinus(_Node):
+    __slots__ = _fields = ("operand",)  # FuzzyExpr
 
 
 FuzzyExpr = FuzzyVar | FuzzyLit | FAdd | SMul | GHSub | CircMinus

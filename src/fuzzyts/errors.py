@@ -59,3 +59,22 @@ class VerificationInconclusive(FuzzyTSError):
 
 class ConfigError(FuzzyTSError):
     """A run configuration is malformed or inconsistent."""
+
+
+class ParseError(FuzzyTSError):
+    """Syntax error with position and the token set that was expected."""
+
+    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
+        self.line = line
+        self.col = col
+        self.expected = expected
+        hint = f" (expected {', '.join(expected)})" if expected else ""
+        super().__init__(f"{message} at line {line}, column {col}{hint}")
+
+
+class EvalError(FuzzyTSError):
+    """Evaluation failure carrying the source span of the offending node."""
+
+    def __init__(self, message: str, span: tuple[int, int] = (0, 0)):
+        self.span = span
+        super().__init__(f"{message} at line {span[0]}, column {span[1]}")

@@ -9,7 +9,6 @@ writes them: every field is a number, so no field ever needs quoting.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -64,6 +63,7 @@ def write_trajectory_csv(path: Path, traj: FuzzyTrajectory) -> None:
 
 def load_trajectory_csv(path: Path) -> tuple[list[float], list[int], list[FuzzyVector]]:
     """Rebuild (times, segments, values) from a trajectory CSV."""
+    import csv  # only the loader reads CSV, so writing never imports it
     blocks: dict[float, list[list[str]]] = {}  # t -> its rows, in file order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

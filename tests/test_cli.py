@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,42 @@ def test_eval_fuzzy_literal(capsys):
     assert run("eval", "--fuzzy", "tri(-1,0,1)") == 0
     out = capsys.readouterr().out
     assert out.startswith("alpha=0 [-1, 1]")
+
+
+# ---------------------------------------------------------------------------
+# Import footprint: a command loads only what it runs
+# ---------------------------------------------------------------------------
+
+FOOTPRINT_SCRIPT = """
+import sys
+from fuzzyts.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv") if m in sys.modules))
+"""
+
+
+def fresh_cli(*argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter that writes no bytecode:
+    its printed lines, whose last is the exit code and the optional modules
+    it loaded."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("case, loaded", [("catalog-stability", ""),
+                                          ("dsl-stability", " fuzzyts.dsl")])
+def test_a_command_imports_the_dsl_only_for_dsl_input(tmp_path, case, loaded):
+    command, config, exit_code, _ = test_golden.CASES[case]
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
+    assert lines[-1] == f"{exit_code}{loaded}"  # never logging or csv
+
+
+def test_eval_in_a_fresh_interpreter_prints_its_value():
+    assert fresh_cli("eval", "1+2") == ["3", "0 fuzzyts.dsl"]
 
 
 # ---------------------------------------------------------------------------

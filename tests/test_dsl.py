@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
 import oracles
-from fuzzyts import dsl
+from fuzzyts import dsl, errors
 from fuzzyts.dsl import Env, EvalError, ParseError
 from fuzzyts.errors import GHDifferenceError
 
@@ -220,6 +220,39 @@ def test_scalar_round_trip(src):
 def test_fuzzy_round_trip(src):
     ast = dsl.parse_fuzzy(src)
     assert dsl.parse_fuzzy(dsl.to_source(ast)) == ast
+
+
+def test_nodes_compare_and_hash_by_fields_not_span():
+    a = dsl.BinOp("+", dsl.Num(1.0, span=(1, 1)), dsl.Var("x", span=(1, 3)), span=(1, 2))
+    b = dsl.BinOp("+", dsl.Num(1.0), dsl.Var("x"))
+    assert a == b and hash(a) == hash(b) and a.span == (1, 2) and b.span == (0, 0)
+    assert a != dsl.BinOp("-", dsl.Num(1.0), dsl.Var("x"))
+    assert dsl.Var("x") != dsl.FuzzyVar("x") and dsl.Num(1.0) != (1.0,)
+    assert len({dsl.parse_fuzzy("u fadd lam"), dsl.parse_fuzzy(" u  fadd  lam")}) == 1
+
+
+def test_nodes_are_frozen_and_take_their_field_count():
+    node = dsl.Neg(dsl.Num(2.0))
+    for name in ("operand", "span", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, dsl.Num(3.0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node == dsl.Neg(dsl.Num(2.0))
+    with pytest.raises(TypeError):
+        dsl.Call("min", (dsl.Num(1.0),), dsl.Num(2.0))
+    with pytest.raises(TypeError):
+        dsl.SMul(dsl.Num(1.0))
+
+
+def test_node_repr_names_the_class_and_fields():
+    assert repr(dsl.parse_fuzzy("smul(2, u)")) == \
+        "SMul(scalar=Num(value=2.0), operand=FuzzyVar(name='u'))"
+
+
+def test_dsl_errors_are_the_shared_error_classes():
+    assert dsl.ParseError is errors.ParseError and ParseError is errors.ParseError
+    assert dsl.EvalError is errors.EvalError and EvalError is errors.EvalError
 
 
 # ---------------------------------------------------------------------------
