@@ -7,8 +7,6 @@ instead of spelling out every expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fuzzy, timescale as tsmod
 from .comparison import ScalarHybridSystem
 from .errors import ConfigError
@@ -17,13 +15,13 @@ from .hybrid import HybridFuzzySystem, build_example_system
 from .stability import ClassKPair, LyapunovFn, norm_lyapunov
 
 
-@dataclass
 class SystemBundle:
-    name: str
-    system: HybridFuzzySystem
-    comparison: ScalarHybridSystem
-    lyapunov: LyapunovFn
-    kpair: ClassKPair
+    __slots__ = ("name", "system", "comparison", "lyapunov", "kpair")
+
+    def __init__(self, name: str, system: HybridFuzzySystem, comparison: ScalarHybridSystem,
+                 lyapunov: LyapunovFn, kpair: ClassKPair):
+        self.name, self.system, self.comparison = name, system, comparison
+        self.lyapunov, self.kpair = lyapunov, kpair
 
 
 def _identity_kpair() -> ClassKPair:

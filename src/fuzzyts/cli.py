@@ -17,7 +17,6 @@ import ast
 import configparser
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, catalog, comparison as cmp, fuzzy, hybrid, io, timescale as tsmod
@@ -83,14 +82,14 @@ def parse_timescale_spec(spec: str) -> TimeScale:
         raise ConfigError(f"bad time scale spec {spec!r}: {exc}") from exc
 
 
-@dataclass
 class RunConfig:
     """Resolved configuration, kept around verbatim for the metadata echo."""
 
-    sections: dict
-    out_dir: Path
-    alpha_levels: int
-    seed: int | None
+    __slots__ = ("sections", "out_dir", "alpha_levels", "seed")
+
+    def __init__(self, sections: dict, out_dir: Path, alpha_levels: int, seed: int | None):
+        self.sections, self.out_dir, self.alpha_levels, self.seed = (
+            sections, out_dir, alpha_levels, seed)
 
     def echo(self) -> dict:
         return {"config": self.sections,
@@ -431,26 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "check practical stability")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a run configuration file")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="master seed for sampling")
-        p.add_argument("--alpha-levels", type=int, dest="alpha_levels",
-                       help="number of alpha levels (default 11)")
-        p.add_argument("--mode", choices=["expansive", "contractive"],
-                       help="solver step mode")
-        p.add_argument("--horizon", type=float, help="final time (a stored point)")
-        p.add_argument("--system", help="catalog system name")
-        p.add_argument("--u0", help="initial state as a fuzzy expression")
-        p.add_argument("--timescale", help="time scale spec, e.g. integer(60)")
+    # the flags every state command shares, built once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="path to a run configuration file")
+    common.add_argument("--out", help="output directory (default: out)")
+    common.add_argument("--seed", type=int, help="master seed for sampling")
+    common.add_argument("--alpha-levels", type=int, dest="alpha_levels",
+                        help="number of alpha levels (default 11)")
+    common.add_argument("--mode", choices=["expansive", "contractive"],
+                        help="solver step mode")
+    common.add_argument("--horizon", type=float, help="final time (a stored point)")
+    common.add_argument("--system", help="catalog system name")
+    common.add_argument("--u0", help="initial state as a fuzzy expression")
+    common.add_argument("--timescale", help="time scale spec, e.g. integer(60)")
 
     for name, fn, aliases in (("simulate", cmd_simulate, []),
                               ("compare", cmd_compare, []),
                               ("stability", cmd_stability, []),
                               ("deriv", cmd_deriv, ["dini"])):
-        p = sub.add_parser(name, aliases=aliases)
-        common(p)
-        p.set_defaults(func=fn)
+        sub.add_parser(name, aliases=aliases, parents=[common]).set_defaults(func=fn)
 
     p = sub.add_parser("eval", help="evaluate one expression and print the value")
     p.add_argument("expr")

@@ -9,12 +9,11 @@ approximates the maximal solution and reports itself as approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError, InvalidShapeError
+from .errors import BlowUpError, InvalidShapeError, Record
 from .timescale import SwitchSchedule, TimeScale
 
 # g and psi may be given ``(S,)`` arrays, one value per sample (g also an
@@ -25,37 +24,34 @@ GFn = Callable[[float | np.ndarray, float | np.ndarray, float | np.ndarray], flo
 PsiFn = Callable[[float | np.ndarray], float | np.ndarray]
 
 
-@dataclass(eq=False)
-class ScalarHybridSystem:
+class ScalarHybridSystem(Record):
     """Real comparison dynamics with per-segment frozen psi values; ``r0``
     may be an ``(S,)`` array of starts."""
 
-    ts: TimeScale
-    switch_times: tuple[float, ...]
-    g: GFn
-    psi: tuple[PsiFn, ...]
-    r0: float | np.ndarray
-    schedule: SwitchSchedule = field(init=False, repr=False)
+    _fields = ("ts", "switch_times", "g", "psi", "r0")
+    __slots__ = _fields + ("schedule",)
 
-    def __post_init__(self):
-        self.schedule = SwitchSchedule(self.ts, self.switch_times)
-        if len(self.psi) != len(self.schedule.times):
+    def __init__(self, ts: TimeScale, switch_times: tuple[float, ...], g: GFn,
+                 psi: tuple[PsiFn, ...], r0: float | np.ndarray):
+        self.schedule = SwitchSchedule(ts, switch_times)
+        if len(psi) != len(self.schedule.times):
             raise InvalidShapeError("need exactly one psi per switch time")
-        if np.any(np.asarray(self.r0) < 0):
+        if np.any(np.asarray(r0) < 0):
             raise InvalidShapeError("r0 must be nonnegative")
-        self.switch_times = self.schedule.times
-        self.psi = tuple(self.psi)
+        self.ts, self.g, self.r0 = ts, g, r0
+        self.switch_times, self.psi = self.schedule.times, tuple(psi)
 
 
-@dataclass(eq=False)
-class ScalarTrajectory:
+class ScalarTrajectory(Record):
     """Per-point real values, ``(points,)`` or ``(points, S)`` for a stacked
     start, with their segment indices."""
 
-    ts: TimeScale
-    values: np.ndarray
-    segments: np.ndarray
-    approximate_maximality: bool = False
+    __slots__ = _fields = ("ts", "values", "segments", "approximate_maximality")
+
+    def __init__(self, ts: TimeScale, values: np.ndarray, segments: np.ndarray,
+                 approximate_maximality: bool = False):
+        self.ts, self.values, self.segments = ts, values, segments
+        self.approximate_maximality = approximate_maximality
 
     def __len__(self) -> int:
         return len(self.values)
@@ -93,20 +89,29 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
     return ScalarTrajectory(sys.ts, np.asarray(values), segments, approximate_maximality=dense)
 
 
-@dataclass
 class MonotonicityReport:
     """Sampled check of the comparison-principle monotonicity hypotheses.
 
     Violations are content, not errors: each entry records the sampled
-    point at which a finite difference had the wrong sign.
+    point at which a finite difference had the wrong sign.  Reports compare
+    equal field by field.
     """
 
-    samples: int
-    seed: int
-    box: tuple[float, float]
-    g_mu_r_violations: list[tuple[float, float, float, float]]
-    g_v_violations: list[tuple[float, float, float, float]]
-    psi_violations: list[tuple[int, float, float]]
+    __slots__ = ("samples", "seed", "box", "g_mu_r_violations", "g_v_violations",
+                 "psi_violations")
+
+    def __init__(self, samples: int, seed: int, box: tuple[float, float],
+                 g_mu_r_violations: list[tuple[float, float, float, float]],
+                 g_v_violations: list[tuple[float, float, float, float]],
+                 psi_violations: list[tuple[int, float, float]]):
+        self.samples, self.seed, self.box = samples, seed, box
+        self.g_mu_r_violations, self.g_v_violations = g_mu_r_violations, g_v_violations
+        self.psi_violations = psi_violations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     @property
     def passed(self) -> bool:

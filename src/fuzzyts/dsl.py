@@ -20,13 +20,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import fuzzy
-from .errors import EvalError, FuzzyTSError, NoSuccessorError, ParseError, UnknownPointError
+from .errors import (
+    EvalError,
+    Frozen,
+    FuzzyTSError,
+    NoSuccessorError,
+    ParseError,
+    UnknownPointError,
+)
 from .fuzzy import AlphaGrid, FuzzyNumber, FuzzyVector
 from .timescale import TimeScale
 
@@ -101,7 +107,7 @@ def tokenize(src: str) -> list[Token]:
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
-class _Node:
+class _Node(Frozen):
     """A frozen syntax node: its ``_fields``, then a source ``span`` that
     equality, hashing and repr ignore."""
 
@@ -129,11 +135,6 @@ class _Node:
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
 
 
 class Num(_Node):
@@ -429,20 +430,23 @@ def _print_fuzzy(e: FuzzyExpr) -> str:
 # Compilation (Feeley & Lapalme 1987: one closure per syntax node)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Env:
     """Bindings for evaluation.
 
     ``scalars`` binds scalar variables (floats or arrays), ``fuzzies`` binds
-    fuzzy variables (fuzzy numbers, or whole fuzzy vectors);
-    ``ts`` supplies the time-scale context required by mu/sigma/eta, and
-    ``grid`` the alpha grid required by fuzzy literals.
+    fuzzy variables (fuzzy numbers, or whole fuzzy vectors); each defaults
+    to a fresh empty dict.  ``ts`` supplies the time-scale context required
+    by mu/sigma/eta, and ``grid`` the alpha grid required by fuzzy literals.
     """
 
-    scalars: dict[str, float | np.ndarray] = field(default_factory=dict)
-    fuzzies: dict[str, FuzzyNumber | FuzzyVector] = field(default_factory=dict)
-    ts: TimeScale | None = None
-    grid: AlphaGrid | None = None
+    __slots__ = ("scalars", "fuzzies", "ts", "grid")
+
+    def __init__(self, scalars: dict[str, float | np.ndarray] | None = None,
+                 fuzzies: dict[str, FuzzyNumber | FuzzyVector] | None = None,
+                 ts: TimeScale | None = None, grid: AlphaGrid | None = None):
+        self.scalars = {} if scalars is None else scalars
+        self.fuzzies = {} if fuzzies is None else fuzzies
+        self.ts, self.grid = ts, grid
 
 
 _MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element

@@ -1,4 +1,32 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the bases of its records."""
+
+
+class Frozen:
+    """Base of an immutable record: its ``__init__`` sets each slot once,
+    with ``_set``; setting or deleting one later raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Record:
+    """Base of a record whose ``__init__`` takes its ``_fields`` by name."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to the fields, built and checked again by
+        ``__init__``."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
 
 class FuzzyTSError(Exception):

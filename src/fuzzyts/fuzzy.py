@@ -31,12 +31,11 @@ on a stack it gives one value per sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    Frozen,
     GHDifferenceError,
     GridMismatchError,
     InvalidShapeError,
@@ -55,21 +54,20 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaGrid:
+class AlphaGrid(Frozen):
     """Shared ladder of alpha values: strictly increasing, from 0 to 1."""
 
-    levels: np.ndarray
+    __slots__ = ("levels",)
 
-    def __post_init__(self):
-        levels = _frozen_array(self.levels)
+    def __init__(self, levels: np.ndarray):
+        levels = _frozen_array(levels)
         if levels.ndim != 1 or levels.size < 2:
             raise InvalidShapeError("alpha grid needs at least two levels")
         if levels[0] != 0.0 or levels[-1] != 1.0:
             raise InvalidShapeError("alpha grid must start at 0 and end at 1")
         if not np.all(np.diff(levels) > 0):
             raise InvalidShapeError("alpha grid must be strictly increasing")
-        object.__setattr__(self, "levels", levels)
+        self._set(levels=levels)
 
     @classmethod
     def uniform(cls, m: int = 11) -> "AlphaGrid":
@@ -142,8 +140,7 @@ def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
     return False
 
 
-@dataclass(frozen=True, eq=False)
-class _Cuts:
+class _Cuts(Frozen):
     """Sampled alpha-cut endpoints on one grid, checked at construction.
 
     A fuzzy number holds ``(m,)`` endpoint arrays, a fuzzy vector ``(n, m)``
@@ -153,15 +150,18 @@ class _Cuts:
       * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
         (cuts are nested).
-    ``_exact`` (not a field) tells whether they hold with no slack within
-    ``ATOL``.
+    ``_exact`` (worked out, not passed in) tells whether they hold with no
+    slack within ``ATOL``.  ``__init__`` leaves the checks to
+    ``__post_init__``, the hook ``perfbench/tracer.py`` wraps to count the
+    fuzzy numbers built from outside data.
     """
 
-    grid: AlphaGrid
-    lower: np.ndarray
-    upper: np.ndarray
+    __slots__ = ("grid", "lower", "upper", "_exact")
+    _ranks = (1,)  # allowed ranks of the endpoint arrays
 
-    _ranks = (1,)  # allowed ranks of the endpoint arrays; not a field
+    def __init__(self, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
+        self._set(grid=grid, lower=lower, upper=upper)
+        self.__post_init__()
 
     def __post_init__(self):
         lower = _frozen_array(self.lower)
@@ -171,9 +171,7 @@ class _Cuts:
             raise InvalidShapeError("endpoint arrays must match the grid size")
         with np.errstate(over="ignore"):  # see _check
             exact = _check(lower, upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "_exact", exact)
+        self._set(lower=lower, upper=upper, _exact=exact)
 
     @classmethod
     def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray,
@@ -211,6 +209,8 @@ class _Cuts:
 class FuzzyNumber(_Cuts):
     """A fuzzy number: ``(m,)`` endpoint arrays on a shared grid."""
 
+    __slots__ = ()
+
     def cut(self, i: int) -> tuple[float, float]:
         """Endpoints of the cut at grid level ``i``."""
         return float(self.lower[i]), float(self.upper[i])
@@ -245,6 +245,7 @@ class FuzzyVector(_Cuts):
     or a sub-stack, all views of the checked arrays.
     """
 
+    __slots__ = ()
     _ranks = (2, 3)
 
     def __init__(self, components):

@@ -7,14 +7,13 @@ non-existence is reported as a ``None`` return rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import fuzzy
 from .errors import (
     GHDifferenceError,
     NoSuccessorError,
+    Record,
     StepFailureError,
     VerificationInconclusive,
 )
@@ -26,8 +25,7 @@ from .timescale import TimeScale
 DENSE_AGREEMENT_TOL = 1e-6
 
 
-@dataclass(eq=False)
-class FuzzyTrajectory:
+class FuzzyTrajectory(Record):
     """Fuzzy states attached to the leading points of a time scale.
 
     ``values[i]`` is the state at ``ts.points[i]``; a trajectory may stop
@@ -36,24 +34,25 @@ class FuzzyTrajectory:
 
     A solution from a stack of initial states holds stacks: ``rows`` names
     the rows of that initial stack that reached the horizon, and
-    ``failures`` maps every other row to the StepFailureError it stopped at.
+    ``failures`` (by default a fresh empty dict) maps every other row to
+    the StepFailureError it stopped at.
     """
 
-    ts: TimeScale
-    values: list[FuzzyVector]
-    segments: list[int] | None = None
-    rows: np.ndarray | None = None
-    failures: dict[int, StepFailureError] = field(default_factory=dict)
+    __slots__ = _fields = ("ts", "values", "segments", "rows", "failures")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, ts: TimeScale, values: list[FuzzyVector],
+                 segments: list[int] | None = None, rows: np.ndarray | None = None,
+                 failures: dict[int, StepFailureError] | None = None):
+        if not values:
             raise ValueError("trajectory needs at least one value")
-        if len(self.values) > len(self.ts):
+        if len(values) > len(ts):
             raise ValueError("more values than time points")
-        first = self.values[0]
-        for v in self.values[1:]:
+        first = values[0]
+        for v in values[1:]:
             if v.n != first.n or not v.grid.matches(first.grid):
                 raise ValueError("trajectory values must share grid and dimension")
+        self.ts, self.values, self.segments, self.rows = ts, values, segments, rows
+        self.failures = {} if failures is None else failures
 
     def __len__(self) -> int:
         return len(self.values)

@@ -25,13 +25,12 @@ only a step that rejects the stack as a whole is run sample by sample.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import fuzzy, timescale as tsmod
-from .errors import GHDifferenceError, InvalidShapeError, StepFailureError
+from .errors import GHDifferenceError, InvalidShapeError, Record, StepFailureError
 from .fuzzy import AlphaGrid, FuzzyVector
 # delta_h_derivative is unused here but stays importable from this module:
 # perfbench/tracer.py wraps fuzzyts.hybrid.delta_h_derivative by name.
@@ -59,8 +58,7 @@ class StepMode(enum.Enum):
     CONTRACTIVE = "contractive"
 
 
-@dataclass(eq=False)
-class HybridFuzzySystem:
+class HybridFuzzySystem(Record):
     """Fuzzy dynamics with piecewise-frozen switch values.
 
     ``switch_times`` must be stored points starting at the first point of
@@ -71,24 +69,20 @@ class HybridFuzzySystem:
     receive stacks (see ``RhsFn``).
     """
 
-    ts: TimeScale
-    switch_times: tuple[float, ...]
-    rhs: RhsFn
-    switch_maps: tuple[SwitchMap, ...]
-    rho: float
-    u0: FuzzyVector
-    schedule: SwitchSchedule = field(init=False, repr=False)
+    _fields = ("ts", "switch_times", "rhs", "switch_maps", "rho", "u0")
+    __slots__ = _fields + ("schedule",)
 
-    def __post_init__(self):
-        self.schedule = SwitchSchedule(self.ts, self.switch_times)
-        if len(self.switch_maps) != len(self.schedule.times):
+    def __init__(self, ts: TimeScale, switch_times: tuple[float, ...], rhs: RhsFn,
+                 switch_maps: tuple[SwitchMap, ...], rho: float, u0: FuzzyVector):
+        self.schedule = SwitchSchedule(ts, switch_times)
+        if len(switch_maps) != len(self.schedule.times):
             raise InvalidShapeError("need exactly one switch map per switch time")
-        if self.rho <= 0:
+        if rho <= 0:
             raise InvalidShapeError("rho must be positive")
-        if np.any(fuzzy.norm(self.u0) >= self.rho):
+        if np.any(fuzzy.norm(u0) >= rho):
             raise InvalidShapeError("initial state lies outside the validity ball")
-        self.switch_times = self.schedule.times
-        self.switch_maps = tuple(self.switch_maps)
+        self.ts, self.rhs, self.rho, self.u0 = ts, rhs, rho, u0
+        self.switch_times, self.switch_maps = self.schedule.times, tuple(switch_maps)
 
 
 def _contractive_step(u: FuzzyVector, w: FuzzyVector) -> FuzzyVector:

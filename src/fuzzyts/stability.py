@@ -32,16 +32,14 @@ violation; no such run should exist.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import comparison as cmp, fuzzy, hybrid
 from .comparison import ScalarHybridSystem, ScalarTrajectory, check_monotonicity_hypothesis
-from .errors import ConfigError, FuzzyTSError, InvalidShapeError
+from .errors import ConfigError, Frozen, FuzzyTSError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory
 from .hybrid import HybridFuzzySystem, StepMode
@@ -54,8 +52,7 @@ VIOLATED = "violated"
 NOT_TESTED = "not-tested"
 
 
-@dataclass(frozen=True)
-class LyapunovFn:
+class LyapunovFn(Frozen):
     """Nonnegative energy-like function of (t, state).
 
     V may be given a stack of states, with one t or an ``(S,)`` array of
@@ -65,8 +62,11 @@ class LyapunovFn:
     arithmetic does.  A result that is the same for every sample may be a
     single float."""
 
-    fn: Callable[[float | np.ndarray, FuzzyVector], float | np.ndarray]
-    lipschitz: float | None = None
+    __slots__ = ("fn", "lipschitz")
+
+    def __init__(self, fn: Callable[[float | np.ndarray, FuzzyVector], float | np.ndarray],
+                 lipschitz: float | None = None):
+        self._set(fn=fn, lipschitz=lipschitz)
 
     def __call__(self, t: float | np.ndarray, u: FuzzyVector) -> float | np.ndarray:
         return self.fn(t, u)
@@ -77,53 +77,53 @@ def norm_lyapunov() -> LyapunovFn:
     return LyapunovFn(lambda t, u: fuzzy.norm(u), lipschitz=1.0)
 
 
-@dataclass(frozen=True)
-class ClassKPair:
+class ClassKPair(Frozen):
     """Candidate class-K bounds a, b used to sandwich V.  Each may be given an
     ``(S,)`` array of distances and must then act element by element."""
 
-    a: Callable[[float | np.ndarray], float | np.ndarray]
-    b: Callable[[float | np.ndarray], float | np.ndarray]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Callable[[float | np.ndarray], float | np.ndarray],
+                 b: Callable[[float | np.ndarray], float | np.ndarray]):
+        self._set(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    count: int = 200
-    seed: int = 0
-    family: str = "triangular"  # crisp | triangular | trapezoid
+class SamplingPlan(Frozen):
+    """``family`` is one of crisp, triangular and trapezoid."""
 
-    def __post_init__(self):
-        if self.count < 1:
+    __slots__ = ("count", "seed", "family")
+
+    def __init__(self, count: int = 200, seed: int = 0, family: str = "triangular"):
+        if count < 1:
             raise ConfigError("sampling count must be >= 1")
-        if self.family not in ("crisp", "triangular", "trapezoid"):
-            raise ConfigError(f"unknown sampling family {self.family!r}")
+        if family not in ("crisp", "triangular", "trapezoid"):
+            raise ConfigError(f"unknown sampling family {family!r}")
+        self._set(count=count, seed=seed, family=family)
 
 
-@dataclass(frozen=True)
-class StabilityQuery:
+class StabilityQuery(Frozen):
     """Practical-stability question: premise radius lam, bounds A/B, tail T0.
 
     The direct test is well posed for lam <= A (equality allowed); the
     comparison-criterion gate additionally needs a(lam) < b(A) and reports
-    itself untested otherwise.
+    itself untested otherwise.  ``sampling`` defaults to a fresh
+    ``SamplingPlan()``.
     """
 
-    lam: float
-    A: float
-    B: float | None = None
-    T0: float | None = None
-    rho: float = 100.0
-    sampling: SamplingPlan = field(default_factory=SamplingPlan)
+    __slots__ = ("lam", "A", "B", "T0", "rho", "sampling")
 
-    def __post_init__(self):
-        if not (0 < self.lam <= self.A):
-            raise ConfigError(f"need 0 < lambda <= A, got lambda={self.lam}, A={self.A}")
-        if self.lam >= self.rho:
-            raise ConfigError(f"need lambda < rho, got lambda={self.lam}, rho={self.rho}")
-        if self.B is not None and self.B <= 0:
+    def __init__(self, lam: float, A: float, B: float | None = None, T0: float | None = None,
+                 rho: float = 100.0, sampling: SamplingPlan | None = None):
+        if not (0 < lam <= A):
+            raise ConfigError(f"need 0 < lambda <= A, got lambda={lam}, A={A}")
+        if lam >= rho:
+            raise ConfigError(f"need lambda < rho, got lambda={lam}, rho={rho}")
+        if B is not None and B <= 0:
             raise ConfigError("B must be positive")
-        if self.T0 is not None and self.T0 < 0:
+        if T0 is not None and T0 < 0:
             raise ConfigError("T0 must be nonnegative")
+        self._set(lam=lam, A=A, B=B, T0=T0, rho=rho,
+                  sampling=SamplingPlan() if sampling is None else sampling)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +139,16 @@ def dini_along_solution(V: LyapunovFn, traj: FuzzyTrajectory, t: float) -> float
     return traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
 
 
-@dataclass
 class BoundReport:
-    """Outcome of checking V(t, u(t)) <= r(t) + tol point by point."""
+    """Outcome of checking V(t, u(t)) <= r(t) + tol point by point;
+    ``violations`` holds (t, V, r) triples."""
 
-    precondition_ok: bool
-    checked_points: int
-    violations: list[tuple[float, float, float]]  # (t, V, r)
-    max_excess: float
+    __slots__ = ("precondition_ok", "checked_points", "violations", "max_excess")
+
+    def __init__(self, precondition_ok: bool, checked_points: int,
+                 violations: list[tuple[float, float, float]], max_excess: float):
+        self.precondition_ok, self.checked_points = precondition_ok, checked_points
+        self.violations, self.max_excess = violations, max_excess
 
     @property
     def holds(self) -> bool:
@@ -263,17 +265,17 @@ def boundary_probe(grid: AlphaGrid, n: int, family: str, lam: float) -> FuzzyVec
 # Verdict structure
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Witness:
-    """Concrete violation: which trajectory, where, and how large."""
+    """Concrete violation: which trajectory, where, and how large.  A
+    ``sample`` of -1 marks the boundary probe; ``u0`` is serialised only
+    when reported."""
 
-    property: str
-    t: float
-    value: float
-    bound: float
-    mode: str
-    sample: int  # -1 marks the boundary probe
-    u0: FuzzyVector  # serialised only when reported
+    __slots__ = ("property", "t", "value", "bound", "mode", "sample", "u0")
+
+    def __init__(self, property: str, t: float, value: float, bound: float, mode: str,
+                 sample: int, u0: FuzzyVector):
+        self.property, self.t, self.value, self.bound = property, t, value, bound
+        self.mode, self.sample, self.u0 = mode, sample, u0
 
     def to_dict(self) -> dict:
         return {
@@ -288,20 +290,22 @@ class Witness:
         }
 
 
-@dataclass
 class Verdict:
-    """Structured result of a practical-stability check."""
+    """Structured result of a practical-stability check; ``properties`` maps
+    each name to ``{"status": ..., "witness": ... | None}``."""
 
-    properties: dict  # name -> {"status": ..., "witness": ... | None}
-    hypothesis_report: dict
-    comparison_verdict: dict
-    implied_conclusions: dict
-    consistency: dict
-    metadata: dict
+    __slots__ = ("properties", "hypothesis_report", "comparison_verdict",
+                 "implied_conclusions", "consistency", "metadata")
+
+    def __init__(self, properties: dict, hypothesis_report: dict, comparison_verdict: dict,
+                 implied_conclusions: dict, consistency: dict, metadata: dict):
+        self.properties, self.hypothesis_report = properties, hypothesis_report
+        self.comparison_verdict, self.implied_conclusions = comparison_verdict, implied_conclusions
+        self.consistency, self.metadata = consistency, metadata
 
     def to_dict(self) -> dict:
         """The fields as a dict, sharing their values: no copy is made."""
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @property
     def any_violation(self) -> bool:
@@ -472,11 +476,11 @@ def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQ
               else np.array([0.0]))
     try:  # one march of every start: as on floats, overflow and nan are silent, x/0 raises
         with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-            traj = cmp.solve_comparison(dataclasses.replace(comp, r0=starts), horizon=horizon)
+            traj = cmp.solve_comparison(comp.replace(r0=starts), horizon=horizon)
     except (FuzzyTSError, ArithmeticError):  # start by start: the first failing start raises
-        trajs = [cmp.solve_comparison(dataclasses.replace(comp, r0=float(r0)), horizon=horizon)
+        trajs = [cmp.solve_comparison(comp.replace(r0=float(r0)), horizon=horizon)
                  for r0 in starts]
-        traj = dataclasses.replace(trajs[0], values=np.stack([t.values for t in trajs], axis=1))
+        traj = trajs[0].replace(values=np.stack([t.values for t in trajs], axis=1))
     peaks = traj.values.max(axis=0)  # every value is finite
     bad = np.flatnonzero(peaks >= b_A)
     t_bad = traj.times[np.argmax(traj.values[:, bad] >= b_A, axis=0)]
@@ -548,7 +552,7 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
                                     np.concatenate(([probe.upper], upper, [shrunk.upper])))
     sample_ids = np.arange(-1, plan.count)
     try:
-        system = dataclasses.replace(sys, u0=batch)
+        system = sys.replace(u0=batch)
     except InvalidShapeError as exc:
         distance = fuzzy.norm(batch)
         first = int(np.argmax(distance >= sys.rho))
@@ -564,8 +568,8 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
         inner = None
         if traj.failures.pop(shrunk_row, None) is None:  # it reached the horizon: strip its row
             inner = np.array([fuzzy.norm(v.take(-1)) for v in traj.values])
-            traj = dataclasses.replace(traj, values=[v.take(slice(-1)) for v in traj.values],
-                                       rows=traj.rows[:-1])
+            traj = traj.replace(values=[v.take(slice(-1)) for v in traj.values],
+                                rows=traj.rows[:-1])
         skipped += [{"mode": mode.value, "sample": int(sample_ids[row]), "t": traj.failures[row].t}
                     for row in sorted(traj.failures)]
         stacks.append((mode.value, sample_ids[traj.rows].tolist(), traj))

@@ -10,12 +10,12 @@ error scale of anything computed there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import (
+    Frozen,
     InvalidShapeError,
     NonRegressiveError,
     NoSuccessorError,
@@ -29,32 +29,28 @@ _LOOKUP_ATOL = 1e-9
 DINI_SAMPLES = 8
 
 
-@dataclass(frozen=True, eq=False)
-class TimeScale:
-    """Ordered finite sample of a time scale."""
+class TimeScale(Frozen):
+    """Ordered finite sample of a time scale; ``graininess`` holds mu at
+    every non-terminal point."""
 
-    points: np.ndarray
-    dense_threshold: float = 1e-6
-    kind: str = "explicit"
-    _index: dict = field(init=False, repr=False)
-    graininess: np.ndarray = field(init=False, repr=False)  # mu at every non-terminal point
+    __slots__ = ("points", "dense_threshold", "kind", "_index", "graininess")
 
-    def __post_init__(self):
-        points = np.array(self.points, dtype=float)
+    def __init__(self, points: np.ndarray, dense_threshold: float = 1e-6,
+                 kind: str = "explicit"):
+        points = np.array(points, dtype=float)
         if points.ndim != 1 or points.size < 2:
             raise InvalidShapeError("time scale needs at least two points")
         if not np.all(np.isfinite(points)):
             raise InvalidShapeError("time scale points must be finite")
         if not np.all(np.diff(points) > 0):
             raise InvalidShapeError("time scale points must be strictly increasing")
-        if self.dense_threshold <= 0:
+        if dense_threshold <= 0:
             raise InvalidShapeError("dense_threshold must be positive")
         points.setflags(write=False)
         graininess = np.diff(points)
         graininess.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_index", {float(t): i for i, t in enumerate(points)})
-        object.__setattr__(self, "graininess", graininess)
+        self._set(points=points, dense_threshold=dense_threshold, kind=kind,
+                  _index={float(t): i for i, t in enumerate(points)}, graininess=graininess)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -145,33 +141,30 @@ class TimeScale:
         return self.delta_derivative(f, t) if best is None else best
 
 
-@dataclass(frozen=True, eq=False)
-class SwitchSchedule:
+class SwitchSchedule(Frozen):
     """Switching instants on a time scale and the segment of every stored point.
 
     ``times`` must be strictly increasing stored points starting at the
     first point of the scale.  Segment k holds from ``times[k]`` up to the
     next switch, and a switch point belongs to the segment it opens.
+    ``segments`` holds the segment index of every stored point.
     """
 
-    ts: TimeScale
-    times: tuple[float, ...]
-    segments: np.ndarray = field(init=False, repr=False)  # segment index per stored point
+    __slots__ = ("ts", "times", "segments")
 
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+    def __init__(self, ts: TimeScale, times: tuple[float, ...]):
+        times = tuple(float(t) for t in times)
         if not times:
             raise InvalidShapeError("at least one switch time (the start) is required")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidShapeError("switch times must be strictly increasing")
         for t in times:
-            self.ts.index_of(t)  # raises UnknownPointError if absent
-        if times[0] != float(self.ts.points[0]):
+            ts.index_of(t)  # raises UnknownPointError if absent
+        if times[0] != float(ts.points[0]):
             raise InvalidShapeError("the first switch time must be the initial point")
-        segments = np.searchsorted(np.asarray(times), self.ts.points, side="right") - 1
+        segments = np.searchsorted(np.asarray(times), ts.points, side="right") - 1
         segments.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "segments", segments)
+        self._set(ts=ts, times=times, segments=segments)
 
     def march(self, x0: Any, horizon: float | None,
               freeze: Callable[[int, Any], Any],
@@ -253,8 +246,7 @@ def explicit(points, dense_threshold: float = 1e-6) -> TimeScale:
 _REG_ATOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class RegressiveFn:
+class RegressiveFn(Frozen):
     """A real function on a time scale with 1 + mu(t)*p(t) != 0 everywhere.
 
     Regressivity is validated at every sampled non-terminal point when the
@@ -262,17 +254,14 @@ class RegressiveFn:
     operations below.
     """
 
-    ts: TimeScale
-    fn: Callable[[float], float]
-    name: str = "p"
+    __slots__ = ("ts", "fn", "name")
 
-    def __post_init__(self):
-        for t in self.ts.kappa_points():
+    def __init__(self, ts: TimeScale, fn: Callable[[float], float], name: str = "p"):
+        for t in ts.kappa_points():
             t = float(t)
-            if abs(1.0 + self.ts.mu(t) * self.fn(t)) <= _REG_ATOL:
-                raise NonRegressiveError(
-                    f"1 + mu*{self.name} vanishes at t={t}"
-                )
+            if abs(1.0 + ts.mu(t) * fn(t)) <= _REG_ATOL:
+                raise NonRegressiveError(f"1 + mu*{name} vanishes at t={t}")
+        self._set(ts=ts, fn=fn, name=name)
 
     def __call__(self, t: float) -> float:
         return float(self.fn(t))

@@ -5,7 +5,6 @@ lines; every expected value is produced by the independent oracles in
 oracles.py or frozen from hand calculations.
 """
 
-import dataclasses
 import json
 import time
 
@@ -128,7 +127,7 @@ def test_criterion_4_catalog_reproduction_and_bound():
         u0 = sample_initial_state(np.random.default_rng([4004, i]), GRID, 1,
                                   "triangular", target)
         assert f.norm(u0) <= 1.0 + TOL
-        sys_i = dataclasses.replace(bundle.system, u0=u0)
+        sys_i = bundle.system.replace(u0=u0)
         traj_i = solve(sys_i, StepMode.EXPANSIVE, horizon=horizon)
         rep = verify_comparison_bound(V, traj_i, scalar, tol=1e-9)
         assert rep.precondition_ok

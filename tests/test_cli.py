@@ -85,6 +85,27 @@ def test_parse_timescale_specs():
 
 
 # ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+SHARED_FLAGS = {"--config": "run.cfg", "--out": "o", "--seed": "7", "--alpha-levels": "5",
+                "--mode": "contractive", "--horizon": "2.5", "--system": "example_3_9",
+                "--u0": "crisp(1)", "--timescale": "integer(9)"}
+
+
+@pytest.mark.parametrize("command, func", [
+    ("simulate", cli.cmd_simulate), ("compare", cli.cmd_compare),
+    ("stability", cli.cmd_stability), ("deriv", cli.cmd_deriv), ("dini", cli.cmd_deriv)])
+def test_state_commands_parse_the_shared_flags_alike(command, func):
+    argv = [command] + [word for flag in SHARED_FLAGS.items() for word in flag]
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed.pop("cmd") == command and parsed.pop("func") is func
+    assert parsed == {"config": "run.cfg", "out": "o", "seed": 7, "alpha_levels": 5,
+                      "mode": "contractive", "horizon": 2.5, "system": "example_3_9",
+                      "u0": "crisp(1)", "timescale": "integer(9)"}
+
+
+# ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
@@ -336,6 +357,25 @@ def test_stability_missing_query_exits_2(tmp_path):
                "--out", tmp_path / "v") == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("alpha_levels = 5", "alpha_levels = 5.5"),
+    ("seed = 3", "seed = three"),
+    ("samples = 16", "samples = 1e2"),
+    ("lambda = 1", "lambda = one"),
+    ("modes = both", "modes = sideways"),
+    (None, None),  # no config file at all
+])
+def test_stability_bad_config_exits_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "run.cfg"
+    if old is not None:
+        assert old in test_golden.CATALOG_STABILITY
+        write_cfg(cfg, test_golden.CATALOG_STABILITY.replace(old, new))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
+
+
 def test_verdict_byte_determinism(tmp_path):
     cfg = write_cfg(tmp_path / "crisp.cfg", CRISP_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -408,7 +448,8 @@ FOOTPRINT_SCRIPT = """
 import sys
 from fuzzyts.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv") if m in sys.modules))
+print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv", "dataclasses")
+                    if m in sys.modules))
 """
 
 
@@ -429,7 +470,7 @@ def test_a_command_imports_the_dsl_only_for_dsl_input(tmp_path, case, loaded):
     command, config, exit_code, _ = test_golden.CASES[case]
     cfg = write_cfg(tmp_path / "run.cfg", config)
     lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
-    assert lines[-1] == f"{exit_code}{loaded}"  # never logging or csv
+    assert lines[-1] == f"{exit_code}{loaded}"  # never logging, csv or dataclasses
 
 
 def test_eval_in_a_fresh_interpreter_prints_its_value():
@@ -467,6 +508,8 @@ def test_dsl_system_is_evaluated_once_per_state(monkeypatch):
                         lambda self: built.append(self) or post_init(self))
     monkeypatch.setattr(f.fuzzy, "add", lambda u, v: kernels.append("add") or add(u, v))
     monkeypatch.setattr(f.fuzzy, "scale", lambda k, u: kernels.append("scale") or scale(k, u))
+    f.FuzzyNumber(GRID, np.zeros(GRID.m), np.ones(GRID.m))
+    assert len(built) == 1  # the hook sees a direct build
     counts = {}
     for n in (1, 3):
         sys = dsl_system(n)

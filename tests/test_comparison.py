@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -151,8 +150,8 @@ def test_monotone_in_initial_value_when_hypotheses_hold():
     rng = np.random.default_rng(5)
     for _ in range(25):
         lo, hi = sorted(rng.uniform(0.0, 5.0, 2))
-        small = solve_comparison(dataclasses.replace(sys, r0=float(lo)))
-        large = solve_comparison(dataclasses.replace(sys, r0=float(hi)))
+        small = solve_comparison(sys.replace(r0=float(lo)))
+        large = solve_comparison(sys.replace(r0=float(hi)))
         assert np.all(small.values <= large.values + TOL)
 
 

@@ -468,6 +468,9 @@ def test_norm_builds_no_fuzzy_number(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(f.FuzzyNumber, "__post_init__", counting)
+    f.FuzzyNumber(GRID, u.lower[0], u.upper[0])
+    assert len(built) == 1  # the hook sees a direct build
+    built.clear()
     assert f.norm(u) == 3.0
     assert not built
 

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -265,11 +264,11 @@ def stacked_rows(traj):
 def assert_rows_equal_single_solves(sys, states, mode):
     """Each row of the stacked solve is the single-state solve of its state:
     bit-equal values, or a failure at the same t with the same cause."""
-    stacked = solve(dataclasses.replace(sys, u0=f.FuzzyVector.stack(states)), mode)
+    stacked = solve(sys.replace(u0=f.FuzzyVector.stack(states)), mode)
     survivors = iter(stacked_rows(stacked))
     for i, u0 in enumerate(states):
         try:
-            single = solve(dataclasses.replace(sys, u0=u0), mode)
+            single = solve(sys.replace(u0=u0), mode)
         except StepFailureError as exc:
             got = stacked.failures[i]
             assert (got.t, str(got), type(got.__cause__)) == (exc.t, str(exc), type(exc.__cause__))
@@ -345,7 +344,7 @@ def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack(monkeypatch):
     monkeypatch.setattr(f.FuzzyVector, "unstack", lambda u: unstacked.append(u) or unstack(u))
     states = [sample_initial_state(np.random.default_rng(s), GRID, 1,
                                    ("crisp", "triangular")[s % 2], 0.9) for s in range(40)]
-    traj = solve(dataclasses.replace(sys, rhs=rhs, u0=f.FuzzyVector.stack(states)),
+    traj = solve(sys.replace(rhs=rhs, u0=f.FuzzyVector.stack(states)),
                  StepMode.CONTRACTIVE, 12.0)
     failed_steps = {exc.t for exc in traj.failures.values()}
     assert len(traj.rows) and failed_steps  # rows fail and rows survive

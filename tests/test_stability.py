@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -494,6 +493,9 @@ def test_witnesses_are_built_only_for_reported_properties(monkeypatch):
     init = stability.Witness.__init__
     monkeypatch.setattr(stability.Witness, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
+    stability.Witness("practically_stable", 0.0, 2.0, 1.0, "expansive", 0, None)
+    assert len(built) == 1  # the hook sees a direct build
+    built.clear()
     b = catalog.make_example_3_9(GRID, 20.0)
     q = StabilityQuery(lam=1.0, A=2.0, B=0.5, T0=5.0, rho=100.0,
                        sampling=SamplingPlan(count=40, seed=5, family="trapezoid"))
@@ -507,6 +509,8 @@ def test_catalog_check_builds_a_handful_of_fuzzy_numbers(monkeypatch):
     post_init = f.FuzzyNumber.__post_init__
     monkeypatch.setattr(f.FuzzyNumber, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
+    f.FuzzyNumber(GRID, np.zeros(GRID.m), np.ones(GRID.m))
+    assert len(built) == 1  # the hook sees a direct build
     b = catalog.make_example_3_9(GRID, 10.0)
     counts = []
     for count in (10, 40):
@@ -529,7 +533,7 @@ def solve_each_sample(sys, mode=StepMode.EXPANSIVE, horizon=None, *, real_solve=
     survivors, failures = {}, {}
     for row, u0 in enumerate(sys.u0.unstack()):
         try:
-            survivors[row] = real_solve(dataclasses.replace(sys, u0=u0), mode, horizon)
+            survivors[row] = real_solve(sys.replace(u0=u0), mode, horizon)
         except StepFailureError as exc:
             failures[row] = exc
     trajs = list(survivors.values())
@@ -555,7 +559,7 @@ def test_component_indexing_rhs_gives_the_verdict_of_one_solve_per_sample(monkey
         return f.vector(u_k[0])
 
     maps = (hold_zero,) + (reinject,) * (len(b.system.switch_maps) - 1)
-    indexing = dataclasses.replace(b.system, rhs=rhs, switch_maps=maps)
+    indexing = b.system.replace(rhs=rhs, switch_maps=maps)
     q = StabilityQuery(lam=1.0, A=2.0, B=1.5, T0=4.0, rho=100.0,
                        sampling=SamplingPlan(count=12, seed=4, family="trapezoid"))
 
@@ -582,7 +586,7 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
         while target <= 0.0:
             target = float(rng.uniform(0.0, q.lam))
         states.append(sample_initial_state(rng, grid, n, plan.family, target))
-    system = dataclasses.replace(sys, u0=f.FuzzyVector.stack(states))
+    system = sys.replace(u0=f.FuzzyVector.stack(states))
     t0 = float(sys.ts.points[0])
     bounds = [("practically_stable", q.A, lambda t: True)]
     if q.B is not None:
@@ -598,7 +602,7 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
     def confirmed(mode, t, bound, u0):
         if mode not in inner_runs:
             try:
-                inner_runs[mode] = solve(dataclasses.replace(sys, u0=f.scale(1.0 - 1e-9, u0)),
+                inner_runs[mode] = solve(sys.replace(u0=f.scale(1.0 - 1e-9, u0)),
                                          mode, horizon)
             except StepFailureError:
                 inner_runs[mode] = None
@@ -738,7 +742,7 @@ def test_direct_route_equals_the_probe_walk_with_its_own_shrunken_solve(system, 
 
 def test_direct_route_reports_the_first_initial_state_outside_the_ball():
     b = catalog.make_example_3_9(GRID, 10.0)
-    sys = dataclasses.replace(b.system, u0=f.vector(tri(-0.1, 0, 0.1)), rho=0.75)
+    sys = b.system.replace(u0=f.vector(tri(-0.1, 0, 0.1)), rho=0.75)
     q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=4, seed=1))
     with pytest.raises(ConfigError, match=r"sampled initial state \(distance 1\) lies outside "
                                           r"the validity ball of radius 0.75"):
@@ -877,7 +881,7 @@ def test_comparison_route_marches_its_starts_as_one_array(monkeypatch):
     route = stability._comparison_route(b.comparison, b.kpair, q, 10.0)
     assert len(calls) == 1
     # the same verdict as one march per start
-    per_start = [real(dataclasses.replace(b.comparison, r0=float(r0)), horizon=10.0)
+    per_start = [real(b.comparison.replace(r0=float(r0)), horizon=10.0)
                  for r0 in np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)]
     peaks = [float(np.max(t.values)) for t in per_start]
     assert route["worst_peak"] == max(peaks)
@@ -899,10 +903,10 @@ def test_comparison_route_raises_what_the_first_failing_start_raises(tmp_path, c
     bundle, _ = dsl_stacks(config)
     starts = np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)
     with pytest.raises(FuzzyTSError) as stacked, np.errstate(over="ignore"):
-        cmp.solve_comparison(dataclasses.replace(bundle.comparison, r0=starts), horizon=2.4)
+        cmp.solve_comparison(bundle.comparison.replace(r0=starts), horizon=2.4)
     with pytest.raises(BlowUpError) as first:  # the per-start loop
         for r0 in starts:
-            cmp.solve_comparison(dataclasses.replace(bundle.comparison, r0=float(r0)),
+            cmp.solve_comparison(bundle.comparison.replace(r0=float(r0)),
                                  horizon=2.4)
     assert str(stacked.value) != str(first.value)
     q = StabilityQuery(lam=1.0, A=2.0)
@@ -1049,8 +1053,8 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
 
     monkeypatch.setattr(fuzzy, "_check", counted("checked states", fuzzy._check))
     V = LyapunovFn(counted("V", b.lyapunov), lipschitz=1.0)
-    comp = dataclasses.replace(b.comparison, g=counted("g", b.comparison.g),
-                               psi=tuple(counted("psi", p) for p in b.comparison.psi))
+    comp = b.comparison.replace(g=counted("g", b.comparison.g),
+                                psi=tuple(counted("psi", p) for p in b.comparison.psi))
     seen = []
     for samples in (10, 40):
         for name in calls:
