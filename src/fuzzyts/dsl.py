@@ -366,12 +366,12 @@ def parse_fuzzy(src: str, variables: set[str] | None = None,
 def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
     if allowed is None:
         return
-    closed = set(allowed)
+    known = set(allowed)
     for name in allowed:
         alias = VAR_ALIASES.get(name)
         if alias:
-            closed.add(alias)
-    stray = seen - closed
+            known.add(alias)
+    stray = seen - known
     if stray:
         raise ParseError(
             f"variable(s) {sorted(stray)} not allowed here (allowed: {sorted(allowed)})",

@@ -5,18 +5,17 @@ a shared grid of alpha values: ``[u]^a = [lower(a), upper(a)]``.  Every
 operation here acts level-wise on those endpoints, which makes addition,
 scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored.
-Validity (nonempty, nested, finite cuts) is checked by one routine on
-every state made, outside data and kernel results alike; kernels wrap
-their fresh result arrays without a copy.  The routine also tells whether
-the cuts are ordered and nested exactly, with no slack within ``ATOL``
-(a trapezoid's rounded core may carry some), and each state keeps that as
-its private ``_exact``.  Fuzzy numbers are closed under ``add`` and
-``scale`` and rounding is monotone, so on exact operands those two can
-only fail by overflow: they test finiteness only, and their result is
-exact.  On operands with slack, which they may enlarge past ``ATOL``, and
-in the Hukuhara differences, the result gets the full check.  A failed
-check on a stack raises the same error as ever; only then are its ``rows``
-worked out, the error each failing sample raises on its own.
+Validity (nonempty, nested, finite cuts) is checked in full where a state
+comes in: outside data through the constructor, and the Hukuhara
+differences.  The check accepts slack within ``ATOL`` (a trapezoid's
+rounded core may carry some) and stores the cuts ordered and nested
+exactly, each endpoint moved by at most its slack.  Sums and scalar
+multiples of fuzzy numbers are fuzzy numbers and rounding is monotone, so
+on those exact states ``add`` and ``scale`` can only fail by overflow:
+they test finiteness only.  Kernels wrap their fresh result arrays without
+a copy.  A failed check on a stack raises the error a single state would;
+only then are its ``rows`` worked out, the error each failing sample
+raises on its own.
 
 Fuzzy vectors are boxes of independent components on one grid, stored as
 ``(n, m)`` endpoint arrays (a number's are ``(m,)``); a stack of S vectors
@@ -41,10 +40,8 @@ from .errors import (
     InvalidShapeError,
 )
 
-# Absolute tolerance of the ordering and nesting checks: the slack a state
-# may carry, such as the rounding of a trapezoid's core.  It does not scale
-# with the endpoints, so slack that a run carries at a fixed relative size
-# passes it once the state is large enough (example_3_9 reaches 2.6e6).
+# Absolute tolerance of the ordering and nesting checks: the slack a state may
+# come in with (a trapezoid's rounded core), removed on the way in.
 ATOL = 1e-12
 
 
@@ -118,26 +115,32 @@ def _require_finite(lower: np.ndarray, upper: np.ndarray, tests=(_FINITE,)) -> N
         _fail(_FINITE, lower, upper, tests)
 
 
-def _check(lower: np.ndarray, upper: np.ndarray) -> bool:
-    """The finite, nonempty and nested checks on endpoint arrays; True when
-    the cuts are ordered and nested exactly, False when they pass only
-    within ``ATOL``.  Ndarray methods and slice differences (what np.diff
-    computes) keep them cheap enough to run on every kernel result.  Every
-    caller runs it with overflow ignored: a nesting difference of two
-    finite endpoints may pass the largest float, and as an infinity it
-    compares the same way."""
+def _check(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The finite, nonempty and nested checks on endpoint arrays, with
+    slack within ``ATOL`` accepted; gives the arrays as they are when their
+    cuts hold exactly (a cheap test first), else ``_tighten``'s.  Callers
+    ignore overflow: a nesting difference of two finite endpoints may pass
+    the largest float, and as an infinity it compares the same way."""
     _require_finite(lower, upper, _CHECKS)
     dlo = lower[..., 1:] - lower[..., :-1]
     dup = upper[..., 1:] - upper[..., :-1]
     if not ((lower > upper).any() or (dlo < 0).any() or (dup > 0).any()):
-        return True
+        return lower, upper
     nested = not ((dlo < -ATOL).any() or (dup > ATOL).any())
     del dlo, dup  # a raised error's traceback, kept by a failed solve, holds this frame
     if (lower > upper + ATOL).any():
         _fail(_ORDERED, lower, upper, _CHECKS)
     if not nested:
         _fail(_NESTED, lower, upper, _CHECKS)
-    return False
+    return _tighten(lower, upper)
+
+
+def _tighten(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts with slack made ordered and nested exactly: each lower endpoint
+    raised to the largest below it in alpha, each upper one lowered to the
+    smallest, and the lower ones clamped to the upper end of the core."""
+    upper = np.minimum.accumulate(upper, axis=-1)
+    return np.minimum(np.maximum.accumulate(lower, axis=-1), upper[..., -1:]), upper
 
 
 class _Cuts(Frozen):
@@ -145,18 +148,18 @@ class _Cuts(Frozen):
 
     A fuzzy number holds ``(m,)`` endpoint arrays, a fuzzy vector ``(n, m)``
     ones, one row per component, and a stack of vectors ``(S, n, m)`` ones.
-    Invariants, row by row:
+    Invariants, row by row, held exactly:
       * all endpoints finite,
       * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
         (cuts are nested).
-    ``_exact`` (worked out, not passed in) tells whether they hold with no
-    slack within ``ATOL``.  ``__init__`` leaves the checks to
+    Endpoints that meet the last two only within ``ATOL`` are stored
+    tightened (see ``_check``).  ``__init__`` leaves the checks to
     ``__post_init__``, the hook ``perfbench/tracer.py`` wraps to count the
     fuzzy numbers built from outside data.
     """
 
-    __slots__ = ("grid", "lower", "upper", "_exact")
+    __slots__ = ("grid", "lower", "upper")
     _ranks = (1,)  # allowed ranks of the endpoint arrays
 
     def __init__(self, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray):
@@ -170,23 +173,10 @@ class _Cuts(Frozen):
                 or lower.shape[-1] != self.grid.m):
             raise InvalidShapeError("endpoint arrays must match the grid size")
         with np.errstate(over="ignore"):  # see _check
-            exact = _check(lower, upper)
-        self._set(lower=lower, upper=upper, _exact=exact)
-
-    @classmethod
-    def _view(cls, grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray,
-              exact: bool = False):
-        """A state on endpoint arrays that passed the checks (pieces of
-        checked ones, or a checked kernel result), set read-only; ``exact``
-        when they passed with no slack."""
+            lower, upper = _check(lower, upper)
         lower.setflags(write=False)
         upper.setflags(write=False)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "grid", grid)
-        object.__setattr__(obj, "lower", lower)
-        object.__setattr__(obj, "upper", upper)
-        object.__setattr__(obj, "_exact", exact)
-        return obj
+        self._set(lower=lower, upper=upper)
 
     @property
     def samples(self) -> int | None:
@@ -274,9 +264,8 @@ class FuzzyVector(_Cuts):
                 raise DimensionMismatchError("only single states of one shape stack")
             if not first.grid.matches(s.grid):
                 raise GridMismatchError("stacked states live on different grids")
-        return cls._view(first.grid, _frozen_array([s.lower for s in states]),
-                         _frozen_array([s.upper for s in states]),
-                         all(s._exact for s in states))
+        return _state(first.grid, _frozen_array([s.lower for s in states]),
+                      _frozen_array([s.upper for s in states]))
 
     @property
     def n(self) -> int:
@@ -285,7 +274,7 @@ class FuzzyVector(_Cuts):
     def take(self, rows) -> "FuzzyVector":
         """The sample at one row as a single state, or the sub-stack of a
         sequence of rows, in that order."""
-        return self._view(self.grid, self.lower[rows], self.upper[rows], self._exact)
+        return _state(self.grid, self.lower[rows], self.upper[rows])
 
     def unstack(self) -> list["FuzzyVector"]:
         """The samples of a stack as single states."""
@@ -308,17 +297,19 @@ class FuzzyVector(_Cuts):
         return f"FuzzyVector(n={self.n})"
 
 
-def _cuts(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray,
-          closed: bool = False) -> FuzzyNumber | FuzzyVector:
-    """The number or vector that a kernel's fresh endpoint arrays make,
-    checked and wrapped without a copy.  Their shape needs no check: it
-    comes from checked, compatible operands.  ``closed`` arrays are an
-    ``add`` or ``scale`` of exact operands, ordered and nested exactly by
-    construction, so only their finiteness is tested."""
-    if closed:
-        _require_finite(lower, upper)
-    exact = closed or _check(lower, upper)
-    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(grid, lower, upper, exact)
+def _state(grid: AlphaGrid, lower: np.ndarray, upper: np.ndarray) -> FuzzyNumber | FuzzyVector:
+    """The number or vector on endpoint arrays that passed the checks
+    (pieces of checked ones, or a kernel's fresh result), set read-only and
+    wrapped without a copy.  Their shape needs no check: it comes from
+    checked, compatible operands."""
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    cls = FuzzyNumber if lower.ndim == 1 else FuzzyVector
+    obj = cls.__new__(cls)
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, "lower", lower)
+    object.__setattr__(obj, "upper", upper)
+    return obj
 
 
 def _require_compatible(u: _Cuts, v: _Cuts) -> None:
@@ -363,15 +354,19 @@ def zero(grid: AlphaGrid) -> FuzzyNumber:
 def add(u: _Cuts, v: _Cuts) -> _Cuts:
     """Level-wise interval sum (Minkowski sum of the cuts)."""
     _require_compatible(u, v)
-    with np.errstate(over="ignore"):  # _cuts reports an overflow
-        return _cuts(u.grid, u.lower + v.lower, u.upper + v.upper, u._exact and v._exact)
+    with np.errstate(over="ignore"):  # the finiteness test reports an overflow
+        lower, upper = u.lower + v.lower, u.upper + v.upper
+    _require_finite(lower, upper)
+    return _state(u.grid, lower, upper)
 
 
 def scale(k: float, u: _Cuts) -> _Cuts:
     """Level-wise scalar multiple; endpoints swap when k < 0."""
     lower, upper = (u.lower, u.upper) if k >= 0 else (u.upper, u.lower)
-    with np.errstate(over="ignore", invalid="ignore"):  # _cuts reports inf and nan
-        return _cuts(u.grid, k * lower, k * upper, u._exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test reports them
+        lower, upper = k * lower, k * upper
+    _require_finite(lower, upper)
+    return _state(u.grid, lower, upper)
 
 
 def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:
@@ -382,7 +377,7 @@ def h_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     """
     _require_compatible(u, v)
     with np.errstate(over="ignore"):  # _check reports an overflow
-        return _cuts(u.grid, u.lower - v.lower, u.upper - v.upper)
+        return _state(u.grid, *_check(u.lower - v.lower, u.upper - v.upper))
 
 
 def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
@@ -399,20 +394,22 @@ def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test reports them
         dlo, dhi = u.lower - v.lower, u.upper - v.upper
         lower, upper = np.minimum(dlo, dhi), np.maximum(dlo, dhi)
-        # the level differences, taken once for the nesting and exactness tests
+        # the level differences, taken once for the nesting test and the tightening
         down, up = lower[..., 1:] - lower[..., :-1], upper[..., 1:] - upper[..., :-1]
     nested = not ((down < -ATOL).any() or (up > ATOL).any())
-    exact = not ((down < 0).any() or (up > 0).any())
+    slack = (down < 0).any() or (up > 0).any()
     del dlo, dhi, down, up  # a raised error's traceback, kept by a failed solve, holds this frame
     if not nested:
         _fail(_GH_NESTED, lower, upper, (_GH_NESTED, _FINITE))
     # lower <= upper by construction, so of _check only the finiteness test is left
     _require_finite(lower, upper)
-    return (FuzzyNumber if lower.ndim == 1 else FuzzyVector)._view(u.grid, lower, upper, exact)
+    if slack:
+        lower, upper = _tighten(lower, upper)
+    return _state(u.grid, lower, upper)
 
 
 def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Hausdorff distance between closed bounded intervals.
+    """Hausdorff distance between compact intervals.
 
     For intervals this reduces to the larger endpoint discrepancy.
     """

@@ -104,7 +104,7 @@ class SamplingPlan(Frozen):
 class StabilityQuery(Frozen):
     """Practical-stability question: premise radius lam, bounds A/B, tail T0.
 
-    The direct test is well posed for lam <= A (equality allowed); the
+    The direct test is well posed for lam <= A < rho (lam = A allowed); the
     comparison-criterion gate additionally needs a(lam) < b(A) and reports
     itself untested otherwise.  ``sampling`` defaults to a fresh
     ``SamplingPlan()``.
@@ -116,8 +116,8 @@ class StabilityQuery(Frozen):
                  rho: float = 100.0, sampling: SamplingPlan | None = None):
         if not (0 < lam <= A):
             raise ConfigError(f"need 0 < lambda <= A, got lambda={lam}, A={A}")
-        if lam >= rho:
-            raise ConfigError(f"need lambda < rho, got lambda={lam}, rho={rho}")
+        if A >= rho:  # lambda <= A, so this also rejects lambda >= rho
+            raise ConfigError(f"need A < rho, got A={A}, rho={rho}")
         if B is not None and B <= 0:
             raise ConfigError("B must be positive")
         if T0 is not None and T0 < 0:

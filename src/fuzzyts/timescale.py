@@ -219,7 +219,7 @@ def qscale(t0: float, q: float, n: int, dense_threshold: float = 1e-6) -> TimeSc
                      kind=f"qscale({t0},{q},{n})")
 
 def intervals(spans: list, resolution: float, dense_threshold: float = 1e-6) -> TimeScale:
-    """Union of closed intervals, each sampled at roughly the resolution."""
+    """Union of intervals [a, b], each sampled at roughly the resolution."""
     if resolution <= 0:
         raise InvalidShapeError("resolution must be positive")
     pieces = []

@@ -242,21 +242,21 @@ def test_compare_example_margins(tmp_path):
     assert [r["t"] for r in scalar_rows][:2] == ["0", "1"]
 
 
-def test_compare_growing_slack_fails_or_writes_a_loadable_csv(tmp_path, capsys):
-    """tri(-0.3,0.1,0.9)'s core carries rounding slack (-0.3 + 0.4 rounds
-    above 0.1) that the expansive run enlarges with the state.  The run
-    either fails at the step that takes it past ATOL or writes a
-    trajectory the loader accepts."""
+def test_compare_growing_slack_fails_or_writes_a_loadable_csv(tmp_path):
+    """tri(-0.3,0.1,0.9)'s core comes in with rounding slack (-0.3 + 0.4
+    rounds above 0.1), which the expansive run would enlarge with the state
+    past ATOL at t=19.  It is removed where the state is built, so the run
+    reaches t=30 and writes exact states: the loader reads them back bit
+    for bit, moving none."""
     out = tmp_path / "out"
-    code = run("compare", "--system", "example_3_9", "--horizon", 30,
-               "--u0", "tri(-0.3,0.1,0.9)", "--out", out)
-    if code == 0:
-        ftio.load_trajectory_csv(out / "trajectory.csv")
-    else:
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "solver step failed at t=19.0: expansive step failed at t=19.0: "
-            "lower endpoint exceeds upper endpoint")
+    assert run("compare", "--system", "example_3_9", "--horizon", 30,
+               "--u0", "tri(-0.3,0.1,0.9)", "--out", out) == 0
+    times, _, values = ftio.load_trajectory_csv(out / "trajectory.csv")
+    assert times[-1] == 30.0
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    written = np.array([row.split(",")[4:] for row in rows], dtype=float).reshape(len(values), -1, 2)
+    loaded = np.stack([np.stack((v.lower.ravel(), v.upper.ravel()), -1) for v in values])
+    assert written.tobytes() == loaded.tobytes()
 
 
 def test_compare_precondition_gate_exits_2(tmp_path):
@@ -320,6 +320,14 @@ def test_stability_example_violation_exit_1(tmp_path):
 def test_stability_lambda_above_A_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "bad.cfg", CRISP_CFG.replace("lambda = 1", "lambda = 3"))
     assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+
+
+def test_stability_A_outside_the_validity_ball_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "bad.cfg", test_golden.CATALOG_STABILITY.replace(
+        "[system]\n", "[system]\nrho = 2\n"))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == "error: need A < rho, got A=2.0, rho=2.0\n"
+    assert not (tmp_path / "v").exists()
 
 
 @pytest.mark.parametrize("command", ["stability", "compare"])

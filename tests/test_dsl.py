@@ -440,7 +440,7 @@ def outcome(run):
         except Exception as exc:
             return ("error", type(exc), str(exc), getattr(exc, "span", None))
     if isinstance(value, (f.FuzzyNumber, f.FuzzyVector)):
-        return (type(value), value.lower.tobytes(), value.upper.tobytes(), value._exact)
+        return (type(value), value.lower.tobytes(), value.upper.tobytes())
     return (type(value), np.asarray(value).tobytes())
 
 

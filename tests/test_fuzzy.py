@@ -71,6 +71,19 @@ def test_trapezoid_ordering_error():
         f.make_trapezoid(1, 0, 2, 3, GRID)
 
 
+def _strict(lower, upper):
+    """Whether cuts are ordered and nested exactly, with no slack."""
+    return bool((lower <= upper).all() and (lower[..., 1:] >= lower[..., :-1]).all()
+                and (upper[..., 1:] <= upper[..., :-1]).all())
+
+
+def _assert_tightened(u, lower, upper):
+    """``u`` is stored ordered and nested exactly, within ATOL of the
+    endpoints it was built from."""
+    assert _strict(u.lower, u.upper)
+    assert np.abs(u.lower - lower).max() <= ATOL and np.abs(u.upper - upper).max() <= ATOL
+
+
 def _dip(depth):
     """Lower endpoints at 0 that step down by ``depth`` at level 6."""
     lower = np.zeros(11)
@@ -93,8 +106,7 @@ def _dip(depth):
         "drop-2atol", "drop-atol", "lower-eq-upper-plus-atol"])
 def test_fuzzy_number_invariant_enforcement(lower, upper, message):
     if message is None:
-        u = f.FuzzyNumber(GRID, lower, upper)
-        assert np.array_equal(u.lower, lower) and np.array_equal(u.upper, upper)
+        _assert_tightened(f.FuzzyNumber(GRID, lower, upper), lower, upper)
     else:
         with pytest.raises(InvalidShapeError, match=message):
             f.FuzzyNumber(GRID, lower, upper)
@@ -236,44 +248,41 @@ def _construct(lower, upper):
 
 
 @st.composite
-def states(draw, shapes=((), (3,), (2, 3))):
-    """``(state, exact)``: a number, an (n, m) vector or an (S, n, m) stack
-    at magnitudes from the subnormals to near overflow.  Its cuts are
-    ordered and nested exactly, or, when ``exact`` is False, one lower
-    endpoint is raised by ATOL / 4, slack within ATOL of the kind a
-    trapezoid's core or a gH difference may carry."""
+def endpoints(draw, shapes=((), (3,), (2, 3))):
+    """Endpoint arrays of a number, an (n, m) vector or an (S, n, m) stack
+    at magnitudes from the subnormals to near overflow.  Their cuts are
+    ordered and nested exactly, or one endpoint is moved inwards by up to
+    ATOL / 2, slack of the kind a trapezoid's core may carry."""
     shape = draw(st.sampled_from(shapes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.floats(0.0, 8e306) | st.floats(0.0, 10.0))  # random_cuts stays within 20
     cuts = [oracles.random_cuts(rng, GRID.m) for _ in range(int(np.prod(shape)))]
     lower = np.reshape([lo for lo, _ in cuts], (*shape, GRID.m)) * size
     upper = np.reshape([hi for _, hi in cuts], (*shape, GRID.m)) * size
-    exact = draw(st.booleans())
-    if not exact:
-        lower.flat[draw(st.integers(0, lower.size - 1))] += ATOL / 4
-    return _construct(lower, upper), exact
+    if draw(st.booleans()):
+        i, slack = draw(st.integers(0, lower.size - 1)), draw(st.floats(0.0, ATOL / 2))
+        if draw(st.booleans()):
+            lower.flat[i] += slack
+        else:
+            upper.flat[i] -= slack
+    return lower, upper
 
 
-def _as_constructed(kernel, lower, upper, exact_operands):
+def _as_constructed(kernel, lower, upper):
     """``kernel()`` gives the state with these endpoints when the
     constructor accepts them and raises what the constructor raises
-    otherwise; returns that message, or None.  On exact operands it can
-    only fail by overflow, and its result is exact; any result's ``_exact``
-    is what the constructor's full check says of its endpoints."""
+    otherwise, which can only be the finiteness rejection."""
     try:
         want = _construct(lower, upper)
     except InvalidShapeError as rejection:
+        assert str(rejection) == "endpoints must be finite"
         with pytest.raises(InvalidShapeError, match=f"^{rejection}$"):
             kernel()
-        assert not exact_operands or str(rejection) == "endpoints must be finite"
-        return str(rejection)
+        return
     got = kernel()
     assert type(got) is type(want)
     assert _bits(got) == _bits(want)
     assert not got.lower.flags.writeable and not got.upper.flags.writeable
-    assert got._exact is want._exact
-    assert got._exact or not exact_operands
-    return None
 
 
 def _scaled(k, u):
@@ -286,22 +295,35 @@ def _scaled(k, u):
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nestedness_closure(data, k):
-    """``add`` and ``scale`` results are what the constructor makes of
-    their endpoints.  Exactly ordered and nested operands give an exact
-    state unless it overflows, and only its finiteness is tested; slack
-    within ATOL may grow past it, and is then rejected by the full check."""
-    u, u_exact = data.draw(states())
-    v, v_exact = data.draw(states(((), u.lower.shape[:-1])))
-    assert (u._exact or not u_exact) and (v._exact or not v_exact)
+    """A number, vector or stack whose cuts hold exactly is stored bit for
+    bit; one with slack within ATOL is stored exact, within ATOL of it.
+    So ``add`` and ``scale`` results are what the constructor makes of
+    their endpoints, exact unless they overflow, with only their finiteness
+    tested; and Hukuhara differences are exact, also where ``(u + v) - v``
+    carries rounding slack."""
+    lower, upper = data.draw(endpoints())
+    u = _construct(lower, upper)
+    if _strict(lower, upper):
+        assert _bits(u) == (lower.tobytes(), upper.tobytes())
+    else:
+        _assert_tightened(u, lower, upper)
+    v = _construct(*data.draw(endpoints(((), u.lower.shape[:-1]))))
     with np.errstate(over="ignore"):
         added = u.lower + v.lower, u.upper + v.upper
-    both = u._exact and v._exact
-    _as_constructed(lambda: f.add(u, v), *added, both)
-    _as_constructed(lambda: f.add(v, u), *added, both)
-    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u), u._exact)
+    _as_constructed(lambda: f.add(u, v), *added)
+    _as_constructed(lambda: f.add(v, u), *added)
+    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u))
+    for kernel in (f.h_difference, f.gh_difference, lambda a, b: f.h_difference(a + b, b),
+                   lambda a, b: f.gh_difference(a + b, b)):
+        try:
+            w = kernel(u, v)
+        except (InvalidShapeError, GHDifferenceError):
+            continue
+        assert _strict(w.lower, w.upper)
 
 
-_SLACK = f.make_triangle(-0.3, 0.1, 0.9, GRID)  # its core's lower endpoint is 5.6e-17 above
+# built from a core whose lower endpoint rounds 5.6e-17 above its upper one
+_SLACK = f.make_triangle(-0.3, 0.1, 0.9, GRID)
 
 
 @pytest.mark.parametrize("k", [0.0, -0.0, np.inf, -np.inf, np.nan],
@@ -310,23 +332,7 @@ _SLACK = f.make_triangle(-0.3, 0.1, 0.9, GRID)  # its core's lower endpoint is 5
                          ids=["exact", "slack"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_scale_by_zero_or_non_finite_is_what_the_constructor_makes(u, k):
-    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u), u._exact)
-
-
-def test_exactness_is_tracked_per_state():
-    exact, slack = f.vector(tri(-1, 0, 1)), f.vector(_SLACK)
-    assert exact._exact and not _SLACK._exact and not slack._exact
-    assert f.FuzzyVector.stack([exact, exact])._exact
-    mixed = f.FuzzyVector.stack([exact, slack, exact])
-    assert not mixed._exact
-    assert not mixed.take(0)._exact and not mixed.take([0, 2])._exact  # views inherit it
-    assert [s._exact for s in f.FuzzyVector.stack([exact] * 3).unstack()] == [True] * 3
-    assert f.FuzzyVector.from_arrays(GRID, exact.lower, exact.upper)._exact
-    assert not f.FuzzyVector.from_arrays(GRID, slack.lower, slack.upper)._exact
-    assert not f.FuzzyVector._view(GRID, exact.lower.copy(), exact.upper.copy())._exact
-    # the full check may find a sum with a slack operand exact
-    wide_core = f.vector(f.make_trapezoid(-2, -1, 1, 2, GRID))
-    assert f.add(slack, wide_core)._exact and not f.add(slack, exact)._exact
+    _as_constructed(lambda: f.scale(k, u), *_scaled(k, u))
 
 
 @pytest.mark.parametrize("kernel", [
@@ -403,18 +409,19 @@ def test_boundary_keeps_every_check(route, case, tmp_path):
     (np.full(11, ATOL / 2), np.zeros(11), "lower endpoint exceeds upper endpoint"),
 ], ids=["nesting-slack", "ordering-slack"])
 def test_kernels_reject_slack_once_enlarged_past_atol(lower, upper, message):
-    """An operand may carry slack within ATOL: a gH difference's cuts may,
-    and so may a trapezoid's core (``a + (b - a)`` can round above
-    ``d - (d - c)``).  On such operands ``add`` and ``scale`` check their
-    results in full: a result whose slack stays within ATOL is returned,
-    and one whose slack an enlarging multiple or sum takes past it is
+    """Endpoints may come in with slack within ATOL: a trapezoid's core may
+    (``a + (b - a)`` can round above ``d - (d - c)``).  The constructor
+    stores them exact, within ATOL of the input, so no multiple or sum can
+    enlarge the slack; built from such enlarged endpoints, a state is still
     rejected at once."""
     w = f.FuzzyNumber(GRID, lower, upper)
-    assert _bits(f.scale(-2.0, w)) == ((-2.0 * upper).tobytes(), (-2.0 * lower).tobytes())
+    _assert_tightened(w, lower, upper)
+    for result in (f.scale(-2.0, w), f.scale(-1e6, w), f.add(f.add(w, w), w)):
+        assert _strict(result.lower, result.upper)
     with pytest.raises(InvalidShapeError, match=f"^{message}$"):
-        f.scale(-1e6, w)
+        f.FuzzyNumber(GRID, -1e6 * upper, -1e6 * lower)
     with pytest.raises(InvalidShapeError, match=f"^{message}$"):
-        f.add(f.add(w, w), w)
+        f.FuzzyNumber(GRID, 3 * lower, 3 * upper)
 
 
 # ---------------------------------------------------------------------------

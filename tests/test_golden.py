@@ -148,14 +148,14 @@ mode = expansive
 alpha_levels = 5
 """
 
-# Catalog compare run from a triangle whose core carries rounding slack (its
-# lower endpoint is above its upper one by 5.6e-17): every kernel result is
-# checked in full.  With horizon 20 the grown slack passes ATOL in the step
-# from t=19 and the run fails.
+# Catalog compare run from a triangle whose core comes in with rounding slack
+# (its lower endpoint rounds above its upper one by 5.6e-17).  The state is
+# stored exact, so the expansive run has no slack to grow and reaches t=30;
+# a state that kept the slack grows it past ATOL in the step from t=19.
 CATALOG_COMPARE_SLACK = """
 [system]
 name = example_3_9
-horizon = 19
+horizon = 30
 u0 = tri(-0.3,0.1,0.9)
 """
 
@@ -193,9 +193,9 @@ CASES = {
         "comparison.csv": "2b003e3dabaaba89bf2256f97e636851eed76005722834d68bd858bfc36869d5",
     }),
     "catalog-compare-slack": ("compare", CATALOG_COMPARE_SLACK, 0, {
-        "trajectory.csv": "dcd0548d157351fc549f3feff38bd41e4fbbbf20c22d7f2dd68a829445248252",
-        "scalar.csv": "fba120810d7c9437ad5dc994c5ca572d04b4557a273942229b032653da243910",
-        "comparison.csv": "5bce87c3da8792e941ccd761d53385e209a342bec26dfa04f7a0c36690ced4f2",
+        "trajectory.csv": "0a9aadfe92bfb46afcda1b4c154ddf707a1d885f9e6611a1565c474d7f7585ea",
+        "scalar.csv": "57c71569835bc84b067028fb042753bb63e22ac15ed981d1a7b22b2ec0d2ad6f",
+        "comparison.csv": "5405a9dd965b3bc431652c9e36d72687b8d7a2d97412690082940d9a335d3cb1",
     }),
 }
 
