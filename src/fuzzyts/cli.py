@@ -97,6 +97,19 @@ class RunConfig:
                 "seed": self.seed}
 
 
+# Every key the commands read, per section (keys are case-insensitive, so
+# lower case); a config naming any other section or key is rejected.
+KNOWN_KEYS = {
+    "timescale": {"scale"},
+    "system": {"name", "u0", "mode", "horizon", "rho", "switch_gap", "switch_times", "rhs",
+               "lambda_0", "lambda_k"},
+    "comparison": {"r0", "g", "psi"},
+    "lyapunov": {"v", "a", "b"},
+    "stability": {"lambda", "a", "b", "t0", "samples", "seed", "shape", "modes"},
+    "output": {"dir", "alpha_levels"},
+}
+
+
 def load_config(args) -> RunConfig:
     sections: dict[str, dict[str, str]] = {}
     if getattr(args, "config", None):
@@ -105,6 +118,12 @@ def load_config(args) -> RunConfig:
         if not read:
             raise ConfigError(f"config file not found: {args.config}")
         sections = {name: dict(parser[name]) for name in parser.sections()}
+        for name, keys in sections.items():
+            if name not in KNOWN_KEYS:
+                raise ConfigError(f"unknown config section [{name}]")
+            for key in keys:
+                if key not in KNOWN_KEYS[name]:
+                    raise ConfigError(f"unknown config key [{name}] {key}")
 
     def override(section: str, key: str, value) -> None:
         if value is not None:
@@ -143,24 +162,15 @@ def _require(cfg: RunConfig, section: str, key: str) -> str:
     return value
 
 
-def _get_float(cfg: RunConfig, section: str, key: str, default=None):
+def _get_number(cfg: RunConfig, section: str, key: str, default=None, kind=float):
     raw = _get(cfg, section, key)
     if raw is None:
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be a number: {raw!r}") from exc
-
-
-def _get_int(cfg: RunConfig, section: str, key: str, default=None):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} must be an integer: {raw!r}") from exc
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"[{section}] {key} must be {what}: {raw!r}") from exc
 
 
 def parse_u0(src: str, grid: AlphaGrid) -> FuzzyVector:
@@ -183,11 +193,11 @@ def _step_mode(name: str) -> StepMode:
 def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]:
     """System + comparison + Lyapunov data, the horizon, and the step mode."""
     grid = AlphaGrid.uniform(cfg.alpha_levels)
-    horizon = _get_float(cfg, "system", "horizon")
+    horizon = _get_number(cfg, "system", "horizon")
     if horizon is None:
         raise ConfigError("missing config value [system] horizon")
     mode = _step_mode(_get(cfg, "system", "mode", "expansive"))
-    rho = _get_float(cfg, "system", "rho", 100.0)
+    rho = _get_number(cfg, "system", "rho", 100.0)
 
     name = _get(cfg, "system", "name")
     if name is not None:
@@ -195,10 +205,10 @@ def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]
         u0_src = _get(cfg, "system", "u0")
         if u0_src is not None:
             kwargs["u0"] = parse_u0(u0_src, grid)
-        r0 = _get_float(cfg, "comparison", "r0")
+        r0 = _get_number(cfg, "comparison", "r0")
         if r0 is not None:
             kwargs["r0"] = r0
-        gap = _get_int(cfg, "system", "switch_gap")
+        gap = _get_number(cfg, "system", "switch_gap", kind=int)
         if gap is not None and name == "example_3_9":
             kwargs["switch_gap"] = gap
         bundle = catalog.build(name, grid, horizon, **kwargs)
@@ -263,7 +273,7 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     def V(t: float, u: FuzzyVector) -> float:
         return V_fn(t, fuzzy.norm(u))
 
-    r0 = _get_float(cfg, "comparison", "r0")
+    r0 = _get_number(cfg, "comparison", "r0")
     lyap = LyapunovFn(V)
     if r0 is None:
         r0 = lyap(float(ts.points[0]), u0)
@@ -273,19 +283,19 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
 
 
 def build_query(cfg: RunConfig, rho: float) -> StabilityQuery:
-    lam = _get_float(cfg, "stability", "lambda")
-    big_a = _get_float(cfg, "stability", "a")
+    lam = _get_number(cfg, "stability", "lambda")
+    big_a = _get_number(cfg, "stability", "a")
     if lam is None or big_a is None:
         raise ConfigError("stability checks need [stability] lambda and A")
     plan = SamplingPlan(
-        count=_get_int(cfg, "stability", "samples", 200),
+        count=_get_number(cfg, "stability", "samples", 200, int),
         seed=cfg.seed if cfg.seed is not None else 0,
         family=_get(cfg, "stability", "shape", "triangular"),
     )
     return StabilityQuery(
         lam=lam, A=big_a,
-        B=_get_float(cfg, "stability", "b"),
-        T0=_get_float(cfg, "stability", "t0"),
+        B=_get_number(cfg, "stability", "b"),
+        T0=_get_number(cfg, "stability", "t0"),
         rho=rho, sampling=plan,
     )
 

@@ -145,10 +145,10 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200,
     rng = np.random.default_rng(seed)
     lo, hi = box
     kappa = sys.ts.kappa_points()
-    # per sample: t, then an (r1, r2) pair, a (v1, v2) pair, v and r, in one
-    # uniform call (the same doubles as one call per value)
-    t, x = map(np.array, zip(*[(kappa[rng.integers(0, len(kappa))], rng.uniform(lo, hi, size=6))
-                               for _ in range(samples)]))
+    # every sample's t, then per sample an (r1, r2) pair, a (v1, v2) pair, v
+    # and r, in one row
+    t = kappa[rng.integers(0, len(kappa), size=samples)]
+    x = rng.uniform(lo, hi, size=(samples, 6))
     pairs = x[:, :4].reshape(-1, 2, 2)  # each put in order, as sorted() puts two floats
     (r1, v1), (r2, v2) = pairs.min(axis=-1).T, pairs.max(axis=-1).T
     v, r = x[:, 4], x[:, 5]

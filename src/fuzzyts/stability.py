@@ -200,56 +200,54 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
 MAX_SAMPLE_ATTEMPTS = 1000
 
 
-def _cuts(grid: AlphaGrid, nodes: list, targets: list | None = None):
-    """make_trapezoid's ``(S, n, m)`` cuts of S draws' ``(S, n, 4)`` support and
-    core ends (a, b, c, d), each rescaled to its target distance as that draw
-    alone; without targets, the ``(S,)`` norms of the draws."""
-    a, b, c, d = np.moveaxis(np.array(nodes), -1, 0)[..., None]
+def _layer_rng(seed: int, layer: int) -> np.random.Generator:
+    """Child ``layer`` of ``SeedSequence(seed)``: 0 draws the sandwich check, 1
+    the Lipschitz check and 2 the direct route."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(layer,)))
+
+
+def _cuts(grid: AlphaGrid, x: np.ndarray, family: str):
+    """make_trapezoid's ``(S, n, m)`` cuts, and their ``(S,)`` norms, of S
+    draws' ``(S, n, k)`` uniforms: per component the core c in (-1, 1), then
+    for triangles (k = 3) and trapezoids (k = 4) the widths wl and wr in
+    (0, 1), then for trapezoids the core half-width in (0, 0.5)."""
+    c = 2.0 * x[..., 0] - 1.0
+    if family == "crisp":
+        a = b = d = c
+    else:
+        wl, wr = x[..., 1], x[..., 2]
+        half = 0.5 * x[..., 3] if family == "trapezoid" else 0.0
+        a, b, c, d = c - half - wl, c - half, c + half, c + wr + half
+    a, b, c, d = (e[..., None] for e in (a, b, c, d))
     lower, upper = a + grid.levels * (b - a), d - grid.levels * (d - c)
-    size = np.maximum(np.abs(lower), np.abs(upper)).max(axis=(-2, -1))
-    if targets is None:
-        return size
-    k = (np.array(targets) / size)[:, None, None]
-    return k * lower, k * upper
+    return lower, upper, np.maximum(np.abs(lower), np.abs(upper)).max(axis=(-2, -1))
 
 
-def _draw(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str) -> list:
-    """Per component, the (a, b, c, d) of one ``sample_initial_state`` draw."""
+def _sample(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str,
+            radius: float, count: int):
+    """``count`` random states with distance to zero uniform in (0, radius),
+    as ``(count, n, m)`` lower and upper cuts.
+
+    State i is row i of one ``(count, 1 + n * k)`` uniform draw: its distance,
+    then each component's k uniforms (see ``_cuts``).  The cuts are rescaled
+    to the distance; by absolute homogeneity of the metric that keeps their
+    shape.  Rows whose distance is 0 or whose state is nearly zero are drawn
+    again, together, from the next values of the stream, at most
+    ``MAX_SAMPLE_ATTEMPTS`` draws in all before ConfigError is raised."""
+    lower, upper = np.empty((2, count, n, grid.m))
+    target, size = np.empty((2, count))
+    todo = np.arange(count)
     for _ in range(MAX_SAMPLE_ATTEMPTS):
-        nodes = []
-        for _ in range(n):
-            c = float(rng.uniform(-1.0, 1.0))
-            if family == "crisp":
-                nodes.append((c, c, c, c))
-            elif family == "triangular":
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                nodes.append((c - wl, c, c, c + wr))
-            else:
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                half = float(rng.uniform(0.0, 0.5))
-                nodes.append((c - half - wl, c - half, c + half, c + wr + half))
-        # the alpha-0 cut is exactly [a, d], so the draw's norm is at least max(|a|, |d|)
-        if (any(abs(a) > 1e-9 or abs(d) > 1e-9 for a, _, _, d in nodes)
-                or _cuts(grid, [nodes])[0] > 1e-9):
-            return nodes
+        u = rng.random((todo.size, 1 + n * {"crisp": 1, "triangular": 3}.get(family, 4)))
+        target[todo] = radius * u[:, 0]
+        lower[todo], upper[todo], size[todo] = _cuts(grid, u[:, 1:].reshape(todo.size, n, -1),
+                                                      family)
+        todo = todo[(target[todo] == 0.0) | (size[todo] <= 1e-9)]
+        if not todo.size:
+            k = (target / size)[:, None, None]
+            return k * lower, k * upper
     raise ConfigError(f"initial-state sampler drew {MAX_SAMPLE_ATTEMPTS} nearly-zero "
                       f"{family} states in a row; the random generator is degenerate")
-
-
-def sample_initial_state(rng: np.random.Generator, grid: AlphaGrid, n: int,
-                         family: str, target: float) -> FuzzyVector:
-    """Random fuzzy vector with distance to zero exactly ``target``.
-
-    Cores and widths are drawn uniformly, then the vector is rescaled; by
-    absolute homogeneity of the metric the rescale lands the distance on
-    target while preserving shape.  A nearly-zero draw cannot be rescaled
-    and is redrawn from the same generator, at most ``MAX_SAMPLE_ATTEMPTS``
-    times in all before ConfigError is raised.
-    """
-    lower, upper = _cuts(grid, [_draw(rng, grid, n, family)], [target])
-    return FuzzyVector.from_arrays(grid, lower[0], upper[0])
 
 
 def boundary_probe(grid: AlphaGrid, n: int, family: str, lam: float) -> FuzzyVector:
@@ -353,18 +351,16 @@ def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict
     return out
 
 
-def _draw_layer(ts: TimeScale, grid: AlphaGrid, n: int, family: str, radius: float,
-                rng: np.random.Generator, samples: int, states: int):
-    """A check's draws: per sample a point of ``ts``, then ``states`` states with
-    distance to zero uniform in (0, radius).  Returns the ``(samples,)`` points
-    and one stack of the states, in the order drawn."""
-    t, targets, nodes = [], [], []
-    for _ in range(samples):
-        t.append(float(ts.points[rng.integers(0, len(ts))]))
-        for _ in range(states):
-            targets.append(float(rng.uniform(0.0, radius)))
-            nodes.append(_draw(rng, grid, n, family))
-    return np.array(t), FuzzyVector.from_arrays(grid, *_cuts(grid, nodes, targets))
+def _draw_layer(ts: TimeScale, horizon: float, grid: AlphaGrid, n: int, family: str,
+                radius: float, rng: np.random.Generator, samples: int, states: int):
+    """A check's draws: ``samples`` points of ``ts`` up to ``horizon`` that have
+    a successor, where V is used, then ``states`` states per sample with
+    distance to zero uniform in (0, radius).  Returns the ``(samples,)``
+    points and one stack of the states, sample by sample."""
+    points = ts.points[:min(ts.index_of(horizon), len(ts) - 2) + 1]
+    t = points[rng.integers(0, len(points), size=samples)]
+    return t, FuzzyVector.from_arrays(grid, *_sample(rng, grid, n, family, radius,
+                                                     samples * states))
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -375,10 +371,10 @@ def _first_min(values: np.ndarray) -> float:
 
 # V, a and b on arrays overflow as silently as on one sample's floats
 @np.errstate(over="ignore", invalid="ignore")
-def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, grid: AlphaGrid,
-                    n: int, family: str, radius: float, rng: np.random.Generator,
-                    samples: int, tol: float) -> dict:
-    t, u = _draw_layer(ts, grid, n, family, radius, rng, samples, 1)
+def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, horizon: float,
+                    grid: AlphaGrid, n: int, family: str, radius: float,
+                    rng: np.random.Generator, samples: int, tol: float) -> dict:
+    t, u = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 1)
     d = fuzzy.norm(u)
     v = np.broadcast_to(V(t, u), d.shape)  # one V for every sample may be a float
     low_margin = v - kpair.b(d)
@@ -394,10 +390,10 @@ def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, grid: Alpha
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _check_lipschitz(V: LyapunovFn, ts: TimeScale, grid: AlphaGrid, n: int,
+def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGrid, n: int,
                      family: str, radius: float, rng: np.random.Generator,
                      samples: int) -> dict:
-    t, pairs = _draw_layer(ts, grid, n, family, radius, rng, samples, 2)
+    t, pairs = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 2)
     u1, u2 = pairs.take(slice(0, None, 2)), pairs.take(slice(1, None, 2))
     gap = fuzzy.dist(u1, u2)
     rows = np.flatnonzero(gap > 1e-12)  # V is not called on the nearly equal pairs
@@ -537,15 +533,8 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     n = sys.u0.n
     plan = q.sampling
     probe = boundary_probe(grid, n, plan.family, q.lam)
-    targets, nodes = [], []
-    for i in range(plan.count):
-        rng = np.random.default_rng([plan.seed, i])
-        target = float(rng.uniform(0.0, q.lam))
-        while target <= 0.0:
-            target = float(rng.uniform(0.0, q.lam))
-        targets.append(target)
-        nodes.append(_draw(rng, grid, n, plan.family))
-    lower, upper = _cuts(grid, nodes, targets)
+    lower, upper = _sample(_layer_rng(plan.seed, 2), grid, n, plan.family,
+                           q.lam, plan.count)
     shrunk = fuzzy.scale(1.0 - 1e-9, probe)
     shrunk_row = plan.count + 1
     batch = FuzzyVector.from_arrays(grid, np.concatenate(([probe.lower], lower, [shrunk.lower])),
@@ -654,20 +643,18 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     n = sys.u0.n
     plan = q.sampling
 
-    seq = np.random.SeedSequence(plan.seed)
-    rng_sandwich, rng_lipschitz = [np.random.default_rng(s) for s in seq.spawn(2)]
-
     # Layer 1: hypothesis checks.
     xmax = max(q.A, q.lam, q.B or 0.0, 1.0) * 1.5
     class_k = _validate_class_k(kpair, xmax)
     a_lam = float(kpair.a(q.lam))
     b_A = float(kpair.b(q.A))
     gate = {"a_lambda": a_lam, "b_A": b_A, "passed": a_lam < b_A}
-    sandwich = _check_sandwich(V, kpair, sys.ts, grid, n, plan.family,
-                               radius=q.A, rng=rng_sandwich,
+    sandwich = _check_sandwich(V, kpair, sys.ts, horizon, grid, n, plan.family,
+                               radius=q.A, rng=_layer_rng(plan.seed, 0),
                                samples=HYPOTHESIS_SAMPLES, tol=HYPOTHESIS_TOL)
-    lipschitz = _check_lipschitz(V, sys.ts, grid, n, plan.family,
-                                 radius=min(q.rho, 2.0 * q.A), rng=rng_lipschitz,
+    lipschitz = _check_lipschitz(V, sys.ts, horizon, grid, n, plan.family,
+                                 radius=min(q.rho, 2.0 * q.A),
+                                 rng=_layer_rng(plan.seed, 1),
                                  samples=HYPOTHESIS_SAMPLES)
     monotonicity = check_monotonicity_hypothesis(
         comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,

@@ -17,9 +17,9 @@ from fuzzyts.dsl import (
     ScalarExpr, SMul, Var, VAR_ALIASES,
 )
 from fuzzyts.comparison import MonotonicityReport
-from fuzzyts.errors import FuzzyTSError, NoSuccessorError, UnknownPointError
+from fuzzyts.errors import ConfigError, FuzzyTSError, NoSuccessorError, UnknownPointError
 from fuzzyts.fuzzy import FuzzyNumber, FuzzyVector
-from fuzzyts.stability import sample_initial_state
+from fuzzyts.stability import MAX_SAMPLE_ATTEMPTS
 
 
 # -- interval arithmetic by point sampling ----------------------------------
@@ -253,21 +253,73 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
     raise TypeError(f"not a fuzzy expression: {e!r}")
 
 
-# -- the hypothesis checks one draw at a time ----------------------------------
-# The sandwich, Lipschitz and monotonicity checks as they were before they drew
-# into arrays: the same draws, with V, a, b, g and psi called on one draw's
-# floats and state.  The stacked checks must match them bit for bit.  The
-# draws come from sample_initial_state, which the sampler tests pin to
-# make_trapezoid numbers rescaled by the kernels.
+# -- random states one row at a time ------------------------------------------
+# The layers' sampler built the long way: row i of the stream's uniforms is
+# drawn on its own and made into one make_trapezoid number per component, a
+# vector of them, then a rescale by the kernels.
 
-def check_sandwich(V, kpair, ts, grid, n, family, radius, rng, samples, tol):
+UNIFORMS = {"crisp": 1, "triangular": 3, "trapezoid": 4}
+
+
+def state_from_row(row, grid, n, family, radius):
+    """The state of one row of uniforms (distance, then per component c, wl,
+    wr and half), or None when its distance is 0 or it is nearly zero."""
+    target = radius * float(row[0])
+    k = UNIFORMS[family]
+    comps = []
+    for j in range(n):
+        x = [float(v) for v in row[1 + j * k: 1 + (j + 1) * k]]
+        c = -1.0 + 2.0 * x[0]  # uniform(-1, 1) as numpy computes it
+        if family == "crisp":
+            comps.append((c, c, c, c))
+        elif family == "triangular":
+            comps.append((c - x[1], c, c, c + x[2]))
+        else:
+            half = 0.5 * x[3]
+            comps.append((c - half - x[1], c - half, c + half, c + x[2] + half))
+    raw = FuzzyVector(tuple(fuzzy.make_trapezoid(*ends, grid) for ends in comps))
+    size = fuzzy.norm(raw)
+    if target == 0.0 or size <= 1e-9:
+        return None
+    return fuzzy.scale(target / size, raw)
+
+
+def sample_states(rng, grid, n, family, radius, count=1):
+    """``count`` states with distance to zero uniform in (0, radius): state i
+    from the i-th row of the stream, each rejected row drawn again, in order,
+    after all of them."""
+    width = 1 + n * UNIFORMS[family]
+    rows = [rng.random(width) for _ in range(count)]
+    states = [None] * count
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        for i, row in enumerate(rows):
+            if states[i] is None:
+                states[i] = state_from_row(row, grid, n, family, radius)
+        pending = [i for i, state in enumerate(states) if state is None]
+        if not pending:
+            return states
+        for i in pending:
+            rows[i] = rng.random(width)
+    raise ConfigError("nearly-zero")
+
+
+def drawable_times(ts, horizon):
+    """The points up to the horizon that have a successor."""
+    return [float(t) for t in ts.points[:-1] if t <= horizon]
+
+
+# -- the hypothesis checks one draw at a time ----------------------------------
+# The sandwich, Lipschitz and monotonicity checks as loops: the same draws,
+# with V, a, b, g and psi called on one draw's floats and state.  The stacked
+# checks must match them bit for bit.
+
+def check_sandwich(V, kpair, ts, horizon, grid, n, family, radius, rng, samples, tol):
     violations = []
     worst_low = math.inf
     worst_high = math.inf
-    for _ in range(samples):
-        t = float(ts.points[rng.integers(0, len(ts))])
-        target = float(rng.uniform(0.0, radius))
-        u = sample_initial_state(rng, grid, n, family, target)
+    points = drawable_times(ts, horizon)
+    times = [points[i] for i in rng.integers(0, len(points), size=samples)]
+    for t, u in zip(times, sample_states(rng, grid, n, family, radius, samples)):
         d = fuzzy.norm(u)
         v = V(t, u)
         low_margin = v - float(kpair.b(d))
@@ -285,12 +337,13 @@ def check_sandwich(V, kpair, ts, grid, n, family, radius, rng, samples, tol):
     }
 
 
-def check_lipschitz(V, ts, grid, n, family, radius, rng, samples):
+def check_lipschitz(V, ts, horizon, grid, n, family, radius, rng, samples):
     estimate = 0.0
-    for _ in range(samples):
-        t = float(ts.points[rng.integers(0, len(ts))])
-        u1 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
-        u2 = sample_initial_state(rng, grid, n, family, float(rng.uniform(0.0, radius)))
+    points = drawable_times(ts, horizon)
+    times = [points[i] for i in rng.integers(0, len(points), size=samples)]
+    states = sample_states(rng, grid, n, family, radius, 2 * samples)
+    for i, t in enumerate(times):
+        u1, u2 = states[2 * i], states[2 * i + 1]
         gap = fuzzy.dist(u1, u2)
         if gap <= 1e-12:
             continue
@@ -311,8 +364,7 @@ def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9):
     lo, hi = box
     kappa = ts.kappa_points()
     g_mu_r, g_v, psi_bad = [], [], []
-    for _ in range(samples):
-        t = float(kappa[rng.integers(0, len(kappa))])
+    for t in kappa[rng.integers(0, len(kappa), size=samples)].tolist():
         mu = ts.mu(t)
         r1, r2 = sorted(rng.uniform(lo, hi, size=2))
         v1, v2 = sorted(rng.uniform(lo, hi, size=2))

@@ -21,7 +21,6 @@ from fuzzyts.stability import (
     SamplingPlan,
     StabilityQuery,
     check_practical_stability,
-    sample_initial_state,
     verify_comparison_bound,
 )
 
@@ -120,12 +119,8 @@ def test_criterion_4_catalog_reproduction_and_bound():
     assert v_seq[:3] == pytest.approx([1.0, 1.5, 2.25], abs=TOL)
     assert [float(x) for x in scalar.values[:3]] == pytest.approx([1.0, 2.0, 3.5], abs=TOL)
 
-    rng_targets = np.random.default_rng(4004)
     violations = 0
-    for i in range(100):
-        target = float(rng_targets.uniform(0.0, 1.0))
-        u0 = sample_initial_state(np.random.default_rng([4004, i]), GRID, 1,
-                                  "triangular", target)
+    for u0 in oracles.sample_states(np.random.default_rng(4004), GRID, 1, "triangular", 1.0, 100):
         assert f.norm(u0) <= 1.0 + TOL
         sys_i = bundle.system.replace(u0=u0)
         traj_i = solve(sys_i, StepMode.EXPANSIVE, horizon=horizon)

@@ -1,8 +1,11 @@
+import argparse
+import ast
 import csv
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +387,52 @@ def test_stability_bad_config_exits_2(tmp_path, capsys, old, new):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("new, message", [
+    ("samplez = 999\nrho = 5", "unknown config key [stability] samplez"),
+    ("rho = 5", "unknown config key [stability] rho"),
+    ("B = 1\n\n[outputs]\ndir = o", "unknown config section [outputs]"),
+])
+def test_unknown_config_section_or_key_exits_2(tmp_path, capsys, new, message):
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.CATALOG_STABILITY.replace(
+        "seed = 3", f"seed = 3\n{new}"))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "v").exists()
+
+
+def shipped_configs():
+    """Every golden config and every benchmark workload's config (read from
+    ``perfbench/workloads.py``, which writes no bytecode there), by name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = types.ModuleType("perfbench_workloads")
+    sys.modules[workloads.__name__] = workloads  # its dataclass looks the module up
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), vars(workloads))
+    finally:
+        del sys.modules[workloads.__name__]
+    return {**{case: config for case, (_, config, _, _) in test_golden.CASES.items()},
+            **{name: w.config_text(42) for name, w in workloads.WORKLOADS.items()}}
+
+
+@pytest.mark.parametrize("name, config", sorted(shipped_configs().items()))
+def test_shipped_configs_use_only_known_keys(tmp_path, name, config):
+    cfg = cli.load_config(argparse.Namespace(config=write_cfg(tmp_path / "run.cfg", config)))
+    assert cfg.sections and all(set(keys) <= cli.KNOWN_KEYS[section]
+                                for section, keys in cfg.sections.items())
+
+
+def test_known_keys_are_the_keys_the_commands_read():
+    # every (section, key) literal given to a config reader in cli.py
+    readers = {"_get", "_get_number", "_require", "override", "scalar_fn"}
+    read = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers:
+            args = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            if len(args) >= 2 and all(isinstance(a, str) for a in args[:2]):
+                read.add(tuple(args[:2]))
+    assert read == {(section, key) for section, keys in cli.KNOWN_KEYS.items() for key in keys}
+
+
 def test_verdict_byte_determinism(tmp_path):
     cfg = write_cfg(tmp_path / "crisp.cfg", CRISP_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -479,6 +528,16 @@ def test_a_command_imports_the_dsl_only_for_dsl_input(tmp_path, case, loaded):
     cfg = write_cfg(tmp_path / "run.cfg", config)
     lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
     assert lines[-1] == f"{exit_code}{loaded}"  # never logging, csv or dataclasses
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the samplers reach numpy.random only when they draw, so set-up never pays for it
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys, fuzzyts.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_eval_in_a_fresh_interpreter_prints_its_value():

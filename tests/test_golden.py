@@ -159,6 +159,9 @@ horizon = 30
 u0 = tri(-0.3,0.1,0.9)
 """
 
+# A stability verdict depends on the draw scheme (one generator per sampled
+# layer, sample i as row i of one uniform array) where it holds a value that
+# depends on the draws: a margin, an estimate or a skipped sample.
 CASES = {
     "catalog-stability": ("stability", CATALOG_STABILITY, 1, {
         "verdict.json": "365fa06dd67cca0d88434b5c0503348d53fa35ed356e51c849b40e942420deb2",
@@ -167,16 +170,16 @@ CASES = {
         "verdict.json": "b468deeb947f74cda2719db942299ddb9edc4da122842bb2e2073e152f0caec8",
     }),
     "dsl-stability": ("stability", DSL_STABILITY, 1, {
-        "verdict.json": "9df4781accbe30c6e8c34f90c44bb89219c438cdfb323aa240aa043a5ba2b316",
+        "verdict.json": "3f2902305db9d66c0970ccb42cf4fad503b64d11bd568259f05abdeab810d6c7",
     }),
     "dsl-dense-stability": ("stability", DSL_DENSE_STABILITY, 0, {
         "verdict.json": "ed2a90fe9e3a882b71a92b2584b8a0f7a4006f91dbb2a7a2d4bd7ddba29111d6",
     }),
     "dsl-builtins-stability": ("stability", DSL_BUILTINS_STABILITY, 1, {
-        "verdict.json": "ad135654a54ceaa1df3ef5c77c50f96217b7d9a6fa2cfb73d1a29c87753a2d18",
+        "verdict.json": "db53e0ea9af2ab88549ce3c9f9b9e4aa8275c6119bded29d6aea9e5174d0775a",
     }),
     "dsl-ghsub-stability": ("stability", DSL_GHSUB_STABILITY, 0, {
-        "verdict.json": "bc01acae7aec1332da698eb76695c224a7aa2d541ca732b2868f85c389bddacf",
+        "verdict.json": "9d1de5a6efa6bd7a6cea0b1a21f0555d25b283ad676ef12583b38808bc36fb97",
     }),
     "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
         "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",

@@ -11,7 +11,6 @@ from fuzzyts.comparison import ScalarHybridSystem
 from fuzzyts.errors import InvalidShapeError, StepFailureError
 from fuzzyts.hukuhara import delta_h_derivative
 from fuzzyts.hybrid import HybridFuzzySystem, StepMode, build_example_system, solve
-from fuzzyts.stability import sample_initial_state
 
 import oracles
 
@@ -289,15 +288,14 @@ def assert_rows_equal_single_solves(sys, states, mode):
 @settings(max_examples=40, deadline=None)
 def test_stacked_solve_rows_equal_single_state_solves(system, seeds, family, mode, target):
     sys = SYSTEMS[system]()
-    states = [sample_initial_state(np.random.default_rng(s), GRID, sys.u0.n, family, target)
+    states = [oracles.sample_states(np.random.default_rng(s), GRID, sys.u0.n, family, target)[0]
               for s in seeds]
     assert_rows_equal_single_solves(sys, states, mode)
 
 
 def test_stacked_solve_keeps_survivors_of_a_partly_failed_step():
     sys = ghsub_dsl_system()
-    states = [sample_initial_state(np.random.default_rng(s), GRID, 2, "trapezoid", 0.9)
-              for s in range(20)]
+    states = oracles.sample_states(np.random.default_rng(0), GRID, 2, "trapezoid", 0.9, 20)
     stacked = assert_rows_equal_single_solves(sys, states, StepMode.EXPANSIVE)
     # failures inside the right-hand side, at several instants, and survivors
     assert 0 < len(stacked.rows) < len(states)
@@ -342,8 +340,8 @@ def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack(monkeypatch):
 
     unstack = f.FuzzyVector.unstack
     monkeypatch.setattr(f.FuzzyVector, "unstack", lambda u: unstacked.append(u) or unstack(u))
-    states = [sample_initial_state(np.random.default_rng(s), GRID, 1,
-                                   ("crisp", "triangular")[s % 2], 0.9) for s in range(40)]
+    states = [oracles.sample_states(np.random.default_rng(s), GRID, 1,
+                                    ("crisp", "triangular")[s % 2], 0.9)[0] for s in range(40)]
     traj = solve(sys.replace(rhs=rhs, u0=f.FuzzyVector.stack(states)),
                  StepMode.CONTRACTIVE, 12.0)
     failed_steps = {exc.t for exc in traj.failures.values()}

@@ -28,7 +28,6 @@ from fuzzyts.stability import (
     check_practical_stability,
     dini_along_solution,
     norm_lyapunov,
-    sample_initial_state,
     verify_comparison_bound,
     _check_condition_ii,
     _validate_class_k,
@@ -167,82 +166,102 @@ def test_class_k_rejects_flat_and_offset():
     assert not offset["passed"] and not offset["b"]["strictly_increasing"]
 
 
+def sample(rng, n, family, radius, count):
+    """The layers' sampler, as one stack."""
+    return f.FuzzyVector.from_arrays(GRID, *stability._sample(rng, GRID, n, family, radius, count))
+
+
 @pytest.mark.parametrize("family", ["crisp", "triangular", "trapezoid"])
 def test_sampler_hits_target_distance(family):
-    rng = np.random.default_rng(0)
-    for target in (0.1, 0.5, 2.0):
-        u = sample_initial_state(rng, GRID, 2, family, target)
-        assert f.norm(u) == pytest.approx(target, rel=1e-9)
+    # state i's distance is the radius times the first uniform of row i
+    rows = np.random.default_rng(0).random((30, 1 + 2 * oracles.UNIFORMS[family]))
+    for radius in (0.1, 0.5, 2.0):
+        u = sample(np.random.default_rng(0), 2, family, radius, 30)
+        assert f.norm(u) == pytest.approx(radius * rows[:, 0], rel=1e-9)
         if family == "crisp":
-            assert u.is_crisp
-
-
-def reference_sample(rng, grid, n, family, target):
-    """The sampler built the long way: one make_trapezoid number per
-    component, a vector of them, then a rescale by the kernels."""
-    while True:
-        comps = []
-        for _ in range(n):
-            c = float(rng.uniform(-1.0, 1.0))
-            if family == "crisp":
-                comps.append((c, c, c, c))
-            elif family == "triangular":
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                comps.append((c - wl, c, c, c + wr))
-            else:
-                wl = float(rng.uniform(0.0, 1.0))
-                wr = float(rng.uniform(0.0, 1.0))
-                half = float(rng.uniform(0.0, 0.5))
-                comps.append((c - half - wl, c - half, c + half, c + wr + half))
-        raw = f.FuzzyVector(tuple(f.make_trapezoid(*nodes, grid) for nodes in comps))
-        size = f.norm(raw)
-        if size > 1e-9:
-            return f.scale(target / size, raw)
+            assert np.array_equal(u.lower, u.upper)
 
 
 @pytest.mark.parametrize("family", ["crisp", "triangular", "trapezoid"])
 def test_sampler_equals_per_component_trapezoids(family):
     for seed in range(25):
         for n in (1, 3):
-            target = 0.05 + 0.1 * seed
-            got = sample_initial_state(np.random.default_rng(seed), GRID, n, family, target)
-            want = reference_sample(np.random.default_rng(seed), GRID, n, family, target)
+            radius = 0.05 + 0.1 * seed
+            got = sample(np.random.default_rng(seed), n, family, radius, 4)
+            want = f.FuzzyVector.stack(
+                oracles.sample_states(np.random.default_rng(seed), GRID, n, family, radius, 4))
             assert got.lower.tobytes() == want.lower.tobytes()
             assert got.upper.tobytes() == want.upper.tobytes()
 
 
 def test_sampler_is_deterministic_under_seed():
-    a = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
-    b = sample_initial_state(np.random.default_rng(42), GRID, 1, "triangular", 0.7)
-    assert f.dist(a, b) == 0.0
+    a = sample(np.random.default_rng(42), 1, "triangular", 0.7, 5)
+    b = sample(np.random.default_rng(42), 1, "triangular", 0.7, 5)
+    assert np.array_equal(f.dist(a, b), np.zeros(5))
+
+
+def test_direct_route_states_keep_their_values_whatever_the_sample_count():
+    b = catalog.make_example_3_9(GRID, 4.0)
+
+    def initial_states(count):
+        q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
+                           sampling=SamplingPlan(count=count, seed=11, family="trapezoid"))
+        [(_, ids, stack)], _, _ = stability._simulate_direct(b.system, q, 1.0,
+                                                             (StepMode.EXPANSIVE,))
+        assert ids == list(range(-1, count))
+        return stack.values[0].take(slice(1, 51))  # the first 50 samples, after the probe
+
+    few, many = initial_states(50), initial_states(200)
+    assert few.lower.tobytes() == many.lower.tobytes()
+    assert few.upper.tobytes() == many.upper.tobytes()
 
 
 class ScriptedRng:
-    """Stand-in generator: plays back ``values`` then repeats ``rest``."""
+    """Stand-in generator: ``random`` plays back ``values`` in C order, then
+    repeats ``rest``; ``rows`` counts the rows drawn."""
 
     def __init__(self, values=(), rest=0.0):
         self.values = list(values)
         self.rest = rest
-        self.draws = 0
+        self.rows = 0
 
-    def uniform(self, low, high):
-        self.draws += 1
-        return self.values.pop(0) if self.values else self.rest
+    def random(self, size):
+        self.rows += size[0]
+        flat = [self.values.pop(0) if self.values else self.rest for _ in range(int(np.prod(size)))]
+        return np.reshape(flat, size)
 
 
 def test_sampler_gives_up_on_degenerate_generator():
-    rng = ScriptedRng()
-    with pytest.raises(ConfigError, match="nearly-zero"):
-        sample_initial_state(rng, GRID, 2, "crisp", 0.5)
-    assert rng.draws == 2 * MAX_SAMPLE_ATTEMPTS
+    # zeros give every row distance 0; halves give crisp zeros (c = 2 * 0.5 - 1)
+    for rest in (0.0, 0.5):
+        rng = ScriptedRng(rest=rest)
+        with pytest.raises(ConfigError, match="nearly-zero"):
+            stability._sample(rng, GRID, 2, "crisp", 0.5, 1)
+        assert rng.rows == MAX_SAMPLE_ATTEMPTS
 
 
 def test_sampler_redraws_nearly_zero_states_from_the_same_generator():
-    rng = ScriptedRng(values=[0.0, 1e-12, 0.25, -0.5], rest=0.9)
-    u = sample_initial_state(rng, GRID, 2, "crisp", 2.0)
-    assert rng.draws == 4  # one rejected draw, one accepted
-    assert [c.crisp_value() for c in u] == [1.0, -2.0]
+    # row 0 is a crisp zero, row 1 a good state; row 0 is redrawn after both
+    good, redraw = [0.25, 0.75, 0.125], [0.5, 0.75, 0.25]
+    rng = ScriptedRng(values=[0.5, 0.5, 0.5 + 1e-13] + good + redraw, rest=0.9)
+    u = sample(rng, 2, "crisp", 2.0, 2)
+    assert rng.rows == 3 and not rng.values  # one rejected row, then one more
+    for row, values in ((0, redraw), (1, good)):
+        alone = sample(ScriptedRng(values), 2, "crisp", 2.0, 1)
+        assert u.take(slice(row, row + 1)).lower.tobytes() == alone.lower.tobytes()
+    assert [c.crisp_value() for c in u.take(0)] == [1.0, -1.0]
+
+
+def test_sampler_never_uses_a_distance_of_zero():
+    # row 1 draws distance 0 and is redrawn; the other rows keep their values
+    rows = [[0.5, 0.75, 0.25], [0.0, 0.75, 0.25], [0.25, 0.1, 0.9], [0.75, 0.6, 0.2]]
+    rng = ScriptedRng(values=sum(rows, []))
+    u = sample(rng, 2, "crisp", 2.0, 3)
+    assert rng.rows == 4
+    assert f.norm(u) == pytest.approx([1.0, 1.5, 0.5], rel=1e-12)
+    for row, values in ((0, rows[0]), (1, rows[3]), (2, rows[2])):
+        alone = sample(ScriptedRng(values), 2, "crisp", 2.0, 1)
+        assert u.take(slice(row, row + 1)).lower.tobytes() == alone.lower.tobytes()
 
 
 def test_boundary_probe_distance():
@@ -579,13 +598,9 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
     probe and walked point by point, and a strict probe excess confirmed by
     solving the shrunken probe on its own, at most once per mode."""
     grid, n, plan = sys.u0.grid, sys.u0.n, q.sampling
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed).spawn(3)[2])
     states = [boundary_probe(grid, n, plan.family, q.lam)]
-    for i in range(plan.count):
-        rng = np.random.default_rng([plan.seed, i])
-        target = float(rng.uniform(0.0, q.lam))
-        while target <= 0.0:
-            target = float(rng.uniform(0.0, q.lam))
-        states.append(sample_initial_state(rng, grid, n, plan.family, target))
+    states += oracles.sample_states(rng, grid, n, plan.family, q.lam, plan.count)
     system = sys.replace(u0=f.FuzzyVector.stack(states))
     t0 = float(sys.ts.points[0])
     bounds = [("practically_stable", q.A, lambda t: True)]
@@ -941,24 +956,26 @@ def test_samples_whose_switch_map_fails_leave_as_on_their_own_solves(monkeypatch
 # the hypothesis checks drawn into arrays against the per-draw loops
 # ---------------------------------------------------------------------------
 
-class SeededScriptedRng(ScriptedRng):
-    """Plays back ``values`` to the scalar uniform() calls, then draws every
-    value from a seeded generator."""
+class SeededScriptedRng:
+    """Plays back ``values`` as the first uniforms drawn, in C order, then
+    draws every value from a seeded generator."""
 
     def __init__(self, values, seed):
-        super().__init__(values)
+        self.values = list(values)
         self.rng = np.random.default_rng(seed)
 
-    def uniform(self, low, high, size=None):
-        if self.values and size is None:
-            return super().uniform(low, high)
-        return self.rng.uniform(low, high, size)
+    def random(self, size):
+        count = int(np.prod(size))
+        played, self.values = self.values[:count], self.values[count:]
+        return np.concatenate((played, self.rng.random(count - len(played)))).reshape(size)
 
-    def integers(self, low, high):
-        return self.rng.integers(low, high)
+    def integers(self, low, high, size):
+        return self.rng.integers(low, high, size)
 
 
 HYPOTHESIS_TS = f.intervals([[0, 1], [1.5, 2.5]], 0.25)
+# the terminal point, a point after the gap and the point before the gap
+HYPOTHESIS_HORIZONS = (2.5, 1.75, 1.0)
 _DSL_V = dsl.compile_expr(dsl.parse_scalar("max(d, pow(d, 2)) * (1 + t)"), ("t", "d"),
                           ts=HYPOTHESIS_TS)
 
@@ -980,16 +997,13 @@ KPAIRS = {
     "zero": ClassKPair(lambda x: 0.0 * x, lambda x: 0.0 * x),
 }
 
-# scalar uniform() draws of one state of each family per component
-_DRAWS_PER_COMPONENT = {"crisp": 1, "triangular": 3, "trapezoid": 4}
-
 
 def assert_same_report(got, want):
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # also tells -0.0 from 0.0
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(sorted(_DRAWS_PER_COMPONENT)),
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(sorted(oracles.UNIFORMS)),
        n=st.sampled_from([1, 3]), V=st.sampled_from(sorted(LYAPUNOV)),
        kpair=st.sampled_from(sorted(KPAIRS)), scripted=st.booleans())
 @example(seed=2, family="crisp", n=1, V="signed-zero", kpair="zero", scripted=False)
@@ -998,14 +1012,17 @@ def assert_same_report(got, want):
 def test_stacked_sandwich_and_lipschitz_equal_the_per_draw_loops(seed, family, n, V, kpair,
                                                                  scripted):
     V, kpair = LYAPUNOV[V], KPAIRS[kpair]
-    # scripted: the first state drawn (after its target 0.75) is nearly zero
-    # (1e-12 and zeros) and is redrawn
-    values = [0.75, 1e-12] + [0.0] * (_DRAWS_PER_COMPONENT[family] * n - 1) if scripted else []
+    # scripted: the first state drawn (distance 0.75) is nearly zero, a core
+    # of 1e-12 and zero widths, and is redrawn
+    k = oracles.UNIFORMS[family]
+    zero = [0.5] + [0.0] * (k - 1)  # a component with core 2 * 0.5 - 1 = 0
+    values = [0.375, 0.5 + 5e-13] + zero[1:] + zero * (n - 1) if scripted else []
+    horizon = HYPOTHESIS_HORIZONS[seed % len(HYPOTHESIS_HORIZONS)]
     for check, reference, args in [
         (stability._check_sandwich, oracles.check_sandwich,
-         lambda rng: (V, kpair, HYPOTHESIS_TS, GRID, n, family, 2.0, rng, 40, 1e-9)),
+         lambda rng: (V, kpair, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40, 1e-9)),
         (stability._check_lipschitz, oracles.check_lipschitz,
-         lambda rng: (V, HYPOTHESIS_TS, GRID, n, family, 2.0, rng, 40)),
+         lambda rng: (V, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40)),
     ]:
         rngs = [SeededScriptedRng(values, seed) for _ in range(2)]
         got = check(*args(rngs[0]))
@@ -1060,10 +1077,11 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
         for name in calls:
             calls[name] = 0
         rng = np.random.default_rng(samples)
-        stability._check_sandwich(V, b.kpair, b.system.ts, GRID, 1, "trapezoid", 2.0, rng,
-                                  samples, 1e-9)
+        stability._check_sandwich(V, b.kpair, b.system.ts, 10.0, GRID, 1, "trapezoid", 2.0,
+                                  rng, samples, 1e-9)
         assert calls["V"] == 1
-        stability._check_lipschitz(V, b.system.ts, GRID, 1, "trapezoid", 2.0, rng, samples)
+        stability._check_lipschitz(V, b.system.ts, 10.0, GRID, 1, "trapezoid", 2.0, rng,
+                                   samples)
         assert calls["V"] <= 1 + 2
         cmp.check_monotonicity_hypothesis(comp, samples=samples, seed=samples)
         assert calls["g"] <= 4 and calls["psi"] <= 2 * len(comp.psi)
@@ -1072,10 +1090,35 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
     assert seen[0]["checked states"] <= 2
 
 
-def test_sandwich_V_with_mu_still_raises_at_the_terminal_point(tmp_path, capsys):
-    # the sandwich draws t from every point, the terminal one included
+def test_a_check_builds_one_generator_per_sampled_layer(monkeypatch):
+    b = catalog.make_example_3_9(GRID, 6.0)
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed)
+                        or default_rng(seed))
+    for count in (5, 60):
+        built.clear()
+        q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=count, seed=9))
+        check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 6.0)
+        # sandwich, Lipschitz and direct route: children 0, 1 and 2 of the
+        # seed's SeedSequence; the monotonicity check: the seed itself
+        assert [getattr(s, "spawn_key", s) for s in built] == [(0,), (1,), 9, (2,)]
+
+
+def test_sandwich_V_with_mu_draws_no_point_past_the_horizon(tmp_path, capsys):
+    # mu(t) is defined at every point the hypothesis layers draw: up to the
+    # horizon 2.4, never the terminal point 2.5
     cfg = tmp_path / "mu.cfg"
     cfg.write_text(test_golden.DSL_STABILITY.replace(
         "V = d", "V = max(d, pow(d, 2)) / (1 + mu(t))"))
-    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
-    assert capsys.readouterr().err == "error: t=2.5 is the terminal point at line 1, column 26\n"
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "v" / "verdict.json").read_text())["hypothesis_report"]
+    assert report["sandwich"]["samples"] == report["lipschitz"]["samples"] == 100
+
+
+@pytest.mark.parametrize("horizon", [2.5, 1.75, 1.5, 1.0, 0.0])
+def test_hypothesis_layers_draw_every_point_up_to_the_horizon_with_a_successor(horizon):
+    t, _ = stability._draw_layer(HYPOTHESIS_TS, horizon, GRID, 1, "crisp", 1.0,
+                                 np.random.default_rng(1), 400, 1)
+    assert sorted(set(t.tolist())) == oracles.drawable_times(HYPOTHESIS_TS, horizon)
