@@ -129,13 +129,12 @@ class MonotonicityReport:
         }
 
 
-def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200,
-                                  seed: int = 0,
-                                  box: tuple[float, float] = (0.0, 10.0),
-                                  tol: float = 1e-9) -> MonotonicityReport:
+def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, seed: int = 0,
+                                  box: tuple[float, float] = (0.0, 10.0), tol: float = 1e-9,
+                                  horizon: float | None = None) -> MonotonicityReport:
     """Randomized sampled verification of the three monotonicity conditions.
 
-    Over (t, r, v) draws with r, v in ``box`` checks that
+    Over (t, r, v) draws, t in ``kappa_points(horizon)`` and r, v in ``box``, checks that
       * r -> g(t, r, v) * mu(t) + r is nondecreasing,
       * v -> g(t, r, v) is nondecreasing, and
       * v -> psi_k(v) is nondecreasing for every k.
@@ -144,7 +143,7 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200,
         raise InvalidShapeError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = box
-    kappa = sys.ts.kappa_points()
+    kappa = sys.ts.kappa_points(horizon)
     # every sample's t, then per sample an (r1, r2) pair, a (v1, v2) pair, v
     # and r, in one row
     t = kappa[rng.integers(0, len(kappa), size=samples)]

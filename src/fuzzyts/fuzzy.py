@@ -7,9 +7,9 @@ scalar multiplication, the generalized Hukuhara difference and the metrics
 exact on the represented class.  Membership functions are never stored.
 Validity (nonempty, nested, finite cuts) is checked in full where a state
 comes in: outside data through the constructor, and the Hukuhara
-differences.  The check accepts slack within ``ATOL`` (a trapezoid's
-rounded core may carry some) and stores the cuts ordered and nested
-exactly, each endpoint moved by at most its slack.  Sums and scalar
+differences.  One test decides: finite cuts pass when ``_tighten`` moves no
+endpoint by more than ``ATOL`` (a trapezoid's rounded core may need it), and
+are stored tightened.  Sums and scalar
 multiples of fuzzy numbers are fuzzy numbers and rounding is monotone, so
 on those exact states ``add`` and ``scale`` can only fail by overflow:
 they test finiteness only.  Kernels wrap their fresh result arrays without
@@ -40,8 +40,8 @@ from .errors import (
     InvalidShapeError,
 )
 
-# Absolute tolerance of the ordering and nesting checks: the slack a state may
-# come in with (a trapezoid's rounded core), removed on the way in.
+# Absolute tolerance of the validity check: a state is accepted when tightening
+# its cuts moves no endpoint by more than this (a trapezoid's core may need it).
 ATOL = 1e-12
 
 
@@ -90,8 +90,7 @@ _FINITE = (lambda lo, up: ~(np.isfinite(lo).all((-2, -1)) & np.isfinite(up).all(
            InvalidShapeError, "endpoints must be finite")
 _ORDERED = (lambda lo, up: (lo > up + ATOL).any((-2, -1)),
             InvalidShapeError, "lower endpoint exceeds upper endpoint")
-_NESTED = (lambda lo, up: ((lo[..., 1:] - lo[..., :-1] < -ATOL)
-                           | (up[..., 1:] - up[..., :-1] > ATOL)).any((-2, -1)),
+_NESTED = (lambda lo, up: _moved(lo, up, _tighten(lo, up)).any((-2, -1)),
            InvalidShapeError, "alpha cuts are not nested")
 _GH_NESTED = (_NESTED[0], GHDifferenceError, "gH difference does not exist: cuts are not nested")
 _CHECKS = (_FINITE, _ORDERED, _NESTED)
@@ -116,31 +115,38 @@ def _require_finite(lower: np.ndarray, upper: np.ndarray, tests=(_FINITE,)) -> N
 
 
 def _check(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The finite, nonempty and nested checks on endpoint arrays, with
-    slack within ``ATOL`` accepted; gives the arrays as they are when their
-    cuts hold exactly (a cheap test first), else ``_tighten``'s.  Callers
-    ignore overflow: a nesting difference of two finite endpoints may pass
-    the largest float, and as an infinity it compares the same way."""
+    """The finite, nonempty and nested checks (see ``_tightened``).  Callers
+    ignore overflow: a move past the largest float is an infinity, rejected."""
     _require_finite(lower, upper, _CHECKS)
-    dlo = lower[..., 1:] - lower[..., :-1]
-    dup = upper[..., 1:] - upper[..., :-1]
-    if not ((lower > upper).any() or (dlo < 0).any() or (dup > 0).any()):
+    tight = _tightened(lower, upper)
+    if tight is None:
+        _fail(_ORDERED if (lower > upper + ATOL).any() else _NESTED, lower, upper, _CHECKS)
+    return tight
+
+
+def _tightened(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cuts ordered and nested exactly: the arrays themselves if they are
+    (a cheap test first), else ``_tighten``'s if within ``ATOL``, else None."""
+    if not ((lower > upper).any() or (lower[..., 1:] < lower[..., :-1]).any()
+            or (upper[..., 1:] > upper[..., :-1]).any()):
         return lower, upper
-    nested = not ((dlo < -ATOL).any() or (dup > ATOL).any())
-    del dlo, dup  # a raised error's traceback, kept by a failed solve, holds this frame
-    if (lower > upper + ATOL).any():
-        _fail(_ORDERED, lower, upper, _CHECKS)
-    if not nested:
-        _fail(_NESTED, lower, upper, _CHECKS)
-    return _tighten(lower, upper)
+    tight = _tighten(lower, upper)
+    return None if _moved(lower, upper, tight).any() else tight
 
 
 def _tighten(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cuts with slack made ordered and nested exactly: each lower endpoint
-    raised to the largest below it in alpha, each upper one lowered to the
-    smallest, and the lower ones clamped to the upper end of the core."""
+    """Cuts made ordered and nested exactly: each lower endpoint raised to
+    the largest below it in alpha, each upper one lowered to the smallest,
+    and the lower ones clamped to the upper end of the core."""
     upper = np.minimum.accumulate(upper, axis=-1)
     return np.minimum(np.maximum.accumulate(lower, axis=-1), upper[..., -1:]), upper
+
+
+def _moved(lower: np.ndarray, upper: np.ndarray, tight: tuple) -> np.ndarray:
+    """The one tolerance test: per endpoint, whether ``tight`` moves it by
+    more than ``ATOL``.  A lower endpoint more than ATOL above its upper one
+    fails it too, so ``_ORDERED`` only picks which message a failure gets."""
+    return (np.abs(tight[0] - lower) > ATOL) | (np.abs(tight[1] - upper) > ATOL)
 
 
 class _Cuts(Frozen):
@@ -153,10 +159,10 @@ class _Cuts(Frozen):
       * ``lower <= upper`` at every level (nonempty cuts), and
       * ``lower`` nondecreasing and ``upper`` nonincreasing in alpha
         (cuts are nested).
-    Endpoints that meet the last two only within ``ATOL`` are stored
-    tightened (see ``_check``).  ``__init__`` leaves the checks to
-    ``__post_init__``, the hook ``perfbench/tracer.py`` wraps to count the
-    fuzzy numbers built from outside data.
+    Endpoints that tightening to the last two moves by at most ``ATOL``
+    are stored tightened (see ``_tightened``).  ``__init__`` leaves the
+    checks to ``__post_init__``, the hook ``perfbench/tracer.py`` wraps to
+    count the fuzzy numbers built from outside data.
     """
 
     __slots__ = ("grid", "lower", "upper")
@@ -392,20 +398,13 @@ def gh_difference(u: _Cuts, v: _Cuts) -> _Cuts:
     """
     _require_compatible(u, v)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test reports them
-        dlo, dhi = u.lower - v.lower, u.upper - v.upper
-        lower, upper = np.minimum(dlo, dhi), np.maximum(dlo, dhi)
-        # the level differences, taken once for the nesting test and the tightening
-        down, up = lower[..., 1:] - lower[..., :-1], upper[..., 1:] - upper[..., :-1]
-    nested = not ((down < -ATOL).any() or (up > ATOL).any())
-    slack = (down < 0).any() or (up > 0).any()
-    del dlo, dhi, down, up  # a raised error's traceback, kept by a failed solve, holds this frame
-    if not nested:
+        lower, upper = u.lower - v.lower, u.upper - v.upper
+        lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
+        tight = _tightened(lower, upper)
+    if tight is None:
         _fail(_GH_NESTED, lower, upper, (_GH_NESTED, _FINITE))
-    # lower <= upper by construction, so of _check only the finiteness test is left
     _require_finite(lower, upper)
-    if slack:
-        lower, upper = _tighten(lower, upper)
-    return _state(u.grid, lower, upper)
+    return _state(u.grid, *tight)
 
 
 def hausdorff_interval(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -353,11 +353,11 @@ def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict
 
 def _draw_layer(ts: TimeScale, horizon: float, grid: AlphaGrid, n: int, family: str,
                 radius: float, rng: np.random.Generator, samples: int, states: int):
-    """A check's draws: ``samples`` points of ``ts`` up to ``horizon`` that have
-    a successor, where V is used, then ``states`` states per sample with
-    distance to zero uniform in (0, radius).  Returns the ``(samples,)``
-    points and one stack of the states, sample by sample."""
-    points = ts.points[:min(ts.index_of(horizon), len(ts) - 2) + 1]
+    """A check's draws: ``samples`` of ``ts.kappa_points(horizon)``, where V is
+    used, then ``states`` states per sample with distance to zero uniform in
+    (0, radius).  Returns the ``(samples,)`` points and one stack of the
+    states, sample by sample."""
+    points = ts.kappa_points(horizon)
     t = points[rng.integers(0, len(points), size=samples)]
     return t, FuzzyVector.from_arrays(grid, *_sample(rng, grid, n, family, radius,
                                                      samples * states))
@@ -658,7 +658,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
                                  samples=HYPOTHESIS_SAMPLES)
     monotonicity = check_monotonicity_hypothesis(
         comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,
-        box=(0.0, max(1.0, 2.0 * b_A)))
+        box=(0.0, max(1.0, 2.0 * b_A)), horizon=horizon)
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
     outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)

@@ -99,9 +99,10 @@ class TimeScale(Frozen):
     def is_right_dense(self, t: float) -> bool:
         return self.mu(t) <= self.dense_threshold
 
-    def kappa_points(self) -> np.ndarray:
-        """All points except the terminal one."""
-        return self.points[:-1]
+    def kappa_points(self, horizon: float | None = None) -> np.ndarray:
+        """The points up to the stored point ``horizon`` (default: all) with a successor."""
+        last = len(self) - 1 if horizon is None else self.index_of(horizon)
+        return self.points[:min(last, len(self) - 2) + 1]
 
     def delta_derivative(self, f: Callable[[float], float], t: float) -> float:
         """Forward difference quotient [f(sigma(t)) - f(t)] / mu(t).

@@ -61,6 +61,19 @@ def random_cuts(rng, m, span=5.0):
     return lower, upper
 
 
+def tightened_cuts(lower, upper):
+    """Endpoint arrays made ordered and nested exactly, row by row along the
+    last axis: each lower endpoint the largest at or below its level, each
+    upper one the smallest, and no lower one above the core's upper one."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    m = lower.shape[-1]
+    lo, up = [], []
+    for row_lo, row_up in zip(lower.reshape(-1, m).tolist(), upper.reshape(-1, m).tolist()):
+        up.append([min(row_up[:i + 1]) for i in range(m)])
+        lo.append([min(max(row_lo[:i + 1]), up[-1][-1]) for i in range(m)])
+    return np.reshape(lo, lower.shape), np.reshape(up, upper.shape)
+
+
 # -- plain float recursions ---------------------------------------------------
 
 def segment_index(switch_times, t):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -342,6 +343,17 @@ def test_horizon_off_the_scale_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "v").exists()
 
 
+def test_monotonicity_times_are_drawn_up_to_the_horizon(tmp_path):
+    """g is monotone only up to t = 2.05, and the run stops at t = 2.0."""
+    cfg = write_cfg(tmp_path / "m.cfg", test_golden.DSL_STABILITY.replace(
+        "horizon = 2.4", "horizon = 2.0").replace(
+        "g = (-r + v)/(1 + mu(t))", "g = (-r + v)/(1 + mu(t)) - 100 * r * max(t - 2.05, 0)"))
+    out = tmp_path / "v"
+    assert run("stability", "--config", cfg, "--out", out) == 1
+    report = json.loads((out / "verdict.json").read_text())["hypothesis_report"]["monotonicity"]
+    assert report["passed"] is True and report["g_mu_r_violations"] == []
+
+
 def test_stability_zero_samples_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "s.cfg", test_golden.DSL_STABILITY.replace("samples = 6",
                                                                            "samples = 0"))
@@ -400,16 +412,25 @@ def test_unknown_config_section_or_key_exits_2(tmp_path, capsys, new, message):
     assert not (tmp_path / "v").exists()
 
 
+def perfbench_modules():
+    """``perfbench/workloads.py`` and ``perfbench/check.py``, run from source so
+    that no bytecode is written there.  Each is in ``sys.modules`` under its
+    own name while they load: the dataclass looks its module up, and
+    ``check`` imports ``workloads``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench"
+    loaded = []
+    with mock.patch.dict(sys.modules):
+        for name in ("workloads", "check"):
+            module = sys.modules[name] = types.ModuleType(name)
+            source = path / f"{name}.py"
+            exec(compile(source.read_text(), str(source), "exec"), vars(module))
+            loaded.append(module)
+    return loaded
+
+
 def shipped_configs():
-    """Every golden config and every benchmark workload's config (read from
-    ``perfbench/workloads.py``, which writes no bytecode there), by name."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    workloads = types.ModuleType("perfbench_workloads")
-    sys.modules[workloads.__name__] = workloads  # its dataclass looks the module up
-    try:
-        exec(compile(path.read_text(), str(path), "exec"), vars(workloads))
-    finally:
-        del sys.modules[workloads.__name__]
+    """Every golden config and every benchmark workload's config, by name."""
+    workloads, _ = perfbench_modules()
     return {**{case: config for case, (_, config, _, _) in test_golden.CASES.items()},
             **{name: w.config_text(42) for name, w in workloads.WORKLOADS.items()}}
 
@@ -419,6 +440,20 @@ def test_shipped_configs_use_only_known_keys(tmp_path, name, config):
     cfg = cli.load_config(argparse.Namespace(config=write_cfg(tmp_path / "run.cfg", config)))
     assert cfg.sections and all(set(keys) <= cli.KNOWN_KEYS[section]
                                 for section, keys in cfg.sections.items())
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("catalog-stability", 42), ("catalog-stability", 7),
+    ("dsl-intervals-stability", 42), ("dsl-intervals-stability", 7),
+    ("simulate-long", 42),
+])
+def test_benchmark_workloads_pass_the_benchmark_output_check(tmp_path, name, seed):
+    workloads, check = perfbench_modules()
+    w = workloads.WORKLOADS[name]
+    cfg = write_cfg(tmp_path / "run.cfg", w.config_text(seed))
+    code = run(w.command, "--config", cfg, "--out", tmp_path / "out")
+    problems, _ = check.check_run(w, seed, code, tmp_path / "out")
+    assert problems == []
 
 
 def test_known_keys_are_the_keys_the_commands_read():

@@ -99,17 +99,34 @@ def _dip(depth):
     # non-finite and non-nested at once: finiteness is reported first
     (np.linspace(1, 0, 11), np.full(11, np.inf), "endpoints must be finite"),
     (_dip(2 * ATOL), np.ones(11), "alpha cuts are not nested"),
+    # every step dips 0.9 ATOL, and tightening moves the last lower endpoint 9 ATOL
+    (-0.9 * ATOL * np.arange(11), np.ones(11), "alpha cuts are not nested"),
     # tolerance-level slack is accepted
     (_dip(ATOL), np.ones(11), None),
     (np.full(11, ATOL), np.zeros(11), None),
+    # a lower dip of 1.5 ATOL that the core clamp absorbs: each endpoint moves 0.75 ATOL
+    (np.r_[np.ones(10), 1 - 1.5 * ATOL], np.r_[np.full(10, 2.0), 1 - 0.75 * ATOL], None),
 ], ids=["shape", "finite", "nonempty", "nested", "finite-before-nested",
-        "drop-2atol", "drop-atol", "lower-eq-upper-plus-atol"])
+        "drop-2atol", "accumulated-9atol", "drop-atol", "lower-eq-upper-plus-atol",
+        "clamp-absorbs-dip"])
 def test_fuzzy_number_invariant_enforcement(lower, upper, message):
+    """Each input on its own, and as the middle sample of a stack of three,
+    where ``rows`` names that sample alone."""
     if message is None:
         _assert_tightened(f.FuzzyNumber(GRID, lower, upper), lower, upper)
     else:
         with pytest.raises(InvalidShapeError, match=message):
             f.FuzzyNumber(GRID, lower, upper)
+    if lower.shape != upper.shape:
+        return
+    good = tri(-1, 0, 1)
+    stack = [np.stack([g, x, g])[:, None] for g, x in ((good.lower, lower), (good.upper, upper))]
+    if message is None:
+        _assert_tightened(f.FuzzyVector.from_arrays(GRID, *stack), *stack)
+    else:
+        with pytest.raises(InvalidShapeError, match=message) as failed:
+            f.FuzzyVector.from_arrays(GRID, *stack)
+        assert {j: str(e) for j, e in failed.value.rows.items()} == {1: message}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +198,15 @@ def test_gh_nonexistence_growing_cuts():
     # level-wise candidate is [-alpha/2, alpha/2], growing with alpha
     with pytest.raises(GHDifferenceError):
         f.gh_difference(u, v)
+    # candidates whose lower cuts dip 0.9 ATOL at one step, or at every
+    # step in the middle sample, 9 ATOL in all: only that sample fails
+    u = f.FuzzyVector.stack([f.vector(f.FuzzyNumber(GRID, np.zeros(11), np.full(11, 2.0)))] * 3)
+    steps = np.arange(11) > 5, np.arange(11), np.arange(11) > 5
+    v = f.FuzzyVector.stack([f.vector(f.FuzzyNumber(GRID, 0.9 * ATOL * x, np.ones(11)))
+                             for x in steps])
+    with pytest.raises(GHDifferenceError) as failed:
+        f.gh_difference(u, v)
+    assert list(failed.value.rows) == [1]
 
 
 def test_gh_grid_mismatch():
@@ -251,8 +277,9 @@ def _construct(lower, upper):
 def endpoints(draw, shapes=((), (3,), (2, 3))):
     """Endpoint arrays of a number, an (n, m) vector or an (S, n, m) stack
     at magnitudes from the subnormals to near overflow.  Their cuts are
-    ordered and nested exactly, or one endpoint is moved inwards by up to
-    ATOL / 2, slack of the kind a trapezoid's core may carry."""
+    ordered and nested exactly, or slack is added to a run of levels of one
+    row's lower or upper endpoints: a step of up to 1.5 ATOL a level, in or
+    out, adding up along alpha, so that the total may pass ATOL."""
     shape = draw(st.sampled_from(shapes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.floats(0.0, 8e306) | st.floats(0.0, 10.0))  # random_cuts stays within 20
@@ -260,12 +287,34 @@ def endpoints(draw, shapes=((), (3,), (2, 3))):
     lower = np.reshape([lo for lo, _ in cuts], (*shape, GRID.m)) * size
     upper = np.reshape([hi for _, hi in cuts], (*shape, GRID.m)) * size
     if draw(st.booleans()):
-        i, slack = draw(st.integers(0, lower.size - 1)), draw(st.floats(0.0, ATOL / 2))
-        if draw(st.booleans()):
-            lower.flat[i] += slack
-        else:
-            upper.flat[i] -= slack
+        row = draw(st.integers(0, len(cuts) - 1))
+        start = draw(st.integers(0, GRID.m - 1))
+        stop = draw(st.integers(start + 1, GRID.m))
+        step = draw(st.floats(-1.5 * ATOL, 1.5 * ATOL))
+        side = lower if draw(st.booleans()) else upper
+        side.reshape(-1, GRID.m)[row, start:stop] += step * np.arange(1, stop - start + 1)
     return lower, upper
+
+
+def _built(lower, upper):
+    """The state the constructor makes of these endpoints, held to the one
+    rule: they are rejected exactly when tightening them
+    (``oracles.tightened_cuts``) moves an endpoint by more than ATOL, and
+    else stored ordered and nested exactly, within ATOL of them (bit for
+    bit when they already are).  A rejected input gives the state of its
+    tightened cuts."""
+    tight = oracles.tightened_cuts(lower, upper)
+    if max(np.abs(tight[0] - lower).max(), np.abs(tight[1] - upper).max()) > ATOL:
+        with pytest.raises(InvalidShapeError, match="^(lower endpoint exceeds upper endpoint"
+                                                    "|alpha cuts are not nested)$"):
+            _construct(lower, upper)
+        lower, upper = tight
+    u = _construct(lower, upper)
+    if _strict(lower, upper):
+        assert _bits(u) == (lower.tobytes(), upper.tobytes())
+    else:
+        _assert_tightened(u, lower, upper)
+    return u
 
 
 def _as_constructed(kernel, lower, upper):
@@ -296,18 +345,14 @@ def _scaled(k, u):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nestedness_closure(data, k):
     """A number, vector or stack whose cuts hold exactly is stored bit for
-    bit; one with slack within ATOL is stored exact, within ATOL of it.
-    So ``add`` and ``scale`` results are what the constructor makes of
-    their endpoints, exact unless they overflow, with only their finiteness
-    tested; and Hukuhara differences are exact, also where ``(u + v) - v``
-    carries rounding slack."""
-    lower, upper = data.draw(endpoints())
-    u = _construct(lower, upper)
-    if _strict(lower, upper):
-        assert _bits(u) == (lower.tobytes(), upper.tobytes())
-    else:
-        _assert_tightened(u, lower, upper)
-    v = _construct(*data.draw(endpoints(((), u.lower.shape[:-1]))))
+    bit; one that tightening moves by at most ATOL is stored exact, within
+    ATOL of it; any other is rejected (see ``_built``).  So ``add`` and
+    ``scale`` results are what the constructor makes of their endpoints,
+    exact unless they overflow, with only their finiteness tested; and
+    Hukuhara differences are exact, also where ``(u + v) - v`` carries
+    rounding slack."""
+    u = _built(*data.draw(endpoints()))
+    v = _built(*data.draw(endpoints(((), u.lower.shape[:-1]))))
     with np.errstate(over="ignore"):
         added = u.lower + v.lower, u.upper + v.upper
     _as_constructed(lambda: f.add(u, v), *added)
