@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import draws
 from .errors import BlowUpError, InvalidShapeError, Record
 from .timescale import SwitchSchedule, TimeScale
 
@@ -134,31 +135,35 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, s
                                   horizon: float | None = None) -> MonotonicityReport:
     """Randomized sampled verification of the three monotonicity conditions.
 
-    Over (t, r, v) draws, t in ``kappa_points(horizon)`` and r, v in ``box``, checks that
+    Over (t, r, v) draws, t a point before ``horizon`` (default: the terminal
+    point; none when it is the first, so only psi is checked) and r, v in
+    ``box``, checks that
       * r -> g(t, r, v) * mu(t) + r is nondecreasing,
       * v -> g(t, r, v) is nondecreasing, and
       * v -> psi_k(v) is nondecreasing for every k.
     """
     if samples < 1:
         raise InvalidShapeError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = draws.Stream(seed, 3)
     lo, hi = box
-    kappa = sys.ts.kappa_points(horizon)
-    # every sample's t, then per sample an (r1, r2) pair, a (v1, v2) pair, v
-    # and r, in one row
-    t = kappa[rng.integers(0, len(kappa), size=samples)]
-    x = rng.uniform(lo, hi, size=(samples, 6))
-    pairs = x[:, :4].reshape(-1, 2, 2)  # each put in order, as sorted() puts two floats
-    (r1, v1), (r2, v2) = pairs.min(axis=-1).T, pairs.max(axis=-1).T
-    v, r = x[:, 4], x[:, 5]
+    times = sys.ts.points[:len(sys.ts) - 1 if horizon is None else sys.ts.index_of(horizon)]
+    g_mu_r, g_v, psi_bad = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # arrays overflow as silently as floats
-        mu = sys.ts.mu(t)
-        left = sys.g(t, r1, v) * mu + r1
-        right = sys.g(t, r2, v) * mu + r2
-        gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
-        g_mu_r = _entries(right < left - tol, t, r1, r2, right - left)
-        g_v = _entries(gv2 < gv1 - tol, t, v1, v2, gv2 - gv1)
-        psi_bad, count = [], max(8, samples // max(1, len(sys.psi)))
+        if len(times):
+            # every sample's t, then per sample an (r1, r2) pair, a (v1, v2)
+            # pair, v and r, in one row
+            t = times[rng.integers(0, len(times), size=samples)]
+            x = rng.uniform(lo, hi, size=(samples, 6))
+            pairs = x[:, :4].reshape(-1, 2, 2)  # each put in order, as sorted() puts two floats
+            (r1, v1), (r2, v2) = pairs.min(axis=-1).T, pairs.max(axis=-1).T
+            v, r = x[:, 4], x[:, 5]
+            mu = sys.ts.mu(t)
+            left = sys.g(t, r1, v) * mu + r1
+            right = sys.g(t, r2, v) * mu + r2
+            gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
+            g_mu_r = _entries(right < left - tol, t, r1, r2, right - left)
+            g_v = _entries(gv2 < gv1 - tol, t, v1, v2, gv2 - gv1)
+        count = max(8, samples // max(1, len(sys.psi)))
         for k, psi in enumerate(sys.psi):
             pairs = rng.uniform(lo, hi, size=(count, 2))
             p1, p2 = pairs.min(axis=-1), pairs.max(axis=-1)

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import comparison as cmp, fuzzy, hybrid
+from . import comparison as cmp, draws, fuzzy, hybrid
 from .comparison import ScalarHybridSystem, ScalarTrajectory, check_monotonicity_hypothesis
 from .errors import ConfigError, Frozen, FuzzyTSError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
@@ -98,6 +98,8 @@ class SamplingPlan(Frozen):
             raise ConfigError("sampling count must be >= 1")
         if family not in ("crisp", "triangular", "trapezoid"):
             raise ConfigError(f"unknown sampling family {family!r}")
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
         self._set(count=count, seed=seed, family=family)
 
 
@@ -200,12 +202,6 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
 MAX_SAMPLE_ATTEMPTS = 1000
 
 
-def _layer_rng(seed: int, layer: int) -> np.random.Generator:
-    """Child ``layer`` of ``SeedSequence(seed)``: 0 draws the sandwich check, 1
-    the Lipschitz check and 2 the direct route."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(layer,)))
-
-
 def _cuts(grid: AlphaGrid, x: np.ndarray, family: str):
     """make_trapezoid's ``(S, n, m)`` cuts, and their ``(S,)`` norms, of S
     draws' ``(S, n, k)`` uniforms: per component the core c in (-1, 1), then
@@ -223,7 +219,7 @@ def _cuts(grid: AlphaGrid, x: np.ndarray, family: str):
     return lower, upper, np.maximum(np.abs(lower), np.abs(upper)).max(axis=(-2, -1))
 
 
-def _sample(rng: np.random.Generator, grid: AlphaGrid, n: int, family: str,
+def _sample(rng: draws.Stream, grid: AlphaGrid, n: int, family: str,
             radius: float, count: int):
     """``count`` random states with distance to zero uniform in (0, radius),
     as ``(count, n, m)`` lower and upper cuts.
@@ -352,7 +348,7 @@ def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict
 
 
 def _draw_layer(ts: TimeScale, horizon: float, grid: AlphaGrid, n: int, family: str,
-                radius: float, rng: np.random.Generator, samples: int, states: int):
+                radius: float, rng: draws.Stream, samples: int, states: int):
     """A check's draws: ``samples`` of ``ts.kappa_points(horizon)``, where V is
     used, then ``states`` states per sample with distance to zero uniform in
     (0, radius).  Returns the ``(samples,)`` points and one stack of the
@@ -373,7 +369,7 @@ def _first_min(values: np.ndarray) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, horizon: float,
                     grid: AlphaGrid, n: int, family: str, radius: float,
-                    rng: np.random.Generator, samples: int, tol: float) -> dict:
+                    rng: draws.Stream, samples: int, tol: float) -> dict:
     t, u = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 1)
     d = fuzzy.norm(u)
     v = np.broadcast_to(V(t, u), d.shape)  # one V for every sample may be a float
@@ -391,7 +387,7 @@ def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, horizon: fl
 
 @np.errstate(over="ignore", invalid="ignore")
 def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGrid, n: int,
-                     family: str, radius: float, rng: np.random.Generator,
+                     family: str, radius: float, rng: draws.Stream,
                      samples: int) -> dict:
     t, pairs = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 2)
     u1, u2 = pairs.take(slice(0, None, 2)), pairs.take(slice(1, None, 2))
@@ -533,7 +529,7 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     n = sys.u0.n
     plan = q.sampling
     probe = boundary_probe(grid, n, plan.family, q.lam)
-    lower, upper = _sample(_layer_rng(plan.seed, 2), grid, n, plan.family,
+    lower, upper = _sample(draws.Stream(plan.seed, 2), grid, n, plan.family,
                            q.lam, plan.count)
     shrunk = fuzzy.scale(1.0 - 1e-9, probe)
     shrunk_row = plan.count + 1
@@ -650,11 +646,11 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     b_A = float(kpair.b(q.A))
     gate = {"a_lambda": a_lam, "b_A": b_A, "passed": a_lam < b_A}
     sandwich = _check_sandwich(V, kpair, sys.ts, horizon, grid, n, plan.family,
-                               radius=q.A, rng=_layer_rng(plan.seed, 0),
+                               radius=q.A, rng=draws.Stream(plan.seed, 0),
                                samples=HYPOTHESIS_SAMPLES, tol=HYPOTHESIS_TOL)
     lipschitz = _check_lipschitz(V, sys.ts, horizon, grid, n, plan.family,
                                  radius=min(q.rho, 2.0 * q.A),
-                                 rng=_layer_rng(plan.seed, 1),
+                                 rng=draws.Stream(plan.seed, 1),
                                  samples=HYPOTHESIS_SAMPLES)
     monotonicity = check_monotonicity_hypothesis(
         comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,

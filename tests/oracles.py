@@ -266,6 +266,53 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
     raise TypeError(f"not a fuzzy expression: {e!r}")
 
 
+# -- the draw stream one value at a time ---------------------------------------
+# SplitMix64 as Vigna's splitmix64.c writes it, in Python ints: each output
+# adds GAMMA to the state and mixes the sum.
+
+M64 = 2 ** 64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    def __init__(self, state):
+        self.state = state & M64
+
+    def next(self):
+        self.state = (self.state + GAMMA) & M64
+        return splitmix64_mix(self.state)
+
+
+class Stream(SplitMix64):
+    """Stream ``(seed, layer)`` of the samplers: SplitMix64 from the state
+    mix(mix(seed * GAMMA + layer)), each output's top 53 bits a uniform in
+    [0, 1), drawn one value at a time through numpy's Generator methods."""
+
+    def __init__(self, seed, layer):
+        super().__init__(splitmix64_mix(splitmix64_mix((seed * GAMMA + layer) & M64)))
+
+    def unit(self):
+        return (self.next() >> 11) * 2.0 ** -53
+
+    def random(self, size):
+        return np.array([self.unit() for _ in range(int(np.prod(size)))]).reshape(size)
+
+    def integers(self, low, high, size):
+        return np.array([low + math.floor(self.unit() * (high - low)) for _ in range(size)],
+                        dtype=np.int64)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return low + (high - low) * self.unit()
+        return low + (high - low) * self.random(size)
+
+
 # -- random states one row at a time ------------------------------------------
 # The layers' sampler built the long way: row i of the stream's uniforms is
 # drawn on its own and made into one make_trapezoid number per component, a
@@ -371,13 +418,14 @@ def check_lipschitz(V, ts, horizon, grid, n, family, radius, rng, samples):
     }
 
 
-def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9):
-    rng = np.random.default_rng(seed)
+def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9, horizon=None):
+    rng = Stream(seed, 3)
     ts = sys.ts
     lo, hi = box
-    kappa = ts.kappa_points()
+    end = ts.points[-1] if horizon is None else horizon
+    times = [float(t) for t in ts.points if t < end]  # g is used only before the horizon
     g_mu_r, g_v, psi_bad = [], [], []
-    for t in kappa[rng.integers(0, len(kappa), size=samples)].tolist():
+    for t in [times[i] for i in rng.integers(0, len(times), size=samples)] if times else []:
         mu = ts.mu(t)
         r1, r2 = sorted(rng.uniform(lo, hi, size=2))
         v1, v2 = sorted(rng.uniform(lo, hi, size=2))

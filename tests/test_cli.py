@@ -354,6 +354,17 @@ def test_monotonicity_times_are_drawn_up_to_the_horizon(tmp_path):
     assert report["passed"] is True and report["g_mu_r_violations"] == []
 
 
+def test_monotonicity_times_stop_before_the_horizon(tmp_path):
+    """g is non-monotone in r only at t = 2.0, the horizon, where the run never calls it."""
+    cfg = write_cfg(tmp_path / "m.cfg", test_golden.DSL_STABILITY.replace(
+        "horizon = 2.4", "horizon = 2.0").replace(
+        "g = (-r + v)/(1 + mu(t))", "g = (-r + v)/(1 + mu(t)) - 1000 * r * max(t - 1.95, 0)"))
+    out = tmp_path / "v"
+    assert run("stability", "--config", cfg, "--out", out) == 1
+    report = json.loads((out / "verdict.json").read_text())["hypothesis_report"]["monotonicity"]
+    assert report["passed"] is True and report["g_mu_r_violations"] == []
+
+
 def test_stability_zero_samples_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "s.cfg", test_golden.DSL_STABILITY.replace("samples = 6",
                                                                            "samples = 0"))
@@ -383,6 +394,8 @@ def test_stability_missing_query_exits_2(tmp_path):
 @pytest.mark.parametrize("old, new", [
     ("alpha_levels = 5", "alpha_levels = 5.5"),
     ("seed = 3", "seed = three"),
+    ("seed = 3", "seed = -1"),
+    ("seed = 3", f"seed = {2 ** 64}"),
     ("samples = 16", "samples = 1e2"),
     ("lambda = 1", "lambda = one"),
     ("modes = both", "modes = sideways"),
@@ -396,6 +409,14 @@ def test_stability_bad_config_exits_2(tmp_path, capsys, old, new):
     assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("seed", [-5, 2 ** 64])
+def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.CATALOG_STABILITY)
+    assert run("stability", "--config", cfg, "--seed", seed, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**64), got {seed}\n"
     assert not (tmp_path / "v").exists()
 
 
@@ -444,7 +465,9 @@ def test_shipped_configs_use_only_known_keys(tmp_path, name, config):
 
 @pytest.mark.parametrize("name, seed", [
     ("catalog-stability", 42), ("catalog-stability", 7),
+    ("catalog-stability", 2718),
     ("dsl-intervals-stability", 42), ("dsl-intervals-stability", 7),
+    ("dsl-intervals-stability", 2718),
     ("simulate-long", 42),
 ])
 def test_benchmark_workloads_pass_the_benchmark_output_check(tmp_path, name, seed):
@@ -540,7 +563,7 @@ FOOTPRINT_SCRIPT = """
 import sys
 from fuzzyts.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv", "dataclasses")
+print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv", "dataclasses", "numpy.random")
                     if m in sys.modules))
 """
 
@@ -562,11 +585,11 @@ def test_a_command_imports_the_dsl_only_for_dsl_input(tmp_path, case, loaded):
     command, config, exit_code, _ = test_golden.CASES[case]
     cfg = write_cfg(tmp_path / "run.cfg", config)
     lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
-    assert lines[-1] == f"{exit_code}{loaded}"  # never logging, csv or dataclasses
+    assert lines[-1] == f"{exit_code}{loaded}"  # never logging, csv, dataclasses or numpy.random
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # the samplers reach numpy.random only when they draw, so set-up never pays for it
+    # the samplers draw from fuzzyts.draws, so neither set-up nor a run pays for numpy.random
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", "import sys, fuzzyts.cli; "

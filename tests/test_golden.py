@@ -159,9 +159,9 @@ horizon = 30
 u0 = tri(-0.3,0.1,0.9)
 """
 
-# A stability verdict depends on the draw scheme (one generator per sampled
-# layer, sample i as row i of one uniform array) where it holds a value that
-# depends on the draws: a margin, an estimate or a skipped sample.
+# A stability verdict depends on the draw scheme (one counter-based stream per
+# sampled layer, sample i as row i of one uniform array) where it holds a value
+# that depends on the draws: a margin, an estimate or a skipped sample.
 CASES = {
     "catalog-stability": ("stability", CATALOG_STABILITY, 1, {
         "verdict.json": "365fa06dd67cca0d88434b5c0503348d53fa35ed356e51c849b40e942420deb2",
@@ -170,16 +170,16 @@ CASES = {
         "verdict.json": "b468deeb947f74cda2719db942299ddb9edc4da122842bb2e2073e152f0caec8",
     }),
     "dsl-stability": ("stability", DSL_STABILITY, 1, {
-        "verdict.json": "3f2902305db9d66c0970ccb42cf4fad503b64d11bd568259f05abdeab810d6c7",
+        "verdict.json": "b99584d9d6f781ac3f81e3207f5c38ee2019566127c4660faf93152c0255eedb",
     }),
     "dsl-dense-stability": ("stability", DSL_DENSE_STABILITY, 0, {
         "verdict.json": "ed2a90fe9e3a882b71a92b2584b8a0f7a4006f91dbb2a7a2d4bd7ddba29111d6",
     }),
     "dsl-builtins-stability": ("stability", DSL_BUILTINS_STABILITY, 1, {
-        "verdict.json": "db53e0ea9af2ab88549ce3c9f9b9e4aa8275c6119bded29d6aea9e5174d0775a",
+        "verdict.json": "9abfd02ef029b924222ce63c4b37d99d8bc8faf7226e959d1af5ba4469895c58",
     }),
     "dsl-ghsub-stability": ("stability", DSL_GHSUB_STABILITY, 0, {
-        "verdict.json": "9d1de5a6efa6bd7a6cea0b1a21f0555d25b283ad676ef12583b38808bc36fb97",
+        "verdict.json": "cacd84bb862132baf4f7d6a06d36594e2ac3fbbab241d65b57c1ee1cf1421249",
     }),
     "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
         "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import fuzzyts as f
 import oracles
 import test_golden
-from fuzzyts import catalog, comparison as cmp, dsl, fuzzy, hybrid, stability
+from fuzzyts import catalog, comparison as cmp, draws, dsl, fuzzy, hybrid, stability
 from fuzzyts.cli import RunConfig, build_bundle, build_query, main
 from fuzzyts.errors import BlowUpError, ConfigError, FuzzyTSError, StepFailureError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
@@ -598,9 +598,9 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
     probe and walked point by point, and a strict probe excess confirmed by
     solving the shrunken probe on its own, at most once per mode."""
     grid, n, plan = sys.u0.grid, sys.u0.n, q.sampling
-    rng = np.random.default_rng(np.random.SeedSequence(plan.seed).spawn(3)[2])
     states = [boundary_probe(grid, n, plan.family, q.lam)]
-    states += oracles.sample_states(rng, grid, n, plan.family, q.lam, plan.count)
+    states += oracles.sample_states(oracles.Stream(plan.seed, 2), grid, n, plan.family, q.lam,
+                                    plan.count)
     system = sys.replace(u0=f.FuzzyVector.stack(states))
     t0 = float(sys.ts.points[0])
     bounds = [("practically_stable", q.A, lambda t: True)]
@@ -1041,10 +1041,13 @@ _G = {
 _PSI = {"dsl-identity": "v", "dsl-folded": "abs(v - 1)", "dsl-constant": "2"}
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), g=st.sampled_from(sorted(_G) + ["catalog"]),
-       psi=st.sampled_from(sorted(_PSI)), samples=st.integers(1, 120))
+@given(seed=st.integers(0, 2 ** 64 - 1), g=st.sampled_from(sorted(_G) + ["catalog"]),
+       psi=st.sampled_from(sorted(_PSI)), samples=st.integers(1, 120),
+       horizon=st.sampled_from((None,) + HYPOTHESIS_HORIZONS + (0.0,)))
+# with the horizon at the first point, a g decreasing in r is never sampled
+@example(seed=5, g="dsl-decreasing-in-r", psi="dsl-folded", samples=50, horizon=0.0)
 @settings(max_examples=40, deadline=None)
-def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples):
+def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples, horizon):
     ts = HYPOTHESIS_TS
     if g == "catalog":
         g = lambda t, w, w_k: (w + w_k) / (1.0 + ts.mu(t))  # noqa: E731
@@ -1052,8 +1055,10 @@ def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples):
         g = dsl.compile_expr(dsl.parse_scalar(_G[g]), ("t", "r", "v"), ts=ts)
     psi = dsl.compile_expr(dsl.parse_scalar(_PSI[psi]), ("v",), ts=ts)
     comp = f.ScalarHybridSystem(ts, (0.0, 1.5), g, (psi, psi), 1.0)
-    got = cmp.check_monotonicity_hypothesis(comp, samples=samples, seed=seed, box=(0.0, 4.0))
-    want = oracles.check_monotonicity(comp, samples=samples, seed=seed, box=(0.0, 4.0))
+    got = cmp.check_monotonicity_hypothesis(comp, samples=samples, seed=seed, box=(0.0, 4.0),
+                                            horizon=horizon)
+    want = oracles.check_monotonicity(comp, samples=samples, seed=seed, box=(0.0, 4.0),
+                                      horizon=horizon)
     assert got == want
     assert_same_report(got.to_dict(), want.to_dict())
 
@@ -1093,16 +1098,15 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
 def test_a_check_builds_one_generator_per_sampled_layer(monkeypatch):
     b = catalog.make_example_3_9(GRID, 6.0)
     built = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: built.append(seed)
-                        or default_rng(seed))
+    stream = draws.Stream
+    monkeypatch.setattr(draws, "Stream", lambda seed, layer: built.append((seed, layer))
+                        or stream(seed, layer))
     for count in (5, 60):
         built.clear()
         q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=count, seed=9))
         check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 6.0)
-        # sandwich, Lipschitz and direct route: children 0, 1 and 2 of the
-        # seed's SeedSequence; the monotonicity check: the seed itself
-        assert [getattr(s, "spawn_key", s) for s in built] == [(0,), (1,), 9, (2,)]
+        # in call order: the sandwich, Lipschitz, monotonicity and direct-route layers
+        assert built == [(9, 0), (9, 1), (9, 3), (9, 2)]
 
 
 def test_sandwich_V_with_mu_draws_no_point_past_the_horizon(tmp_path, capsys):
