@@ -322,13 +322,13 @@ def _write_meta(cfg: RunConfig, out: Path, command: str, outputs: list[str],
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     bundle, horizon, mode = build_bundle(cfg)
-    traj = hybrid.solve(bundle.system, mode=mode, horizon=horizon)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    io.write_trajectory_csv(out / "trajectory.csv", traj)
+    points = io.write_trajectory_csv(out / "trajectory.csv",
+                                     hybrid.states(bundle.system, mode=mode, horizon=horizon))
     _write_meta(cfg, out, "simulate", ["trajectory.csv"],
                 {"mode": mode.value, "horizon": horizon, "system": bundle.name})
-    print(f"simulated {bundle.name} to t={horizon} ({len(traj)} points) -> {out}")
+    print(f"simulated {bundle.name} to t={horizon} ({points} points) -> {out}")
     return 0
 
 

@@ -85,9 +85,10 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
         return nxt, v
 
     r0 = np.array(sys.r0, dtype=float) if np.ndim(sys.r0) else float(sys.r0)
-    values, segments = sys.schedule.march(r0, horizon, freeze, advance)
+    segments, values = zip(*sys.schedule.march(r0, horizon, freeze, advance))
     dense = bool(np.any(sys.ts.graininess[: len(values) - 1] <= sys.ts.dense_threshold))
-    return ScalarTrajectory(sys.ts, np.asarray(values), segments, approximate_maximality=dense)
+    return ScalarTrajectory(sys.ts, np.asarray(values), np.array(segments),
+                            approximate_maximality=dense)
 
 
 class MonotonicityReport:

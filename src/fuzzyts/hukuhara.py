@@ -57,6 +57,10 @@ class FuzzyTrajectory(Record):
     def __len__(self) -> int:
         return len(self.values)
 
+    def __iter__(self):
+        """``(t, segment, state)`` per point, as ``hybrid.states`` yields (segment 0 if unset)."""
+        return zip(self.times.tolist(), self.segments or [0] * len(self), self.values)
+
     @property
     def times(self):
         return self.ts.points[: len(self.values)]

@@ -25,7 +25,7 @@ only a step that rejects the stack as a whole is run sample by sample.
 from __future__ import annotations
 
 import enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -90,23 +90,9 @@ def _contractive_step(u: FuzzyVector, w: FuzzyVector) -> FuzzyVector:
     return fuzzy.h_difference(u, fuzzy.scale(-1.0, w))
 
 
-def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
-          horizon: float | None = None) -> FuzzyTrajectory:
-    """Integrate the system forward to the horizon (a stored point).
-
-    Returns a trajectory carrying the segment index of every point.
-    Raises StepFailureError when a contractive step has no valid state or
-    the right-hand side or a switch map produces an invalid value.
-
-    A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
-    the failing kernel's error names the failed samples, each with the error
-    its own step raises (see ``fuzzy``): they leave the stack, their
-    StepFailureErrors kept in the trajectory's ``failures`` under their rows
-    of ``u0``, and the step is re-run on the others as one stack.  A step
-    whose error names no samples is re-run for each sample on its own.  The
-    trajectory holds the stacks of the rows that reach the horizon (its
-    ``rows``), each row equal to the solution of that sample on its own.
-    """
+def _steps(sys: HybridFuzzySystem, mode: StepMode):
+    """``failed(t, exc)``, which makes a StepFailureError, and the march's
+    ``freeze`` and ``advance`` for ``mode``."""
     step = fuzzy.add if mode is StepMode.EXPANSIVE else _contractive_step
 
     def failed(t: float, exc: Exception) -> StepFailureError:
@@ -126,10 +112,41 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
         except _STEP_ERRORS as exc:
             raise failed(t, exc) from exc
 
-    if sys.u0.samples is None:
-        values, segments = sys.schedule.march(sys.u0, horizon, freeze, advance)
-        return FuzzyTrajectory(sys.ts, values, segments=segments.tolist())
+    return failed, freeze, advance
 
+
+def states(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
+           horizon: float | None = None) -> Iterator[tuple[float, int, FuzzyVector]]:
+    """``(t, segment, state)`` per point up to the horizon, as ``solve`` finds
+    them, each step taken only when its point is asked for.  A stacked ``u0``
+    is stepped as one stack: a step that fails for any sample raises."""
+    _, freeze, advance = _steps(sys, mode)
+    march = sys.schedule.march(sys.u0, horizon, freeze, advance)
+    return ((t, k, u) for t, (k, u) in zip(sys.ts.points.tolist(), march))
+
+
+def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
+          horizon: float | None = None) -> FuzzyTrajectory:
+    """Integrate the system forward to the horizon (a stored point).
+
+    Returns a trajectory carrying the segment index of every point.
+    Raises StepFailureError when a contractive step has no valid state or
+    the right-hand side or a switch map produces an invalid value.
+
+    A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
+    the failing kernel's error names the failed samples, each with the error
+    its own step raises (see ``fuzzy``): they leave the stack, their
+    StepFailureErrors kept in the trajectory's ``failures`` under their rows
+    of ``u0``, and the step is re-run on the others as one stack.  A step
+    whose error names no samples is re-run for each sample on its own.  The
+    trajectory holds the stacks of the rows that reach the horizon (its
+    ``rows``), each row equal to the solution of that sample on its own.
+    """
+    if sys.u0.samples is None:
+        _, segments, values = zip(*states(sys, mode, horizon))
+        return FuzzyTrajectory(sys.ts, list(values), segments=list(segments))
+
+    failed, freeze, advance = _steps(sys, mode)
     live = [np.arange(sys.u0.samples)]  # rows of u0 in the stack at each point
     failures: dict[int, StepFailureError] = {}
 
@@ -160,11 +177,11 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
         # the same step, and a pending freeze, for each sample on its own;
         # failed samples leave
         held = [lam] * u.samples if callable(lam) or lam.samples is None else lam.unstack()
-        kept, states, holds = [], [], []
+        kept, stepped, holds = [], [], []
         for j, (row, h) in enumerate(zip(u.unstack(), held)):
             try:
                 h = h(row) if callable(h) else h
-                states.append(advance(t, mu, row, h)[0])
+                stepped.append(advance(t, mu, row, h)[0])
                 kept.append(j)
                 holds.append(h)
             except StepFailureError as exc:
@@ -172,14 +189,14 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
         live.append(rows[kept])
         if holds and (callable(lam) or lam.samples is not None):  # held per sample
             lam = FuzzyVector.stack(holds)
-        return (FuzzyVector.stack(states) if states else u.take(kept)), lam
+        return (FuzzyVector.stack(stepped) if stepped else u.take(kept)), lam
 
-    values, segments = sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack)
+    segments, values = zip(*sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack))
     rows = live[-1]
     if failures:  # keep the rows that reached the horizon
         values = [v if r is rows else v.take(np.searchsorted(r, rows))
                   for v, r in zip(values, live)]
-    return FuzzyTrajectory(sys.ts, values, segments=segments.tolist(),
+    return FuzzyTrajectory(sys.ts, list(values), segments=list(segments),
                            rows=rows, failures=failures)
 
 

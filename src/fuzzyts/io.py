@@ -5,11 +5,15 @@ the run metadata.  Floats are written with 17 significant digits so a
 loader reconstructs exactly the in-memory values.
 Rows are written as formatted strings with CRLF ends, as the csv module
 writes them: every field is a number, so no field ever needs quoting.
+A CSV is written as its rows come (a trajectory streamed from the solver is
+never held whole) to ``<name>.part``, renamed onto ``<name>`` once complete,
+so a run that fails leaves no partial file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,6 @@ import numpy as np
 from .comparison import ScalarTrajectory
 from .errors import GridMismatchError
 from .fuzzy import AlphaGrid, FuzzyVector
-from .hukuhara import FuzzyTrajectory
 
 SCHEMA_VERSION = 1
 
@@ -33,12 +36,21 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    """``header``, then each string of ``rows`` (one or more whole rows) in one write."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(row)
+def _write_rows(path: Path, header: list[str], rows) -> int:
+    """``header``, then each string of ``rows`` (one or more whole rows) in one
+    write, to ``<name>.part`` (see above); returns the count of strings."""
+    part = Path(f"{path}.part")
+    count = 0
+    try:
+        with open(part, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for count, row in enumerate(rows, 1):
+                fh.write(row)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    return count
 
 
 def _state_rows(points):
@@ -54,11 +66,11 @@ def _state_rows(points):
         yield (head + head.join(tails)) % tuple(cuts)
 
 
-def write_trajectory_csv(path: Path, traj: FuzzyTrajectory) -> None:
-    segments = traj.segments if traj.segments is not None else [0] * len(traj)
-    rows = _state_rows((f"{_fmt(t)},{seg}", value)
-                       for t, seg, value in zip(traj.times.tolist(), segments, traj.values))
-    _write_rows(path, TRAJECTORY_HEADER, rows)
+def write_trajectory_csv(path: Path, points) -> int:
+    """Write each ``(t, segment, state)`` of ``points`` (a FuzzyTrajectory, or
+    ``hybrid.states`` as it steps) when it comes; returns the point count."""
+    return _write_rows(path, TRAJECTORY_HEADER,
+                       _state_rows((f"{_fmt(t)},{seg}", value) for t, seg, value in points))
 
 
 def load_trajectory_csv(path: Path) -> tuple[list[float], list[int], list[FuzzyVector]]:

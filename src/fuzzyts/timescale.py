@@ -10,7 +10,7 @@ error scale of anything computed there.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -169,31 +169,31 @@ class SwitchSchedule(Frozen):
 
     def march(self, x0: Any, horizon: float | None,
               freeze: Callable[[int, Any], Any],
-              advance: Callable[[float, float, Any, Any], Any]) -> tuple[list, np.ndarray]:
+              advance: Callable[[float, float, Any, Any], Any]) -> Iterator[tuple[int, Any]]:
         """Forward Euler march from the first point to the horizon.
 
         On entry to segment k the held value is ``freeze(k, x)``, computed
         once from the state at the segment's first point.  Each step maps
         the state at t to ``advance(t, mu(t), x, held)``, which returns the
         next state and the value held from then on (the same one unless the
-        step dropped samples from a stacked state).  Returns the states and
-        their segment indices, one per point up to the horizon (the last
-        point by default).
+        step dropped samples from a stacked state).  A generator: it yields
+        ``(segment, state)`` for each point up to the horizon (the last
+        point by default), and takes the step to the next point only when
+        asked for it, so it holds one state and the held value, not the
+        states already yielded.
         """
         ts = self.ts
         last = len(ts) - 1 if horizon is None else ts.index_of(horizon)
-        values = [x0]
-        seg = -1
-        held = None
+        x, seg, held = x0, -1, None
         steps = zip(self.segments[:last].tolist(), ts.points[:last].tolist(),
                     ts.graininess[:last].tolist())
         for k, t, mu in steps:
+            yield k, x
             if k != seg:
                 seg = k
-                held = freeze(k, values[-1])
-            x, held = advance(t, mu, values[-1], held)
-            values.append(x)
-        return values, self.segments[: last + 1]
+                held = freeze(k, x)
+            x, held = advance(t, mu, x, held)
+        yield int(self.segments[last]), x
 
 
 # ---------------------------------------------------------------------------

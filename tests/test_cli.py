@@ -205,7 +205,7 @@ def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
     cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs=rhs))
     assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(message)
-    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert list((tmp_path / "out").iterdir()) == []  # no trajectory.csv, *.part or meta.json
 
 
 def test_simulate_switch_map_failure_exits_1(tmp_path, capsys):
@@ -227,6 +227,61 @@ horizon = 4
     assert capsys.readouterr().err.startswith(
         "solver step failed at t=2.0: expansive step failed at t=2.0: "
         "gH difference does not exist")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_simulate_leaves_the_earlier_artifacts_as_they_were(tmp_path, capsys):
+    out = tmp_path / "out"
+    good = write_cfg(tmp_path / "good.cfg", DSL_SIMULATE_CFG.format(rhs="smul(-0.5, u)"))
+    assert run("simulate", "--config", good, "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["meta.json", "trajectory.csv"]
+    bad = write_cfg(tmp_path / "bad.cfg", DSL_SIMULATE_CFG.format(rhs="smul(1e200, u)"))
+    assert run("simulate", "--config", bad, "--out", out) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Reads the peak resident set of the simulating process from its own status file.
+PEAK_SCRIPT = (
+    "import sys\n"
+    "from fuzzyts.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "with open('/proc/self/status') as fh:\n"
+    "    print(next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:')))\n"
+)
+
+LONG_SIMULATE_CFG = """
+[timescale]
+scale = integer({n})
+
+[system]
+rhs = smul(-0.001, u) fadd smul(0.001, lam)
+lambda_0 = crisp(0)
+lambda_k = u_k
+switch_times = 0 100 200
+u0 = tri(-1,0,1) | tri(-0.5,0.25,2) | trap(-2,-1,0,1) | tri(0,1,3)
+horizon = {n}
+mode = expansive
+
+[output]
+alpha_levels = 51
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_simulate_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    # 2,700 more 4-component, 51-level states are about 9 MB when held
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    runs = []
+    for n in (300, 3000):  # side by side, to keep the test short
+        cfg = write_cfg(tmp_path / f"run{n}.cfg", LONG_SIMULATE_CFG.format(n=n))
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / f"out{n}")]
+        runs.append(subprocess.Popen([sys.executable, "-c", PEAK_SCRIPT, *argv],
+                                     env=env, stdout=subprocess.PIPE, text=True))
+    peaks_kb = [int(run.communicate(timeout=60)[0].split()[-1]) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert abs(peaks_kb[1] - peaks_kb[0]) < 3 * 1024, peaks_kb
 
 
 # ---------------------------------------------------------------------------

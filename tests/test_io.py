@@ -6,6 +6,7 @@ formatted writers replaced; the formatted ones must produce the same bytes.
 
 import csv
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzyts as f
 from fuzzyts import catalog, hybrid, io as ftio
+from fuzzyts.cli import RunConfig, build_dsl_bundle
 from fuzzyts.hukuhara import FuzzyTrajectory
 
 _FLOAT_FORMAT = ".17g"
@@ -140,3 +142,73 @@ def test_trajectory_writer_makes_one_write_per_point(tmp_path, monkeypatch):
     ftio.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
     assert len(files) == 1
     assert 0 < files[0].writes <= len(traj) + 1  # the header, then one per point
+
+
+# ---------------------------------------------------------------------------
+# Streaming: hybrid.states written as it steps
+# ---------------------------------------------------------------------------
+
+GRID = f.AlphaGrid.uniform(11)
+
+
+def dsl_system(horizon, lambda_k="u_k"):
+    """Two components on a scale with a gap, switching three times."""
+    sections = {
+        "timescale": {"scale": "intervals([[0,2],[3,5]], 0.05)"},
+        "system": {"rhs": "smul(-0.3, u) fadd smul(0.2, lam)", "lambda_0": "crisp(0.5)",
+                   "lambda_k": lambda_k, "switch_times": "0 0.5 3 4.2",
+                   "u0": "tri(-1,0,1) | trap(-2,-1,0,1)"},
+    }
+    cfg = RunConfig(sections, Path("out"), GRID.m, None)
+    return build_dsl_bundle(cfg, GRID, horizon, 100.0).system
+
+
+@pytest.mark.parametrize("system, mode, horizon", [
+    (lambda: catalog.make_example_3_9(GRID, 12.0).system, hybrid.StepMode.EXPANSIVE, 12.0),
+    # contractive example_3_9 steps fail from t=6
+    (lambda: catalog.make_example_3_9(GRID, 12.0).system, hybrid.StepMode.CONTRACTIVE, 6.0),
+    (lambda: dsl_system(5.0), hybrid.StepMode.EXPANSIVE, None),
+    (lambda: dsl_system(4.5), hybrid.StepMode.EXPANSIVE, 4.5),
+], ids=["example_3_9-expansive", "example_3_9-contractive", "dsl-gap", "dsl-gap-early-horizon"])
+def test_streamed_and_collected_trajectories_write_the_same_bytes(tmp_path, system, mode, horizon):
+    sys = system()
+    streamed = ftio.write_trajectory_csv(tmp_path / "streamed.csv",
+                                         hybrid.states(sys, mode=mode, horizon=horizon))
+    traj = hybrid.solve(sys, mode=mode, horizon=horizon)
+    assert streamed == ftio.write_trajectory_csv(tmp_path / "collected.csv", traj) == len(traj)
+    assert traj.horizon == (horizon if horizon is not None else float(sys.ts.points[-1]))
+    assert traj.segments[-1] > 0  # past a switch
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "collected.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["collected.csv", "streamed.csv"]
+
+
+def test_simulate_stream_holds_no_state_before_the_previous_one(tmp_path):
+    # the held values are computed, not states of the trajectory, so that
+    # no switch keeps a yielded state alive; u0 is the system's own
+    sys = dsl_system(5.0, lambda_k="smul(0.5, u_k)")
+    alive_at = []
+    refs = []
+
+    def watched(points):
+        for t, k, u in points:
+            refs.append(weakref.ref(u.lower))
+            alive_at.append([i for i, ref in enumerate(refs[1:-2], 1) if ref() is not None])
+            yield t, k, u
+
+    points = ftio.write_trajectory_csv(tmp_path / "trajectory.csv", watched(hybrid.states(sys)))
+    assert points == len(sys.ts) == len(alive_at)
+    assert alive_at == [[]] * points
+
+
+def test_writer_leaves_no_file_when_its_points_raise(tmp_path):
+    traj = hybrid.solve(catalog.make_example_3_9(GRID, 10.0).system, horizon=10.0)
+
+    def failing():
+        for i, point in enumerate(traj):
+            if i == 3:
+                raise RuntimeError("step failed")
+            yield point
+
+    with pytest.raises(RuntimeError, match="step failed"):
+        ftio.write_trajectory_csv(tmp_path / "trajectory.csv", failing())
+    assert list(tmp_path.iterdir()) == []
