@@ -11,17 +11,8 @@ from . import fuzzy, timescale as tsmod
 from .comparison import ScalarHybridSystem
 from .errors import ConfigError
 from .fuzzy import AlphaGrid, FuzzyVector
-from .hybrid import HybridFuzzySystem, build_example_system
-from .stability import ClassKPair, LyapunovFn, norm_lyapunov
-
-
-class SystemBundle:
-    __slots__ = ("name", "system", "comparison", "lyapunov", "kpair")
-
-    def __init__(self, name: str, system: HybridFuzzySystem, comparison: ScalarHybridSystem,
-                 lyapunov: LyapunovFn, kpair: ClassKPair):
-        self.name, self.system, self.comparison = name, system, comparison
-        self.lyapunov, self.kpair = lyapunov, kpair
+from .hybrid import HybridFuzzySystem, SystemBundle, build_example_system
+from .stability import ClassKPair, norm_lyapunov
 
 
 def _identity_kpair() -> ClassKPair:

@@ -12,15 +12,12 @@ preconditions and hypothesis gates that prevent testing).
 
 from __future__ import annotations
 
-import argparse
 import ast
-import configparser
 import re
 import sys
 from pathlib import Path
 
-from . import __version__, catalog, comparison as cmp, fuzzy, hybrid, io, timescale as tsmod
-from .comparison import ScalarHybridSystem
+from . import __version__, fuzzy, hybrid, io, timescale as tsmod
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -31,16 +28,12 @@ from .errors import (
     UnknownPointError,
 )
 from .fuzzy import AlphaGrid, FuzzyVector
-from .hybrid import HybridFuzzySystem, StepMode
-from .stability import (
-    ClassKPair,
-    LyapunovFn,
-    SamplingPlan,
-    StabilityQuery,
-    check_practical_stability,
-    verify_comparison_bound,
-)
+from .hybrid import HybridFuzzySystem, StepMode, SystemBundle
 from .timescale import TimeScale
+
+# The commands that read the comparison system, V and the class-K pair, and
+# so load the comparison and stability layers; the others never compile them.
+ANALYSIS_COMMANDS = ("compare", "stability")
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$", re.S)
 
@@ -83,13 +76,15 @@ def parse_timescale_spec(spec: str) -> TimeScale:
 
 
 class RunConfig:
-    """Resolved configuration, kept around verbatim for the metadata echo."""
+    """Resolved configuration, kept around verbatim for the metadata echo,
+    and the command it runs (not echoed; None builds everything)."""
 
-    __slots__ = ("sections", "out_dir", "alpha_levels", "seed")
+    __slots__ = ("sections", "out_dir", "alpha_levels", "seed", "command")
 
-    def __init__(self, sections: dict, out_dir: Path, alpha_levels: int, seed: int | None):
-        self.sections, self.out_dir, self.alpha_levels, self.seed = (
-            sections, out_dir, alpha_levels, seed)
+    def __init__(self, sections: dict, out_dir: Path, alpha_levels: int, seed: int | None,
+                 command: str | None = None):
+        self.sections, self.out_dir, self.alpha_levels, self.seed, self.command = (
+            sections, out_dir, alpha_levels, seed, command)
 
     def echo(self) -> dict:
         return {"config": self.sections,
@@ -109,8 +104,16 @@ KNOWN_KEYS = {
     "output": {"dir", "alpha_levels"},
 }
 
+# The keys a catalog system does not read: it brings its own time scale,
+# dynamics, comparison data and Lyapunov function.  Only example_3_9 reads
+# [system] switch_gap.
+CATALOG_UNREAD = (("timescale", "scale"), ("system", "rhs"), ("system", "lambda_0"),
+                  ("system", "lambda_k"), ("system", "switch_times"), ("comparison", "g"),
+                  ("comparison", "psi"), ("lyapunov", "v"), ("lyapunov", "a"), ("lyapunov", "b"))
+
 
 def load_config(args) -> RunConfig:
+    import configparser  # loaded after the analysis layers; see main
     sections: dict[str, dict[str, str]] = {}
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
@@ -148,7 +151,7 @@ def load_config(args) -> RunConfig:
         seed = int(seed) if seed is not None else None
     except ValueError as exc:
         raise ConfigError(f"seed must be an integer: {seed!r}") from exc
-    return RunConfig(sections, out_dir, alpha_levels, seed)
+    return RunConfig(sections, out_dir, alpha_levels, seed, getattr(args, "cmd", None))
 
 
 def _get(cfg: RunConfig, section: str, key: str, default=None):
@@ -190,8 +193,9 @@ def _step_mode(name: str) -> StepMode:
         raise ConfigError(f"unknown step mode {name!r}") from None
 
 
-def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]:
-    """System + comparison + Lyapunov data, the horizon, and the step mode."""
+def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
+    """The system (with its comparison and Lyapunov data if the command reads
+    them), the horizon, and the step mode."""
     grid = AlphaGrid.uniform(cfg.alpha_levels)
     horizon = _get_number(cfg, "system", "horizon")
     if horizon is None:
@@ -201,6 +205,7 @@ def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]
 
     name = _get(cfg, "system", "name")
     if name is not None:
+        from . import catalog  # only a catalog config compiles the catalog
         kwargs = {"rho": rho}
         u0_src = _get(cfg, "system", "u0")
         if u0_src is not None:
@@ -214,6 +219,12 @@ def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]
         bundle = catalog.build(name, grid, horizon, **kwargs)
     else:
         bundle = build_dsl_bundle(cfg, grid, horizon, rho)
+    # a key the system does not read would make the run describe another system
+    unread = (CATALOG_UNREAD if name is not None else ()) + (
+        (("system", "switch_gap"),) if name != "example_3_9" else ())
+    for section, key in unread:
+        if _get(cfg, section, key) is not None:
+            raise ConfigError(f"[{section}] {key} is not read by system {bundle.name!r}")
 
     try:
         bundle.system.ts.index_of(horizon)
@@ -223,8 +234,10 @@ def build_bundle(cfg: RunConfig) -> tuple[catalog.SystemBundle, float, StepMode]
 
 
 def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
-                     rho: float) -> catalog.SystemBundle:
-    """Assemble a bundle from DSL expressions in the config."""
+                     rho: float) -> SystemBundle:
+    """Assemble a bundle from DSL expressions in the config.  Every expression
+    is compiled, so a bad one fails any command, but only a command that
+    reads the comparison and Lyapunov data builds (and evaluates) them."""
     from . import dsl
     ts = parse_timescale_spec(_require(cfg, "timescale", "scale"))
     u0 = parse_u0(_require(cfg, "system", "u0"), grid)
@@ -267,22 +280,27 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     g = scalar_fn("comparison", "g", "0", ("t", "r", "v"))
     psi = scalar_fn("comparison", "psi", "v", ("v",))
     V_fn = scalar_fn("lyapunov", "v", "d", ("t", "d"))
-    kpair = ClassKPair(a=scalar_fn("lyapunov", "a", "x", ("x",)),
-                       b=scalar_fn("lyapunov", "b", "x", ("x",)))
+    a = scalar_fn("lyapunov", "a", "x", ("x",))
+    b = scalar_fn("lyapunov", "b", "x", ("x",))
+    r0 = _get_number(cfg, "comparison", "r0")
+    if cfg.command not in (None, *ANALYSIS_COMMANDS):
+        return SystemBundle("dsl", system)
+    from .comparison import ScalarHybridSystem
+    from .stability import ClassKPair, LyapunovFn
 
     def V(t: float, u: FuzzyVector) -> float:
         return V_fn(t, fuzzy.norm(u))
 
-    r0 = _get_number(cfg, "comparison", "r0")
     lyap = LyapunovFn(V)
     if r0 is None:
         r0 = lyap(float(ts.points[0]), u0)
     comp_sys = ScalarHybridSystem(ts, switch_times, g,
                                   tuple(psi for _ in switch_times), r0)
-    return catalog.SystemBundle("dsl", system, comp_sys, lyap, kpair)
+    return SystemBundle("dsl", system, comp_sys, lyap, ClassKPair(a=a, b=b))
 
 
-def build_query(cfg: RunConfig, rho: float) -> StabilityQuery:
+def build_query(cfg: RunConfig, rho: float):
+    from .stability import SamplingPlan, StabilityQuery
     lam = _get_number(cfg, "stability", "lambda")
     big_a = _get_number(cfg, "stability", "a")
     if lam is None or big_a is None:
@@ -361,8 +379,10 @@ def cmd_compare(args) -> int:
               f"{bundle.comparison.r0}; comparison bound not applicable",
               file=sys.stderr)
         return 2
+    from .comparison import solve_comparison
+    from .stability import verify_comparison_bound
     traj = hybrid.solve(bundle.system, mode=mode, horizon=horizon)
-    scalar = cmp.solve_comparison(bundle.comparison, horizon=horizon)
+    scalar = solve_comparison(bundle.comparison, horizon=horizon)
     report = verify_comparison_bound(V, traj, scalar, tol=1e-9)
     times = [float(t) for t in traj.times]
     v_values = [V(t, u) for t, u in zip(times, traj.values)]
@@ -390,6 +410,7 @@ def cmd_stability(args) -> int:
         modes = (StepMode.EXPANSIVE, StepMode.CONTRACTIVE)
     else:
         modes = (_step_mode(modes_key),)
+    from .stability import check_practical_stability
     verdict = check_practical_stability(
         bundle.system, bundle.comparison, bundle.lyapunov, bundle.kpair,
         query, horizon, modes=modes)
@@ -433,7 +454,8 @@ def cmd_eval(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # loaded after the analysis layers; see main
     parser = argparse.ArgumentParser(
         prog="fuzzyts",
         description="simulate hybrid fuzzy dynamics on time scales and "
@@ -472,8 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in ANALYSIS_COMMANDS:
+        # Peak memory follows the order modules compile in: the analysis
+        # layers compile before argparse and configparser load, so that their
+        # compile's freed memory is filled again, as under an eager import.
+        from . import stability  # noqa: F401
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, EvalError, UnknownPointError) as exc:

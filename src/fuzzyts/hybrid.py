@@ -230,3 +230,16 @@ def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,
 
     maps: tuple[SwitchMap, ...] = (hold_zero,) + (reinject,) * n_switches
     return HybridFuzzySystem(ts, switch_times, rhs, maps, rho, u0)
+
+
+class SystemBundle:
+    """A named system with the ``ScalarHybridSystem``, ``LyapunovFn`` and
+    ``ClassKPair`` that compare and stability check it with (None where a
+    command that only integrates the system leaves them unbuilt)."""
+
+    __slots__ = ("name", "system", "comparison", "lyapunov", "kpair")
+
+    def __init__(self, name: str, system: HybridFuzzySystem, comparison=None, lyapunov=None,
+                 kpair=None):
+        self.name, self.system, self.comparison = name, system, comparison
+        self.lyapunov, self.kpair = lyapunov, kpair

@@ -15,12 +15,15 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .comparison import ScalarTrajectory
 from .errors import GridMismatchError
 from .fuzzy import AlphaGrid, FuzzyVector
+
+if TYPE_CHECKING:  # an annotation only: writing a trajectory never loads the comparison
+    from .comparison import ScalarTrajectory
 
 SCHEMA_VERSION = 1
 

@@ -614,47 +614,139 @@ def test_eval_fuzzy_literal(capsys):
 # Import footprint: a command loads only what it runs
 # ---------------------------------------------------------------------------
 
-FOOTPRINT_SCRIPT = """
+# The optional modules: a command may load only those of them it runs.
+OPTIONAL_MODULES = ("fuzzyts.dsl", "fuzzyts.stability", "fuzzyts.comparison", "fuzzyts.draws",
+                    "fuzzyts.catalog", "logging", "csv", "dataclasses", "numpy.random")
+ANALYSIS_MODULES = ("fuzzyts.stability", "fuzzyts.comparison", "fuzzyts.draws", "fuzzyts.catalog")
+
+FOOTPRINT_SCRIPT = f"""
 import sys
 from fuzzyts.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in ("fuzzyts.dsl", "logging", "csv", "dataclasses", "numpy.random")
-                    if m in sys.modules))
+print(code, *sorted(m for m in {OPTIONAL_MODULES!r} if m in sys.modules))
 """
 
 
-def fresh_cli(*argv):
-    """Run ``cli.main(argv)`` in a fresh interpreter that writes no bytecode:
-    its printed lines, whose last is the exit code and the optional modules
-    it loaded."""
+def fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that writes no bytecode; its stdout."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, *map(str, argv)],
-                          env=env, capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
-@pytest.mark.parametrize("case, loaded", [("catalog-stability", ""),
-                                          ("dsl-stability", " fuzzyts.dsl")])
-def test_a_command_imports_the_dsl_only_for_dsl_input(tmp_path, case, loaded):
+def fresh_cli(*argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter: its printed lines, whose
+    last is the exit code and the optional modules it loaded."""
+    return fresh_python("-c", FOOTPRINT_SCRIPT, *argv).splitlines()
+
+
+# the optional modules each golden case's command loads
+FOOTPRINTS = {
+    "catalog-stability": "fuzzyts.catalog fuzzyts.comparison fuzzyts.draws fuzzyts.stability",
+    "dsl-stability": "fuzzyts.comparison fuzzyts.draws fuzzyts.dsl fuzzyts.stability",
+    "dsl-three-simulate": "fuzzyts.dsl",
+    "dsl-three-deriv": "fuzzyts.dsl",
+}
+
+
+@pytest.mark.parametrize("case", FOOTPRINTS)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, case):
     command, config, exit_code, _ = test_golden.CASES[case]
     cfg = write_cfg(tmp_path / "run.cfg", config)
     lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
-    assert lines[-1] == f"{exit_code}{loaded}"  # never logging, csv, dataclasses or numpy.random
+    assert lines[-1] == f"{exit_code} {FOOTPRINTS[case]}"  # never logging, csv, dataclasses or numpy.random
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # the samplers draw from fuzzyts.draws, so neither set-up nor a run pays for numpy.random
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", "import sys, fuzzyts.cli; "
-                           "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"],
-                          env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert fresh_python("-c", "import sys, fuzzyts.cli; print(sorted(m for m in sys.modules "
+                              "if m.startswith('numpy.random')))") == "[]\n"
+
+
+def test_importing_the_cli_loads_no_analysis_module():
+    assert fresh_python("-c", "import sys, fuzzyts.cli; print(sorted(m for m in sys.modules "
+                              f"if m in {ANALYSIS_MODULES!r}))") == "[]\n"
 
 
 def test_eval_in_a_fresh_interpreter_prints_its_value():
     assert fresh_cli("eval", "1+2") == ["3", "0 fuzzyts.dsl"]
+
+
+# ---------------------------------------------------------------------------
+# A command evaluates only what it reads; a system reads every key it is given
+# ---------------------------------------------------------------------------
+
+# V divides by t, so V(t0, u0), the default r0, divides by zero
+DSL_V_OVER_T = """
+[timescale]
+scale = integer(10)
+
+[system]
+rhs = smul(-0.1, u) fadd smul(0.1, lam)
+u0 = tri(-1,0,1)
+horizon = 10
+
+[lyapunov]
+V = d / t
+
+[stability]
+lambda = 1
+A = 2
+samples = 4
+"""
+
+
+@pytest.mark.parametrize("command, exit_code, artifact", [
+    ("simulate", 0, "trajectory.csv"), ("deriv", 0, "derivative.csv"),
+    ("compare", 2, None), ("stability", 2, None)])
+def test_only_compare_and_stability_evaluate_the_lyapunov_function(tmp_path, capsys, command,
+                                                                   exit_code, artifact):
+    cfg = write_cfg(tmp_path / "run.cfg", DSL_V_OVER_T)
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == exit_code
+    if artifact:
+        assert (tmp_path / "out" / artifact).is_file()
+    else:
+        assert capsys.readouterr().err == "error: division by zero at line 1, column 3\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "deriv"])
+def test_a_syntax_error_in_an_unread_expression_still_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path / "run.cfg", DSL_V_OVER_T.replace("V = d / t", "V = d\n[comparison]\ng = (r +"))
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "column" in capsys.readouterr().err and not (tmp_path / "out").exists()
+
+
+def catalog_config(name="example_3_9", **keys):
+    """A catalog config at horizon 10 with the given keys added, per section."""
+    sections = {"system": {"name": name, "horizon": 10}}
+    for section, added in keys.items():
+        sections.setdefault(section, {}).update(added)
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+@pytest.mark.parametrize("command, flags, config, named", [
+    # a flag sets its key as the config does
+    pytest.param("simulate", ["--timescale", "integer(3)"], catalog_config(),
+                 "[timescale] scale", id="timescale-flag"),
+    # of several unread keys, the first is named
+    pytest.param("stability", [], catalog_config(
+        "crisp_contraction", system={"rhs": "smul(5, u)", "switch_gap": 2},
+        lyapunov={"V": "pow(d, 2)"}, stability={"lambda": 1, "A": 2}),
+                 "[system] rhs", id="crisp-rhs-gap-V"),
+    pytest.param("simulate", [], catalog_config("crisp_contraction", system={"switch_gap": 2}),
+                 "[system] switch_gap", id="crisp-switch_gap"),
+    pytest.param("simulate", [], DSL_V_OVER_T.replace("horizon = 10", "horizon = 10\nswitch_gap = 2"),
+                 "[system] switch_gap", id="dsl-switch_gap"),
+    *(pytest.param("simulate", [], catalog_config(**{section: {key: "x"}}), f"[{section}] {key}",
+                   id=f"{section}-{key}") for section, key in cli.CATALOG_UNREAD),
+])
+def test_a_system_rejects_a_key_it_does_not_read(tmp_path, capsys, command, flags, config, named):
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    assert run(command, *flags, "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} is not read by system ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
