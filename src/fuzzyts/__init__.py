@@ -62,8 +62,8 @@ _LAZY = {
     **dict.fromkeys(("ScalarHybridSystem", "ScalarTrajectory", "check_monotonicity_hypothesis",
                      "solve_comparison"), "comparison"),
     **dict.fromkeys(("ClassKPair", "LyapunovFn", "SamplingPlan", "StabilityQuery", "Verdict",
-                     "check_practical_stability", "dini_along_solution", "norm_lyapunov",
-                     "verify_comparison_bound"), "stability"),
+                     "check_practical_stability", "norm_lyapunov", "verify_comparison_bound"),
+                    "stability"),
 }
 
 __all__ = [name for name in globals() if not name.startswith("_") and name not in (

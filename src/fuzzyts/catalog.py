@@ -1,31 +1,42 @@
 """Built-in system bundles wired for the solver, comparison, and checker.
 
 Each entry packs a hybrid fuzzy system together with its scalar companion,
-a Lyapunov function, and class-K bounds, so configs can reference one name
-instead of spelling out every expression.
+a Lyapunov function, and class-K bounds (the last three only when asked
+for), so configs can reference one name instead of spelling out every
+expression.
 """
 
 from __future__ import annotations
 
 from . import fuzzy, timescale as tsmod
-from .comparison import ScalarHybridSystem
 from .errors import ConfigError
 from .fuzzy import AlphaGrid, FuzzyVector
 from .hybrid import HybridFuzzySystem, SystemBundle, build_example_system
-from .stability import ClassKPair, norm_lyapunov
 
 
-def _identity_kpair() -> ClassKPair:
-    return ClassKPair(a=lambda x: x, b=lambda x: x)
+def _bundle(name: str, system: HybridFuzzySystem, g, r0: float | None,
+            analysis: bool) -> SystemBundle:
+    """The named bundle; with ``analysis``, also the comparison system of ``g``
+    with identity psi maps, the norm as Lyapunov function (r0 defaults to its
+    initial value) and identity class-K bounds."""
+    if not analysis:
+        return SystemBundle(name, system)
+    from .comparison import ScalarHybridSystem  # only compare and stability read these
+    from .stability import ClassKPair, norm_lyapunov
+    V = norm_lyapunov()
+    if r0 is None:
+        r0 = V(float(system.ts.points[0]), system.u0)
+    comparison = ScalarHybridSystem(system.ts, system.switch_times, g,
+                                    tuple(lambda v: v for _ in system.switch_times), r0)
+    return SystemBundle(name, system, comparison, V, ClassKPair(a=lambda x: x, b=lambda x: x))
 
 
 def make_example_3_9(grid: AlphaGrid, horizon: float, switch_gap: int = 5,
                      u0: FuzzyVector | None = None, rho: float = 100.0,
-                     r0: float | None = None) -> SystemBundle:
+                     r0: float | None = None, analysis: bool = True) -> SystemBundle:
     """Switched relaxation dynamics with re-injected switch states.
 
-    Companion scalar dynamics: g(t, w, w_k) = (w + w_k) / (1 + mu(t)) with
-    identity psi maps; r0 defaults to the initial Lyapunov value.
+    Companion scalar dynamics: g(t, w, w_k) = (w + w_k) / (1 + mu(t)).
     """
     n_switches = max(1, -(-int(horizon) // switch_gap))  # ceil division
     system = build_example_system(grid, n_switches, switch_gap, u0=u0, rho=rho)
@@ -34,22 +45,12 @@ def make_example_3_9(grid: AlphaGrid, horizon: float, switch_gap: int = 5,
     def g(t: float, w: float, w_k: float) -> float:
         return (w + w_k) / (1.0 + ts.mu(t))
 
-    V = norm_lyapunov()
-    if r0 is None:
-        r0 = V(float(ts.points[0]), system.u0)
-    comparison = ScalarHybridSystem(
-        ts=ts,
-        switch_times=system.switch_times,
-        g=g,
-        psi=tuple(lambda v: v for _ in system.switch_times),
-        r0=r0,
-    )
-    return SystemBundle("example_3_9", system, comparison, V, _identity_kpair())
+    return _bundle("example_3_9", system, g, r0, analysis)
 
 
 def make_crisp_contraction(grid: AlphaGrid, horizon: float,
                            u0: FuzzyVector | None = None, rho: float = 100.0,
-                           r0: float | None = None) -> SystemBundle:
+                           r0: float | None = None, analysis: bool = True) -> SystemBundle:
     """Plain contraction on the integers: the state halves every step.
 
     One segment; the switch value is the crisp zero and never enters the
@@ -70,12 +71,7 @@ def make_crisp_contraction(grid: AlphaGrid, horizon: float,
     def g(t: float, w: float, w_k: float) -> float:
         return -w / (1.0 + ts.mu(t))
 
-    V = norm_lyapunov()
-    if r0 is None:
-        r0 = V(float(ts.points[0]), u0)
-    comparison = ScalarHybridSystem(ts, system.switch_times, g,
-                                    (lambda v: v,), r0)
-    return SystemBundle("crisp_contraction", system, comparison, V, _identity_kpair())
+    return _bundle("crisp_contraction", system, g, r0, analysis)
 
 
 BUILDERS = {

@@ -206,7 +206,7 @@ def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
     name = _get(cfg, "system", "name")
     if name is not None:
         from . import catalog  # only a catalog config compiles the catalog
-        kwargs = {"rho": rho}
+        kwargs = {"rho": rho, "analysis": cfg.command in (None, *ANALYSIS_COMMANDS)}
         u0_src = _get(cfg, "system", "u0")
         if u0_src is not None:
             kwargs["u0"] = parse_u0(u0_src, grid)

@@ -237,8 +237,8 @@ class FuzzyVector(_Cuts):
 
     With a leading samples axis, ``(S, n, m)`` arrays, it is a stack of S
     states checked once as a whole.  A stack has no components to index;
-    ``unstack`` gives its samples as single states and ``take`` one sample
-    or a sub-stack, all views of the checked arrays.
+    ``take`` gives one sample as a single state or a sub-stack, views of the
+    checked arrays.
     """
 
     __slots__ = ()
@@ -260,19 +260,6 @@ class FuzzyVector(_Cuts):
         _Cuts.__init__(vec, grid, lower, upper)
         return vec
 
-    @classmethod
-    def stack(cls, states) -> "FuzzyVector":
-        """One ``(S, n, m)`` stack of single states that share grid and shape."""
-        states = tuple(states)
-        first = states[0]
-        for s in states:
-            if s.lower.ndim != 2 or s.lower.shape != first.lower.shape:
-                raise DimensionMismatchError("only single states of one shape stack")
-            if not first.grid.matches(s.grid):
-                raise GridMismatchError("stacked states live on different grids")
-        return _state(first.grid, _frozen_array([s.lower for s in states]),
-                      _frozen_array([s.upper for s in states]))
-
     @property
     def n(self) -> int:
         return self.lower.shape[-2]
@@ -282,13 +269,9 @@ class FuzzyVector(_Cuts):
         sequence of rows, in that order."""
         return _state(self.grid, self.lower[rows], self.upper[rows])
 
-    def unstack(self) -> list["FuzzyVector"]:
-        """The samples of a stack as single states."""
-        return [self.take(j) for j in range(self.samples)]
-
     def __getitem__(self, i: int) -> FuzzyNumber:
         if self.samples is not None:
-            raise InvalidShapeError("a stack of states has no components; unstack it first")
+            raise InvalidShapeError("a stack of states has no components; take one sample first")
         return FuzzyNumber(self.grid, self.lower[i], self.upper[i])
 
     def __iter__(self):

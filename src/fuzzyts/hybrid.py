@@ -19,7 +19,7 @@ A stack of initial states (a ``(S, n, m)`` fuzzy vector) is stepped as one
 stack through the same loop, which gives each sample exactly the solution
 it has on its own.  When a step fails for some samples, they leave with
 their own errors and the step is re-run on the others, still as one stack;
-only a step that rejects the stack as a whole is run sample by sample.
+a step that rejects the stack as a whole fails the solve.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory, delta_h_derivative  # noqa: F401
 from .timescale import SwitchSchedule, TimeScale
 
-# The right-hand side and the switch maps may be given a stack of states
-# (and of held values) and must then act sample by sample, as any
-# composition of the fuzzy kernels does: a kernel that fails names the
-# failing samples, which leave, and the solver calls the function again on
-# the others.  A result that is the same for every sample may be a single
-# state.  One that cannot take a stack (say, it indexes components) raises
-# InvalidShapeError there, naming no samples, and the solver then calls it
-# once per sample for that step (a switch map, for its segment's first step).
+# The right-hand side and the switch maps must take a stack of states (and
+# of held values) and act on it sample by sample, as any composition of the
+# fuzzy kernels does: a kernel that fails names the failing samples, which
+# leave, and the solver calls the function again on the others.  A result
+# that is the same for every sample may be a single state.  One that rejects
+# the stack as a whole (say, it indexes components) makes ``solve`` raise.
 RhsFn = Callable[[float, FuzzyVector, FuzzyVector], FuzzyVector]
 SwitchMap = Callable[[float, FuzzyVector], FuzzyVector]
 
@@ -138,8 +136,8 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     its own step raises (see ``fuzzy``): they leave the stack, their
     StepFailureErrors kept in the trajectory's ``failures`` under their rows
     of ``u0``, and the step is re-run on the others as one stack.  A step
-    whose error names no samples is re-run for each sample on its own.  The
-    trajectory holds the stacks of the rows that reach the horizon (its
+    whose error names no samples of the stack raises its StepFailureError.
+    The trajectory holds the stacks of the rows that reach the horizon (its
     ``rows``), each row equal to the solution of that sample on its own.
     """
     if sys.u0.samples is None:
@@ -163,8 +161,8 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
                 break
             except StepFailureError as exc:
                 errors = getattr(exc.__cause__, "rows", None)
-            if not errors or max(errors) >= u.samples:  # the stack was rejected as a whole
-                return advance_each(t, mu, u, lam, rows)
+                if not errors or max(errors) >= u.samples:  # the stack was rejected as a whole
+                    raise
             for j, error in errors.items():  # these samples leave; the others step again
                 failures[int(rows[j])] = failed(t, error)
             kept = [j for j in range(u.samples) if j not in errors]
@@ -172,24 +170,6 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
             lam = lam if callable(lam) or lam.samples is None else lam.take(kept)
         live.append(rows)
         return u, lam
-
-    def advance_each(t: float, mu: float, u: FuzzyVector, lam, rows):
-        # the same step, and a pending freeze, for each sample on its own;
-        # failed samples leave
-        held = [lam] * u.samples if callable(lam) or lam.samples is None else lam.unstack()
-        kept, stepped, holds = [], [], []
-        for j, (row, h) in enumerate(zip(u.unstack(), held)):
-            try:
-                h = h(row) if callable(h) else h
-                stepped.append(advance(t, mu, row, h)[0])
-                kept.append(j)
-                holds.append(h)
-            except StepFailureError as exc:
-                failures[int(rows[j])] = exc
-        live.append(rows[kept])
-        if holds and (callable(lam) or lam.samples is not None):  # held per sample
-            lam = FuzzyVector.stack(holds)
-        return (FuzzyVector.stack(stepped) if stepped else u.take(kept)), lam
 
     segments, values = zip(*sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack))
     rows = live[-1]

@@ -129,17 +129,8 @@ class StabilityQuery(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Dini derivative along a trajectory and the comparison bound
+# The comparison bound
 # ---------------------------------------------------------------------------
-
-def dini_along_solution(V: LyapunovFn, traj: FuzzyTrajectory, t: float) -> float:
-    """Upper Dini derivative of t -> V(t, u(t)) along a stored trajectory.
-
-    The time scale's upper Dini estimate of that function, with quotients
-    taken only over points the trajectory reaches.
-    """
-    return traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
-
 
 class BoundReport:
     """Outcome of checking V(t, u(t)) <= r(t) + tol point by point;
@@ -443,7 +434,7 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
         violations += [[times[i], float(lhs[i, j]), float(rhs[i, j]), mode, sample_ids[j]]
                        for j, i in bad]
     return {
-        "passed": not violations,
+        "passed": bool(checked) and not violations,
         "checked_steps": checked,
         "worst_margin": worst if checked else None,
         "violations": violations,

@@ -48,6 +48,16 @@ def trapezoid_cut(a, b, c, d, alpha):
     return a + alpha * (b - a), d - alpha * (d - c)
 
 
+# -- stacks -------------------------------------------------------------------
+
+def stack(states):
+    """One ``(S, n, m)`` stack of single states of one grid and shape, built
+    through the public ``FuzzyVector.from_arrays``."""
+    states = list(states)
+    return FuzzyVector.from_arrays(states[0].grid, np.stack([s.lower for s in states]),
+                                   np.stack([s.upper for s in states]))
+
+
 # -- nested-cut random generators --------------------------------------------
 
 def random_cuts(rng, m, span=5.0):

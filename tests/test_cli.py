@@ -641,20 +641,27 @@ def fresh_cli(*argv):
     return fresh_python("-c", FOOTPRINT_SCRIPT, *argv).splitlines()
 
 
-# the optional modules each golden case's command loads
+# the optional modules each golden case's command loads, and a catalog
+# system's given by flags alone
 FOOTPRINTS = {
     "catalog-stability": "fuzzyts.catalog fuzzyts.comparison fuzzyts.draws fuzzyts.stability",
     "dsl-stability": "fuzzyts.comparison fuzzyts.draws fuzzyts.dsl fuzzyts.stability",
     "dsl-three-simulate": "fuzzyts.dsl",
     "dsl-three-deriv": "fuzzyts.dsl",
+    "catalog-flags-simulate": "fuzzyts.catalog",
+    "catalog-flags-deriv": "fuzzyts.catalog",
 }
 
 
 @pytest.mark.parametrize("case", FOOTPRINTS)
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, case):
-    command, config, exit_code, _ = test_golden.CASES[case]
-    cfg = write_cfg(tmp_path / "run.cfg", config)
-    lines = fresh_cli(command, "--config", cfg, "--out", tmp_path / "out")
+    if case in test_golden.CASES:
+        command, config, exit_code, _ = test_golden.CASES[case]
+        flags = ("--config", write_cfg(tmp_path / "run.cfg", config))
+    else:
+        command, exit_code = case.rsplit("-", 1)[1], 0
+        flags = ("--system", "example_3_9", "--horizon", "10")
+    lines = fresh_cli(command, *flags, "--out", tmp_path / "out")
     assert lines[-1] == f"{exit_code} {FOOTPRINTS[case]}"  # never logging, csv, dataclasses or numpy.random
 
 

@@ -263,7 +263,7 @@ def stacked_rows(traj):
 def assert_rows_equal_single_solves(sys, states, mode):
     """Each row of the stacked solve is the single-state solve of its state:
     bit-equal values, or a failure at the same t with the same cause."""
-    stacked = solve(sys.replace(u0=f.FuzzyVector.stack(states)), mode)
+    stacked = solve(sys.replace(u0=oracles.stack(states)), mode)
     survivors = iter(stacked_rows(stacked))
     for i, u0 in enumerate(states):
         try:
@@ -330,23 +330,21 @@ def test_rows_failing_in_different_kernels_of_one_step_keep_their_own_errors():
         4: "lower endpoint exceeds upper endpoint"}
 
 
-def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack(monkeypatch):
+def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack():
     sys = catalog.make_example_3_9(GRID, 12.0).system
-    calls, unstacked = [], []
+    calls = []
 
     def rhs(t, u, lam):
         calls.append(u.samples)
         return sys.rhs(t, u, lam)
 
-    unstack = f.FuzzyVector.unstack
-    monkeypatch.setattr(f.FuzzyVector, "unstack", lambda u: unstacked.append(u) or unstack(u))
     states = [oracles.sample_states(np.random.default_rng(s), GRID, 1,
                                     ("crisp", "triangular")[s % 2], 0.9)[0] for s in range(40)]
-    traj = solve(sys.replace(rhs=rhs, u0=f.FuzzyVector.stack(states)),
+    traj = solve(sys.replace(rhs=rhs, u0=oracles.stack(states)),
                  StepMode.CONTRACTIVE, 12.0)
     failed_steps = {exc.t for exc in traj.failures.values()}
     assert len(traj.rows) and failed_steps  # rows fail and rows survive
-    assert None not in calls and unstacked == []
+    assert None not in calls
     assert len(calls) <= len(traj) - 1 + len(failed_steps)
 
 
@@ -354,17 +352,41 @@ def test_stacked_solve_with_every_sample_failed():
     ts = f.integer(5)
     wide = f.vector(tri(-1, 0, 1))
     sys = HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide, (zero_map,), rho=10.0,
-                            u0=f.FuzzyVector.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
+                            u0=oracles.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
     stacked = solve(sys, StepMode.CONTRACTIVE)
     assert sorted(stacked.failures) == [0, 1] and stacked.failures[1].t == 0.0
     assert stacked_rows(stacked) == [] and len(stacked.rows) == 0
+
+
+def _rejects_at_1(t, u, lam):
+    """Acts on the stack at t=0; at t=1 fails naming a row no stack of two has."""
+    if t == 1.0:
+        error = InvalidShapeError("computed on another stack")
+        error.rows = {2: InvalidShapeError("computed on another stack")}
+        raise error
+    return f.scale(0.5, u)
+
+
+@pytest.mark.parametrize("rhs, maps, t", [
+    (lambda t, u, lam: f.vector(u[0]), (zero_map,), 0.0),
+    (lambda t, u, lam: lam, (lambda t_k, u_k: f.vector(u_k[0]),), 0.0),
+    (_rejects_at_1, (zero_map,), 1.0),
+], ids=["rhs-indexes-components", "switch-map-indexes-components", "rows-outside-the-stack"])
+def test_a_step_that_rejects_the_stack_as_a_whole_fails_the_solve(rhs, maps, t):
+    u0 = oracles.stack([f.vector(f.crisp(x, GRID)) for x in (0.0, 0.5)])
+    sys = HybridFuzzySystem(f.integer(3), (0.0,), rhs, maps, rho=10.0, u0=u0)
+    for mode in StepMode:
+        with pytest.raises(StepFailureError) as failed:
+            solve(sys, mode)
+        assert failed.value.t == t and isinstance(failed.value.__cause__, InvalidShapeError)
+        assert str(failed.value) == f"{mode.value} step failed at t={t}: {failed.value.__cause__}"
 
 
 def test_stacked_initial_states_must_each_lie_in_the_ball():
     inside, outside = f.vector(f.crisp(0.25, GRID)), f.vector(f.crisp(1.0, GRID))
     with pytest.raises(InvalidShapeError, match="validity ball"):
         HybridFuzzySystem(f.integer(4), (0.0,), lambda t, u, lam: u, (zero_map,), rho=0.5,
-                          u0=f.FuzzyVector.stack([inside, outside]))
+                          u0=oracles.stack([inside, outside]))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ PUBLIC = {
     "comparison": ("ScalarHybridSystem", "ScalarTrajectory", "check_monotonicity_hypothesis",
                    "solve_comparison"),
     "stability": ("ClassKPair", "LyapunovFn", "SamplingPlan", "StabilityQuery", "Verdict",
-                  "check_practical_stability", "dini_along_solution", "norm_lyapunov",
-                  "verify_comparison_bound"),
+                  "check_practical_stability", "norm_lyapunov", "verify_comparison_bound"),
 }
 
 

@@ -26,7 +26,6 @@ from fuzzyts.stability import (
     StabilityQuery,
     boundary_probe,
     check_practical_stability,
-    dini_along_solution,
     norm_lyapunov,
     verify_comparison_bound,
     _check_condition_ii,
@@ -49,22 +48,25 @@ def test_dini_crisp_contraction_first_step():
     bundle = catalog.make_crisp_contraction(GRID, 8.0, u0=f.vector(f.crisp(1.0, GRID)))
     traj = solve(bundle.system, horizon=8.0)
     V = norm_lyapunov()
-    assert dini_along_solution(V, traj, 0.0) == pytest.approx(-0.5, abs=TOL)
+    dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), 0.0, horizon=traj.horizon)
+    assert dini == pytest.approx(-0.5, abs=TOL)
 
 
 def test_dini_triangular_expansion_first_step():
     bundle = catalog.make_example_3_9(GRID, 8.0)
     traj = solve(bundle.system, StepMode.EXPANSIVE, horizon=8.0)
     V = norm_lyapunov()
-    assert dini_along_solution(V, traj, 0.0) == pytest.approx(0.5, abs=TOL)
+    dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), 0.0, horizon=traj.horizon)
+    assert dini == pytest.approx(0.5, abs=TOL)
 
 
 def test_dini_constant_V_is_zero():
     bundle = catalog.make_example_3_9(GRID, 8.0)
     traj = solve(bundle.system, horizon=8.0)
     V = LyapunovFn(lambda t, u: 7.0)
-    for t in traj.ts.kappa_points()[:8]:
-        assert dini_along_solution(V, traj, float(t)) == pytest.approx(0.0, abs=TOL)
+    for t in traj.ts.kappa_points()[:8].tolist():
+        dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
+        assert dini == pytest.approx(0.0, abs=TOL)
 
 
 def test_dini_matches_quotient_oracle_at_scattered_points():
@@ -75,7 +77,8 @@ def test_dini_matches_quotient_oracle_at_scattered_points():
         t = float(traj.ts.points[i])
         mu = traj.ts.mu(t)
         quotient = (V(t + mu, traj.values[i + 1]) - V(t, traj.values[i])) / mu
-        assert dini_along_solution(V, traj, t) == pytest.approx(quotient, abs=TOL)
+        dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
+        assert dini == pytest.approx(quotient, abs=TOL)
 
 
 def test_dini_on_dense_scale_stops_at_trajectory_end():
@@ -87,7 +90,8 @@ def test_dini_on_dense_scale_stops_at_trajectory_end():
     for i in range(8, 15):
         quotients = [(xs[i + 1] - xs[j]) / (t[i + 1] - t[j]) for j in range(i + 2, 16)]
         expected = max(quotients) if quotients else (xs[i + 1] - xs[i]) / (t[i + 1] - t[i])
-        assert dini_along_solution(V, traj, float(t[i])) == pytest.approx(expected, rel=1e-12)
+        dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t[i], horizon=traj.horizon)
+        assert dini == pytest.approx(expected, rel=1e-12)
 
 
 def test_dini_bounded_by_derivative_norm_along_example():
@@ -100,7 +104,8 @@ def test_dini_bounded_by_derivative_norm_along_example():
         t = float(traj.ts.points[i])
         deriv = delta_h_derivative(traj, t)
         assert deriv is not None
-        assert dini_along_solution(V, traj, t) <= f.norm(deriv) + TOL
+        dini = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
+        assert dini <= f.norm(deriv) + TOL
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def test_sampler_equals_per_component_trapezoids(family):
         for n in (1, 3):
             radius = 0.05 + 0.1 * seed
             got = sample(np.random.default_rng(seed), n, family, radius, 4)
-            want = f.FuzzyVector.stack(
+            want = oracles.stack(
                 oracles.sample_states(np.random.default_rng(seed), GRID, n, family, radius, 4))
             assert got.lower.tobytes() == want.lower.tobytes()
             assert got.upper.tobytes() == want.upper.tobytes()
@@ -459,7 +464,7 @@ def test_condition_ii_evaluates_V_once_per_point(ts):
     def stacked_system(*states):
         return f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
                                    (hold_zero, lambda t, u: u), 100.0,
-                                   f.FuzzyVector.stack([f.vector(s) for s in states]))
+                                   oracles.stack([f.vector(s) for s in states]))
 
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w,
                                 (lambda v: v, lambda v: v), 1.0)
@@ -550,47 +555,49 @@ def solve_each_sample(sys, mode=StepMode.EXPANSIVE, horizon=None, *, real_solve=
     if sys.u0.samples is None:
         return real_solve(sys, mode, horizon)
     survivors, failures = {}, {}
-    for row, u0 in enumerate(sys.u0.unstack()):
+    for row in range(sys.u0.samples):
+        u0 = sys.u0.take(row)
         try:
             survivors[row] = real_solve(sys.replace(u0=u0), mode, horizon)
         except StepFailureError as exc:
             failures[row] = exc
     trajs = list(survivors.values())
-    values = [f.FuzzyVector.stack(states) for states in zip(*(t.values for t in trajs))]
+    values = [oracles.stack(states) for states in zip(*(t.values for t in trajs))]
     return FuzzyTrajectory(sys.ts, values or [sys.u0.take([])],
                            trajs[0].segments if trajs else None,
                            rows=np.array(list(survivors), dtype=int), failures=failures)
 
 
-def test_component_indexing_rhs_gives_the_verdict_of_one_solve_per_sample(monkeypatch):
+def test_component_indexing_rhs_fails_at_t0_and_stacks_give_the_per_sample_verdict(monkeypatch):
     b = catalog.make_example_3_9(GRID, 10.0)
     ts = b.system.ts
 
-    # the catalog dynamics, written one component at a time
+    # the catalog dynamics, written one component at a time: a stack has none
     def rhs(t, u, lam):
         eta = 1.0 / (1.0 + ts.mu(t))
         return f.vector(f.add(f.scale(-eta, u[0]), f.scale(eta, lam[0])))
 
-    def hold_zero(t_k, u_k):
-        return f.vector(f.crisp(0.0, u_k[0].grid))
-
-    def reinject(t_k, u_k):
-        return f.vector(u_k[0])
-
-    maps = (hold_zero,) + (reinject,) * (len(b.system.switch_maps) - 1)
-    indexing = b.system.replace(rhs=rhs, switch_maps=maps)
+    indexing = b.system.replace(
+        rhs=rhs, u0=oracles.stack([b.system.u0, f.scale(0.5, b.system.u0)]))
     q = StabilityQuery(lam=1.0, A=2.0, B=1.5, T0=4.0, rho=100.0,
                        sampling=SamplingPlan(count=12, seed=4, family="trapezoid"))
+    for run in (lambda: solve(indexing),
+                lambda: check_practical_stability(indexing, b.comparison, b.lyapunov, b.kpair,
+                                                  q, 10.0)):
+        with pytest.raises(StepFailureError) as failed:
+            run()
+        assert failed.value.t == 0.0
+        assert isinstance(failed.value.__cause__, f.InvalidShapeError)
+        assert "take one sample first" in str(failed.value)
 
-    def verdict(system):
-        v = check_practical_stability(system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
+    def verdict():
+        v = check_practical_stability(b.system, b.comparison, b.lyapunov, b.kpair, q, 10.0)
         return json.dumps(v.to_dict(), sort_keys=True)
 
-    stacked = verdict(indexing)
+    stacked = verdict()
     assert json.loads(stacked)["metadata"]["skipped_step_failures"]
-    assert stacked == verdict(b.system)
     monkeypatch.setattr(hybrid, "solve", solve_each_sample)
-    assert stacked == verdict(indexing) == verdict(b.system)
+    assert stacked == verdict()
 
 
 def direct_route_with_probe_resolve(sys, q, horizon, modes):
@@ -601,7 +608,7 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
     states = [boundary_probe(grid, n, plan.family, q.lam)]
     states += oracles.sample_states(oracles.Stream(plan.seed, 2), grid, n, plan.family, q.lam,
                                     plan.count)
-    system = sys.replace(u0=f.FuzzyVector.stack(states))
+    system = sys.replace(u0=oracles.stack(states))
     t0 = float(sys.ts.points[0])
     bounds = [("practically_stable", q.A, lambda t: True)]
     if q.B is not None:
@@ -687,11 +694,13 @@ def _grow_half(t, u, lam):
 _SHRUNK_AT_1 = (1.0 - 1e-9) + 0.5 * (1.0 - 1e-9)
 
 
-def _widen_inside_lambda(t, u, lam):  # for lambda = 1
-    component = u[0]  # a stack has no components: the solver calls this per sample
-    if f.norm(component) < 1.0:
-        return f.vector(tri(-1, 0, 1))  # no contractive step exists
-    return f.vector(f.scale(0.5, component))
+def _widen_inside_lambda(t, u, lam):  # for lambda = 1, on one-component states
+    # per sample: inside lambda the wide triangle, with which no contractive
+    # step exists; outside, half the state
+    wide, half = f.vector(tri(-1, 0, 1)), f.scale(0.5, u)
+    inside = np.asarray(f.norm(u) < 1.0)[..., None, None]
+    return f.FuzzyVector.from_arrays(u.grid, np.where(inside, wide.lower, half.lower),
+                                     np.where(inside, wide.upper, half.upper))
 
 
 def _probe_witness(prop, mode):
@@ -770,7 +779,7 @@ def test_direct_route_reports_the_first_initial_state_outside_the_ball():
 
 def condition_ii_per_sample(V, comp, stacks, tol):
     """Reference: condition (ii) one surviving sample at a time, with V, g and
-    psi called on floats and the Dini estimate of ``dini_along_solution``."""
+    psi called on floats and the Dini estimate of V along one state at a time."""
     worst, violations, checked = math.inf, [], 0
     for mode, sample_ids, stack in stacks:
         for j, sample_id in enumerate(sample_ids):
@@ -778,14 +787,14 @@ def condition_ii_per_sample(V, comp, stacks, tol):
             for t in traj.times[:-1].tolist():
                 k = int(np.searchsorted(comp.switch_times, t, side="right")) - 1
                 tk = comp.switch_times[k]
-                lhs = dini_along_solution(V, traj, t)
+                lhs = traj.ts.upper_dini(lambda s: V(s, traj.value_at(s)), t, horizon=traj.horizon)
                 rhs = comp.g(t, V(t, traj.value_at(t)), comp.psi[k](V(tk, traj.value_at(tk))))
                 margin = rhs - lhs
                 worst = min(worst, margin)
                 checked += 1
                 if margin < -tol:
                     violations.append([t, lhs, rhs, mode, sample_id])
-    return {"passed": not violations, "checked_steps": checked,
+    return {"passed": bool(checked) and not violations, "checked_steps": checked,
             "worst_margin": worst if checked else None, "violations": violations[:10]}
 
 
@@ -852,7 +861,7 @@ def test_condition_ii_on_a_stack_whose_samples_all_failed():
     wide = f.vector(tri(-1, 0, 1))
     sys = f.HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide,
                               (lambda t, u: f.zero_vector(u.grid, u.n),), 10.0,
-                              f.FuzzyVector.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
+                              oracles.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
     comp = f.ScalarHybridSystem(ts, (0.0,), lambda t, w, wk: w, (lambda v: v,), 1.0)
     failed = solve(sys, StepMode.CONTRACTIVE)
     assert len(failed.rows) == 0
@@ -861,7 +870,50 @@ def test_condition_ii_on_a_stack_whose_samples_all_failed():
                    [("contractive", [], failed), ("expansive", [0, 1], survived)]):
         report = assert_stacked_check_equals_per_sample_check(norm_lyapunov(), comp, stacks)
         assert report["checked_steps"] == 5 * len(stacks[-1][1])
+        # no checked step is no evidence: the check does not pass
+        assert report["passed"] is (report["checked_steps"] > 0 and not report["violations"])
     assert report["worst_margin"] is not None
+
+
+# States reach about 1e120 at t=1 and overflow at t=2, so every sample's
+# expansive step fails and condition (ii) checks no step at all.
+DIVERGENCE = """
+[timescale]
+scale = integer(6)
+
+[system]
+rhs = smul(1e120, u)
+u0 = tri(-1,0,1)
+rho = 1e300
+horizon = 6
+
+[comparison]
+g = (-r + v)/(1 + mu(t))
+psi = v
+
+[lyapunov]
+V = d
+
+[stability]
+lambda = 1
+A = 2
+samples = 20
+modes = expansive
+seed = 0
+"""
+
+
+def test_condition_ii_with_no_checked_step_transfers_nothing(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(DIVERGENCE)
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    verdict = json.loads((tmp_path / "out" / "verdict.json").read_text())
+    report = verdict["hypothesis_report"]
+    assert report["condition_ii"]["checked_steps"] == 0
+    assert report["condition_ii"]["passed"] is False and report["all_passed"] is False
+    assert verdict["comparison_verdict"]["practically_stable"] == HOLDS
+    assert not [c for c in verdict["implied_conclusions"].values()
+                if c.startswith("holds-on-samples")]
 
 
 def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
@@ -869,7 +921,7 @@ def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
     switch_times = (0.0, 4.0 - 1e-12)  # 4.0 up to lookup noise
     sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.add(f.scale(-0.5, u), lam),
                               (lambda t, u: f.zero_vector(u.grid, u.n), lambda t, u: u), 100.0,
-                              f.FuzzyVector.stack([f.vector(tri(-1, 0, 1)), f.vector(tri(0, 1, 3))]))
+                              oracles.stack([f.vector(tri(-1, 0, 1)), f.vector(tri(0, 1, 3))]))
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w + wk,
                                 (lambda v: 0.0 * v, lambda v: 0.5 * v), 1.0)
     traj = solve(sys)
