@@ -23,7 +23,7 @@ print("\ndelta derivative of t^2 on the integers at t=3:",
 
 # At finely sampled (right-dense) points the same quotient approximates the
 # classical derivative, and the upper Dini estimate handles kinks:
-dense = f.explicit([h * 1e-7 for h in range(-8, 9)], dense_threshold=1e-6)
+dense = f.explicit([h * 1e-7 for h in range(-8, 9)])
 print("upper Dini derivative of |t| at 0 on a dense sample:",
       dense.upper_dini(abs, 0.0))
 

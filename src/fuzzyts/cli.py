@@ -135,6 +135,8 @@ def load_config(args) -> RunConfig:
     override("system", "name", getattr(args, "system", None))
     override("system", "u0", getattr(args, "u0", None))
     override("system", "mode", getattr(args, "mode", None))
+    if getattr(args, "cmd", None) == "stability":
+        override("stability", "modes", getattr(args, "mode", None))
     override("system", "horizon", getattr(args, "horizon", None))
     override("timescale", "scale", getattr(args, "timescale", None))
     override("stability", "seed", getattr(args, "seed", None))

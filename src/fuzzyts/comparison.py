@@ -24,6 +24,9 @@ from .timescale import SwitchSchedule, TimeScale
 GFn = Callable[[float | np.ndarray, float | np.ndarray, float | np.ndarray], float | np.ndarray]
 PsiFn = Callable[[float | np.ndarray], float | np.ndarray]
 
+# The slack a sampled hypothesis check's margins may show before a violation.
+HYPOTHESIS_TOL = 1e-9
+
 
 class ScalarHybridSystem(Record):
     """Real comparison dynamics with per-segment frozen psi values; ``r0``
@@ -95,20 +98,21 @@ class MonotonicityReport:
     """Sampled check of the comparison-principle monotonicity hypotheses.
 
     Violations are content, not errors: each entry records the sampled
-    point at which a finite difference had the wrong sign.  Reports compare
+    point at which a finite difference had the wrong sign.  A report passes
+    only if some (t, r, v) draw checked g (``g_checked``).  Reports compare
     equal field by field.
     """
 
     __slots__ = ("samples", "seed", "box", "g_mu_r_violations", "g_v_violations",
-                 "psi_violations")
+                 "psi_violations", "g_checked")
 
     def __init__(self, samples: int, seed: int, box: tuple[float, float],
                  g_mu_r_violations: list[tuple[float, float, float, float]],
                  g_v_violations: list[tuple[float, float, float, float]],
-                 psi_violations: list[tuple[int, float, float]]):
+                 psi_violations: list[tuple[int, float, float]], g_checked: bool):
         self.samples, self.seed, self.box = samples, seed, box
         self.g_mu_r_violations, self.g_v_violations = g_mu_r_violations, g_v_violations
-        self.psi_violations = psi_violations
+        self.psi_violations, self.g_checked = psi_violations, g_checked
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -117,7 +121,8 @@ class MonotonicityReport:
 
     @property
     def passed(self) -> bool:
-        return not (self.g_mu_r_violations or self.g_v_violations or self.psi_violations)
+        return self.g_checked and not (self.g_mu_r_violations or self.g_v_violations
+                                       or self.psi_violations)
 
     def to_dict(self) -> dict:
         return {
@@ -132,12 +137,12 @@ class MonotonicityReport:
 
 
 def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, seed: int = 0,
-                                  box: tuple[float, float] = (0.0, 10.0), tol: float = 1e-9,
+                                  box: tuple[float, float] = (0.0, 10.0),
                                   horizon: float | None = None) -> MonotonicityReport:
     """Randomized sampled verification of the three monotonicity conditions.
 
     Over (t, r, v) draws, t a point before ``horizon`` (default: the terminal
-    point; none when it is the first, so only psi is checked) and r, v in
+    point; none when it is the first, and then the report fails) and r, v in
     ``box``, checks that
       * r -> g(t, r, v) * mu(t) + r is nondecreasing,
       * v -> g(t, r, v) is nondecreasing, and
@@ -162,14 +167,14 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, s
             left = sys.g(t, r1, v) * mu + r1
             right = sys.g(t, r2, v) * mu + r2
             gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
-            g_mu_r = _entries(right < left - tol, t, r1, r2, right - left)
-            g_v = _entries(gv2 < gv1 - tol, t, v1, v2, gv2 - gv1)
+            g_mu_r = _entries(right < left - HYPOTHESIS_TOL, t, r1, r2, right - left)
+            g_v = _entries(gv2 < gv1 - HYPOTHESIS_TOL, t, v1, v2, gv2 - gv1)
         count = max(8, samples // max(1, len(sys.psi)))
         for k, psi in enumerate(sys.psi):
             pairs = rng.uniform(lo, hi, size=(count, 2))
             p1, p2 = pairs.min(axis=-1), pairs.max(axis=-1)
-            psi_bad += _entries(psi(p2) < psi(p1) - tol, k, p1, p2)
-    return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad)
+            psi_bad += _entries(psi(p2) < psi(p1) - HYPOTHESIS_TOL, k, p1, p2)
+    return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad, len(times) > 0)
 
 
 def _entries(flags, *columns) -> list[tuple]:

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import comparison as cmp, draws, fuzzy, hybrid
-from .comparison import ScalarHybridSystem, ScalarTrajectory, check_monotonicity_hypothesis
+from .comparison import (HYPOTHESIS_TOL, ScalarHybridSystem, ScalarTrajectory,
+                         check_monotonicity_hypothesis)
 from .errors import ConfigError, Frozen, FuzzyTSError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
 from .hukuhara import FuzzyTrajectory
@@ -314,14 +315,14 @@ class Verdict:
 # Hypothesis layer
 # ---------------------------------------------------------------------------
 
-# States drawn by each sampled hypothesis check, and the slack its margins
-# may show before a sample counts as a violation.
+# States drawn by each sampled hypothesis check (whose margins may show
+# HYPOTHESIS_TOL of slack), and the points on which a and b are checked.
 HYPOTHESIS_SAMPLES = 100
-HYPOTHESIS_TOL = 1e-9
+CLASS_K_POINTS = 101
 
 
-def _validate_class_k(kpair: ClassKPair, xmax: float, points: int = 101) -> dict:
-    xs = np.linspace(0.0, xmax, points)
+def _validate_class_k(kpair: ClassKPair, xmax: float) -> dict:
+    xs = np.linspace(0.0, xmax, CLASS_K_POINTS)
     out = {}
     for name, f in (("a", kpair.a), ("b", kpair.b)):
         values = np.array([float(f(x)) for x in xs])
@@ -360,13 +361,13 @@ def _first_min(values: np.ndarray) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, horizon: float,
                     grid: AlphaGrid, n: int, family: str, radius: float,
-                    rng: draws.Stream, samples: int, tol: float) -> dict:
+                    rng: draws.Stream, samples: int) -> dict:
     t, u = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 1)
     d = fuzzy.norm(u)
     v = np.broadcast_to(V(t, u), d.shape)  # one V for every sample may be a float
     low_margin = v - kpair.b(d)
     high_margin = kpair.a(d) - v
-    bad = np.flatnonzero((low_margin < -tol) | (high_margin < -tol))
+    bad = np.flatnonzero((low_margin < -HYPOTHESIS_TOL) | (high_margin < -HYPOTHESIS_TOL))
     return {
         "passed": not bad.size,
         "samples": samples,
@@ -392,7 +393,7 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGr
     declared = V.lipschitz
     ok = True if declared is None else estimate <= declared * (1.0 + 1e-9) + 1e-12
     return {
-        "passed": bool(ok and math.isfinite(estimate)),
+        "passed": bool(rows.size and ok and math.isfinite(estimate)),  # no pair, no pass
         "estimated_constant": estimate,
         "declared_constant": declared,
         "samples": samples,
@@ -402,8 +403,7 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGr
 # V, g and psi on arrays overflow as silently as on one sample's floats
 @np.errstate(over="ignore", invalid="ignore")
 def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
-                        stacks: Sequence[tuple[str, list[int], FuzzyTrajectory]],
-                        tol: float) -> dict:
+                        stacks: Sequence[tuple[str, list[int], FuzzyTrajectory]]) -> dict:
     """Differential inequality along each sampled trajectory (on comp's time
     scale); V, g and psi get one ``(S,)`` array per point of a mode's stack."""
     worst = math.inf
@@ -422,15 +422,13 @@ def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
         lhs, rhs = np.empty((2, len(times) - 1, len(sample_ids)))
         for i, (t, k) in enumerate(zip(times[:-1], comp.schedule.segments.tolist())):
             if k not in held:
-                tk = comp.switch_times[k]
-                # a switch time matches its stored point only up to lookup noise
-                held[k] = comp.psi[k](v_at[tk] if tk in v_at else V(tk, traj.value_at(tk)))
+                held[k] = comp.psi[k](v_at[comp.switch_times[k]])
             lhs[i] = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
             rhs[i] = comp.g(t, v[i], held[k])
         margin = (rhs - lhs).T  # (samples, points), in listing order
         worst = min(worst, _first_min(margin))
         checked += margin.size
-        bad = np.argwhere(margin < -tol)[: 10 - len(violations)].tolist()
+        bad = np.argwhere(margin < -HYPOTHESIS_TOL)[: 10 - len(violations)].tolist()
         violations += [[times[i], float(lhs[i, j]), float(rhs[i, j]), mode, sample_ids[j]]
                        for j, i in bad]
     return {
@@ -638,7 +636,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     gate = {"a_lambda": a_lam, "b_A": b_A, "passed": a_lam < b_A}
     sandwich = _check_sandwich(V, kpair, sys.ts, horizon, grid, n, plan.family,
                                radius=q.A, rng=draws.Stream(plan.seed, 0),
-                               samples=HYPOTHESIS_SAMPLES, tol=HYPOTHESIS_TOL)
+                               samples=HYPOTHESIS_SAMPLES)
     lipschitz = _check_lipschitz(V, sys.ts, horizon, grid, n, plan.family,
                                  radius=min(q.rho, 2.0 * q.A),
                                  rng=draws.Stream(plan.seed, 1),
@@ -649,7 +647,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
 
     # Layer 3 runs first so its trajectories can feed the condition (ii) check.
     outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)
-    cond_ii = _check_condition_ii(V, comp, stacks, HYPOTHESIS_TOL)
+    cond_ii = _check_condition_ii(V, comp, stacks)
 
     hypothesis_report = {
         "class_k": class_k,

@@ -33,10 +33,10 @@ class TimeScale(Frozen):
     """Ordered finite sample of a time scale; ``graininess`` holds mu at
     every non-terminal point."""
 
-    __slots__ = ("points", "dense_threshold", "kind", "_index", "graininess")
+    __slots__ = ("points", "kind", "_index", "graininess")
+    dense_threshold = 1e-6  # the largest graininess at which a point is right-dense
 
-    def __init__(self, points: np.ndarray, dense_threshold: float = 1e-6,
-                 kind: str = "explicit"):
+    def __init__(self, points: np.ndarray, kind: str = "explicit"):
         points = np.array(points, dtype=float)
         if points.ndim != 1 or points.size < 2:
             raise InvalidShapeError("time scale needs at least two points")
@@ -44,13 +44,11 @@ class TimeScale(Frozen):
             raise InvalidShapeError("time scale points must be finite")
         if not np.all(np.diff(points) > 0):
             raise InvalidShapeError("time scale points must be strictly increasing")
-        if dense_threshold <= 0:
-            raise InvalidShapeError("dense_threshold must be positive")
         points.setflags(write=False)
         graininess = np.diff(points)
         graininess.setflags(write=False)
-        self._set(points=points, dense_threshold=dense_threshold, kind=kind,
-                  _index={float(t): i for i, t in enumerate(points)}, graininess=graininess)
+        self._set(points=points, kind=kind, _index={float(t): i for i, t in enumerate(points)},
+                  graininess=graininess)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -78,13 +76,6 @@ class TimeScale(Frozen):
                 raise UnknownPointError(f"t={at} is not a point of this time scale")
             raise NoSuccessorError(f"t={at} is the terminal point")
         return i if array else int(i)
-
-    def __contains__(self, t: float) -> bool:
-        try:
-            self.index_of(t)
-            return True
-        except UnknownPointError:
-            return False
 
     def sigma(self, t: float | np.ndarray) -> float | np.ndarray:
         """Forward jump: the next stored point (per point of an array)."""
@@ -145,22 +136,22 @@ class TimeScale(Frozen):
 class SwitchSchedule(Frozen):
     """Switching instants on a time scale and the segment of every stored point.
 
-    ``times`` must be strictly increasing stored points starting at the
-    first point of the scale.  Segment k holds from ``times[k]`` up to the
-    next switch, and a switch point belongs to the segment it opens.
+    ``times`` must name strictly increasing stored points starting at the
+    first point of the scale, and holds each as the point it names (one
+    within lookup noise).  Segment k holds from ``times[k]`` up to the next
+    switch, and a switch point belongs to the segment it opens.
     ``segments`` holds the segment index of every stored point.
     """
 
     __slots__ = ("ts", "times", "segments")
 
     def __init__(self, ts: TimeScale, times: tuple[float, ...]):
-        times = tuple(float(t) for t in times)
+        # index_of raises UnknownPointError for a time that names no point
+        times = tuple(float(ts.points[ts.index_of(t)]) for t in times)
         if not times:
             raise InvalidShapeError("at least one switch time (the start) is required")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvalidShapeError("switch times must be strictly increasing")
-        for t in times:
-            ts.index_of(t)  # raises UnknownPointError if absent
         if times[0] != float(ts.points[0]):
             raise InvalidShapeError("the first switch time must be the initial point")
         segments = np.searchsorted(np.asarray(times), ts.points, side="right") - 1
@@ -200,26 +191,25 @@ class SwitchSchedule(Frozen):
 # Generators
 # ---------------------------------------------------------------------------
 
-def integer(n: int, dense_threshold: float = 1e-6) -> TimeScale:
+def integer(n: int) -> TimeScale:
     """The initial segment 0, 1, ..., n of the nonnegative integers."""
     if n < 1:
         raise InvalidShapeError("integer scale needs n >= 1")
-    return TimeScale(np.arange(n + 1, dtype=float), dense_threshold, kind=f"integer({n})")
+    return TimeScale(np.arange(n + 1, dtype=float), kind=f"integer({n})")
 
-def uniform(t0: float, h: float, n: int, dense_threshold: float = 1e-6) -> TimeScale:
+def uniform(t0: float, h: float, n: int) -> TimeScale:
     """n+1 equally spaced points t0, t0+h, ..., t0+n*h."""
     if h <= 0 or n < 1:
         raise InvalidShapeError("uniform scale needs h > 0 and n >= 1")
-    return TimeScale(t0 + h * np.arange(n + 1), dense_threshold, kind=f"uniform({t0},{h},{n})")
+    return TimeScale(t0 + h * np.arange(n + 1), kind=f"uniform({t0},{h},{n})")
 
-def qscale(t0: float, q: float, n: int, dense_threshold: float = 1e-6) -> TimeScale:
+def qscale(t0: float, q: float, n: int) -> TimeScale:
     """Geometric points t0*q^0, ..., t0*q^n."""
     if t0 <= 0 or q <= 1 or n < 1:
         raise InvalidShapeError("q-scale needs t0 > 0, q > 1, n >= 1")
-    return TimeScale(t0 * q ** np.arange(n + 1, dtype=float), dense_threshold,
-                     kind=f"qscale({t0},{q},{n})")
+    return TimeScale(t0 * q ** np.arange(n + 1, dtype=float), kind=f"qscale({t0},{q},{n})")
 
-def intervals(spans: list, resolution: float, dense_threshold: float = 1e-6) -> TimeScale:
+def intervals(spans: list, resolution: float) -> TimeScale:
     """Union of intervals [a, b], each sampled at roughly the resolution."""
     if resolution <= 0:
         raise InvalidShapeError("resolution must be positive")
@@ -233,11 +223,10 @@ def intervals(spans: list, resolution: float, dense_threshold: float = 1e-6) -> 
         steps = max(1, round((b - a) / resolution))
         pieces.append(np.linspace(a, b, steps + 1))
         prev_end = b
-    return TimeScale(np.concatenate(pieces), dense_threshold,
-                     kind=f"intervals({spans},{resolution})")
+    return TimeScale(np.concatenate(pieces), kind=f"intervals({spans},{resolution})")
 
-def explicit(points, dense_threshold: float = 1e-6) -> TimeScale:
-    return TimeScale(np.asarray(points, dtype=float), dense_threshold, kind="explicit")
+def explicit(points) -> TimeScale:
+    return TimeScale(np.asarray(points, dtype=float), kind="explicit")
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,28 @@ horizon = 12
     assert float(at_t2["lower"]) == pytest.approx(0.25, abs=TOL)
 
 
+def test_simulate_switches_at_the_stored_point_a_switch_time_names(tmp_path):
+    # 0.9 names the stored point 0.8999999999999999 (= 3 * 0.3), which opens segment 1
+    cfg = write_cfg(tmp_path / "run.cfg", """
+[timescale]
+scale = uniform(0, 0.3, 10)
+
+[system]
+rhs = smul(-0.5, u) fadd lam
+lambda_0 = crisp(0)
+lambda_k = u_k
+switch_times = 0 0.9
+u0 = tri(-1,0,1)
+mode = expansive
+horizon = 3
+""")
+    out = tmp_path / "out"
+    assert run("simulate", "--config", cfg, "--out", out) == 0
+    segments = {float(r["t"]): int(r["segment_k"]) for r in read_rows(out / "trajectory.csv")}
+    assert 0.9 not in segments and segments[0.8999999999999999] == 1
+    assert list(segments.values()) == [0] * 3 + [1] * 8
+
+
 DSL_SIMULATE_CFG = """
 [timescale]
 scale = integer(6)
@@ -374,6 +396,17 @@ def test_stability_example_violation_exit_1(tmp_path):
     assert witness["t"] == 2.0
     assert witness["value"] == 2.25
     assert verdict["consistency"]["inconsistent"] is False
+
+
+def test_the_mode_flag_overrides_the_configured_stability_modes(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.CATALOG_STABILITY)  # modes = both
+    out = tmp_path / "v"
+    # every contractive step of example_3_9 fails, so nothing is tested
+    assert run("stability", "--config", cfg, "--mode", "contractive", "--out", out) == 2
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["metadata"]["modes"] == ["contractive"]
+    echoed = json.loads((out / "meta.json").read_text())["config"]
+    assert echoed["stability"]["modes"] == echoed["system"]["mode"] == "contractive"
 
 
 def test_stability_lambda_above_A_exits_2(tmp_path):

@@ -86,7 +86,7 @@ def test_nonexistence_returns_none():
 def test_dense_two_sided_disagreement_returns_none():
     h = 1e-7
     pts = np.arange(-4, 5) * h
-    ts = f.explicit(pts, dense_threshold=1e-6)
+    ts = f.explicit(pts)
     traj = make_traj(ts, lambda t: vec(f.crisp(abs(t), GRID)))
     assert ts.is_right_dense(0.0)
     assert delta_h_derivative(traj, 0.0) is None  # kink: +1 forward, -1 backward
@@ -95,7 +95,7 @@ def test_dense_two_sided_disagreement_returns_none():
 def test_dense_smooth_agreement():
     h = 1e-7
     pts = np.arange(0, 9) * h
-    ts = f.explicit(pts, dense_threshold=1e-6)
+    ts = f.explicit(pts)
     traj = make_traj(ts, lambda t: vec(f.crisp(3.0 * t, GRID)))
     d = delta_h_derivative(traj, float(pts[2]))
     assert d is not None

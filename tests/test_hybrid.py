@@ -1,13 +1,14 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fuzzyts as f
-from fuzzyts import catalog
-from fuzzyts.cli import RunConfig, build_dsl_bundle
-from fuzzyts.comparison import ScalarHybridSystem
+from fuzzyts import catalog, hybrid
+from fuzzyts.cli import RunConfig, build_dsl_bundle, parse_timescale_spec
+from fuzzyts.comparison import ScalarHybridSystem, solve_comparison
 from fuzzyts.errors import InvalidShapeError, StepFailureError
 from fuzzyts.hukuhara import delta_h_derivative
 from fuzzyts.hybrid import HybridFuzzySystem, StepMode, build_example_system, solve
@@ -177,14 +178,25 @@ def scalar_system(ts, switch_times, n_maps):
 @pytest.mark.parametrize("switch_times, n_maps, error", [
     ((), 0, InvalidShapeError),
     ((0.0, 2.0, 2.0), 3, InvalidShapeError),
+    ((0.0, 2.0, 2.0 + 1e-12), 3, InvalidShapeError),
     ((0.0, 2.5), 2, f.UnknownPointError),
     ((1.0, 2.0), 2, InvalidShapeError),
     ((0.0, 2.0), 1, InvalidShapeError),
-], ids=["empty", "not-increasing", "not-stored", "not-t0", "map-count"])
+], ids=["empty", "not-increasing", "one-point-twice", "not-stored", "not-t0", "map-count"])
 def test_switch_time_validation(build, switch_times, n_maps, error):
     with pytest.raises(error):
         build(f.integer(4), switch_times, n_maps)
     build(f.integer(4), (0.0, 2.0), 2)  # the valid schedule is accepted
+
+
+@pytest.mark.parametrize("build", [fuzzy_system, scalar_system], ids=["fuzzy", "scalar"])
+def test_a_switch_time_is_held_as_the_stored_point_it_names(build):
+    ts = f.uniform(0.0, 0.3, 10)
+    stored = float(ts.points[3])  # 0.8999999999999999, which 0.9 names
+    sys = build(ts, (0.0, 0.9), 2)
+    assert sys.switch_times == (0.0, stored) and stored != 0.9
+    solution = solve(sys) if build is fuzzy_system else solve_comparison(sys)
+    assert list(solution.segments) == [0] * 3 + [1] * 8
 
 
 def test_switch_map_called_once_per_segment():
@@ -426,3 +438,125 @@ def test_contractive_steps_make_one_full_check(monkeypatch):
     for u0 in (None, f.vector(tri(-0.3, 0.1, 0.9))):
         sys = catalog.make_example_3_9(GRID, 12.0, u0=u0).system
         assert full_checks_per_step(monkeypatch, sys, StepMode.CONTRACTIVE) == 1  # h_difference
+
+
+# ---------------------------------------------------------------------------
+# linear DSL systems against their exact endpoint march
+# ---------------------------------------------------------------------------
+
+ORACLE_GRID = f.AlphaGrid.uniform(4)
+ORACLE_SCALES = ("integer(6)", "qscale(1,1.5,6)",
+                 "intervals([[0,0.3],[0.5,0.9],[1.2,1.5]], 0.1)")
+# each term k * x: its DSL text and its coefficient as a function of mu
+TERMS = {
+    "const": ("smul({k}, {x})", lambda k, mu: k),
+    "eta": ("smul({k} * eta(t), {x})", lambda k, mu: k / (1 + mu)),
+    "mu": ("smul({k} * mu(t), {x})", lambda k, mu: k * mu),
+    "circminus": ("circminus(smul({k}, {x}))", lambda k, mu: -k / (1 + mu)),
+}
+# |solver - oracle| at a point, in units of the sample's largest endpoint so far
+ORACLE_BOUND = 1e-12
+
+eighths = st.integers(-12, 12).map(lambda i: i / 8)
+
+
+triangles = st.lists(eighths, min_size=3, max_size=3).map(sorted)
+
+
+def exact_cuts(a, b, c):
+    """The (lower, upper) Fractions of tri(a, b, c) on ORACLE_GRID."""
+    levels = [Fraction(alpha) for alpha in ORACLE_GRID.levels.tolist()]
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return [a + alpha * (b - a) for alpha in levels], [c - alpha * (c - b) for alpha in levels]
+
+
+@given(data=st.data(), scale=st.sampled_from(ORACLE_SCALES),
+       terms=st.lists(st.tuples(st.sampled_from(sorted(TERMS)), eighths,
+                                st.sampled_from(["u", "lam"])), min_size=1, max_size=3),
+       consts=st.lists(eighths, max_size=2), lam0=triangles, hold_state=st.booleans(),
+       samples=st.lists(st.lists(triangles, min_size=2, max_size=2), min_size=1, max_size=3),
+       mode=st.sampled_from(list(StepMode)))
+@settings(max_examples=60, deadline=None)
+def test_linear_dsl_systems_match_their_exact_endpoint_march(data, scale, terms, consts, lam0,
+                                                            hold_state, samples, mode):
+    ts = parse_timescale_spec(scale)
+    points = ts.points.tolist()
+    inner = data.draw(st.lists(st.integers(1, len(points) - 2), unique=True, max_size=3))
+    switches = [0] + sorted(inner)
+    last = data.draw(st.integers(1, len(points) - 1))
+    # each switch time written as its 10-digit decimal names its stored point
+    switch_text = " ".join(f"{points[i]:.10g}" for i in switches)
+    rhs = " fadd ".join([TERMS[form][0].format(k=k, x=x) for form, k, x in terms]
+                        + [f"crisp({k})" for k in consts])
+    lam0_text = "tri({}, {}, {})".format(*lam0)
+    sections = {
+        "timescale": {"scale": scale},
+        "system": {"rhs": rhs, "lambda_0": lam0_text,
+                   "lambda_k": "u_k" if hold_state else lam0_text,
+                   "switch_times": switch_text, "u0": "crisp(0) | crisp(0)"},
+    }
+    sys = build_dsl_bundle(RunConfig(sections, Path("out"), ORACLE_GRID.m, None), ORACLE_GRID,
+                           points[last], 1e9).system
+    assert sys.switch_times == tuple(points[i] for i in switches)
+    states = [[f.make_triangle(*tri_, ORACLE_GRID) for tri_ in comps] for comps in samples]
+    stack = oracles.stack([f.vector(*comps) for comps in states])
+
+    def coefs(var):
+        return [(lambda mu, form=form, k=Fraction(k): TERMS[form][1](k, mu))
+                for form, k, x in terms if x == var]
+
+    segments, exact, gaps = oracles.linear_march(
+        points, switches, coefs("u"), coefs("lam"), sum(map(Fraction, consts)),
+        exact_cuts(*lam0), hold_state,
+        [[(u.lower.tolist(), u.upper.tolist()) for u in comps] for comps in states],
+        mode is StepMode.CONTRACTIVE, last)
+    # a step fails when its exact state is not a fuzzy number; none comes
+    # within rounding of the solver's tolerance
+    sizes = [[max(1.0, max(abs(float(v)) for comps in values[s] for cut in comps for v in cut))
+              for values in exact] for s in range(len(samples))]
+    sizes = [np.maximum.accumulate(size).tolist() for size in sizes]
+    fails = {}
+    for s, steps in enumerate(gaps):
+        for i, gap in enumerate(steps):
+            assume(gap == 0 or gap > 1e-9 * sizes[s][i + 1])
+            if gap:
+                fails[s] = i
+                break
+
+    def assert_matches(i, got, rows):
+        """The stack ``got`` at point i holds the exact states of ``rows``."""
+        assert got.lower.shape[0] == len(rows)
+        for j, s in enumerate(rows):
+            want = np.array([[[float(v) for v in cut] for cut in comps] for comps in exact[i][s]])
+            err = max(np.abs(got.lower[j] - want[:, 0]).max(),
+                      np.abs(got.upper[j] - want[:, 1]).max())
+            assert err <= ORACLE_BOUND * sizes[s][i], (i, s, err / sizes[s][i])
+
+    traj = solve(sys.replace(u0=stack), mode, horizon=points[last])
+    assert traj.segments == segments
+    assert {row: exc.t for row, exc in traj.failures.items()} == {
+        s: points[i] for s, i in fails.items()}
+    survivors = [s for s in range(len(samples)) if s not in fails]
+    assert traj.rows.tolist() == survivors
+    for i, got in enumerate(traj.values):
+        assert_matches(i, got, survivors)
+
+    # one sample alone, and the stack stepped by states until a sample fails
+    try:
+        single = solve(sys.replace(u0=stack.take(0)), mode, horizon=points[last])
+    except StepFailureError as exc:
+        assert exc.t == points[fails[0]]
+    else:
+        assert 0 not in fails
+        for i, got in enumerate(single.values):
+            assert_matches(i, oracles.stack([got]), [0])
+    seen = []
+    try:
+        for t, k, got in hybrid.states(sys.replace(u0=stack), mode, horizon=points[last]):
+            seen.append((t, k))
+            assert_matches(len(seen) - 1, got, range(len(samples)))
+    except StepFailureError as exc:
+        assert exc.t == points[min(fails.values())] and len(seen) == min(fails.values()) + 1
+    else:
+        assert not fails
+    assert seen == list(zip(points, segments))[:len(seen)]

@@ -60,8 +60,6 @@ def test_constructors_keep_their_checks():
         StabilityQuery(lam=3, A=2)
     with pytest.raises(ConfigError, match="unknown sampling family 'box'"):
         SamplingPlan(family="box")
-    with pytest.raises(InvalidShapeError, match="dense_threshold must be positive"):
-        f.TimeScale([0.0, 1.0], dense_threshold=0.0)
     with pytest.raises(InvalidShapeError, match="the first switch time must be the initial point"):
         SwitchSchedule(TS, (1.0,))
     with pytest.raises(f.NonRegressiveError, match="1 \\+ mu\\*q vanishes at t=0.0"):
@@ -98,10 +96,10 @@ def test_replace_builds_and_checks_a_new_record():
 
 
 def test_monotonicity_reports_compare_field_by_field():
-    report = MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [])
-    assert report == MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [])
-    assert report != MonotonicityReport(4, 2, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [])
-    assert report != MonotonicityReport(4, 1, (0.0, 1.0), [], [], [])
+    report = MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
+    assert report == MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
+    assert report != MonotonicityReport(4, 2, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
+    assert report != MonotonicityReport(4, 1, (0.0, 1.0), [], [], [], True)
     assert report != report.to_dict()
 
 

@@ -474,7 +474,7 @@ def test_condition_ii_evaluates_V_once_per_point(ts):
                                                                tri(-2, -1, 1))))]
     calls = []
     V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u))
-    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
+    report = _check_condition_ii(V, comp, stacks)
     assert report["checked_steps"] == 10 * 2 + 12 * 3
     assert len(calls) <= sum(len(traj) for _, _, traj in stacks)
 
@@ -816,7 +816,7 @@ def dsl_stacks(config):
 
 
 def assert_stacked_check_equals_per_sample_check(V, comp, stacks):
-    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
+    report = _check_condition_ii(V, comp, stacks)
     reference = condition_ii_per_sample(V, comp, stacks, tol=1e-9)
     assert report == reference
     assert json.dumps(report) == json.dumps(reference)  # also tells -0.0 from 0.0
@@ -929,8 +929,8 @@ def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
     calls = []
     V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u) * (1.0 + t))
     stacks = [("expansive", [0, 1], traj)]
-    report = _check_condition_ii(V, comp, stacks, tol=1e-9)
-    assert switch_times[1] in calls  # its own V call, not V at 4.0
+    report = _check_condition_ii(V, comp, stacks)
+    assert 4.0 in calls and switch_times[1] not in calls  # V at the stored point it names
     assert report == assert_stacked_check_equals_per_sample_check(V, comp, stacks)
     assert report["violations"]
 
@@ -1072,7 +1072,7 @@ def test_stacked_sandwich_and_lipschitz_equal_the_per_draw_loops(seed, family, n
     horizon = HYPOTHESIS_HORIZONS[seed % len(HYPOTHESIS_HORIZONS)]
     for check, reference, args in [
         (stability._check_sandwich, oracles.check_sandwich,
-         lambda rng: (V, kpair, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40, 1e-9)),
+         lambda rng: (V, kpair, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40)),
         (stability._check_lipschitz, oracles.check_lipschitz,
          lambda rng: (V, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40)),
     ]:
@@ -1115,6 +1115,22 @@ def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples, ho
     assert_same_report(got.to_dict(), want.to_dict())
 
 
+def test_lipschitz_check_that_calls_V_on_no_pair_does_not_pass():
+    # every drawn pair lies within 1e-12 of each other, so V is called on none
+    b = catalog.make_example_3_9(GRID, 10.0)
+    report = stability._check_lipschitz(b.lyapunov, b.system.ts, 10.0, GRID, 1, "triangular",
+                                        1e-13, draws.Stream(0, 1), 20)
+    assert report["estimated_constant"] == 0.0 and report["passed"] is False
+
+
+def test_monotonicity_check_that_draws_no_time_does_not_pass():
+    # with the horizon at the first point, no (t, r, v) draw checks g
+    b = catalog.make_example_3_9(GRID, 10.0)
+    report = cmp.check_monotonicity_hypothesis(b.comparison, samples=50, horizon=0.0)
+    assert report.g_mu_r_violations == report.g_v_violations == report.psi_violations == []
+    assert report.to_dict()["passed"] is False
+
+
 def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
     b = catalog.make_example_3_9(GRID, 10.0)
     calls = {"V": 0, "g": 0, "psi": 0, "checked states": 0}
@@ -1135,7 +1151,7 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
             calls[name] = 0
         rng = np.random.default_rng(samples)
         stability._check_sandwich(V, b.kpair, b.system.ts, 10.0, GRID, 1, "trapezoid", 2.0,
-                                  rng, samples, 1e-9)
+                                  rng, samples)
         assert calls["V"] == 1
         stability._check_lipschitz(V, b.system.ts, 10.0, GRID, 1, "trapezoid", 2.0, rng,
                                    samples)

@@ -104,7 +104,7 @@ def test_upper_dini_constant_zero():
 def test_upper_dini_absolute_value_at_origin():
     h = 1e-7
     pts = np.arange(-8, 9) * h  # symmetric dense sampling around 0
-    ts = f.explicit(pts, dense_threshold=1e-6)
+    ts = f.explicit(pts)
     assert ts.is_right_dense(0.0)
     assert ts.upper_dini(abs, 0.0) == pytest.approx(1.0, rel=1e-9)
 
