@@ -25,11 +25,6 @@ env = Env(scalars={"t": 3.0},
           ts=ts, grid=grid)
 print("rhs on crisp u=4, lam=2:", dsl.eval_fuzzy(rhs, env).crisp_value())
 
-# Pretty-printing round-trips to the identical tree:
-printed = dsl.to_source(rhs)
-print("printed:", printed)
-print("round-trips:", dsl.parse_fuzzy(printed) == rhs)
-
 # Errors carry positions and the tokens that would have been accepted:
 try:
     dsl.parse_scalar("(r +")

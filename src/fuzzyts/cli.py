@@ -13,6 +13,7 @@ preconditions and hypothesis gates that prevent testing).
 from __future__ import annotations
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -171,11 +172,14 @@ def _get_number(cfg: RunConfig, section: str, key: str, default=None, kind=float
     raw = _get(cfg, section, key)
     if raw is None:
         return default
+    what = "a finite number" if kind is float else "an integer"
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
-        what = "a number" if kind is float else "an integer"
         raise ConfigError(f"[{section}] {key} must be {what}: {raw!r}") from exc
+    if kind is float and not math.isfinite(value):  # float() reads inf and nan
+        raise ConfigError(f"[{section}] {key} must be {what}: {raw!r}")
+    return value
 
 
 def parse_u0(src: str, grid: AlphaGrid) -> FuzzyVector:

@@ -41,6 +41,7 @@ from .timescale import TimeScale
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*/(),"
+_DIGITS = frozenset("0123456789")  # a NUMBER's digits are ASCII only
 
 
 class Token(NamedTuple):
@@ -48,6 +49,12 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
+
+
+def _past_digits(src: str, i: int) -> int:
+    while i < len(src) and src[i] in _DIGITS:
+        i += 1
+    return i
 
 
 def tokenize(src: str) -> list[Token]:
@@ -70,22 +77,15 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < len(src) and src[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and src[i + 1:i + 2] in _DIGITS):
             start = i
-            while i < len(src) and src[i].isdigit():
-                i += 1
-            if i < len(src) and src[i] == ".":
-                i += 1
-                while i < len(src) and src[i].isdigit():
-                    i += 1
-            if i < len(src) and src[i] in "eE":
-                j = i + 1
-                if j < len(src) and src[j] in "+-":
-                    j += 1
-                if j < len(src) and src[j].isdigit():
-                    i = j
-                    while i < len(src) and src[i].isdigit():
-                        i += 1
+            i = _past_digits(src, i)
+            if src[i:i + 1] == ".":
+                i = _past_digits(src, i + 1)
+            if src[i:i + 1] in ("e", "E"):
+                j = i + 2 if src[i + 1:i + 2] in ("+", "-") else i + 1
+                if src[j:j + 1] in _DIGITS:
+                    i = _past_digits(src, j)
             text = src[start:i]
             tokens.append(Token("num", text, line, col))
             col += len(text)
@@ -211,35 +211,32 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
-                             expected=(kind,))
-        return self.advance()
-
     def fail(self, expected: tuple[str, ...]) -> "ParseError":
         tok = self.peek()
         return ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
                           expected=expected)
 
+    def expect(self, kind: str) -> Token:
+        if self.peek().kind != kind:
+            raise self.fail(expected=(kind,))
+        return self.advance()
+
+    def chain(self, ops: tuple[str, ...], operand, make):
+        """``operand``s joined by the operators ``ops``, associating left;
+        ``make(op, left, right, span=...)`` builds each node."""
+        node = operand()
+        while self.peek().text in ops:
+            op = self.advance()
+            node = make(op.text, node, operand(), span=(op.line, op.col))
+        return node
+
     # -- scalar grammar -----------------------------------------------------
 
     def scalar(self) -> ScalarExpr:
-        node = self.product()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.product()
-            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
-        return node
+        return self.chain(("+", "-"), self.product, BinOp)
 
     def product(self) -> ScalarExpr:
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            node = BinOp(op.kind, node, rhs, span=(op.line, op.col))
-        return node
+        return self.chain(("*", "/"), self.unary, BinOp)
 
     def unary(self) -> ScalarExpr:
         tok = self.peek()
@@ -261,13 +258,8 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if tok.text in SCALAR_FUNCS:
-                arity = SCALAR_FUNCS[tok.text]
-                args = self.call_args(self.scalar)
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{tok.text} takes {arity} argument(s), got {len(args)}",
-                        tok.line, tok.col)
-                return Call(tok.text, tuple(args), span=(tok.line, tok.col))
+                return Call(tok.text, self.call_args(tok, SCALAR_FUNCS[tok.text]),
+                            span=(tok.line, tok.col))
             if self.peek().kind == "(":
                 raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.col,
                                  expected=tuple(sorted(SCALAR_FUNCS)))
@@ -275,24 +267,29 @@ class _Parser:
             return Var(tok.text, span=(tok.line, tok.col))
         raise self.fail(expected=("num", "ident", "(", "-"))
 
-    def call_args(self, item) -> list:
+    def call_args(self, tok: Token, arity: int) -> tuple:
+        """The scalar arguments of the call named by ``tok``: ``arity`` of them."""
         self.expect("(")
-        args = [item()]
+        args = [self.scalar()]
         while self.peek().kind == ",":
             self.advance()
-            args.append(item())
+            args.append(self.scalar())
         self.expect(")")
-        return args
+        if len(args) != arity:
+            raise ParseError(f"{tok.text} takes {arity} argument(s), got {len(args)}",
+                             tok.line, tok.col)
+        return tuple(args)
 
     # -- fuzzy grammar ------------------------------------------------------
 
     def fuzzy_expr(self) -> FuzzyExpr:
-        node = self.fuzzy_atom()
-        while self.peek().kind == "ident" and self.peek().text == "fadd":
-            op = self.advance()
-            rhs = self.fuzzy_atom()
-            node = FAdd(node, rhs, span=(op.line, op.col))
-        return node
+        return self.chain(("fadd",), self.fuzzy_atom,
+                          lambda op, left, right, span: FAdd(left, right, span=span))
+
+    # the fuzzy operators written as calls: the node, and each argument's rule
+    OPERATORS = {"smul": (SMul, (scalar, fuzzy_expr)),
+                 "ghsub": (GHSub, (fuzzy_expr, fuzzy_expr)),
+                 "circminus": (CircMinus, (fuzzy_expr,))}
 
     def fuzzy_atom(self) -> FuzzyExpr:
         tok = self.peek()
@@ -304,48 +301,38 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if tok.text in FUZZY_LITS:
-                arity = FUZZY_LITS[tok.text]
-                args = self.call_args(self.scalar)
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{tok.text} takes {arity} argument(s), got {len(args)}",
-                        tok.line, tok.col)
-                return FuzzyLit(tok.text, tuple(args), span=(tok.line, tok.col))
-            if tok.text == "smul":
-                self.expect("(")
-                s = self.scalar()
-                self.expect(",")
-                f = self.fuzzy_expr()
+                return FuzzyLit(tok.text, self.call_args(tok, FUZZY_LITS[tok.text]),
+                                span=(tok.line, tok.col))
+            if tok.text in self.OPERATORS:
+                node, rules = self.OPERATORS[tok.text]
+                args = []
+                for i, rule in enumerate(rules):
+                    self.expect("," if i else "(")
+                    args.append(rule(self))
                 self.expect(")")
-                return SMul(s, f, span=(tok.line, tok.col))
-            if tok.text == "ghsub":
-                self.expect("(")
-                a = self.fuzzy_expr()
-                self.expect(",")
-                b = self.fuzzy_expr()
-                self.expect(")")
-                return GHSub(a, b, span=(tok.line, tok.col))
-            if tok.text == "circminus":
-                self.expect("(")
-                f = self.fuzzy_expr()
-                self.expect(")")
-                return CircMinus(f, span=(tok.line, tok.col))
+                return node(*args, span=(tok.line, tok.col))
             if tok.text in FUZZY_VARS:
                 self.fuzzy_names.add(tok.text)
                 return FuzzyVar(tok.text, span=(tok.line, tok.col))
             raise ParseError(f"unknown fuzzy term {tok.text!r}", tok.line, tok.col,
                              expected=tuple(sorted(FUZZY_VARS | set(FUZZY_LITS)
-                                                   | {"smul", "ghsub", "circminus"})))
+                                                   | set(self.OPERATORS))))
         raise self.fail(expected=("ident", "("))
+
+
+def _parse(src: str, rule) -> tuple[_Parser, ScalarExpr | FuzzyExpr]:
+    """The parser after ``rule`` has read all of ``src``, and the tree it built."""
+    if not src.strip():
+        raise ParseError("empty expression", 1, 1)
+    p = _Parser(src)
+    node = rule(p)
+    p.expect("eof")
+    return p, node
 
 
 def parse_scalar(src: str, variables: set[str] | None = None) -> ScalarExpr:
     """Parse a scalar expression; optionally restrict its free variables."""
-    if not src.strip():
-        raise ParseError("empty expression", 1, 1)
-    p = _Parser(src)
-    node = p.scalar()
-    p.expect("eof")
+    p, node = _parse(src, _Parser.scalar)
     _check_vars(p.scalar_names, variables)
     return node
 
@@ -353,11 +340,7 @@ def parse_scalar(src: str, variables: set[str] | None = None) -> ScalarExpr:
 def parse_fuzzy(src: str, variables: set[str] | None = None,
                 scalar_variables: set[str] | None = None) -> FuzzyExpr:
     """Parse a fuzzy expression; optionally restrict its free variables."""
-    if not src.strip():
-        raise ParseError("empty expression", 1, 1)
-    p = _Parser(src)
-    node = p.fuzzy_expr()
-    p.expect("eof")
+    p, node = _parse(src, _Parser.fuzzy_expr)
     _check_vars(p.fuzzy_names, variables)
     _check_vars(p.scalar_names, scalar_variables)
     return node
@@ -376,54 +359,6 @@ def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
         raise ParseError(
             f"variable(s) {sorted(stray)} not allowed here (allowed: {sorted(allowed)})",
             1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trips through the parser to an identical tree)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_source(e) -> str:
-    return _print_scalar(e, 0) if isinstance(e, ScalarExpr) else _print_fuzzy(e)
-
-
-def _print_scalar(e: ScalarExpr, parent_prec: int) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _print_scalar(e.operand, 3)
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(_print_scalar(a, 0) for a in e.args)})"
-    prec = _PREC[e.op]
-    left = _print_scalar(e.left, prec - 1)
-    # the right operand of - and / must re-parenthesize equal precedence
-    right = _print_scalar(e.right, prec)
-    text = f"{left} {e.op} {right}"
-    return f"({text})" if prec <= parent_prec else text
-
-
-def _print_fuzzy(e: FuzzyExpr) -> str:
-    if isinstance(e, FuzzyVar):
-        return e.name
-    if isinstance(e, FuzzyLit):
-        return f"{e.kind}({', '.join(_print_scalar(a, 0) for a in e.args)})"
-    if isinstance(e, FAdd):
-        left = _print_fuzzy(e.left)
-        right = _print_fuzzy(e.right)
-        if isinstance(e.right, FAdd):
-            right = f"({right})"
-        return f"{left} fadd {right}"
-    if isinstance(e, SMul):
-        return f"smul({_print_scalar(e.scalar, 0)}, {_print_fuzzy(e.operand)})"
-    if isinstance(e, GHSub):
-        return f"ghsub({_print_fuzzy(e.left)}, {_print_fuzzy(e.right)})"
-    if isinstance(e, CircMinus):
-        return f"circminus({_print_fuzzy(e.operand)})"
-    raise TypeError(f"not a fuzzy expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +473,9 @@ def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
             except FuzzyTSError as exc:
                 raise EvalError(str(exc), span) from exc
         return literal
-    if isinstance(e, CircMinus):
-        if ts is None:
-            return _fail("no time-scale context for mu/sigma/eta", span)
-        slot = slots.get("t")
-        if slot is None:
-            return _fail("unbound variable 't'", span)
-        operand = sub(e.operand)
-
-        def circminus(x):
-            try:
-                mu = ts.mu(x[slot])
-            except (NoSuccessorError, UnknownPointError) as exc:
-                raise EvalError(str(exc), span) from exc
-            return fuzzy.scale(-1.0 / (1.0 + mu), operand(x))
-        return circminus
+    if isinstance(e, CircMinus):  # smul(-eta(t), operand), at this node's span
+        eta = Call("eta", (Var("t", span=span),), span=span)
+        return sub(SMul(Neg(eta, span=span), e.operand, span=span))
     if e.func in ("mu", "sigma", "eta"):
         if ts is None:
             return _fail("no time-scale context for mu/sigma/eta", span)

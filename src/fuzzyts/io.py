@@ -6,12 +6,14 @@ loader reconstructs exactly the in-memory values.
 Rows are written as formatted strings with CRLF ends, as the csv module
 writes them: every field is a number, so no field ever needs quoting.
 A CSV is written as its rows come (a trajectory streamed from the solver is
-never held whole) to ``<name>.part``, renamed onto ``<name>`` once complete,
-so a run that fails leaves no partial file.
+never held whole), and every artifact, CSV or JSON, goes to ``<name>.part``,
+renamed onto ``<name>`` once complete, so a run that fails leaves no partial
+file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -39,21 +41,26 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FORMAT)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> int:
-    """``header``, then each string of ``rows`` (one or more whole rows) in one
-    write, to ``<name>.part`` (see above); returns the count of strings."""
+def _write_part(path: Path, head: str, chunks=()) -> int:
+    """``head``, then each string of ``chunks`` in one write, to ``<name>.part``
+    (see above); returns the count of chunks."""
     part = Path(f"{path}.part")
     count = 0
     try:
         with open(part, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for count, row in enumerate(rows, 1):
-                fh.write(row)
+            fh.write(head)
+            for count, chunk in enumerate(chunks, 1):
+                fh.write(chunk)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
     return count
+
+
+def _write_rows(path: Path, header: list[str], rows) -> int:
+    """``header``, then each string of ``rows`` (one or more whole rows)."""
+    return _write_part(path, ",".join(header) + "\r\n", rows)
 
 
 def _state_rows(points):
@@ -114,7 +121,8 @@ def write_derivative_csv(path: Path, entries) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline;
+    written as it is encoded, as ``json.dump`` writes.  A value JSON cannot
+    hold (a nan, say) raises, and leaves no file."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(payload)
+    _write_part(path, "", itertools.chain(chunks, ("\n",)))

@@ -148,15 +148,6 @@ class BoundReport:
     def holds(self) -> bool:
         return self.precondition_ok and not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "precondition_ok": self.precondition_ok,
-            "checked_points": self.checked_points,
-            "violations": [list(v) for v in self.violations[:10]],
-            "max_excess": self.max_excess,
-            "holds": self.holds,
-        }
-
 
 def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
                             scalar_traj: ScalarTrajectory, tol: float = 1e-9) -> BoundReport:

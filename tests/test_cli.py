@@ -508,6 +508,25 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, seed):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("stability", test_golden.CATALOG_STABILITY.replace("horizon = 20", "horizon = 20\nrho = inf"),
+     (), "[system] rho must be a finite number: 'inf'"),
+    ("stability", test_golden.CATALOG_STABILITY.replace("A = 2", "A = 2\nB = nan\nT0 = 1"),
+     (), "[stability] b must be a finite number: 'nan'"),
+    ("compare", test_golden.CATALOG_COMPARE + "\n[comparison]\nr0 = inf\n",
+     (), "[comparison] r0 must be a finite number: 'inf'"),
+    ("stability", test_golden.CATALOG_STABILITY.replace("lambda = 1", "lambda = 1e999"),
+     (), "[stability] lambda must be a finite number: '1e999'"),
+    ("stability", test_golden.CATALOG_STABILITY,
+     ("--horizon", "inf"), "[system] horizon must be a finite number: 'inf'"),
+], ids=["rho", "B", "r0", "lambda", "horizon"])
+def test_a_non_finite_config_number_exits_2(tmp_path, capsys, command, config, flags, message):
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    assert run(command, "--config", cfg, *flags, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("new, message", [
     ("samplez = 999\nrho = 5", "unknown config key [stability] samplez"),
     ("rho = 5", "unknown config key [stability] rho"),
@@ -630,6 +649,21 @@ def test_eval_precedence(capsys):
 def test_eval_syntax_error_exit_2(capsys):
     assert run("eval", "(r+") == 2
     assert "column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["2\u00b2", "\u0663"])  # a superscript 2, an Arabic-Indic 3
+def test_eval_reads_only_ascii_digits(capsys, expr):
+    assert run("eval", expr) == 2
+    assert capsys.readouterr().err == \
+        f"error: unexpected character {expr[-1]!r} at line 1, column {len(expr)}\n"
+
+
+def test_a_superscript_digit_in_a_config_expression_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg",
+                    test_golden.DSL_STABILITY.replace("psi = v", "psi = v * 1\u00b2"))
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "error: unexpected character '\u00b2' at line 1, column 6\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_division_by_zero_exits_2_with_its_span(capsys):

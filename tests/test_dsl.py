@@ -183,7 +183,7 @@ def test_fuzzy_parse_rejections():
 
 
 # ---------------------------------------------------------------------------
-# printing round trips
+# pinned trees and parse errors
 # ---------------------------------------------------------------------------
 
 SCALAR_CORPUS = [
@@ -209,17 +209,156 @@ FUZZY_CORPUS = [
     "smul(-(1/2), tri(-1,0,1))",
 ]
 
+# source -> (tree repr, every node's span in pre-order)
+PINNED_TREES = {
+    "1+2*3": (
+        "BinOp(op='+', left=Num(value=1.0), right=BinOp(op='*', left=Num(value=2.0), "
+        "right=Num(value=3.0)))",
+        [(1, 2), (1, 1), (1, 4), (1, 3), (1, 5)]),
+    "(r+v)/2": (
+        "BinOp(op='/', left=BinOp(op='+', left=Var(name='r'), right=Var(name='v')), "
+        "right=Num(value=2.0))",
+        [(1, 6), (1, 3), (1, 2), (1, 4), (1, 7)]),
+    "-(t+1)*2": (
+        "BinOp(op='*', left=Neg(operand=BinOp(op='+', left=Var(name='t'), "
+        "right=Num(value=1.0))), right=Num(value=2.0))",
+        [(1, 7), (1, 1), (1, 4), (1, 3), (1, 5), (1, 8)]),
+    "1-2-3": (
+        "BinOp(op='-', left=BinOp(op='-', left=Num(value=1.0), right=Num(value=2.0)), "
+        "right=Num(value=3.0))",
+        [(1, 4), (1, 2), (1, 1), (1, 3), (1, 5)]),
+    "6/2/3": (
+        "BinOp(op='/', left=BinOp(op='/', left=Num(value=6.0), right=Num(value=2.0)), "
+        "right=Num(value=3.0))",
+        [(1, 4), (1, 2), (1, 1), (1, 3), (1, 5)]),
+    "min(t, max(r, v)) + abs(-2)": (
+        "BinOp(op='+', left=Call(func='min', args=(Var(name='t'), Call(func='max', "
+        "args=(Var(name='r'), Var(name='v'))))), right=Call(func='abs', "
+        "args=(Neg(operand=Num(value=2.0)),)))",
+        [(1, 19), (1, 1), (1, 5), (1, 8), (1, 12), (1, 15), (1, 21), (1, 25), (1, 26)]),
+    "pow(2, t) - eta(t)": (
+        "BinOp(op='-', left=Call(func='pow', args=(Num(value=2.0), Var(name='t'))), "
+        "right=Call(func='eta', args=(Var(name='t'),)))",
+        [(1, 11), (1, 1), (1, 5), (1, 8), (1, 13), (1, 17)]),
+    "(w + w_k)/(1 + mu(t))": (
+        "BinOp(op='/', left=BinOp(op='+', left=Var(name='w'), right=Var(name='w_k')), "
+        "right=BinOp(op='+', left=Num(value=1.0), right=Call(func='mu', "
+        "args=(Var(name='t'),))))",
+        [(1, 10), (1, 4), (1, 2), (1, 6), (1, 14), (1, 12), (1, 16), (1, 19)]),
+    "1.5e2 + .25": (
+        "BinOp(op='+', left=Num(value=150.0), right=Num(value=0.25))",
+        [(1, 7), (1, 1), (1, 9)]),
+    "-x": (
+        "Neg(operand=Var(name='x'))",
+        [(1, 1), (1, 2)]),
+    "tri(-1,0,1)": (
+        "FuzzyLit(kind='tri', args=(Neg(operand=Num(value=1.0)), Num(value=0.0), "
+        "Num(value=1.0)))",
+        [(1, 1), (1, 5), (1, 6), (1, 8), (1, 10)]),
+    "trap(0, 1, 2, 4)": (
+        "FuzzyLit(kind='trap', args=(Num(value=0.0), Num(value=1.0), Num(value=2.0), "
+        "Num(value=4.0)))",
+        [(1, 1), (1, 6), (1, 9), (1, 12), (1, 15)]),
+    "crisp(2.5)": (
+        "FuzzyLit(kind='crisp', args=(Num(value=2.5),))",
+        [(1, 1), (1, 7)]),
+    "circminus(u) fadd smul(eta(t), lam)": (
+        "FAdd(left=CircMinus(operand=FuzzyVar(name='u')), right=SMul(scalar=Call(func='eta', "
+        "args=(Var(name='t'),)), operand=FuzzyVar(name='lam')))",
+        [(1, 14), (1, 1), (1, 11), (1, 19), (1, 24), (1, 28), (1, 32)]),
+    "ghsub(u, smul(2, u_k))": (
+        "GHSub(left=FuzzyVar(name='u'), right=SMul(scalar=Num(value=2.0), "
+        "operand=FuzzyVar(name='u_k')))",
+        [(1, 1), (1, 7), (1, 10), (1, 15), (1, 18)]),
+    "u fadd u_k fadd lam": (
+        "FAdd(left=FAdd(left=FuzzyVar(name='u'), right=FuzzyVar(name='u_k')), "
+        "right=FuzzyVar(name='lam'))",
+        [(1, 12), (1, 3), (1, 1), (1, 8), (1, 17)]),
+    "smul(-(1/2), tri(-1,0,1))": (
+        "SMul(scalar=Neg(operand=BinOp(op='/', left=Num(value=1.0), right=Num(value=2.0))), "
+        "operand=FuzzyLit(kind='tri', args=(Neg(operand=Num(value=1.0)), Num(value=0.0), "
+        "Num(value=1.0))))",
+        [(1, 1), (1, 6), (1, 9), (1, 8), (1, 10), (1, 14), (1, 18), (1, 19), (1, 21), (1, 23)]),
+}
+
+
+def spans(node):
+    """Every node's span, in pre-order."""
+    found = [node.span]
+    for value in node._values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (dsl.ScalarExpr, dsl.FuzzyExpr)):
+                found += spans(child)
+    return found
+
 
 @pytest.mark.parametrize("src", SCALAR_CORPUS)
-def test_scalar_round_trip(src):
+def test_scalar_parses_to_pinned_tree(src):
     ast = dsl.parse_scalar(src)
-    assert dsl.parse_scalar(dsl.to_source(ast)) == ast
+    assert (repr(ast), spans(ast)) == PINNED_TREES[src]
 
 
 @pytest.mark.parametrize("src", FUZZY_CORPUS)
-def test_fuzzy_round_trip(src):
+def test_fuzzy_parses_to_pinned_tree(src):
     ast = dsl.parse_fuzzy(src)
-    assert dsl.parse_fuzzy(dsl.to_source(ast)) == ast
+    assert (repr(ast), spans(ast)) == PINNED_TREES[src]
+
+
+# (grammar, source, message, line, column, expected)
+PINNED_PARSE_ERRORS = [
+    ("fuzzy", "smul(1)", "unexpected ) ')' at line 1, column 7 (expected ,)", 1, 7, (",",)),
+    ("fuzzy", "smul(1, u", "unexpected eof '' at line 1, column 10 (expected ))", 1, 10, (")",)),
+    ("fuzzy", "smul u", "unexpected ident 'u' at line 1, column 6 (expected ()", 1, 6, ("(",)),
+    ("fuzzy", "smul(1,", "unexpected eof '' at line 1, column 8 (expected ident, ()", 1, 8,
+     ("ident", "(")),
+    ("fuzzy", "smul(u, 2)", "unexpected num '2' at line 1, column 9 (expected ident, ()", 1, 9,
+     ("ident", "(")),
+    ("fuzzy", "ghsub(u)", "unexpected ) ')' at line 1, column 8 (expected ,)", 1, 8, (",",)),
+    ("fuzzy", "ghsub(u, u, u)", "unexpected , ',' at line 1, column 11 (expected ))", 1, 11,
+     (")",)),
+    ("fuzzy", "ghsub(u u)", "unexpected ident 'u' at line 1, column 9 (expected ,)", 1, 9, (",",)),
+    ("fuzzy", "ghsub(, u)", "unexpected , ',' at line 1, column 7 (expected ident, ()", 1, 7,
+     ("ident", "(")),
+    ("fuzzy", "circminus()", "unexpected ) ')' at line 1, column 11 (expected ident, ()", 1, 11,
+     ("ident", "(")),
+    ("fuzzy", "circminus(u, u)", "unexpected , ',' at line 1, column 12 (expected ))", 1, 12,
+     (")",)),
+    ("fuzzy", "circminus(u", "unexpected eof '' at line 1, column 12 (expected ))", 1, 12, (")",)),
+    ("fuzzy", "circminus", "unexpected eof '' at line 1, column 10 (expected ()", 1, 10, ("(",)),
+    ("fuzzy", "tri(1,2)", "tri takes 3 argument(s), got 2 at line 1, column 1", 1, 1, ()),
+    ("fuzzy", "tri(1,2,3", "unexpected eof '' at line 1, column 10 (expected ))", 1, 10, (")",)),
+    ("fuzzy", "unknown(u)", "unknown fuzzy term 'unknown' at line 1, column 1 (expected circminus, "
+     "crisp, ghsub, lam, smul, trap, tri, u, u_k)", 1, 1,
+     ("circminus", "crisp", "ghsub", "lam", "smul", "trap", "tri", "u", "u_k")),
+    ("fuzzy", "u fadd", "unexpected eof '' at line 1, column 7 (expected ident, ()", 1, 7,
+     ("ident", "(")),
+    ("fuzzy", "u ghsub u", "unexpected ident 'ghsub' at line 1, column 3 (expected eof)", 1, 3,
+     ("eof",)),
+    ("fuzzy", "(u", "unexpected eof '' at line 1, column 3 (expected ))", 1, 3, (")",)),
+    ("fuzzy", "  \n ", "empty expression at line 1, column 1", 1, 1, ()),
+    ("fuzzy", "u $", "unexpected character '$' at line 1, column 3", 1, 3, ()),
+    ("scalar", "min(1)", "min takes 2 argument(s), got 1 at line 1, column 1", 1, 1, ()),
+    ("scalar", "pow(1,2,3)", "pow takes 2 argument(s), got 3 at line 1, column 1", 1, 1, ()),
+    ("scalar", "1 2", "unexpected num '2' at line 1, column 3 (expected eof)", 1, 3, ("eof",)),
+    ("scalar", "(r+", "unexpected eof '' at line 1, column 4 (expected num, ident, (, -)", 1, 4,
+     ("num", "ident", "(", "-")),
+    ("scalar", "1 +\n* 2", "unexpected * '*' at line 2, column 1 (expected num, ident, (, -)", 2, 1,
+     ("num", "ident", "(", "-")),
+    ("scalar", "foo(1)", "unknown function 'foo' at line 1, column 1 (expected abs, eta, max, min, "
+     "mu, pow, sigma)", 1, 1, ("abs", "eta", "max", "min", "mu", "pow", "sigma")),
+    ("scalar", "sigma t", "unexpected ident 't' at line 1, column 7 (expected ()", 1, 7, ("(",)),
+    ("scalar", "1 )", "unexpected ) ')' at line 1, column 3 (expected eof)", 1, 3, ("eof",)),
+    ("scalar", "", "empty expression at line 1, column 1", 1, 1, ()),
+]
+
+
+@pytest.mark.parametrize("grammar, src, message, line, col, expected", PINNED_PARSE_ERRORS)
+def test_parse_errors_are_pinned(grammar, src, message, line, col, expected):
+    with pytest.raises(ParseError) as err:
+        getattr(dsl, f"parse_{grammar}")(src)
+    got = err.value
+    assert (type(got), str(got), got.line, got.col, got.expected) == \
+        (ParseError, message, line, col, expected)
 
 
 def test_nodes_compare_and_hash_by_fields_not_span():

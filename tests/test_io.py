@@ -212,3 +212,15 @@ def test_writer_leaves_no_file_when_its_points_raise(tmp_path):
     with pytest.raises(RuntimeError, match="step failed"):
         ftio.write_trajectory_csv(tmp_path / "trajectory.csv", failing())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_json_writer_leaves_no_file_when_the_payload_holds_nan(tmp_path):
+    path = tmp_path / "verdict.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ftio.write_json(path, {"a": 1.0, "rho": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+    ftio.write_json(path, {"rho": 1.0})  # an earlier file is kept as it was
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ftio.write_json(path, {"rho": float("inf")})
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
