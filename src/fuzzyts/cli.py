@@ -170,8 +170,10 @@ def _require(cfg: RunConfig, section: str, key: str) -> str:
 
 def _get_number(cfg: RunConfig, section: str, key: str, default=None, kind=float):
     raw = _get(cfg, section, key)
-    if raw is None:
-        return default
+    return default if raw is None else _number(section, key, raw, kind)
+
+
+def _number(section: str, key: str, raw: str, kind=float):
     what = "a finite number" if kind is float else "an integer"
     try:
         value = kind(raw)
@@ -248,7 +250,7 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     ts = parse_timescale_spec(_require(cfg, "timescale", "scale"))
     u0 = parse_u0(_require(cfg, "system", "u0"), grid)
     switch_src = _get(cfg, "system", "switch_times", str(float(ts.points[0])))
-    switch_times = tuple(float(x) for x in switch_src.split())
+    switch_times = tuple(_number("system", "switch_times", x) for x in switch_src.split())
 
     # Each expression is parsed and compiled once, into a function of its
     # variables' values in the order listed.

@@ -7,14 +7,11 @@ non-existence is reported as a ``None`` return rather than an exception.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import fuzzy
 from .errors import (
     GHDifferenceError,
     NoSuccessorError,
     Record,
-    StepFailureError,
     VerificationInconclusive,
 )
 from .fuzzy import FuzzyVector
@@ -31,18 +28,12 @@ class FuzzyTrajectory(Record):
     ``values[i]`` is the state at ``ts.points[i]``; a trajectory may stop
     before the end of the scale (solvers fill it up to their horizon).
     ``segments`` is attached by the hybrid solver.
-
-    A solution from a stack of initial states holds stacks: ``rows`` names
-    the rows of that initial stack that reached the horizon, and
-    ``failures`` (by default a fresh empty dict) maps every other row to
-    the StepFailureError it stopped at.
     """
 
-    __slots__ = _fields = ("ts", "values", "segments", "rows", "failures")
+    __slots__ = _fields = ("ts", "values", "segments")
 
     def __init__(self, ts: TimeScale, values: list[FuzzyVector],
-                 segments: list[int] | None = None, rows: np.ndarray | None = None,
-                 failures: dict[int, StepFailureError] | None = None):
+                 segments: list[int] | None = None):
         if not values:
             raise ValueError("trajectory needs at least one value")
         if len(values) > len(ts):
@@ -51,8 +42,7 @@ class FuzzyTrajectory(Record):
         for v in values[1:]:
             if v.n != first.n or not v.grid.matches(first.grid):
                 raise ValueError("trajectory values must share grid and dimension")
-        self.ts, self.values, self.segments, self.rows = ts, values, segments, rows
-        self.failures = {} if failures is None else failures
+        self.ts, self.values, self.segments = ts, values, segments
 
     def __len__(self) -> int:
         return len(self.values)

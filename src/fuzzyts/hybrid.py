@@ -123,30 +123,17 @@ def states(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     return ((t, k, u) for t, (k, u) in zip(sys.ts.points.tolist(), march))
 
 
-def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
-          horizon: float | None = None) -> FuzzyTrajectory:
-    """Integrate the system forward to the horizon (a stored point).
-
-    Returns a trajectory carrying the segment index of every point.
-    Raises StepFailureError when a contractive step has no valid state or
-    the right-hand side or a switch map produces an invalid value.
-
-    A stacked ``u0`` is stepped as one stack.  When a stacked step fails,
-    the failing kernel's error names the failed samples, each with the error
-    its own step raises (see ``fuzzy``): they leave the stack, their
-    StepFailureErrors kept in the trajectory's ``failures`` under their rows
-    of ``u0``, and the step is re-run on the others as one stack.  A step
-    whose error names no samples of the stack raises its StepFailureError.
-    The trajectory holds the stacks of the rows that reach the horizon (its
-    ``rows``), each row equal to the solution of that sample on its own.
-    """
-    if sys.u0.samples is None:
-        _, segments, values = zip(*states(sys, mode, horizon))
-        return FuzzyTrajectory(sys.ts, list(values), segments=list(segments))
-
+def stacked_states(sys: HybridFuzzySystem, mode: StepMode, horizon: float | None,
+                   failures: dict[int, StepFailureError]) -> Iterator[tuple]:
+    """``(t, segment, rows, stack)`` per point of a stacked ``u0`` up to the
+    horizon, each step taken only when its point is asked for; ``rows`` are
+    the rows of ``u0`` in the stack there.  A failed step's kernel error names
+    the failed samples, each with its own step's error (see ``fuzzy``): they
+    leave, their StepFailureErrors put in ``failures`` under their rows of
+    ``u0`` as they fail, and the step is re-run on the others as one stack.
+    A step whose error names no samples of the stack raises."""
     failed, freeze, advance = _steps(sys, mode)
-    live = [np.arange(sys.u0.samples)]  # rows of u0 in the stack at each point
-    failures: dict[int, StepFailureError] = {}
+    rows = np.arange(sys.u0.samples)
 
     def freeze_stack(k: int, u: FuzzyVector):
         # frozen by the segment's first step on the samples that take it, so
@@ -154,11 +141,10 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
         return lambda stack: freeze(k, stack)
 
     def advance_stack(t: float, mu: float, u: FuzzyVector, lam):
-        rows = live[-1]
+        nonlocal rows
         while u.samples:  # an emptied stack idles
             try:
-                u, lam = advance(t, mu, u, lam(u) if callable(lam) else lam)
-                break
+                return advance(t, mu, u, lam(u) if callable(lam) else lam)
             except StepFailureError as exc:
                 errors = getattr(exc.__cause__, "rows", None)
                 if not errors or max(errors) >= u.samples:  # the stack was rejected as a whole
@@ -168,16 +154,34 @@ def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
             kept = [j for j in range(u.samples) if j not in errors]
             rows, u = rows[kept], u.take(kept)
             lam = lam if callable(lam) or lam.samples is None else lam.take(kept)
-        live.append(rows)
         return u, lam
 
-    segments, values = zip(*sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack))
-    rows = live[-1]
-    if failures:  # keep the rows that reached the horizon
-        values = [v if r is rows else v.take(np.searchsorted(r, rows))
-                  for v, r in zip(values, live)]
-    return FuzzyTrajectory(sys.ts, list(values), segments=list(segments),
-                           rows=rows, failures=failures)
+    march = sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack)
+    return ((t, k, rows, u) for t, (k, u) in zip(sys.ts.points.tolist(), march))
+
+
+def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
+          horizon: float | None = None, read: Callable | None = None,
+          failures: dict[int, StepFailureError] | None = None) -> FuzzyTrajectory | list:
+    """Integrate the system forward to the horizon (a stored point).
+
+    For one initial state, returns a trajectory carrying the segment index
+    of every point.
+    Raises StepFailureError when a contractive step has no valid state or
+    the right-hand side or a switch map produces an invalid value.
+
+    A stacked ``u0`` is marched by ``stacked_states``, which puts each failed
+    row's StepFailureError in ``failures``, and no stack is kept: each point's
+    stack goes to ``read(t, stack)`` as it is made, and the solve returns
+    ``(rows, what read returned)`` per point while a row is live.
+    """
+    if sys.u0.samples is None:
+        _, segments, values = zip(*states(sys, mode, horizon))
+        return FuzzyTrajectory(sys.ts, list(values), segments=list(segments))
+    if read is None or failures is None:
+        raise TypeError("a stacked u0 needs read and failures")
+    march = stacked_states(sys, mode, horizon, failures)
+    return [(rows, read(t, u)) for t, _, rows, u in march if rows.size]
 
 
 def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,

@@ -391,30 +391,26 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGr
     }
 
 
-# V, g and psi on arrays overflow as silently as on one sample's floats
+# g and psi on arrays overflow as silently as on one sample's floats
 @np.errstate(over="ignore", invalid="ignore")
-def _check_condition_ii(V: LyapunovFn, comp: ScalarHybridSystem,
-                        stacks: Sequence[tuple[str, list[int], FuzzyTrajectory]]) -> dict:
-    """Differential inequality along each sampled trajectory (on comp's time
-    scale); V, g and psi get one ``(S,)`` array per point of a mode's stack."""
+def _check_condition_ii(comp: ScalarHybridSystem, stacks: Sequence[tuple]) -> dict:
+    """Differential inequality along each sampled trajectory, on comp's time
+    scale, from the ``(points, samples)`` V values of each mode's stack (see
+    ``_simulate_direct``); g and psi get one ``(S,)`` array per point."""
     worst = math.inf
     violations = []
     checked = 0
-    for mode, sample_ids, traj in stacks:
-        times = traj.times.tolist()
+    for mode, sample_ids, _, v in stacks:
+        times = comp.ts.points[:len(v)].tolist()
         if not sample_ids or len(times) < 2:
             continue
-        # V at every point, once; the Dini estimate looks its rows up by time.
-        v = np.empty((len(times), len(sample_ids)))
-        for i, (t, u) in enumerate(zip(times, traj.values)):
-            v[i] = V(t, u)
-        v_at = dict(zip(times, v))
+        v_at = dict(zip(times, v))  # the Dini estimate looks V's rows up by time
         held = {}  # segment k -> psi_k(V at its switch time)
         lhs, rhs = np.empty((2, len(times) - 1, len(sample_ids)))
         for i, (t, k) in enumerate(zip(times[:-1], comp.schedule.segments.tolist())):
             if k not in held:
                 held[k] = comp.psi[k](v_at[comp.switch_times[k]])
-            lhs[i] = traj.ts.upper_dini(v_at.__getitem__, t, horizon=traj.horizon)
+            lhs[i] = comp.ts.upper_dini(v_at.__getitem__, t, horizon=times[-1])
             rhs[i] = comp.g(t, v[i], held[k])
         margin = (rhs - lhs).T  # (samples, points), in listing order
         worst = min(worst, _first_min(margin))
@@ -492,19 +488,20 @@ def _comparison_route(comp: ScalarHybridSystem, kpair: ClassKPair, q: StabilityQ
 # Direct route and the full checker
 # ---------------------------------------------------------------------------
 
-def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
+def _simulate_direct(sys: HybridFuzzySystem, V: LyapunovFn, q: StabilityQuery, horizon: float,
                      modes: tuple[StepMode, ...]):
-    """One stacked solution per mode of every direct-route initial state.
+    """One stacked solve per mode of every direct-route initial state, which
+    reads each point's stack as it is made: each sample's distance to zero
+    and V value are kept, not its states.
 
-    Sample id -1 is the deterministic boundary probe; nonnegative ids are
-    seeded Monte-Carlo draws with premise distance uniform in (0, lambda).
-    A shrunken interior copy of the probe rides along as the batch's last
-    row and is never a sample.  Returns (mode, surviving sample ids, stacked
-    trajectory) per mode, the skipped samples (contractive failures are
-    recorded and skipped, not treated as verdicts) and, per mode, the
-    shrunken copy's distance to zero at every point, or None when its solve
-    failed.
-    """
+    Batch row 0 is the deterministic boundary probe, sample -1; row i + 1 is
+    seeded Monte-Carlo draw i, with premise distance uniform in (0, lambda);
+    the last row, a shrunken interior copy of the probe, is never a sample.
+    Returns (mode, surviving sample ids, distances, V values) per mode, the
+    last two ``(points, samples)`` arrays; the skipped samples (contractive
+    failures are recorded and skipped, not treated as verdicts); per mode,
+    the shrunken copy's distance to zero at every point, or None when its
+    march failed; and the batch."""
     grid = sys.u0.grid
     n = sys.u0.n
     plan = q.sampling
@@ -515,7 +512,6 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
     shrunk_row = plan.count + 1
     batch = FuzzyVector.from_arrays(grid, np.concatenate(([probe.lower], lower, [shrunk.lower])),
                                     np.concatenate(([probe.upper], upper, [shrunk.upper])))
-    sample_ids = np.arange(-1, plan.count)
     try:
         system = sys.replace(u0=batch)
     except InvalidShapeError as exc:
@@ -525,38 +521,46 @@ def _simulate_direct(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
             f"sampled initial state (distance {distance[first]:g}) lies "
             f"outside the validity ball of radius {sys.rho:g}") from exc
 
+    def read(t, u):
+        with np.errstate(over="ignore", invalid="ignore"):  # V as on one sample's floats
+            return fuzzy.norm(u), V(t, u)
+
     stacks = []
     skipped = []
     shrunk_distance = []
     for mode in modes:
-        traj = hybrid.solve(system, mode=mode, horizon=horizon)
-        inner = None
-        if traj.failures.pop(shrunk_row, None) is None:  # it reached the horizon: strip its row
-            inner = np.array([fuzzy.norm(v.take(-1)) for v in traj.values])
-            traj = traj.replace(values=[v.take(slice(-1)) for v in traj.values],
-                                rows=traj.rows[:-1])
-        skipped += [{"mode": mode.value, "sample": int(sample_ids[row]), "t": traj.failures[row].t}
-                    for row in sorted(traj.failures)]
-        stacks.append((mode.value, sample_ids[traj.rows].tolist(), traj))
+        failures = {}
+        march = hybrid.solve(system, mode, horizon, read, failures)
+        distance, v = np.empty((2, len(march), shrunk_row + 1))  # entries of failed rows unread
+        for i, (rows, (d, vi)) in enumerate(march):
+            distance[i, rows], v[i, rows] = d, vi
+        # the shrunken copy's distances, if it reached the horizon
+        inner = distance[:, shrunk_row] if failures.pop(shrunk_row, None) is None else None
+        rows = np.array([row for row in range(shrunk_row) if row not in failures], dtype=int)
+        keep = rows if failures else slice(-1)  # the rows that reached the horizon
+        distance, v = distance[:, keep], v[:, keep]
+        skipped += [{"mode": mode.value, "sample": row - 1, "t": failures[row].t}
+                    for row in sorted(failures)]
+        stacks.append((mode.value, (rows - 1).tolist(), distance, v))
         shrunk_distance.append(inner)
-    return stacks, skipped, shrunk_distance
+    return stacks, skipped, shrunk_distance, batch
 
 
-def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
+def _direct_route(sys: HybridFuzzySystem, V: LyapunovFn, q: StabilityQuery, horizon: float,
                   modes: tuple[StepMode, ...]):
     """Monte-Carlo test of the practical-stability definitions."""
-    stacks, skipped, shrunk_distance = _simulate_direct(sys, q, horizon, modes)
+    stacks, skipped, shrunk_distance, batch = _simulate_direct(sys, V, q, horizon, modes)
     t0 = float(sys.ts.points[0])
-    # property -> (sort key, value, bound, u0) of its earliest exceedance;
-    # a Witness is built only for the ones reported
+    # property -> (sort key, value, bound) of its earliest exceedance; a
+    # Witness is built only for the ones reported
     earliest: dict[str, tuple] = {}
     probe_grazes = []
 
-    for (mode, sample_ids, stack), inner in zip(stacks, shrunk_distance):
-        times = stack.times.tolist()
-        distance = np.array([fuzzy.norm(v) for v in stack.values])  # (points, samples)
+    for (mode, sample_ids, distance, _), inner in zip(stacks, shrunk_distance):
+        times = sys.ts.points[:len(distance)]
         everywhere = np.ones(len(times), dtype=bool)
-        tail = (stack.times >= t0 + q.T0) if q.T0 is not None else ~everywhere
+        tail = (times >= t0 + q.T0) if q.T0 is not None else ~everywhere
+        times = times.tolist()
         bounds = [("practically_stable", q.A, everywhere)]  # below A for all t
         if q.B is not None:
             bounds.append(("quasi_stable", q.B, tail))  # below B from t0 + T0 on
@@ -574,12 +578,12 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
                 i, j = np.unravel_index(np.argmax(hit), hit.shape)
                 key = (times[i], sample_ids[j], mode, prop)
                 if prop not in earliest or key < earliest[prop][0]:
-                    earliest[prop] = (key, float(distance[i, j]), bound, stack.values[0].take(j))
+                    earliest[prop] = (key, float(distance[i, j]), bound)
         probe_grazes += [{"property": bounds[p][0], "mode": mode, "t": times[i],
                           "value": float(distance[i, 0])} for i, p in np.argwhere(grazes)]
 
     # no surviving trajectory means nothing was tested, never "holds"
-    stable_testable = any(sample_ids for _, sample_ids, _ in stacks)
+    stable_testable = any(sample_ids for _, sample_ids, _, _ in stacks)
     quasi_testable = stable_testable and q.B is not None and q.T0 is not None
 
     def outcome(testable, *props):
@@ -589,8 +593,8 @@ def _direct_route(sys: HybridFuzzySystem, q: StabilityQuery, horizon: float,
             return {"status": NOT_TESTED, "witness": None}
         found = [earliest[p] for p in props if p in earliest]
         if found:
-            (t, sample_id, mode, prop), value, bound, u0 = min(found, key=lambda f: f[0])
-            witness = Witness(prop, t, value, bound, mode, sample_id, u0)
+            (t, sample_id, mode, prop), value, bound = min(found, key=lambda f: f[0])
+            witness = Witness(prop, t, value, bound, mode, sample_id, batch.take(sample_id + 1))
             return {"status": VIOLATED, "witness": witness.to_dict()}
         return {"status": HOLDS, "witness": None}
 
@@ -636,9 +640,9 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,
         box=(0.0, max(1.0, 2.0 * b_A)), horizon=horizon)
 
-    # Layer 3 runs first so its trajectories can feed the condition (ii) check.
-    outcomes, stacks, skipped, grazes = _direct_route(sys, q, horizon, modes)
-    cond_ii = _check_condition_ii(V, comp, stacks)
+    # Layer 3 runs first so its V values can feed the condition (ii) check.
+    outcomes, stacks, skipped, grazes = _direct_route(sys, V, q, horizon, modes)
+    cond_ii = _check_condition_ii(comp, stacks)
 
     hypothesis_report = {
         "class_k": class_k,
@@ -689,7 +693,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         "horizon": horizon,
         "modes": [m.value for m in modes],
         "sampling": {"count": plan.count, "seed": plan.seed, "family": plan.family},
-        "trajectories": sum(len(sample_ids) for _, sample_ids, _ in stacks),
+        "trajectories": sum(len(sample_ids) for _, sample_ids, _, _ in stacks),
         "skipped_step_failures": skipped[:20],
         "probe_grazes": grazes[:20],
         "quantifier_note": (

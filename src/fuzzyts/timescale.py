@@ -66,7 +66,7 @@ class TimeScale(Frozen):
         j = np.searchsorted(self.points, x)
         near = np.minimum(np.stack((np.maximum(j - 1, 0), j)), len(self) - 1)
         gap = np.abs(self.points[near] - x)
-        ok = gap <= _LOOKUP_ATOL * np.maximum(1.0, np.abs(x))
+        ok = (gap <= _LOOKUP_ATOL * np.maximum(1.0, np.abs(x))) & np.isfinite(x)
         i = np.where(ok[0] & (gap[1] != 0), near[0], near[1])  # an exact match wins
         unknown = np.ravel(~(ok[0] | ok[1]))
         failed = np.flatnonzero(unknown | np.ravel(successor & (i == len(self) - 1)))

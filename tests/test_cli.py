@@ -527,6 +527,16 @@ def test_a_non_finite_config_number_exits_2(tmp_path, capsys, command, config, f
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("token", ["abc", "inf", "nan"])
+def test_a_switch_time_that_is_no_finite_number_exits_2(tmp_path, capsys, token):
+    config = test_golden.DSL_STABILITY.replace("switch_times = 0 1.5", f"switch_times = 0 {token}")
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    assert run("simulate", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == (
+        f"error: [system] switch_times must be a finite number: {token!r}\n")
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("new, message", [
     ("samplez = 999\nrho = 5", "unknown config key [stability] samplez"),
     ("rho = 5", "unknown config key [stability] rho"),

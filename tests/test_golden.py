@@ -159,6 +159,58 @@ horizon = 30
 u0 = tri(-0.3,0.1,0.9)
 """
 
+# The benchmark's stability workloads (perfbench/workloads.py), copied: the
+# expansive example_3_9 stack at 200 samples to t=50, and a two-component DSL
+# system on a scale with a gap.  Their verdicts are pinned at two seeds.
+BENCH_CATALOG_STABILITY = """\
+[system]
+name = example_3_9
+horizon = 50
+
+[stability]
+lambda = 1
+A = 2
+samples = 200
+shape = triangular
+modes = both
+seed = {seed}
+
+[output]
+alpha_levels = 11
+"""
+
+BENCH_DSL_INTERVALS_STABILITY = """\
+[timescale]
+scale = intervals([[0,2],[3,5]], 0.05)
+
+[system]
+rhs = circminus(u) fadd smul(eta(t), lam)
+lambda_0 = crisp(0)
+lambda_k = u_k
+switch_times = 0 3
+u0 = tri(-1,0,1) | tri(-0.5,0,0.5)
+horizon = 5
+
+[comparison]
+g = (-r + v)/(1 + mu(t))
+psi = v
+
+[lyapunov]
+V = d
+a = x
+b = x
+
+[stability]
+lambda = 1
+A = 2
+samples = 50
+modes = expansive
+seed = {seed}
+
+[output]
+alpha_levels = 11
+"""
+
 # A stability verdict depends on the draw scheme (one counter-based stream per
 # sampled layer, sample i as row i of one uniform array) where it holds a value
 # that depends on the draws: a margin, an estimate or a skipped sample.
@@ -184,6 +236,18 @@ CASES = {
     "catalog-quasi-stability": ("stability", CATALOG_QUASI_STABILITY, 1, {
         "verdict.json": "7d0660209bbe78c679c25ffdb923402bc6ffb2f21feb99504749c02a6fedb410",
     }),
+    **{f"bench-{name}-seed-{seed}": ("stability", config.replace("{seed}", str(seed)), 1, {
+        "verdict.json": digest,
+    }) for name, config, seed, digest in (
+        ("catalog-stability", BENCH_CATALOG_STABILITY, 42,
+         "31677b0acb7937db3d480b7285ce7576c981d9498d65650c7505c3d214617fbe"),
+        ("catalog-stability", BENCH_CATALOG_STABILITY, 7,
+         "41ebecb6ffad97f59ab57d79e64b29cb667d99273bce4e84861abda5743278e2"),
+        ("dsl-intervals-stability", BENCH_DSL_INTERVALS_STABILITY, 42,
+         "4660a6ebca0ee1399e4a4a4b919feaecbeb72206c79c7c39406f5ab4463b1ef0"),
+        ("dsl-intervals-stability", BENCH_DSL_INTERVALS_STABILITY, 7,
+         "db4b352af0cfcad39c00084d1ab4b26607ec93d52b665efff2fa574871ecd749"),
+    )},
     "dsl-three-simulate": ("simulate", DSL_THREE_COMPONENTS, 0, {
         "trajectory.csv": "1c096ad59d41e8b28f748607b558766c39273589655e31a05e60db972e8702f8",
     }),

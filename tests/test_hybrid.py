@@ -267,29 +267,37 @@ SYSTEMS = {
 }
 
 
-def stacked_rows(traj):
-    """(row of the initial stack, its states) of every sample that survived."""
-    return [(row, [v.take(j) for v in traj.values]) for j, row in enumerate(traj.rows)]
+class StackedMarch:
+    """``hybrid.stacked_states`` collected: the segment of every point, each
+    row's states up to the last point it reached, the rows that reached the
+    horizon and the failures by row."""
+
+    def __init__(self, sys, mode, horizon=None):
+        self.segments, self.paths, self.failures = [], {}, {}
+        for _, k, rows, u in hybrid.stacked_states(sys, mode, horizon, self.failures):
+            self.segments.append(k)
+            for j, row in enumerate(rows.tolist()):
+                self.paths.setdefault(row, []).append(u.take(j))
+        self.rows = [row for row in sorted(self.paths) if row not in self.failures]
 
 
 def assert_rows_equal_single_solves(sys, states, mode):
-    """Each row of the stacked solve is the single-state solve of its state:
+    """Each row of the stacked march is the single-state solve of its state:
     bit-equal values, or a failure at the same t with the same cause."""
-    stacked = solve(sys.replace(u0=oracles.stack(states)), mode)
-    survivors = iter(stacked_rows(stacked))
+    stacked = StackedMarch(sys.replace(u0=oracles.stack(states)), mode)
     for i, u0 in enumerate(states):
         try:
             single = solve(sys.replace(u0=u0), mode)
         except StepFailureError as exc:
             got = stacked.failures[i]
             assert (got.t, str(got), type(got.__cause__)) == (exc.t, str(exc), type(exc.__cause__))
+            assert len(stacked.paths[i]) == sys.ts.index_of(exc.t) + 1
             continue
-        row, values = next(survivors)
-        assert row == i and i not in stacked.failures
+        assert i in stacked.rows and i not in stacked.failures
         assert stacked.segments == single.segments
-        assert [(v.lower.tobytes(), v.upper.tobytes()) for v in values] == \
+        assert [(v.lower.tobytes(), v.upper.tobytes()) for v in stacked.paths[i]] == \
             [(v.lower.tobytes(), v.upper.tobytes()) for v in single.values]
-    assert next(survivors, None) is None
+    assert sorted(stacked.paths) == list(range(len(states)))
     return stacked
 
 
@@ -314,7 +322,44 @@ def test_stacked_solve_keeps_survivors_of_a_partly_failed_step():
     assert len({exc.t for exc in stacked.failures.values()}) > 1
     assert all(isinstance(exc.__cause__, f.GHDifferenceError)
                for exc in stacked.failures.values())
-    assert [v.samples for v in stacked.values] == [len(stacked.rows)] * len(stacked)
+    assert all(len(stacked.paths[row]) == len(stacked.segments) for row in stacked.rows)
+
+
+def test_stacked_states_name_the_live_rows_and_record_failures_as_they_happen():
+    sys = ghsub_dsl_system()
+    states = oracles.sample_states(np.random.default_rng(0), GRID, 2, "trapezoid", 0.9, 20)
+    paths = []  # each sample's states along its own march, up to its failure
+    for u0 in states:
+        paths.append([])
+        try:
+            for _, _, u in hybrid.states(sys.replace(u0=u0), StepMode.EXPANSIVE):
+                paths[-1].append(u)
+        except StepFailureError:
+            pass
+    stacked = sys.replace(u0=oracles.stack(states))
+    failures = {}
+    march = hybrid.stacked_states(stacked, StepMode.EXPANSIVE, None, failures)
+    for i, (t, k, rows, u) in enumerate(march):
+        assert (t, k) == (float(sys.ts.points[i]), int(sys.schedule.segments[i]))
+        assert rows.tolist() == [row for row, path in enumerate(paths) if len(path) > i]
+        assert sorted(failures) == [row for row, path in enumerate(paths) if len(path) <= i]
+        for j, row in enumerate(rows.tolist()):
+            assert u.take(j).lower.tobytes() == paths[row][i].lower.tobytes()
+            assert u.take(j).upper.tobytes() == paths[row][i].upper.tobytes()
+    assert 0 < len(failures) < len(states)
+    assert {row: float(sys.ts.points[len(paths[row]) - 1]) for row in failures} == {
+        row: exc.t for row, exc in failures.items()}
+    # a stacked solve reads each point's stack while a row is live
+    read, solved = [], {}
+    march = solve(stacked, StepMode.EXPANSIVE, read=lambda t, u: read.append(t) or f.norm(u),
+                  failures=solved)
+    assert read == sys.ts.points.tolist() and solved.keys() == failures.keys()
+    assert [(rows.tolist(), d.tolist()) for rows, d in march] == [
+        (rows, [f.norm(paths[row][i]) for row in rows])
+        for i, rows in enumerate([row for row, path in enumerate(paths) if len(path) > i]
+                                 for i in range(len(sys.ts)))]
+    with pytest.raises(TypeError, match="a stacked u0 needs read and failures"):
+        solve(stacked)
 
 
 def test_rows_failing_in_different_kernels_of_one_step_keep_their_own_errors():
@@ -334,7 +379,7 @@ def test_rows_failing_in_different_kernels_of_one_step_keep_their_own_errors():
     sys = HybridFuzzySystem(f.integer(2), (0.0,), rhs, (zero_map,), rho=1.7e308, u0=states[1])
     stacked = assert_rows_equal_single_solves(sys, states, StepMode.EXPANSIVE)
     assert calls[:5] == [5, 4, 2, 1, 1]  # each retry drops the rows its kernel flagged
-    assert stacked.rows.tolist() == [1] and {exc.t for exc in stacked.failures.values()} == {0.0}
+    assert stacked.rows == [1] and {exc.t for exc in stacked.failures.values()} == {0.0}
     assert {row: str(exc.__cause__) for row, exc in stacked.failures.items()} == {
         0: "gH difference does not exist: cuts are not nested",
         2: "alpha cuts are not nested",
@@ -352,12 +397,12 @@ def test_a_step_with_failed_rows_steps_the_survivors_as_one_stack():
 
     states = [oracles.sample_states(np.random.default_rng(s), GRID, 1,
                                     ("crisp", "triangular")[s % 2], 0.9)[0] for s in range(40)]
-    traj = solve(sys.replace(rhs=rhs, u0=oracles.stack(states)),
-                 StepMode.CONTRACTIVE, 12.0)
-    failed_steps = {exc.t for exc in traj.failures.values()}
-    assert len(traj.rows) and failed_steps  # rows fail and rows survive
+    march = StackedMarch(sys.replace(rhs=rhs, u0=oracles.stack(states)),
+                         StepMode.CONTRACTIVE, 12.0)
+    failed_steps = {exc.t for exc in march.failures.values()}
+    assert len(march.rows) and failed_steps  # rows fail and rows survive
     assert None not in calls
-    assert len(calls) <= len(traj) - 1 + len(failed_steps)
+    assert len(calls) <= len(march.segments) - 1 + len(failed_steps)
 
 
 def test_stacked_solve_with_every_sample_failed():
@@ -365,9 +410,9 @@ def test_stacked_solve_with_every_sample_failed():
     wide = f.vector(tri(-1, 0, 1))
     sys = HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide, (zero_map,), rho=10.0,
                             u0=oracles.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
-    stacked = solve(sys, StepMode.CONTRACTIVE)
+    stacked = StackedMarch(sys, StepMode.CONTRACTIVE)
     assert sorted(stacked.failures) == [0, 1] and stacked.failures[1].t == 0.0
-    assert stacked_rows(stacked) == [] and len(stacked.rows) == 0
+    assert stacked.rows == [] and len(stacked.segments) == len(ts)  # an emptied stack idles
 
 
 def _rejects_at_1(t, u, lam):
@@ -389,7 +434,7 @@ def test_a_step_that_rejects_the_stack_as_a_whole_fails_the_solve(rhs, maps, t):
     sys = HybridFuzzySystem(f.integer(3), (0.0,), rhs, maps, rho=10.0, u0=u0)
     for mode in StepMode:
         with pytest.raises(StepFailureError) as failed:
-            solve(sys, mode)
+            solve(sys, mode, read=lambda t, u: u, failures={})
         assert failed.value.t == t and isinstance(failed.value.__cause__, InvalidShapeError)
         assert str(failed.value) == f"{mode.value} step failed at t={t}: {failed.value.__cause__}"
 
@@ -532,14 +577,16 @@ def test_linear_dsl_systems_match_their_exact_endpoint_march(data, scale, terms,
                       np.abs(got.upper[j] - want[:, 1]).max())
             assert err <= ORACLE_BOUND * sizes[s][i], (i, s, err / sizes[s][i])
 
-    traj = solve(sys.replace(u0=stack), mode, horizon=points[last])
-    assert traj.segments == segments
-    assert {row: exc.t for row, exc in traj.failures.items()} == {
+    failures, seen = {}, []
+    for t, k, rows, got in hybrid.stacked_states(sys.replace(u0=stack), mode, points[last],
+                                                 failures):
+        seen.append(k)
+        live = [s for s in range(len(samples)) if fails.get(s, last) >= len(seen) - 1]
+        assert rows.tolist() == live
+        assert_matches(len(seen) - 1, got, rows.tolist())
+    assert seen == segments
+    assert {row: exc.t for row, exc in failures.items()} == {
         s: points[i] for s, i in fails.items()}
-    survivors = [s for s in range(len(samples)) if s not in fails]
-    assert traj.rows.tolist() == survivors
-    for i, got in enumerate(traj.values):
-        assert_matches(i, got, survivors)
 
     # one sample alone, and the stack stepped by states until a sample fails
     try:

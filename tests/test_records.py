@@ -50,8 +50,7 @@ def test_records_take_keywords_and_fill_in_their_defaults():
     assert (ts.dense_threshold, ts.kind, ts.graininess.tolist()) == (1e-6, "explicit", [1.0, 2.0])
     assert LyapunovFn(fn=abs).lipschitz is None
     traj = f.FuzzyTrajectory(ts=TS, values=[f.vector(U)])
-    assert (traj.segments, traj.rows, traj.failures) == (None, None, {})
-    assert f.FuzzyTrajectory(TS, [f.vector(U)]).failures is not traj.failures
+    assert traj.segments is None
     assert not f.ScalarTrajectory(TS, np.zeros(2), np.zeros(2)).approximate_maximality
 
 

@@ -1,6 +1,8 @@
 import configparser
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -211,10 +213,13 @@ def test_direct_route_states_keep_their_values_whatever_the_sample_count():
     def initial_states(count):
         q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
                            sampling=SamplingPlan(count=count, seed=11, family="trapezoid"))
-        [(_, ids, stack)], _, _ = stability._simulate_direct(b.system, q, 1.0,
-                                                             (StepMode.EXPANSIVE,))
+        seen = []
+        V = LyapunovFn(lambda t, u: seen.append(u) or f.norm(u))
+        [(_, ids, _, _)], _, _, batch = stability._simulate_direct(b.system, V, q, 1.0,
+                                                                   (StepMode.EXPANSIVE,))
         assert ids == list(range(-1, count))
-        return stack.values[0].take(slice(1, 51))  # the first 50 samples, after the probe
+        assert seen[0] is batch  # the states the route checks at t0
+        return batch.take(slice(1, 51))  # the first 50 samples, after the probe
 
     few, many = initial_states(50), initial_states(200)
     assert few.lower.tobytes() == many.lower.tobytes()
@@ -436,15 +441,16 @@ def test_consistency_never_flagged_across_catalog():
 # cost guards: deterministic counts of repeated work
 # ---------------------------------------------------------------------------
 
-def test_probe_is_resolved_at_most_once_per_mode(monkeypatch):
+def count_solves(monkeypatch):
+    """The calls of ``hybrid.solve``, in a list."""
     calls = []
-    real_solve = hybrid.solve
+    real = hybrid.solve
+    monkeypatch.setattr(hybrid, "solve", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(hybrid, "solve", counting_solve)
+def test_probe_is_resolved_at_most_once_per_mode(monkeypatch):
+    calls = count_solves(monkeypatch)
     b = catalog.make_example_3_9(GRID, 10.0)
     plan = SamplingPlan(count=8, seed=13, family="triangular")
     q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=plan)
@@ -457,26 +463,46 @@ def test_probe_is_resolved_at_most_once_per_mode(monkeypatch):
                          ids=["scattered", "dense"])
 def test_condition_ii_evaluates_V_once_per_point(ts):
     switch_times = (0.0, float(ts.points[5]))
-
-    def hold_zero(t, u):
-        return f.zero_vector(u.grid, u.n)
-
-    def stacked_system(*states):
-        return f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
-                                   (hold_zero, lambda t, u: u), 100.0,
-                                   oracles.stack([f.vector(s) for s in states]))
-
+    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.scale(-0.5, u),
+                              (lambda t, u: f.zero_vector(u.grid, u.n), lambda t, u: u), 100.0,
+                              f.vector(tri(-1, 0, 1)))
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w,
                                 (lambda v: v, lambda v: v), 1.0)
-    stacks = [("expansive", [0, 1], solve(stacked_system(tri(-1, 0, 1), tri(0, 1, 2)),
-                                          horizon=float(ts.points[10]))),
-              ("contractive", [-1, 0, 1], solve(stacked_system(tri(-1, 0, 1), tri(0, 1, 2),
-                                                               tri(-2, -1, 1))))]
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=2, seed=1))
+    horizon = float(ts.points[10])
     calls = []
     V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u))
-    report = _check_condition_ii(V, comp, stacks)
-    assert report["checked_steps"] == 10 * 2 + 12 * 3
-    assert len(calls) <= sum(len(traj) for _, _, traj in stacks)
+    stacks, skipped, _, _ = stability._simulate_direct(sys, V, q, horizon, tuple(StepMode))
+    assert not skipped and len(calls) == 11 * 2  # once per point of each mode's stack
+    calls.clear()
+    report = _check_condition_ii(comp, stacks)
+    assert not calls and report["checked_steps"] == 10 * 3 * 2
+
+
+def test_the_direct_route_keeps_no_stack_it_has_read():
+    # switch maps that return new states: a held switch value that is the
+    # state itself would keep that stack for its segment
+    ts = f.integer(12)
+    switch_times = (0.0, 6.0)
+    sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.add(f.scale(-0.5, u), lam),
+                              (lambda t, u: f.zero_vector(u.grid, u.n),
+                               lambda t, u: f.scale(0.5, u)), 100.0, f.vector(tri(-1, 0, 1)))
+    comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w + wk,
+                                (lambda v: 0.0 * v, lambda v: 0.5 * v), 1.0)
+    seen, alive = [], []  # a weakref to every stack V is given; the earlier ones alive per call
+
+    def V(t, u):
+        gc.collect()
+        alive.append(sum(ref() is not None and ref() is not u.lower for ref in seen))
+        seen.append(weakref.ref(u.lower))
+        return f.norm(u)
+
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=20, seed=8))
+    check_practical_stability(sys, comp, LyapunovFn(V), ClassKPair(lambda x: x, lambda x: x),
+                              q, 12.0, modes=(StepMode.EXPANSIVE,))
+    assert len(alive) == 3 + 13  # the sandwich and Lipschitz checks, then each point once
+    # besides the stack V is given: at most the one before it and the initial batch
+    assert max(alive) <= 2
 
 
 def test_condition_ii_calls_g_once_per_point_per_mode(monkeypatch):
@@ -495,14 +521,7 @@ def test_condition_ii_calls_g_once_per_point_per_mode(monkeypatch):
 
 
 def test_stability_check_solves_each_mode_once(monkeypatch):
-    calls = []
-    real_solve = hybrid.solve
-
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return real_solve(*args, **kwargs)
-
-    monkeypatch.setattr(hybrid, "solve", counting_solve)
+    calls = count_solves(monkeypatch)
     b = catalog.make_example_3_9(GRID, 10.0)
     q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
                        sampling=SamplingPlan(count=8, seed=13, family="triangular"))
@@ -550,22 +569,23 @@ def test_catalog_check_builds_a_handful_of_fuzzy_numbers(monkeypatch):
 # the direct route on stacked solves
 # ---------------------------------------------------------------------------
 
-def solve_each_sample(sys, mode=StepMode.EXPANSIVE, horizon=None, *, real_solve=solve):
-    """Reference for a stacked solve: one single-state solve per sample."""
-    if sys.u0.samples is None:
-        return real_solve(sys, mode, horizon)
-    survivors, failures = {}, {}
+def stacked_states_each_sample(sys, mode, horizon, failures):
+    """Reference for ``hybrid.stacked_states``: each sample marched on its own
+    by ``hybrid.states``, and at each point the stack of the samples whose own
+    march got there."""
+    paths = []
     for row in range(sys.u0.samples):
-        u0 = sys.u0.take(row)
+        paths.append([])
         try:
-            survivors[row] = real_solve(sys.replace(u0=u0), mode, horizon)
+            for _, _, u in hybrid.states(sys.replace(u0=sys.u0.take(row)), mode, horizon):
+                paths[-1].append(u)
         except StepFailureError as exc:
             failures[row] = exc
-    trajs = list(survivors.values())
-    values = [oracles.stack(states) for states in zip(*(t.values for t in trajs))]
-    return FuzzyTrajectory(sys.ts, values or [sys.u0.take([])],
-                           trajs[0].segments if trajs else None,
-                           rows=np.array(list(survivors), dtype=int), failures=failures)
+    last = len(sys.ts) - 1 if horizon is None else sys.ts.index_of(horizon)
+    for i in range(last + 1):
+        rows = np.array([row for row, path in enumerate(paths) if len(path) > i], dtype=int)
+        stack = oracles.stack([paths[row][i] for row in rows]) if rows.size else sys.u0.take([])
+        yield float(sys.ts.points[i]), int(sys.schedule.segments[i]), rows, stack
 
 
 def test_component_indexing_rhs_fails_at_t0_and_stacks_give_the_per_sample_verdict(monkeypatch):
@@ -581,7 +601,7 @@ def test_component_indexing_rhs_fails_at_t0_and_stacks_give_the_per_sample_verdi
         rhs=rhs, u0=oracles.stack([b.system.u0, f.scale(0.5, b.system.u0)]))
     q = StabilityQuery(lam=1.0, A=2.0, B=1.5, T0=4.0, rho=100.0,
                        sampling=SamplingPlan(count=12, seed=4, family="trapezoid"))
-    for run in (lambda: solve(indexing),
+    for run in (lambda: solve(indexing, read=lambda t, u: u, failures={}),
                 lambda: check_practical_stability(indexing, b.comparison, b.lyapunov, b.kpair,
                                                   q, 10.0)):
         with pytest.raises(StepFailureError) as failed:
@@ -596,19 +616,36 @@ def test_component_indexing_rhs_fails_at_t0_and_stacks_give_the_per_sample_verdi
 
     stacked = verdict()
     assert json.loads(stacked)["metadata"]["skipped_step_failures"]
-    monkeypatch.setattr(hybrid, "solve", solve_each_sample)
+    monkeypatch.setattr(hybrid, "stacked_states", stacked_states_each_sample)
     assert stacked == verdict()
+
+
+def direct_trajectories(sys, q, horizon, modes=tuple(StepMode)):
+    """Reference for the direct route's marches: the probe and the samples,
+    without the shrunken probe, each solved on its own by ``hybrid.solve``;
+    per mode, the mode, the surviving sample ids, their trajectories and the
+    StepFailureErrors of the others by sample id."""
+    grid, n, plan = sys.u0.grid, sys.u0.n, q.sampling
+    states = [boundary_probe(grid, n, plan.family, q.lam)]
+    states += oracles.sample_states(oracles.Stream(plan.seed, 2), grid, n, plan.family, q.lam,
+                                    plan.count)
+    runs = []
+    for mode in modes:
+        sample_ids, trajs, failures = [], [], {}
+        for sample_id, u0 in enumerate(states, start=-1):
+            try:
+                trajs.append(solve(sys.replace(u0=u0), mode, horizon))
+                sample_ids.append(sample_id)
+            except StepFailureError as exc:
+                failures[sample_id] = exc
+        runs.append((mode, sample_ids, trajs, failures))
+    return runs
 
 
 def direct_route_with_probe_resolve(sys, q, horizon, modes):
     """Reference for ``_direct_route``: the samples solved without the shrunken
     probe and walked point by point, and a strict probe excess confirmed by
     solving the shrunken probe on its own, at most once per mode."""
-    grid, n, plan = sys.u0.grid, sys.u0.n, q.sampling
-    states = [boundary_probe(grid, n, plan.family, q.lam)]
-    states += oracles.sample_states(oracles.Stream(plan.seed, 2), grid, n, plan.family, q.lam,
-                                    plan.count)
-    system = sys.replace(u0=oracles.stack(states))
     t0 = float(sys.ts.points[0])
     bounds = [("practically_stable", q.A, lambda t: True)]
     if q.B is not None:
@@ -630,16 +667,14 @@ def direct_route_with_probe_resolve(sys, q, horizon, modes):
                 inner_runs[mode] = None
         return inner_runs[mode] is not None and f.norm(inner_runs[mode].value_at(t)) >= bound
 
-    for mode in modes:
-        stack = solve(system, mode, horizon)
-        skipped += [{"mode": mode.value, "sample": row - 1, "t": stack.failures[row].t}
-                    for row in sorted(stack.failures)]
-        sample_ids = [row - 1 for row in stack.rows.tolist()]
-        stacks.append((mode.value, sample_ids, stack))
-        for j, sample_id in enumerate(sample_ids):
-            u0 = stack.values[0].take(j)
-            for t, state in zip(stack.times.tolist(), stack.values):
-                d = f.norm(state.take(j))
+    for mode, sample_ids, trajs, failures in direct_trajectories(sys, q, horizon, modes):
+        skipped += [{"mode": mode.value, "sample": sample_id, "t": exc.t}
+                    for sample_id, exc in sorted(failures.items())]
+        stacks.append((mode.value, sample_ids, trajs))
+        for sample_id, traj in zip(sample_ids, trajs):
+            u0 = traj.values[0]
+            for t, state in zip(traj.times.tolist(), traj.values):
+                d = f.norm(state)
                 for prop, bound, when in bounds:
                     if not when(t) or d < bound:
                         continue
@@ -752,11 +787,11 @@ def _probe_witness(prop, mode):
         "shrunken-copy-fails", "probe-equals-bound", "shrunken-copy-equals-bound"])
 def test_direct_route_equals_the_probe_walk_with_its_own_shrunken_solve(system, q, horizon,
                                                                          shows):
-    routes = [stability._direct_route(system, q, horizon, tuple(StepMode)),
+    routes = [stability._direct_route(system, norm_lyapunov(), q, horizon, tuple(StepMode)),
               direct_route_with_probe_resolve(system, q, horizon, tuple(StepMode))]
     got, reference = [{"properties": outcomes,
-                       "sample_ids": [ids for _, ids, _ in stacks],
-                       "trajectories": sum(len(ids) for _, ids, _ in stacks),
+                       "sample_ids": [ids for _, ids, *_ in stacks],
+                       "trajectories": sum(len(ids) for _, ids, *_ in stacks),
                        "skipped_step_failures": skipped,
                        "probe_grazes": grazes} for outcomes, stacks, skipped, grazes in routes]
     assert shows(got)
@@ -781,9 +816,8 @@ def condition_ii_per_sample(V, comp, stacks, tol):
     """Reference: condition (ii) one surviving sample at a time, with V, g and
     psi called on floats and the Dini estimate of V along one state at a time."""
     worst, violations, checked = math.inf, [], 0
-    for mode, sample_ids, stack in stacks:
-        for j, sample_id in enumerate(sample_ids):
-            traj = FuzzyTrajectory(stack.ts, [v.take(j) for v in stack.values])
+    for mode, sample_ids, trajs in stacks:
+        for sample_id, traj in zip(sample_ids, trajs):
             for t in traj.times[:-1].tolist():
                 k = int(np.searchsorted(comp.switch_times, t, side="right")) - 1
                 tk = comp.switch_times[k]
@@ -808,16 +842,26 @@ def dsl_query(config):
     return bundle, build_query(cfg, bundle.system.rho), horizon
 
 
+def direct_stacks(sys, V, q, horizon, modes=tuple(StepMode)):
+    """The direct route's records of its stacks (see ``_simulate_direct``), and
+    the same samples solved one at a time by the reference, ``direct_trajectories``."""
+    stacks, _, _, _ = stability._simulate_direct(sys, V, q, horizon, modes)
+    trajs = [(mode.value, ids, trajs)
+             for mode, ids, trajs, _ in direct_trajectories(sys, q, horizon, modes)]
+    assert [ids for _, ids, _, _ in stacks] == [ids for _, ids, _ in trajs]
+    return stacks, trajs
+
+
 def dsl_stacks(config):
-    """Bundle and direct-route stacks of a stability config, as the CLI builds them."""
+    """Bundle, direct-route stacks and reference trajectories of a stability
+    config, as the CLI builds them."""
     bundle, q, horizon = dsl_query(config)
-    stacks, _, _ = stability._simulate_direct(bundle.system, q, horizon, tuple(StepMode))
-    return bundle, stacks
+    return (bundle, *direct_stacks(bundle.system, bundle.lyapunov, q, horizon))
 
 
-def assert_stacked_check_equals_per_sample_check(V, comp, stacks):
-    report = _check_condition_ii(V, comp, stacks)
-    reference = condition_ii_per_sample(V, comp, stacks, tol=1e-9)
+def assert_stacked_check_equals_per_sample_check(V, comp, stacks, trajs):
+    report = _check_condition_ii(comp, stacks)
+    reference = condition_ii_per_sample(V, comp, trajs, tol=1e-9)
     assert report == reference
     assert json.dumps(report) == json.dumps(reference)  # also tells -0.0 from 0.0
     return report
@@ -827,21 +871,23 @@ def test_condition_ii_on_stacks_with_failed_contractive_samples():
     b = catalog.make_example_3_9(GRID, 6.0)
     q = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
                        sampling=SamplingPlan(count=12, seed=3, family="triangular"))
-    stacks, skipped, _ = stability._simulate_direct(b.system, q, 6.0, tuple(StepMode))
-    assert [ids for _, ids, _ in stacks] == [list(range(-1, 12)), [-1]] and len(skipped) == 12
+    _, skipped, _, _ = stability._simulate_direct(b.system, b.lyapunov, q, 6.0, tuple(StepMode))
+    assert len(skipped) == 12
     # a V with one value for every sample is broadcast over the stack
     for V in (b.lyapunov, LyapunovFn(lambda t, u: 1.0)):
-        report = assert_stacked_check_equals_per_sample_check(V, b.comparison, stacks)
+        stacks, trajs = direct_stacks(b.system, V, q, 6.0)
+        assert [ids for _, ids, _, _ in stacks] == [list(range(-1, 12)), [-1]]
+        report = assert_stacked_check_equals_per_sample_check(V, b.comparison, stacks, trajs)
         assert report["checked_steps"] == 6 * 14
 
 
 @pytest.mark.parametrize("config", ["DSL_STABILITY", "DSL_DENSE_STABILITY"],
                          ids=["gap-two-segments", "dense"])
 def test_condition_ii_on_stacks_of_a_dsl_system(config):
-    bundle, stacks = dsl_stacks(getattr(test_golden, config))
+    bundle, stacks, trajs = dsl_stacks(getattr(test_golden, config))
     assert len(bundle.comparison.switch_times) == 2
     report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
-                                                          stacks)
+                                                          stacks, trajs)
     assert report["checked_steps"] > 0
 
 
@@ -850,9 +896,9 @@ def test_condition_ii_overflows_as_silently_as_the_float_path():
     # the states grow past 1e8, so V = d * 1e300 overflows to inf
     config = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace(
         "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)")
-    bundle, stacks = dsl_stacks(config)
+    bundle, stacks, trajs = dsl_stacks(config)
     report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
-                                                          stacks)
+                                                          stacks, trajs)
     assert report["worst_margin"] == -math.inf
 
 
@@ -861,14 +907,14 @@ def test_condition_ii_on_a_stack_whose_samples_all_failed():
     wide = f.vector(tri(-1, 0, 1))
     sys = f.HybridFuzzySystem(ts, (0.0,), lambda t, u, lam: wide,
                               (lambda t, u: f.zero_vector(u.grid, u.n),), 10.0,
-                              oracles.stack([f.vector(f.crisp(x, GRID)) for x in (0, 1)]))
+                              f.vector(f.crisp(0.0, GRID)))
     comp = f.ScalarHybridSystem(ts, (0.0,), lambda t, w, wk: w, (lambda v: v,), 1.0)
-    failed = solve(sys, StepMode.CONTRACTIVE)
-    assert len(failed.rows) == 0
-    survived = solve(sys, StepMode.EXPANSIVE)
-    for stacks in ([("contractive", [], failed)],
-                   [("contractive", [], failed), ("expansive", [0, 1], survived)]):
-        report = assert_stacked_check_equals_per_sample_check(norm_lyapunov(), comp, stacks)
+    q = StabilityQuery(lam=0.5, A=1.0, rho=10.0, sampling=SamplingPlan(2, 4, "crisp"))
+    for modes in ((StepMode.CONTRACTIVE,), (StepMode.CONTRACTIVE, StepMode.EXPANSIVE)):
+        stacks, trajs = direct_stacks(sys, norm_lyapunov(), q, 5.0, modes)
+        assert [ids for _, ids, _, _ in stacks] == [[], [-1, 0, 1]][:len(modes)]
+        report = assert_stacked_check_equals_per_sample_check(norm_lyapunov(), comp, stacks,
+                                                              trajs)
         assert report["checked_steps"] == 5 * len(stacks[-1][1])
         # no checked step is no evidence: the check does not pass
         assert report["passed"] is (report["checked_steps"] > 0 and not report["violations"])
@@ -916,22 +962,63 @@ def test_condition_ii_with_no_checked_step_transfers_nothing(tmp_path):
                 if c.startswith("holds-on-samples")]
 
 
+# Every sample fails the first contractive step, and V raises on the probe's
+# row only (its distance is lambda = 1), before that step.
+V_RAISES_ON_A_FAILING_ROW = """
+[timescale]
+scale = integer(4)
+
+[system]
+rhs = tri(-2,0,2)
+u0 = crisp(0)
+rho = 10
+horizon = 4
+
+[comparison]
+g = -r/(1 + mu(t))
+psi = v
+r0 = 0
+
+[lyapunov]
+V = 1/(d - 1)
+
+[stability]
+lambda = 1
+A = 2
+samples = 3
+modes = contractive
+seed = 0
+"""
+
+
+def test_a_V_that_raises_on_a_row_that_later_fails_fails_the_run(tmp_path, capsys):
+    # V is read at every point on every live row, also on rows that fail
+    # later; a run that never read such a row gave a not-tested verdict
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(V_RAISES_ON_A_FAILING_ROW)
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "division by zero" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verdict.json").exists()
+
+
 def test_condition_ii_reads_V_at_a_switch_time_off_its_stored_point():
     ts = f.integer(8)
     switch_times = (0.0, 4.0 - 1e-12)  # 4.0 up to lookup noise
     sys = f.HybridFuzzySystem(ts, switch_times, lambda t, u, lam: f.add(f.scale(-0.5, u), lam),
                               (lambda t, u: f.zero_vector(u.grid, u.n), lambda t, u: u), 100.0,
-                              oracles.stack([f.vector(tri(-1, 0, 1)), f.vector(tri(0, 1, 3))]))
+                              f.vector(tri(-1, 0, 1)))
+    held = []  # the arguments of psi_1
     comp = f.ScalarHybridSystem(ts, switch_times, lambda t, w, wk: -0.5 * w + wk,
-                                (lambda v: 0.0 * v, lambda v: 0.5 * v), 1.0)
-    traj = solve(sys)
-    assert switch_times[1] not in traj.times.tolist()
+                                (lambda v: 0.0 * v, lambda v: held.append(v) or 0.5 * v), 1.0)
+    q = StabilityQuery(lam=1.0, A=2.0, rho=100.0, sampling=SamplingPlan(count=2, seed=6))
     calls = []
     V = LyapunovFn(lambda t, u: calls.append(t) or f.norm(u) * (1.0 + t))
-    stacks = [("expansive", [0, 1], traj)]
-    report = _check_condition_ii(V, comp, stacks)
-    assert 4.0 in calls and switch_times[1] not in calls  # V at the stored point it names
-    assert report == assert_stacked_check_equals_per_sample_check(V, comp, stacks)
+    stacks, trajs = direct_stacks(sys, V, q, 8.0, (StepMode.EXPANSIVE,))
+    assert switch_times[1] not in calls  # V is read at the stored point the switch names
+    report = _check_condition_ii(comp, stacks)
+    [(_, _, _, v)] = stacks
+    assert len(held) == 1 and held[0].tobytes() == v[4].tobytes()
+    assert report == assert_stacked_check_equals_per_sample_check(V, comp, stacks, trajs)
     assert report["violations"]
 
 
@@ -967,7 +1054,7 @@ def test_comparison_route_marches_its_starts_as_one_array(monkeypatch):
                          ids=["blow-up", "division-by-zero"])
 def test_comparison_route_raises_what_the_first_failing_start_raises(tmp_path, capsys, g):
     config = test_golden.DSL_STABILITY.replace("g = (-r + v)/(1 + mu(t))", f"g = {g}")
-    bundle, _ = dsl_stacks(config)
+    bundle, _, _ = dsl_query(config)
     starts = np.linspace(0.0, 1.0, stability.COMPARISON_GRID_SIZE, endpoint=False)
     with pytest.raises(FuzzyTSError) as stacked, np.errstate(over="ignore"):
         cmp.solve_comparison(bundle.comparison.replace(r0=starts), horizon=2.4)
@@ -1000,7 +1087,7 @@ def test_samples_whose_switch_map_fails_leave_as_on_their_own_solves(monkeypatch
     stacked = verdict()
     skipped = json.loads(stacked)["metadata"]["skipped_step_failures"]
     assert {"mode": "expansive", "sample": 5, "t": 1.5} in skipped
-    monkeypatch.setattr(hybrid, "solve", solve_each_sample)
+    monkeypatch.setattr(hybrid, "stacked_states", stacked_states_each_sample)
     assert stacked == verdict()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +48,14 @@ def test_point_lookup_errors():
         ts.sigma(5.0)
     with pytest.raises(NoSuccessorError):
         ts.mu(5.0)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_time_is_no_point_of_the_scale(x):
+    ts = f.integer(5)
+    for t in (x, np.array([1.0, x])):
+        with pytest.raises(UnknownPointError, match="is not a point of this time scale"):
+            ts.index_of(t)
 
 
 def test_explicit_scale_validation():
