@@ -64,12 +64,6 @@ class ScalarTrajectory(Record):
     def times(self) -> np.ndarray:
         return self.ts.points[: len(self)]
 
-    def value_at(self, t: float) -> float:
-        i = self.ts.index_of(t)
-        if i >= len(self):
-            raise InvalidShapeError(f"trajectory is not defined at t={t}")
-        return float(self.values[i])
-
 
 def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> ScalarTrajectory:
     """Euler recursion r(sigma(t)) = r(t) + mu(t) * g(t, r(t), psi_k(r_k)).

@@ -7,13 +7,10 @@ non-existence is reported as a ``None`` return rather than an exception.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import fuzzy
-from .errors import (
-    GHDifferenceError,
-    NoSuccessorError,
-    Record,
-    VerificationInconclusive,
-)
+from .errors import GHDifferenceError, NoSuccessorError, Record, VerificationInconclusive
 from .fuzzy import FuzzyVector
 from .timescale import TimeScale
 
@@ -75,6 +72,23 @@ def _quotient(a: FuzzyVector, b: FuzzyVector, h: float) -> FuzzyVector | None:
     return fuzzy.scale(1.0 / h, diff)
 
 
+def _derivative(ts: TimeScale, before, here, after) -> FuzzyVector | None:
+    """The derivative at ``here``'s point from its own, the preceding
+    (``before``, None at the first point) and the next ``(t, state)``."""
+    (t, u), (t1, u1) = here, after
+    forward = _quotient(u1, u, t1 - t)
+    if forward is None or before is None or t1 - t > ts.dense_threshold:
+        return forward
+    backward = _quotient(u, before[1], t - before[0])
+    if backward is None:
+        return None
+    gap = fuzzy.dist(forward, backward)
+    magnitude = max(fuzzy.norm(forward), fuzzy.norm(backward))
+    if gap > DENSE_AGREEMENT_TOL * (1.0 + magnitude):
+        return None
+    return forward
+
+
 def delta_h_derivative(traj: FuzzyTrajectory, t: float) -> FuzzyVector | None:
     """Hukuhara delta derivative of the trajectory at a stored point.
 
@@ -89,22 +103,19 @@ def delta_h_derivative(traj: FuzzyTrajectory, t: float) -> FuzzyVector | None:
     i = ts.index_of(t)
     if i >= len(traj.values) - 1:
         raise NoSuccessorError(f"no successor value at t={t}")
-    t0 = float(ts.points[i])
-    t1 = float(ts.points[i + 1])
-    forward = _quotient(traj.values[i + 1], traj.values[i], t1 - t0)
-    if forward is None:
-        return None
-    if not ts.is_right_dense(t0) or i == 0:
-        return forward
-    tm = float(ts.points[i - 1])
-    backward = _quotient(traj.values[i], traj.values[i - 1], t0 - tm)
-    if backward is None:
-        return None
-    gap = fuzzy.dist(forward, backward)
-    magnitude = max(fuzzy.norm(forward), fuzzy.norm(backward))
-    if gap > DENSE_AGREEMENT_TOL * (1.0 + magnitude):
-        return None
-    return forward
+    before, here, after = ((float(ts.points[j]), traj.values[j]) for j in (i - 1, i, i + 1))
+    return _derivative(ts, before if i else None, here, after)
+
+
+def delta_h_derivatives(ts: TimeScale, points) -> Iterator[tuple[float, FuzzyVector | None]]:
+    """``(t, derivative or None)``, as ``delta_h_derivative`` finds it, per
+    point of a ``(t, segment, state)`` stream (``hybrid.states``, say) that
+    has a successor; it holds three states at a time."""
+    before = here = None
+    for t, _, u in points:
+        if here is not None:
+            yield here[0], _derivative(ts, before, here, (t, u))
+        before, here = here, (t, u)
 
 
 def verify_derivative_definition(traj: FuzzyTrajectory, t: float,

@@ -133,6 +133,9 @@ class StabilityQuery(Frozen):
 # The comparison bound
 # ---------------------------------------------------------------------------
 
+BOUND_TOL = 1e-9  # the slack of V over r, at t0 too, before the comparison bound fails
+
+
 class BoundReport:
     """Outcome of checking V(t, u(t)) <= r(t) + tol point by point;
     ``violations`` holds (t, V, r) triples."""
@@ -149,31 +152,27 @@ class BoundReport:
         return self.precondition_ok and not self.violations
 
 
-def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
-                            scalar_traj: ScalarTrajectory, tol: float = 1e-9) -> BoundReport:
-    """Check the comparison bound along paired trajectories.
+def comparison_bound(times: Sequence[float], v_values: Sequence[float],
+                     r_values: Sequence[float], tol: float = BOUND_TOL) -> BoundReport:
+    """Check V <= r + tol at each point of paired ``times``, V and r values,
+    or report a precondition failure where V(t0, u0) > r0 + tol."""
+    if v_values[0] > r_values[0] + tol:
+        return BoundReport(False, 0, [], max_excess=v_values[0] - r_values[0])
+    violations = [(t, v, r) for t, v, r in zip(times, v_values, r_values) if v > r + tol]
+    worst = max(-math.inf, *(v - r for v, r in zip(v_values, r_values)))  # NaNs never win
+    return BoundReport(True, len(times), violations, max_excess=worst)
 
-    Requires the hypothesis V(t0, u0) <= r0 + tol; when it fails the check
-    is skipped and reported as a precondition failure.
-    """
-    if fuzzy_traj.ts is not scalar_traj.ts and not np.array_equal(
-            fuzzy_traj.ts.points, scalar_traj.ts.points):
+
+def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
+                            scalar_traj: ScalarTrajectory, tol: float = BOUND_TOL) -> BoundReport:
+    """Check the comparison bound along paired trajectories (see
+    ``comparison_bound``), on the points both reach."""
+    if not np.array_equal(fuzzy_traj.ts.points, scalar_traj.ts.points):
         raise InvalidShapeError("trajectories live on different time scales")
     n = min(len(fuzzy_traj), len(scalar_traj))
-    t0 = float(fuzzy_traj.ts.points[0])
-    v0 = V(t0, fuzzy_traj.values[0])
-    if v0 > float(scalar_traj.values[0]) + tol:
-        return BoundReport(False, 0, [], max_excess=v0 - float(scalar_traj.values[0]))
-    violations = []
-    worst = -math.inf
-    for i in range(n):
-        t = float(fuzzy_traj.ts.points[i])
-        v = V(t, fuzzy_traj.values[i])
-        r = float(scalar_traj.values[i])
-        worst = max(worst, v - r)
-        if v > r + tol:
-            violations.append((t, v, r))
-    return BoundReport(True, n, violations, max_excess=worst)
+    times = fuzzy_traj.times[:n].tolist()
+    v_values = [V(t, u) for t, u in zip(times, fuzzy_traj.values)]
+    return comparison_bound(times, v_values, scalar_traj.values[:n].tolist(), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import test_golden
 from fuzzyts import cli, dsl, hybrid, io as ftio
 from fuzzyts.cli import RunConfig, build_dsl_bundle, main, parse_timescale_spec
 from fuzzyts.errors import ConfigError
-from fuzzyts.hukuhara import delta_h_derivative
+from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
+from fuzzyts.stability import LyapunovFn
 
 GRID = f.AlphaGrid.uniform(11)
 TOL = 1e-12
@@ -216,21 +217,35 @@ horizon = 6
 """
 
 
-@pytest.mark.parametrize("rhs, message", [
+STEP_FAILURES = pytest.mark.parametrize("rhs, message", [
     ("ghsub(tri(-1,0,1), trap(-0.5,-0.5,0.5,0.5))",
      "solver step failed at t=0.0: expansive step failed at t=0.0: gH difference does not exist"),
     ("smul(1e200, u)",
      "solver step failed at t=1.0: expansive step failed at t=1.0: endpoints must be finite"),
 ], ids=["gh-difference-missing", "non-finite-state"])
+
+# deriv and compare march as simulate does, so they must fail as it does: a
+# test parametrized with MARCHING runs a simulate test's body with its command
+MARCHING = pytest.mark.parametrize("command", ["deriv", "compare"])
+
+
+@STEP_FAILURES
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message):
+def test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message, command="simulate"):
     cfg = write_cfg(tmp_path / "run.cfg", DSL_SIMULATE_CFG.format(rhs=rhs))
-    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(message)
-    assert list((tmp_path / "out").iterdir()) == []  # no trajectory.csv, *.part or meta.json
+    assert list((tmp_path / "out").iterdir()) == []  # no artifact, *.part or meta.json
 
 
-def test_simulate_switch_map_failure_exits_1(tmp_path, capsys):
+@MARCHING
+@STEP_FAILURES
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deriv_and_compare_step_failure_exits_1(tmp_path, capsys, rhs, message, command):
+    test_simulate_step_failure_exits_1(tmp_path, capsys, rhs, message, command)
+
+
+def test_simulate_switch_map_failure_exits_1(tmp_path, capsys, command="simulate"):
     # at t=2 the state is 0.81 * tri(-1,0,1), wider at alpha 0 than the trapezoid
     # and narrower at its core, so the gH difference of the switch map fails
     cfg = write_cfg(tmp_path / "run.cfg", """
@@ -245,11 +260,16 @@ u0 = tri(-1,0,1)
 mode = expansive
 horizon = 4
 """)
-    assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(
         "solver step failed at t=2.0: expansive step failed at t=2.0: "
         "gH difference does not exist")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@MARCHING
+def test_deriv_and_compare_switch_map_failure_exits_1(tmp_path, capsys, command):
+    test_simulate_switch_map_failure_exits_1(tmp_path, capsys, command)
 
 
 def test_failed_simulate_leaves_the_earlier_artifacts_as_they_were(tmp_path, capsys):
@@ -290,20 +310,32 @@ alpha_levels = 51
 """
 
 
+# r grows by 1% a step, faster than V = d of the state above, so the
+# comparison bound holds and compare exits 0
+LONG_COMPARE_G = "\n[comparison]\ng = 0.01 * r\n"
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-def test_simulate_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+def test_simulate_peak_memory_does_not_grow_with_the_horizon(tmp_path, command="simulate"):
     # 2,700 more 4-component, 51-level states are about 9 MB when held
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    config = LONG_SIMULATE_CFG + (LONG_COMPARE_G if command == "compare" else "")
     runs = []
     for n in (300, 3000):  # side by side, to keep the test short
-        cfg = write_cfg(tmp_path / f"run{n}.cfg", LONG_SIMULATE_CFG.format(n=n))
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / f"out{n}")]
+        cfg = write_cfg(tmp_path / f"run{n}.cfg", config.format(n=n))
+        argv = [command, "--config", cfg, "--out", str(tmp_path / f"out{n}")]
         runs.append(subprocess.Popen([sys.executable, "-c", PEAK_SCRIPT, *argv],
                                      env=env, stdout=subprocess.PIPE, text=True))
     peaks_kb = [int(run.communicate(timeout=60)[0].split()[-1]) for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert abs(peaks_kb[1] - peaks_kb[0]) < 3 * 1024, peaks_kb
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@MARCHING
+def test_deriv_and_compare_peak_memory_does_not_grow_with_the_horizon(tmp_path, command):
+    test_simulate_peak_memory_does_not_grow_with_the_horizon(tmp_path, command)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +672,30 @@ def test_deriv_table_matches_library(tmp_path):
     got = [r for r in rows if float(r["t"]) == 0.0 and float(r["alpha"]) == 0.0][0]
     assert float(got["lower"]) == pytest.approx(d0[0].cut(0)[0], abs=TOL)
     assert float(got["upper"]) == pytest.approx(d0[0].cut(0)[1], abs=TOL)
+
+
+# ---------------------------------------------------------------------------
+# Every command reads the solver's march as a stream
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["dsl-three-simulate", "dsl-dense-deriv", "dsl-compare",
+                                  "catalog-compare", "dsl-stability"])
+def test_no_command_builds_a_whole_trajectory(tmp_path, monkeypatch, case):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a FuzzyTrajectory")
+    monkeypatch.setattr(FuzzyTrajectory, "__init__", refuse)
+    test_golden.test_golden_artifact_hashes(tmp_path, case)  # same exit code and bytes
+
+
+def test_compare_evaluates_V_once_per_point(tmp_path, monkeypatch):
+    calls, call = [], LyapunovFn.__call__
+    monkeypatch.setattr(LyapunovFn, "__call__",
+                        lambda self, t, u: calls.append(t) or call(self, t, u))
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.DSL_STABILITY)
+    assert run("compare", "--config", cfg, "--out", tmp_path / "out") == 1
+    times = [float(r["t"]) for r in read_rows(tmp_path / "out" / "comparison.csv")]
+    # the default r0 and the gate read V(t0, u0), then the march each point's V
+    assert calls == [times[0], times[0], *times]
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_horizon_truncation():
     ts = f.integer(10)
     traj = solve_comparison(one_segment(ts, lambda t, r, v: 1.0, 0.0), horizon=4.0)
     assert len(traj) == 5
-    assert traj.value_at(4.0) == pytest.approx(4.0, abs=TOL)
+    assert traj.values[4] == pytest.approx(4.0, abs=TOL)
 
 
 # ---------------------------------------------------------------------------

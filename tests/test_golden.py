@@ -254,6 +254,17 @@ CASES = {
     "dsl-three-deriv": ("deriv", DSL_THREE_COMPONENTS, 0, {
         "derivative.csv": "a8682d60f365de3a33ea1187deff514096ff2bad225033ee619da1960f25eff7",
     }),
+    # the right-dense scale takes the backward-quotient branch; at the switch
+    # the two quotients disagree, and that point writes no row
+    "dsl-dense-deriv": ("deriv", DSL_DENSE_STABILITY, 0, {
+        "derivative.csv": "6c6cbfb561d87fe11dca02376643991259be07cf7de2fa9c02bb01c04fcb753d",
+    }),
+    # a scale with a gap: V exceeds r at 20 of the 21 points
+    "dsl-compare": ("compare", DSL_STABILITY, 1, {
+        "trajectory.csv": "b1df26f0cc8b88bda26aee49d2ff36e4fe593fd73eae179f6ee48ef8c9d4854c",
+        "scalar.csv": "f7a7d9da7f1b838fcac9532d5395043908f6c1c793398ac1b7c9a21b42ae8801",
+        "comparison.csv": "46d49e167b83f1e57e0772ef9864ef6b9f578ab65aa5425712f1296e5ab17847",
+    }),
     "catalog-compare": ("compare", CATALOG_COMPARE, 0, {
         "trajectory.csv": "24da126164e5e739decdc1169433eb0dd0c9320040f0c295a27c9c039388047c",
         "scalar.csv": "094eb2e70f4c01124b80a04f269d2aa3e9f1b07e2869cda466e7024b0954ae48",

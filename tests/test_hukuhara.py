@@ -3,7 +3,9 @@ import pytest
 
 import fuzzyts as f
 from fuzzyts.errors import NoSuccessorError, VerificationInconclusive
-from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative, verify_derivative_definition
+from fuzzyts import hybrid
+from fuzzyts.hukuhara import (FuzzyTrajectory, delta_h_derivative, delta_h_derivatives,
+                              verify_derivative_definition)
 
 import oracles
 
@@ -100,6 +102,26 @@ def test_dense_smooth_agreement():
     d = delta_h_derivative(traj, float(pts[2]))
     assert d is not None
     assert d[0].crisp_value() == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("ts, switch, undefined", [
+    (f.integer(8), 4.0, []),
+    (f.intervals([[0, 1], [1.5, 2.5]], 0.1), 1.5, []),
+    # right-dense: the quotients on either side of the switch disagree there
+    (f.intervals([[0, 1e-6], [5e-6, 1e-5]], 1e-7), 5e-6, [5e-6]),
+], ids=["integer", "gap", "right-dense"])
+def test_streamed_derivatives_equal_the_trajectory_derivatives(ts, switch, undefined):
+    sys = hybrid.HybridFuzzySystem(
+        ts, (0.0, switch), lambda t, u, lam: f.add(f.scale(-0.5, u), lam),
+        (lambda t, u: f.zero_vector(u.grid, u.n), lambda t, u: vec(f.crisp(1.0, GRID))),
+        rho=10.0, u0=vec(tri(-1, 0, 1)))
+    traj = hybrid.solve(sys)
+    expected = [(t, delta_h_derivative(traj, t)) for t in traj.times[:-1].tolist()]
+    streamed = list(delta_h_derivatives(ts, hybrid.states(sys)))
+    assert [t for t, _ in streamed] == [t for t, _ in expected]
+    bits = lambda d: None if d is None else (d.lower.tobytes(), d.upper.tobytes())
+    assert [bits(d) for _, d in streamed] == [bits(d) for _, d in expected]
+    assert [t for t, d in streamed if d is None] == undefined
 
 
 def test_terminal_point_raises():
