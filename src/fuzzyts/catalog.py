@@ -1,8 +1,8 @@
 """Built-in system bundles wired for the solver, comparison, and checker.
 
 Each entry packs a hybrid fuzzy system together with its scalar companion,
-a Lyapunov function, and class-K bounds (the last three only when asked
-for), so configs can reference one name instead of spelling out every
+a Lyapunov function, and class-K bounds (the last three built when first
+read), so configs can reference one name instead of spelling out every
 expression.
 """
 
@@ -14,26 +14,23 @@ from .fuzzy import AlphaGrid, FuzzyVector
 from .hybrid import HybridFuzzySystem, SystemBundle, build_example_system
 
 
-def _bundle(name: str, system: HybridFuzzySystem, g, r0: float | None,
-            analysis: bool) -> SystemBundle:
-    """The named bundle; with ``analysis``, also the comparison system of ``g``
-    with identity psi maps, the norm as Lyapunov function (r0 defaults to its
-    initial value) and identity class-K bounds."""
-    if not analysis:
-        return SystemBundle(name, system)
-    from .comparison import ScalarHybridSystem  # only compare and stability read these
-    from .stability import ClassKPair, norm_lyapunov
-    V = norm_lyapunov()
-    if r0 is None:
-        r0 = V(float(system.ts.points[0]), system.u0)
-    comparison = ScalarHybridSystem(system.ts, system.switch_times, g,
-                                    tuple(lambda v: v for _ in system.switch_times), r0)
-    return SystemBundle(name, system, comparison, V, ClassKPair(a=lambda x: x, b=lambda x: x))
+def _identity(x):
+    return x
+
+
+def _bundle(name: str, system: HybridFuzzySystem, g, r0: float | None) -> SystemBundle:
+    """The named bundle, checked with the comparison system of ``g`` with
+    identity psi maps, the norm as Lyapunov function and identity class-K
+    bounds (see ``stability.build_analysis``)."""
+    def analysis():
+        from .stability import build_analysis, norm_lyapunov  # only compare and stability read it
+        return build_analysis(system, g, _identity, norm_lyapunov(), _identity, _identity, r0)
+    return SystemBundle(name, system, analysis)
 
 
 def make_example_3_9(grid: AlphaGrid, horizon: float, switch_gap: int = 5,
                      u0: FuzzyVector | None = None, rho: float = 100.0,
-                     r0: float | None = None, analysis: bool = True) -> SystemBundle:
+                     r0: float | None = None) -> SystemBundle:
     """Switched relaxation dynamics with re-injected switch states.
 
     Companion scalar dynamics: g(t, w, w_k) = (w + w_k) / (1 + mu(t)).
@@ -45,12 +42,12 @@ def make_example_3_9(grid: AlphaGrid, horizon: float, switch_gap: int = 5,
     def g(t: float, w: float, w_k: float) -> float:
         return (w + w_k) / (1.0 + ts.mu(t))
 
-    return _bundle("example_3_9", system, g, r0, analysis)
+    return _bundle("example_3_9", system, g, r0)
 
 
 def make_crisp_contraction(grid: AlphaGrid, horizon: float,
                            u0: FuzzyVector | None = None, rho: float = 100.0,
-                           r0: float | None = None, analysis: bool = True) -> SystemBundle:
+                           r0: float | None = None) -> SystemBundle:
     """Plain contraction on the integers: the state halves every step.
 
     One segment; the switch value is the crisp zero and never enters the
@@ -71,7 +68,7 @@ def make_crisp_contraction(grid: AlphaGrid, horizon: float,
     def g(t: float, w: float, w_k: float) -> float:
         return -w / (1.0 + ts.mu(t))
 
-    return _bundle("crisp_contraction", system, g, r0, analysis)
+    return _bundle("crisp_contraction", system, g, r0)
 
 
 BUILDERS = {

@@ -13,6 +13,7 @@ preconditions and hypothesis gates that prevent testing).
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import re
 import sys
@@ -30,8 +31,8 @@ from .fuzzy import AlphaGrid, FuzzyVector
 from .hybrid import HybridFuzzySystem, StepMode, SystemBundle
 from .timescale import TimeScale
 
-# The commands that read the comparison system, V and the class-K pair, and
-# so load the comparison and stability layers; the others never compile them.
+# The commands that read the comparison system, V and the class-K pair, whose
+# layers main loads first; the others never compile them.
 ANALYSIS_COMMANDS = ("compare", "stability")
 
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$", re.S)
@@ -75,20 +76,13 @@ def parse_timescale_spec(spec: str) -> TimeScale:
 
 
 class RunConfig:
-    """Resolved configuration, kept around verbatim for the metadata echo,
-    and the command it runs (not echoed; None builds everything)."""
+    """Resolved configuration, kept around verbatim for the metadata echo."""
 
-    __slots__ = ("sections", "out_dir", "alpha_levels", "seed", "command")
+    __slots__ = ("sections", "out_dir", "alpha_levels", "seed")
 
-    def __init__(self, sections: dict, out_dir: Path, alpha_levels: int, seed: int | None,
-                 command: str | None = None):
-        self.sections, self.out_dir, self.alpha_levels, self.seed, self.command = (
-            sections, out_dir, alpha_levels, seed, command)
-
-    def echo(self) -> dict:
-        return {"config": self.sections,
-                "alpha_levels": self.alpha_levels,
-                "seed": self.seed}
+    def __init__(self, sections: dict, out_dir: Path, alpha_levels: int, seed: int | None):
+        self.sections, self.out_dir, self.alpha_levels, self.seed = (
+            sections, out_dir, alpha_levels, seed)
 
 
 # Every key the commands read, per section (keys are case-insensitive, so
@@ -142,17 +136,10 @@ def load_config(args) -> RunConfig:
     override("output", "alpha_levels", getattr(args, "alpha_levels", None))
     override("output", "dir", getattr(args, "out", None))
 
-    out_dir = Path(sections.get("output", {}).get("dir", "out"))
-    try:
-        alpha_levels = int(sections.get("output", {}).get("alpha_levels", 11))
-    except ValueError as exc:
-        raise ConfigError(f"alpha_levels must be an integer: {exc}") from exc
-    seed = sections.get("stability", {}).get("seed")
-    try:
-        seed = int(seed) if seed is not None else None
-    except ValueError as exc:
-        raise ConfigError(f"seed must be an integer: {seed!r}") from exc
-    return RunConfig(sections, out_dir, alpha_levels, seed, getattr(args, "cmd", None))
+    output, seed = sections.get("output", {}), sections.get("stability", {}).get("seed")
+    return RunConfig(sections, Path(output.get("dir", "out")),
+                     _number("output", "alpha_levels", output.get("alpha_levels", "11"), int),
+                     None if seed is None else _number("stability", "seed", seed, int))
 
 
 def _get(cfg: RunConfig, section: str, key: str, default=None):
@@ -200,25 +187,19 @@ def _step_mode(name: str) -> StepMode:
 
 
 def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
-    """The system (with its comparison and Lyapunov data if the command reads
-    them), the horizon, and the step mode."""
+    """The system (with its comparison and Lyapunov data, built when first
+    read), the horizon, and the step mode."""
     grid = AlphaGrid.uniform(cfg.alpha_levels)
-    horizon = _get_number(cfg, "system", "horizon")
-    if horizon is None:
-        raise ConfigError("missing config value [system] horizon")
+    horizon = _number("system", "horizon", _require(cfg, "system", "horizon"))
     mode = _step_mode(_get(cfg, "system", "mode", "expansive"))
     rho = _get_number(cfg, "system", "rho", 100.0)
 
     name = _get(cfg, "system", "name")
     if name is not None:
         from . import catalog  # only a catalog config compiles the catalog
-        kwargs = {"rho": rho, "analysis": cfg.command in (None, *ANALYSIS_COMMANDS)}
         u0_src = _get(cfg, "system", "u0")
-        if u0_src is not None:
-            kwargs["u0"] = parse_u0(u0_src, grid)
-        r0 = _get_number(cfg, "comparison", "r0")
-        if r0 is not None:
-            kwargs["r0"] = r0
+        kwargs = {"u0": None if u0_src is None else parse_u0(u0_src, grid), "rho": rho,
+                  "r0": _get_number(cfg, "comparison", "r0")}
         gap = _get_number(cfg, "system", "switch_gap", kind=int)
         if gap is not None and name == "example_3_9":
             kwargs["switch_gap"] = gap
@@ -242,8 +223,8 @@ def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
 def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
                      rho: float) -> SystemBundle:
     """Assemble a bundle from DSL expressions in the config.  Every expression
-    is compiled, so a bad one fails any command, but only a command that
-    reads the comparison and Lyapunov data builds (and evaluates) them."""
+    is compiled, so a bad one fails any command, but the comparison and
+    Lyapunov data are built (and evaluated) only when a command reads them."""
     from . import dsl
     ts = parse_timescale_spec(_require(cfg, "timescale", "scale"))
     u0 = parse_u0(_require(cfg, "system", "u0"), grid)
@@ -274,13 +255,10 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     def rhs(t: float, u: FuzzyVector, lam: FuzzyVector) -> FuzzyVector:
         return state(rhs_fn(t, u, lam), u)
 
-    def make_switch_map(fn):
-        def switch_map(t_k: float, u_k: FuzzyVector) -> FuzzyVector:
-            return state(fn(t_k, u_k), u_k)
-        return switch_map
+    def switch_map(fn):
+        return lambda t_k, u_k: state(fn(t_k, u_k), u_k)
 
-    maps = (make_switch_map(lam0_fn),) + tuple(
-        make_switch_map(lamk_fn) for _ in switch_times[1:])
+    maps = (switch_map(lam0_fn),) + (switch_map(lamk_fn),) * (len(switch_times) - 1)
     system = HybridFuzzySystem(ts, switch_times, rhs, maps, rho, u0)
 
     g = scalar_fn("comparison", "g", "0", ("t", "r", "v"))
@@ -289,20 +267,12 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
     a = scalar_fn("lyapunov", "a", "x", ("x",))
     b = scalar_fn("lyapunov", "b", "x", ("x",))
     r0 = _get_number(cfg, "comparison", "r0")
-    if cfg.command not in (None, *ANALYSIS_COMMANDS):
-        return SystemBundle("dsl", system)
-    from .comparison import ScalarHybridSystem
-    from .stability import ClassKPair, LyapunovFn
 
-    def V(t: float, u: FuzzyVector) -> float:
-        return V_fn(t, fuzzy.norm(u))
-
-    lyap = LyapunovFn(V)
-    if r0 is None:
-        r0 = lyap(float(ts.points[0]), u0)
-    comp_sys = ScalarHybridSystem(ts, switch_times, g,
-                                  tuple(psi for _ in switch_times), r0)
-    return SystemBundle("dsl", system, comp_sys, lyap, ClassKPair(a=a, b=b))
+    def analysis():
+        from .stability import LyapunovFn, build_analysis
+        V = LyapunovFn(lambda t, u: V_fn(t, fuzzy.norm(u)))
+        return build_analysis(system, g, psi, V, a, b, r0)
+    return SystemBundle("dsl", system, analysis)
 
 
 def build_query(cfg: RunConfig, rho: float):
@@ -332,7 +302,9 @@ def _write_meta(cfg: RunConfig, out: Path, command: str, outputs: list[str],
         "version": __version__,
         "command": command,
         "outputs": sorted(outputs),
-        **cfg.echo(),
+        "config": cfg.sections,
+        "alpha_levels": cfg.alpha_levels,
+        "seed": cfg.seed,
         **extra,
     }
     io.write_json(out / "meta.json", payload)
@@ -374,16 +346,7 @@ def cmd_compare(args) -> int:
     bundle, horizon, mode = build_bundle(cfg)
     from .comparison import solve_comparison
     from .stability import BOUND_TOL, comparison_bound
-    V = bundle.lyapunov
-    v0 = V(float(bundle.system.ts.points[0]), bundle.system.u0)
-    if v0 > bundle.comparison.r0 + BOUND_TOL:
-        print(f"hypothesis gate failed: V(t0, u0) = {v0} exceeds r0 = "
-              f"{bundle.comparison.r0}; comparison bound not applicable",
-              file=sys.stderr)
-        return 2
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    scalar = solve_comparison(bundle.comparison, horizon=horizon)
+    V, comparison = bundle.lyapunov, bundle.comparison
     v_values = []
 
     def record_v(points):  # each state's V, as the state goes to the writer
@@ -391,8 +354,16 @@ def cmd_compare(args) -> int:
             v_values.append(V(t, u))
             yield t, k, u
 
-    io.write_trajectory_csv(out / "trajectory.csv", record_v(
-        hybrid.states(bundle.system, mode=mode, horizon=horizon)))
+    march = record_v(hybrid.states(bundle.system, mode=mode, horizon=horizon))
+    first = next(march)  # u0, before any step: the gate reads its V
+    if not v_values[0] <= comparison.r0 + BOUND_TOL:  # a nan V fails too
+        print(f"hypothesis gate failed: V(t0, u0) = {v_values[0]} exceeds r0 = "
+              f"{comparison.r0}; comparison bound not applicable", file=sys.stderr)
+        return 2
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    scalar = solve_comparison(comparison, horizon=horizon)
+    io.write_trajectory_csv(out / "trajectory.csv", itertools.chain((first,), march))
     times, r_values = scalar.times.tolist(), scalar.values.tolist()
     report = comparison_bound(times, v_values, r_values)
     io.write_comparison_csv(out / "comparison.csv", times, v_values, r_values)
@@ -411,10 +382,7 @@ def cmd_stability(args) -> int:
     bundle, horizon, _ = build_bundle(cfg)
     query = build_query(cfg, rho=bundle.system.rho)
     modes_key = _get(cfg, "stability", "modes", _get(cfg, "system", "mode", "both"))
-    if modes_key == "both":
-        modes = (StepMode.EXPANSIVE, StepMode.CONTRACTIVE)
-    else:
-        modes = (_step_mode(modes_key),)
+    modes = tuple(StepMode) if modes_key == "both" else (_step_mode(modes_key),)
     from .stability import check_practical_stability
     verdict = check_practical_stability(
         bundle.system, bundle.comparison, bundle.lyapunov, bundle.kpair,
@@ -426,8 +394,7 @@ def cmd_stability(args) -> int:
                 {"horizon": horizon, "system": bundle.name})
     for prop, outcome in verdict.properties.items():
         line = f"{prop}: {outcome['status']}"
-        if outcome["witness"] is not None:
-            w = outcome["witness"]
+        if (w := outcome["witness"]) is not None:
             line += f" (witness t={w['t']}, value={w['value']}, bound={w['bound']})"
         print(line)
     if verdict.consistency["inconsistent"]:
@@ -438,11 +405,8 @@ def cmd_stability(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import dsl
-    scalars = {}
-    for name in ("t", "r", "v", "d", "x"):
-        value = getattr(args, name, None)
-        if value is not None:
-            scalars[name] = value
+    scalars = {name: value for name in ("t", "r", "v", "d", "x")
+               if (value := getattr(args, name, None)) is not None}
     ts = parse_timescale_spec(args.timescale) if args.timescale else None
     grid = AlphaGrid.uniform(args.alpha_levels or 11)
     expr = dsl.parse_fuzzy(args.expr) if args.fuzzy else dsl.parse_scalar(args.expr)

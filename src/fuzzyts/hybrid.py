@@ -218,12 +218,19 @@ def build_example_system(grid: AlphaGrid, n_switches: int, switch_gap: int,
 
 class SystemBundle:
     """A named system with the ``ScalarHybridSystem``, ``LyapunovFn`` and
-    ``ClassKPair`` that compare and stability check it with (None where a
-    command that only integrates the system leaves them unbuilt)."""
+    ``ClassKPair`` that compare and stability check it with, which
+    ``analysis()`` returns, called once, when one of them is first read."""
 
-    __slots__ = ("name", "system", "comparison", "lyapunov", "kpair")
+    __slots__ = ("name", "system", "_analysis", "_built")
 
-    def __init__(self, name: str, system: HybridFuzzySystem, comparison=None, lyapunov=None,
-                 kpair=None):
-        self.name, self.system, self.comparison = name, system, comparison
-        self.lyapunov, self.kpair = lyapunov, kpair
+    def __init__(self, name: str, system: HybridFuzzySystem, analysis: Callable[[], tuple]):
+        self.name, self.system, self._analysis, self._built = name, system, analysis, ()
+
+    def _read(self, i: int):
+        if not self._built:
+            self._built = self._analysis()
+        return self._built[i]
+
+    comparison = property(lambda self: self._read(0))
+    lyapunov = property(lambda self: self._read(1))
+    kpair = property(lambda self: self._read(2))

@@ -89,6 +89,18 @@ class ClassKPair(Frozen):
         self._set(a=a, b=b)
 
 
+def build_analysis(system: HybridFuzzySystem, g, psi, V: LyapunovFn, a, b,
+                   r0: float | None = None) -> tuple[ScalarHybridSystem, LyapunovFn, ClassKPair]:
+    """What compare and stability check ``system`` with: its comparison
+    system of ``g`` from ``r0`` (by default V(t0, u0)), holding ``psi`` at
+    every switch time, then ``V`` and the class-K pair (a, b)."""
+    if r0 is None:
+        r0 = V(float(system.ts.points[0]), system.u0)
+    comparison = ScalarHybridSystem(system.ts, system.switch_times, g,
+                                    (psi,) * len(system.switch_times), r0)
+    return comparison, V, ClassKPair(a=a, b=b)
+
+
 class SamplingPlan(Frozen):
     """``family`` is one of crisp, triangular and trapezoid."""
 
@@ -155,10 +167,12 @@ class BoundReport:
 def comparison_bound(times: Sequence[float], v_values: Sequence[float],
                      r_values: Sequence[float], tol: float = BOUND_TOL) -> BoundReport:
     """Check V <= r + tol at each point of paired ``times``, V and r values,
-    or report a precondition failure where V(t0, u0) > r0 + tol."""
-    if v_values[0] > r_values[0] + tol:
+    or report a precondition failure where not V(t0, u0) <= r0 + tol; a nan
+    V fails either."""
+    if not v_values[0] <= r_values[0] + tol:
         return BoundReport(False, 0, [], max_excess=v_values[0] - r_values[0])
-    violations = [(t, v, r) for t, v, r in zip(times, v_values, r_values) if v > r + tol]
+    violations = [(t, v, r) for t, v, r in zip(times, v_values, r_values)
+                  if not v <= r + tol]
     worst = max(-math.inf, *(v - r for v, r in zip(v_values, r_values)))  # NaNs never win
     return BoundReport(True, len(times), violations, max_excess=worst)
 
@@ -311,11 +325,25 @@ HYPOTHESIS_SAMPLES = 100
 CLASS_K_POINTS = 101
 
 
+def _require_finite(at: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
+    """Raise ConfigError at the first point of ``at`` (the arguments' arrays)
+    where a function's aligned ``values`` are not finite, naming the first
+    such function there, its arguments and its value."""
+    table = np.stack(np.broadcast_arrays(*values.values()), axis=-1)  # (points, functions)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        where = ", ".join(f"{key}={float(arg[i])!r}" for key, arg in at.items())
+        raise ConfigError(f"{list(values)[j]} is not finite at {where}: {float(table[i, j])!r}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a and b overflow as silently as on floats
 def _validate_class_k(kpair: ClassKPair, xmax: float) -> dict:
     xs = np.linspace(0.0, xmax, CLASS_K_POINTS)
     out = {}
     for name, f in (("a", kpair.a), ("b", kpair.b)):
         values = np.array([float(f(x)) for x in xs])
+        _require_finite({"x": xs}, {name: values})
         zero_ok = abs(values[0]) <= 1e-12
         diffs = np.diff(values)
         out[name] = {
@@ -355,8 +383,10 @@ def _check_sandwich(V: LyapunovFn, kpair: ClassKPair, ts: TimeScale, horizon: fl
     t, u = _draw_layer(ts, horizon, grid, n, family, radius, rng, samples, 1)
     d = fuzzy.norm(u)
     v = np.broadcast_to(V(t, u), d.shape)  # one V for every sample may be a float
-    low_margin = v - kpair.b(d)
-    high_margin = kpair.a(d) - v
+    a, b = kpair.a(d), kpair.b(d)
+    _require_finite({"t": t, "d": d}, {"V": v, "a": a, "b": b})
+    low_margin = v - b
+    high_margin = a - v
     bad = np.flatnonzero((low_margin < -HYPOTHESIS_TOL) | (high_margin < -HYPOTHESIS_TOL))
     return {
         "passed": not bad.size,

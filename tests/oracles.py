@@ -470,9 +470,13 @@ def check_sandwich(V, kpair, ts, horizon, grid, n, family, radius, rng, samples,
     times = [points[i] for i in rng.integers(0, len(points), size=samples)]
     for t, u in zip(times, sample_states(rng, grid, n, family, radius, samples)):
         d = fuzzy.norm(u)
-        v = V(t, u)
-        low_margin = v - float(kpair.b(d))
-        high_margin = float(kpair.a(d)) - v
+        v, a, b = float(V(t, u)), float(kpair.a(d)), float(kpair.b(d))
+        for name, value in (("V", v), ("a", a), ("b", b)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} is not finite at t={float(t)!r}, d={float(d)!r}: "
+                                  f"{value!r}")
+        low_margin = v - b
+        high_margin = a - v
         worst_low = min(worst_low, low_margin)
         worst_high = min(worst_high, high_margin)
         if low_margin < -tol or high_margin < -tol:

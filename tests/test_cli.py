@@ -3,6 +3,7 @@ import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import pytest
 
 import fuzzyts as f
 import test_golden
-from fuzzyts import cli, dsl, hybrid, io as ftio
+from fuzzyts import cli, dsl, hybrid, io as ftio, stability
 from fuzzyts.cli import RunConfig, build_dsl_bundle, main, parse_timescale_spec
 from fuzzyts.errors import ConfigError
 from fuzzyts.hukuhara import FuzzyTrajectory, delta_h_derivative
@@ -559,6 +560,49 @@ def test_a_non_finite_config_number_exits_2(tmp_path, capsys, command, config, f
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("alpha_levels = 5", "alpha_levels = 5.5", "[output] alpha_levels must be an integer: '5.5'"),
+    ("seed = 3", "seed = three", "[stability] seed must be an integer: 'three'"),
+    ("horizon = 20\n", "", "missing config value [system] horizon"),
+])
+def test_a_config_integer_or_horizon_that_cannot_be_read_exits_2(tmp_path, capsys, old, new,
+                                                                  message):
+    assert old in test_golden.CATALOG_STABILITY
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.CATALOG_STABILITY.replace(old, new))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "v").exists()
+
+
+# V is nan wherever d > 0, so also at t0, and r0 = 1
+NAN_V = test_golden.DSL_STABILITY.replace(
+    "V = d", "V = d * 1e308 * 1e308 - d * 1e308 * 1e308").replace(
+    "g = (-r + v)/(1 + mu(t))", "g = -r/(1 + mu(t))").replace("psi = v", "psi = v\nr0 = 1")
+
+
+def test_compare_with_a_nan_V_fails_the_gate_and_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "run.cfg", NAN_V)
+    assert run("compare", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == ("hypothesis gate failed: V(t0, u0) = nan exceeds r0 = 1.0; "
+                                       "comparison bound not applicable\n")
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    (NAN_V, r"V is not finite at t=[0-9.]+, d=[0-9.]+: nan"),
+    (test_golden.DSL_STABILITY.replace("b = x", "b = x * 1e308 * 1e308"),
+     r"b is not finite at x=0\.03: inf"),
+    (test_golden.DSL_STABILITY.replace("a = x", "a = x - x * 1e308 * 1e308 + x * 1e308 * 1e308"),
+     r"a is not finite at x=0\.03: nan"),
+], ids=["V-nan", "b-inf", "a-nan"])
+def test_stability_with_a_non_finite_V_a_or_b_exits_2(tmp_path, capsys, config, message):
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {message}\n", err), err
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("token", ["abc", "inf", "nan"])
 def test_a_switch_time_that_is_no_finite_number_exits_2(tmp_path, capsys, token):
     config = test_golden.DSL_STABILITY.replace("switch_times = 0 1.5", f"switch_times = 0 {token}")
@@ -687,15 +731,28 @@ def test_no_command_builds_a_whole_trajectory(tmp_path, monkeypatch, case):
     test_golden.test_golden_artifact_hashes(tmp_path, case)  # same exit code and bytes
 
 
-def test_compare_evaluates_V_once_per_point(tmp_path, monkeypatch):
+def compare_V_calls(tmp_path, monkeypatch, config):
+    """The times V is called at by a compare run of ``config``, and the times
+    of its comparison.csv."""
     calls, call = [], LyapunovFn.__call__
     monkeypatch.setattr(LyapunovFn, "__call__",
                         lambda self, t, u: calls.append(t) or call(self, t, u))
-    cfg = write_cfg(tmp_path / "run.cfg", test_golden.DSL_STABILITY)
+    cfg = write_cfg(tmp_path / "run.cfg", config)
     assert run("compare", "--config", cfg, "--out", tmp_path / "out") == 1
-    times = [float(r["t"]) for r in read_rows(tmp_path / "out" / "comparison.csv")]
-    # the default r0 and the gate read V(t0, u0), then the march each point's V
-    assert calls == [times[0], times[0], *times]
+    return calls, [float(r["t"]) for r in read_rows(tmp_path / "out" / "comparison.csv")]
+
+
+def test_compare_evaluates_V_once_per_point(tmp_path, monkeypatch):
+    calls, times = compare_V_calls(tmp_path, monkeypatch, test_golden.DSL_STABILITY)
+    # the default r0 reads V(t0, u0), then the march each point's V, the gate
+    # reading the first
+    assert calls == [times[0], *times]
+
+
+def test_compare_with_a_given_r0_evaluates_V_only_along_the_march(tmp_path, monkeypatch):
+    config = test_golden.DSL_STABILITY.replace("[comparison]", "[comparison]\nr0 = 1")
+    calls, times = compare_V_calls(tmp_path, monkeypatch, config)
+    assert calls == times
 
 
 # ---------------------------------------------------------------------------
@@ -850,11 +907,64 @@ def test_only_compare_and_stability_evaluate_the_lyapunov_function(tmp_path, cap
         assert capsys.readouterr().err == "error: division by zero at line 1, column 3\n"
 
 
+@pytest.mark.parametrize("command", ["compare", "stability"])
+@pytest.mark.parametrize("old, new, message", [
+    ("horizon = 10", "horizon = 10.5", "horizon 10.5 is not a point of the time scale"),
+    ("horizon = 10", "horizon = 10\nswitch_gap = 2",
+     "[system] switch_gap is not read by system 'dsl'"),
+], ids=["off-scale-horizon", "unread-key"])
+def test_a_config_error_is_reported_before_an_error_in_V_at_t0(tmp_path, capsys, command, old,
+                                                               new, message):
+    # V(t0, u0), the default r0, is evaluated only when the analysis is first read
+    cfg = write_cfg(tmp_path / "run.cfg", DSL_V_OVER_T.replace(old, new))
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["simulate", "deriv"])
 def test_a_syntax_error_in_an_unread_expression_still_exits_2(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path / "run.cfg", DSL_V_OVER_T.replace("V = d / t", "V = d\n[comparison]\ng = (r +"))
     assert run(command, "--config", cfg, "--out", tmp_path / "out") == 2
     assert "column" in capsys.readouterr().err and not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# The comparison system, V and the class-K pair are built when first read
+# ---------------------------------------------------------------------------
+
+ANALYSED = {"catalog": test_golden.CATALOG_STABILITY, "dsl": test_golden.DSL_STABILITY}
+
+
+@pytest.mark.parametrize("config", ANALYSED.values(), ids=ANALYSED)
+def test_a_bundle_builds_its_analysis_once_when_first_read(tmp_path, monkeypatch, config):
+    built, build = [], stability.build_analysis
+    monkeypatch.setattr(stability, "build_analysis",
+                        lambda *args: built.append(args) or build(*args))
+    calls, call = [], LyapunovFn.__call__
+    monkeypatch.setattr(LyapunovFn, "__call__",
+                        lambda self, t, u: calls.append(t) or call(self, t, u))
+    args = argparse.Namespace(config=write_cfg(tmp_path / "run.cfg", config))
+    bundle, _, _ = cli.build_bundle(cli.load_config(args))
+    assert built == [] and calls == []
+    kpair = bundle.kpair
+    assert len(built) == 1 and calls == [0.0]  # the default r0 is V(t0, u0)
+    parts = (bundle.comparison, bundle.lyapunov, kpair)
+    assert isinstance(parts[0], f.ScalarHybridSystem) and isinstance(parts[1], LyapunovFn)
+    assert parts[0].r0 == parts[1](0.0, bundle.system.u0)
+    for _ in range(2):
+        again = (bundle.comparison, bundle.lyapunov, bundle.kpair)
+        assert all(a is b for a, b in zip(again, parts))
+    assert len(built) == 1 and calls == [0.0, 0.0]  # the one call above
+
+
+@pytest.mark.parametrize("command", ["simulate", "deriv"])
+@pytest.mark.parametrize("config", ANALYSED.values(), ids=ANALYSED)
+def test_simulate_and_deriv_never_build_the_analysis(tmp_path, monkeypatch, command, config):
+    def refuse(*args):
+        raise AssertionError("the analysis was built")
+    monkeypatch.setattr(stability, "build_analysis", refuse)
+    cfg = write_cfg(tmp_path / "run.cfg", config)
+    assert run(command, "--config", cfg, "--out", tmp_path / "out") == 0
 
 
 def catalog_config(name="example_3_9", **keys):

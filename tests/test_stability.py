@@ -28,6 +28,7 @@ from fuzzyts.stability import (
     StabilityQuery,
     boundary_probe,
     check_practical_stability,
+    comparison_bound,
     norm_lyapunov,
     verify_comparison_bound,
     _check_condition_ii,
@@ -155,6 +156,15 @@ def test_bound_reports_violations():
     report = verify_comparison_bound(bundle.lyapunov, traj, scalar, tol=1e-9)
     assert report.violations and not report.holds
     assert report.violations[0][0] == 1.0  # first exceedance at t = 1
+
+
+def test_a_nan_V_fails_the_precondition_and_the_bound():
+    gate = comparison_bound([0.0, 1.0], [math.nan, 0.5], [1.0, 1.0])
+    assert not gate.precondition_ok and not gate.holds and gate.checked_points == 0
+    later = comparison_bound([0.0, 1.0, 2.0], [0.5, math.nan, 0.5], [1.0, 1.0, 1.0])
+    assert later.precondition_ok and not later.holds
+    assert [t for t, _, _ in later.violations] == [1.0]
+    assert later.max_excess == -0.5  # NaNs never win
 
 
 # ---------------------------------------------------------------------------
@@ -1137,6 +1147,14 @@ KPAIRS = {
 }
 
 
+def report_or_error(check, *args):
+    """The check's report, or the message of the ConfigError it raises."""
+    try:
+        return check(*args)
+    except ConfigError as exc:
+        return str(exc)
+
+
 def assert_same_report(got, want):
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # also tells -0.0 from 0.0
@@ -1164,9 +1182,9 @@ def test_stacked_sandwich_and_lipschitz_equal_the_per_draw_loops(seed, family, n
          lambda rng: (V, HYPOTHESIS_TS, horizon, GRID, n, family, 2.0, rng, 40)),
     ]:
         rngs = [SeededScriptedRng(values, seed) for _ in range(2)]
-        got = check(*args(rngs[0]))
+        got = report_or_error(check, *args(rngs[0]))
         with np.errstate(invalid="ignore"):  # inf - inf in the float loop
-            want = reference(*args(rngs[1]))
+            want = report_or_error(reference, *args(rngs[1]))
         assert_same_report(got, want)
         assert not rngs[0].values  # every scripted value was drawn
 
