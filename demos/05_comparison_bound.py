@@ -29,12 +29,12 @@ print("\nbound V <= r holds at every point:", report.holds)
 # The domination needs the monotonicity hypotheses on g and the psi maps;
 # they are checked by sampling:
 mono = f.check_monotonicity_hypothesis(bundle.comparison, samples=500, seed=1)
-print("monotonicity hypotheses pass:", mono.passed)
+print("monotonicity hypotheses pass:", mono["passed"])
 
 # A decreasing g is flagged with concrete counterexample triples:
 bad = f.ScalarHybridSystem(bundle.comparison.ts, bundle.comparison.switch_times,
                            lambda t, r, v: -2.0 * r,
                            bundle.comparison.psi, 1.0)
 bad_report = f.check_monotonicity_hypothesis(bad, samples=500, seed=1)
-print("decreasing g flagged:", not bad_report.passed,
-      "| first violation (t, r1, r2, gap):", bad_report.g_mu_r_violations[0])
+print("decreasing g flagged:", not bad_report["passed"],
+      "| first violation [t, r1, r2, gap]:", bad_report["g_mu_r_violations"][0])

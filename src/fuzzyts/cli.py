@@ -205,7 +205,7 @@ def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
             kwargs["switch_gap"] = gap
         bundle = catalog.build(name, grid, horizon, **kwargs)
     else:
-        bundle = build_dsl_bundle(cfg, grid, horizon, rho)
+        bundle = build_dsl_bundle(cfg, grid, rho)
     # a key the system does not read would make the run describe another system
     unread = (CATALOG_UNREAD if name is not None else ()) + (
         (("system", "switch_gap"),) if name != "example_3_9" else ())
@@ -220,8 +220,7 @@ def build_bundle(cfg: RunConfig) -> tuple[SystemBundle, float, StepMode]:
     return bundle, horizon, mode
 
 
-def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, horizon: float,
-                     rho: float) -> SystemBundle:
+def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, rho: float) -> SystemBundle:
     """Assemble a bundle from DSL expressions in the config.  Every expression
     is compiled, so a bad one fails any command, but the comparison and
     Lyapunov data are built (and evaluated) only when a command reads them."""

@@ -88,59 +88,19 @@ def solve_comparison(sys: ScalarHybridSystem, horizon: float | None = None) -> S
                             approximate_maximality=dense)
 
 
-class MonotonicityReport:
-    """Sampled check of the comparison-principle monotonicity hypotheses.
-
-    Violations are content, not errors: each entry records the sampled
-    point at which a finite difference had the wrong sign.  A report passes
-    only if some (t, r, v) draw checked g (``g_checked``).  Reports compare
-    equal field by field.
-    """
-
-    __slots__ = ("samples", "seed", "box", "g_mu_r_violations", "g_v_violations",
-                 "psi_violations", "g_checked")
-
-    def __init__(self, samples: int, seed: int, box: tuple[float, float],
-                 g_mu_r_violations: list[tuple[float, float, float, float]],
-                 g_v_violations: list[tuple[float, float, float, float]],
-                 psi_violations: list[tuple[int, float, float]], g_checked: bool):
-        self.samples, self.seed, self.box = samples, seed, box
-        self.g_mu_r_violations, self.g_v_violations = g_mu_r_violations, g_v_violations
-        self.psi_violations, self.g_checked = psi_violations, g_checked
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    @property
-    def passed(self) -> bool:
-        return self.g_checked and not (self.g_mu_r_violations or self.g_v_violations
-                                       or self.psi_violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "box": list(self.box),
-            "g_mu_r_violations": [list(v) for v in self.g_mu_r_violations[:10]],
-            "g_v_violations": [list(v) for v in self.g_v_violations[:10]],
-            "psi_violations": [list(v) for v in self.psi_violations[:10]],
-        }
-
-
 def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, seed: int = 0,
                                   box: tuple[float, float] = (0.0, 10.0),
-                                  horizon: float | None = None) -> MonotonicityReport:
+                                  horizon: float | None = None) -> dict:
     """Randomized sampled verification of the three monotonicity conditions.
 
     Over (t, r, v) draws, t a point before ``horizon`` (default: the terminal
-    point; none when it is the first, and then the report fails) and r, v in
+    point; none when it is the first, and then the check fails) and r, v in
     ``box``, checks that
       * r -> g(t, r, v) * mu(t) + r is nondecreasing,
       * v -> g(t, r, v) is nondecreasing, and
       * v -> psi_k(v) is nondecreasing for every k.
+    Violations are content, not errors: each draw with a wrong-signed
+    difference is listed, as [t, r1, r2, gap], [t, v1, v2, gap] or [k, v1, v2].
     """
     if samples < 1:
         raise InvalidShapeError("samples must be >= 1")
@@ -168,11 +128,13 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, s
             pairs = rng.uniform(lo, hi, size=(count, 2))
             p1, p2 = pairs.min(axis=-1), pairs.max(axis=-1)
             psi_bad += _entries(psi(p2) < psi(p1) - HYPOTHESIS_TOL, k, p1, p2)
-    return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad, len(times) > 0)
+    passed = bool(len(times)) and not (g_mu_r or g_v or psi_bad)  # no g checked, no pass
+    return {"passed": passed, "samples": samples, "seed": seed, "box": list(box),
+            "g_mu_r_violations": g_mu_r, "g_v_violations": g_v, "psi_violations": psi_bad}
 
 
-def _entries(flags, *columns) -> list[tuple]:
-    """The columns' values, one tuple per sample where ``flags`` holds, in
+def _entries(flags, *columns) -> list[list]:
+    """The columns' values, one list per sample where ``flags`` holds, in
     sample order; a flag or column that is one value for all is repeated."""
     flags, *columns = np.broadcast_arrays(flags, *columns)
-    return list(zip(*(c[flags].tolist() for c in columns)))
+    return list(map(list, zip(*(c[flags].tolist() for c in columns))))

@@ -187,7 +187,6 @@ class CircMinus(_Node):
 FuzzyExpr = FuzzyVar | FuzzyLit | FAdd | SMul | GHSub | CircMinus
 
 SCALAR_FUNCS = {"mu": 1, "sigma": 1, "eta": 1, "abs": 1, "min": 2, "max": 2, "pow": 2}
-SCALAR_VARS = {"t", "r", "v", "w", "w_k", "d", "x"}
 FUZZY_VARS = {"u", "u_k", "lam"}
 FUZZY_LITS = {"tri": 3, "trap": 4, "crisp": 1}
 # w and w_k are accepted spellings for the comparison state and its frozen

@@ -196,11 +196,6 @@ class _Cuts(Frozen):
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, k: float):
-        return scale(float(k), self)
-
-    __rmul__ = __mul__
-
 
 class FuzzyNumber(_Cuts):
     """A fuzzy number: ``(m,)`` endpoint arrays on a shared grid."""

@@ -326,15 +326,17 @@ CLASS_K_POINTS = 101
 
 
 def _require_finite(at: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
-    """Raise ConfigError at the first point of ``at`` (the arguments' arrays)
-    where a function's aligned ``values`` are not finite, naming the first
-    such function there, its arguments and its value."""
-    table = np.stack(np.broadcast_arrays(*values.values()), axis=-1)  # (points, functions)
+    """Raise ConfigError at the first point, in row-major order, where a
+    function's ``values`` are not finite, naming the first such function
+    there, its arguments ``at`` (broadcast to the values' shape) and its value."""
+    table = np.stack(np.broadcast_arrays(*values.values()), axis=-1)  # (points..., functions)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
-        i, j = bad[0]
-        where = ", ".join(f"{key}={float(arg[i])!r}" for key, arg in at.items())
-        raise ConfigError(f"{list(values)[j]} is not finite at {where}: {float(table[i, j])!r}")
+        *i, j = bad[0]
+        where = ", ".join(f"{key}={np.broadcast_to(arg, table.shape[:-1])[tuple(i)].item()}"
+                          for key, arg in at.items())
+        raise ConfigError(f"{list(values)[j]} is not finite at {where}: "
+                          f"{float(table[tuple(bad[0])])!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a and b overflow as silently as on floats
@@ -342,7 +344,7 @@ def _validate_class_k(kpair: ClassKPair, xmax: float) -> dict:
     xs = np.linspace(0.0, xmax, CLASS_K_POINTS)
     out = {}
     for name, f in (("a", kpair.a), ("b", kpair.b)):
-        values = np.array([float(f(x)) for x in xs])
+        values = np.broadcast_to(f(xs), xs.shape)  # one value for every x may be a float
         _require_finite({"x": xs}, {name: values})
         zero_ok = abs(values[0]) <= 1e-12
         diffs = np.diff(values)
@@ -408,8 +410,9 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGr
     estimate = 0.0
     if rows.size:
         t = t[rows]
-        ratio = np.abs(V(t, u1.take(rows)) - V(t, u2.take(rows))) / gap[rows]
-        estimate = float(np.fmax.reduce(ratio, initial=0.0))  # as max(): NaNs never win
+        v1, v2 = (np.broadcast_to(V(t, u.take(rows)), t.shape) for u in (u1, u2))
+        _require_finite({"t": t[:, None]}, {"V": np.stack((v1, v2), axis=-1)})  # pair by pair
+        estimate = float(np.max(np.abs(v1 - v2) / gap[rows]))
     declared = V.lipschitz
     ok = True if declared is None else estimate <= declared * (1.0 + 1e-9) + 1e-12
     return {
@@ -425,7 +428,8 @@ def _check_lipschitz(V: LyapunovFn, ts: TimeScale, horizon: float, grid: AlphaGr
 def _check_condition_ii(comp: ScalarHybridSystem, stacks: Sequence[tuple]) -> dict:
     """Differential inequality along each sampled trajectory, on comp's time
     scale, from the ``(points, samples)`` V values of each mode's stack (see
-    ``_simulate_direct``); g and psi get one ``(S,)`` array per point."""
+    ``_simulate_direct``), which must be finite; g and psi get one ``(S,)``
+    array per point."""
     worst = math.inf
     violations = []
     checked = 0
@@ -433,6 +437,8 @@ def _check_condition_ii(comp: ScalarHybridSystem, stacks: Sequence[tuple]) -> di
         times = comp.ts.points[:len(v)].tolist()
         if not sample_ids or len(times) < 2:
             continue
+        _require_finite({"t": times, "mode": mode, "sample": np.array(sample_ids)[:, None]},
+                        {"V": v.T})  # sample by sample, in listing order
         v_at = dict(zip(times, v))  # the Dini estimate looks V's rows up by time
         held = {}  # segment k -> psi_k(V at its switch time)
         lhs, rhs = np.empty((2, len(times) - 1, len(sample_ids)))
@@ -678,35 +684,28 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         "gate_a_lambda_lt_b_A": gate,
         "sandwich": sandwich,
         "lipschitz": lipschitz,
-        "monotonicity": monotonicity.to_dict(),
+        "monotonicity": {key: value[:10] if key.endswith("_violations") else value
+                         for key, value in monotonicity.items()},
         "condition_ii": cond_ii,
     }
-    hyp_passed = (class_k["passed"] and gate["passed"] and sandwich["passed"]
-                  and lipschitz["passed"] and monotonicity.passed and cond_ii["passed"])
+    hyp_passed = all(entry["passed"] for entry in hypothesis_report.values())
     hypothesis_report["all_passed"] = hyp_passed
 
     # Layer 2: comparison route.
     comparison_verdict = _comparison_route(comp, kpair, q, horizon)
 
-    implied = {}
+    implied, inconsistencies = {}, []
     for prop in PROPERTIES:
         if not hyp_passed:
             implied[prop] = NOT_TESTED + " (hypotheses not established on samples)"
         elif comparison_verdict[prop] == HOLDS:
             implied[prop] = HOLDS + " (transferred from the comparison system)"
+            if outcomes[prop]["status"] == VIOLATED:
+                inconsistencies.append({"property": prop, "witness": outcomes[prop]["witness"]})
         elif comparison_verdict[prop] == VIOLATED:
             implied[prop] = "no conclusion (comparison system not stable on the grid)"
         else:
             implied[prop] = NOT_TESTED
-
-    inconsistencies = []
-    for prop in PROPERTIES:
-        if (hyp_passed and comparison_verdict[prop] == HOLDS
-                and outcomes[prop]["status"] == VIOLATED):
-            inconsistencies.append({
-                "property": prop,
-                "witness": outcomes[prop]["witness"],
-            })
     consistency = {
         "checked": hyp_passed,
         "inconsistent": bool(inconsistencies),

@@ -17,7 +17,6 @@ from fuzzyts.dsl import (
     BinOp, Call, CircMinus, Env, EvalError, FAdd, FuzzyExpr, FuzzyLit, FuzzyVar, GHSub, Neg, Num,
     ScalarExpr, SMul, Var, VAR_ALIASES,
 )
-from fuzzyts.comparison import MonotonicityReport
 from fuzzyts.errors import ConfigError, FuzzyTSError, NoSuccessorError, UnknownPointError
 from fuzzyts.fuzzy import FuzzyNumber, FuzzyVector
 from fuzzyts.stability import MAX_SAMPLE_ATTEMPTS
@@ -502,7 +501,11 @@ def check_lipschitz(V, ts, horizon, grid, n, family, radius, rng, samples):
         if gap <= 1e-12:
             continue
         checked += 1
-        estimate = max(estimate, abs(V(t, u1) - V(t, u2)) / gap)
+        v1, v2 = float(V(t, u1)), float(V(t, u2))
+        for value in (v1, v2):
+            if not math.isfinite(value):
+                raise ConfigError(f"V is not finite at t={float(t)!r}: {value!r}")
+        estimate = max(estimate, abs(v1 - v2) / gap)
     declared = V.lipschitz
     ok = True if declared is None else estimate <= declared * (1.0 + 1e-9) + 1e-12
     return {
@@ -529,13 +532,15 @@ def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9, hori
         left = sys.g(t, r1, v) * mu + r1
         right = sys.g(t, r2, v) * mu + r2
         if right < left - tol:
-            g_mu_r.append((t, r1, r2, right - left))
+            g_mu_r.append([t, r1, r2, right - left])
         gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
         if gv2 < gv1 - tol:
-            g_v.append((t, v1, v2, gv2 - gv1))
+            g_v.append([t, v1, v2, gv2 - gv1])
     for k, psi in enumerate(sys.psi):
         for _ in range(max(8, samples // max(1, len(sys.psi)))):
             v1, v2 = sorted(rng.uniform(lo, hi, size=2))
             if psi(v2) < psi(v1) - tol:
-                psi_bad.append((k, v1, v2))
-    return MonotonicityReport(samples, seed, box, g_mu_r, g_v, psi_bad, bool(times))
+                psi_bad.append([k, v1, v2])
+    return {"passed": bool(times) and not (g_mu_r or g_v or psi_bad), "samples": samples,
+            "seed": seed, "box": list(box), "g_mu_r_violations": g_mu_r,
+            "g_v_violations": g_v, "psi_violations": psi_bad}

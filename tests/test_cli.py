@@ -588,19 +588,57 @@ def test_compare_with_a_nan_V_fails_the_gate_and_exits_2(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+# V is d up to d = 2 and nan (or inf) beyond: the sandwich draws d < A = 2 and
+# sees only finite values, the Lipschitz pairs, drawn up to 2A, do not
+V_NAN_BEYOND_2 = test_golden.DSL_STABILITY.replace(
+    "V = d", "V = d + (max(d - 2, 0) * 1e308 * 1e308 - max(d - 2, 0) * 1e308 * 1e308)").replace(
+    "g = (-r + v)/(1 + mu(t))", "g = 1e6")
+V_INF_BEYOND_2 = test_golden.DSL_STABILITY.replace(
+    "V = d", "V = d + max(d - 2, 0) * 1e308 * 1e308")
+# the direct route's states grow past 1e8, so V = d * 1e300 overflows in condition (ii)
+V_OVERFLOW = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace(
+    "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)")
+
+
 @pytest.mark.parametrize("config, message", [
     (NAN_V, r"V is not finite at t=[0-9.]+, d=[0-9.]+: nan"),
     (test_golden.DSL_STABILITY.replace("b = x", "b = x * 1e308 * 1e308"),
      r"b is not finite at x=0\.03: inf"),
     (test_golden.DSL_STABILITY.replace("a = x", "a = x - x * 1e308 * 1e308 + x * 1e308 * 1e308"),
      r"a is not finite at x=0\.03: nan"),
-], ids=["V-nan", "b-inf", "a-nan"])
+    (V_NAN_BEYOND_2, r"V is not finite at t=0\.5: nan"),
+    (V_INF_BEYOND_2, r"V is not finite at t=0\.5: inf"),
+    (V_OVERFLOW, r"V is not finite at t=0\.2, mode=expansive, sample=-1: inf"),
+], ids=["V-nan", "b-inf", "a-nan", "lipschitz-V-nan", "lipschitz-V-inf", "condition-ii-V-inf"])
 def test_stability_with_a_non_finite_V_a_or_b_exits_2(tmp_path, capsys, config, message):
     cfg = write_cfg(tmp_path / "run.cfg", config)
     assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {message}\n", err), err
     assert not (tmp_path / "v").exists()
+
+
+def test_a_direct_violation_where_hypotheses_and_comparison_pass_is_inconsistent(
+        tmp_path, capsys, monkeypatch):
+    # on DSL_STABILITY only condition (ii) fails, the comparison grid holds and
+    # the direct route is violated: with condition (ii) passing, the run is
+    # inconsistent
+    def passing(comp, stacks):
+        return {"passed": True, "checked_steps": 1, "worst_margin": 0.0, "violations": []}
+
+    monkeypatch.setattr(stability, "_check_condition_ii", passing)
+    cfg = write_cfg(tmp_path / "run.cfg", test_golden.DSL_STABILITY)
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 1
+    assert capsys.readouterr().err == ("INCONSISTENCY: hypotheses and comparison passed but a "
+                                       "direct violation was witnessed\n")
+    verdict = json.loads((tmp_path / "v" / "verdict.json").read_text())
+    assert verdict["hypothesis_report"]["all_passed"] is True
+    assert verdict["comparison_verdict"]["practically_stable"] == stability.HOLDS
+    witness = verdict["properties"]["practically_stable"]["witness"]
+    assert witness is not None
+    details = verdict["consistency"]["details"]
+    assert {"property": "practically_stable", "witness": witness} in details
+    assert verdict["consistency"]["inconsistent"] is verdict["consistency"]["checked"] is True
 
 
 @pytest.mark.parametrize("token", ["abc", "inf", "nan"])
@@ -1010,7 +1048,7 @@ def dsl_system(n, rhs="circminus(u) fadd smul(eta(t), lam)", lambda_0="u_k"):
                    "switch_times": "0 6", "u0": " | ".join(["tri(-1,0,1)"] * n)},
     }
     cfg = RunConfig(sections, Path("out"), GRID.m, None)
-    return build_dsl_bundle(cfg, GRID, 12.0, 100.0).system
+    return build_dsl_bundle(cfg, GRID, 100.0).system
 
 
 def test_literal_only_dsl_result_is_given_to_every_component():

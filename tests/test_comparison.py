@@ -90,22 +90,22 @@ def test_monotonicity_passes_for_averaging_g():
     ts = f.integer(6)
     sys = one_segment(ts, lambda t, r, v: (r + v) / 2.0, 1.0)
     report = check_monotonicity_hypothesis(sys, samples=300, seed=1)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_monotonicity_flags_decreasing_map():
     ts = f.integer(6)
     sys = one_segment(ts, lambda t, r, v: -2.0 * r, 1.0)
     report = check_monotonicity_hypothesis(sys, samples=300, seed=1)
-    assert report.g_mu_r_violations  # g*mu + r = -r is decreasing
-    assert not report.passed
+    assert report["g_mu_r_violations"]  # g*mu + r = -r is decreasing
+    assert not report["passed"]
 
 
 def test_monotonicity_flags_decreasing_psi():
     ts = f.integer(6)
     sys = ScalarHybridSystem(ts, (0.0,), lambda t, r, v: 0.0, (lambda v: -v,), 1.0)
     report = check_monotonicity_hypothesis(sys, samples=200, seed=3)
-    assert report.psi_violations
+    assert report["psi_violations"]
 
 
 def test_monotonicity_report_is_deterministic():
@@ -113,7 +113,7 @@ def test_monotonicity_report_is_deterministic():
     sys = one_segment(ts, lambda t, r, v: -2.0 * r, 1.0)
     r1 = check_monotonicity_hypothesis(sys, samples=100, seed=9)
     r2 = check_monotonicity_hypothesis(sys, samples=100, seed=9)
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_monotone_in_initial_value_when_hypotheses_hold():
     ts = f.integer(10)
     g = lambda t, r, v: (r + v) / 2.0
     sys = one_segment(ts, g, 0.0)
-    assert check_monotonicity_hypothesis(sys, samples=200, seed=5).passed
+    assert check_monotonicity_hypothesis(sys, samples=200, seed=5)["passed"]
     rng = np.random.default_rng(5)
     for _ in range(25):
         lo, hi = sorted(rng.uniform(0.0, 5.0, 2))

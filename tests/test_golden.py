@@ -6,6 +6,7 @@ re-pin it only together with a note saying why the output changed.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -287,3 +288,9 @@ def test_golden_artifact_hashes(tmp_path, case):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == exit_code
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
+    if command == "stability":  # the hypotheses pass only where each of the six checks does
+        report = json.loads((out / "verdict.json").read_text())["hypothesis_report"]
+        entries = ("class_k", "gate_a_lambda_lt_b_A", "sandwich", "lipschitz", "monotonicity",
+                   "condition_ii")
+        assert sorted(report) == sorted([*entries, "all_passed"])
+        assert report["all_passed"] is all(report[name]["passed"] for name in entries)

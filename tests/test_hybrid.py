@@ -258,7 +258,7 @@ def ghsub_dsl_system():
                    "lambda_0": "trap(-0.5,-0.2,0.2,0.5)", "lambda_k": "u_k",
                    "switch_times": "0 1.5", "u0": "tri(-1,0,1) | tri(-0.5,0,0.5)"},
     }
-    return build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 2.5, 100.0).system
+    return build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 100.0).system
 
 
 SYSTEMS = {
@@ -473,7 +473,7 @@ def test_expansive_steps_of_an_exact_state_make_no_full_check(monkeypatch):
                    "lambda_0": "trap(-0.5,-0.2,0.2,0.5)", "lambda_k": "u_k",
                    "switch_times": "0 10", "u0": "tri(-1,0,1) | trap(-2,-1,0,1)"},
     }
-    sys = build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 20.0, 100.0).system
+    sys = build_dsl_bundle(RunConfig(sections, Path("out"), GRID.m, None), GRID, 100.0).system
     assert full_checks_per_step(monkeypatch, sys, StepMode.EXPANSIVE) == 0
     slack = catalog.make_example_3_9(GRID, 12.0, u0=f.vector(tri(-0.3, 0.1, 0.9))).system
     assert full_checks_per_step(monkeypatch, slack, StepMode.EXPANSIVE) == 0
@@ -541,7 +541,7 @@ def test_linear_dsl_systems_match_their_exact_endpoint_march(data, scale, terms,
                    "switch_times": switch_text, "u0": "crisp(0) | crisp(0)"},
     }
     sys = build_dsl_bundle(RunConfig(sections, Path("out"), ORACLE_GRID.m, None), ORACLE_GRID,
-                           points[last], 1e9).system
+                           1e9).system
     assert sys.switch_times == tuple(points[i] for i in switches)
     states = [[f.make_triangle(*tri_, ORACLE_GRID) for tri_ in comps] for comps in samples]
     stack = oracles.stack([f.vector(*comps) for comps in states])

@@ -151,7 +151,7 @@ def test_trajectory_writer_makes_one_write_per_point(tmp_path, monkeypatch):
 GRID = f.AlphaGrid.uniform(11)
 
 
-def dsl_system(horizon, lambda_k="u_k"):
+def dsl_system(lambda_k="u_k"):
     """Two components on a scale with a gap, switching three times."""
     sections = {
         "timescale": {"scale": "intervals([[0,2],[3,5]], 0.05)"},
@@ -160,15 +160,15 @@ def dsl_system(horizon, lambda_k="u_k"):
                    "u0": "tri(-1,0,1) | trap(-2,-1,0,1)"},
     }
     cfg = RunConfig(sections, Path("out"), GRID.m, None)
-    return build_dsl_bundle(cfg, GRID, horizon, 100.0).system
+    return build_dsl_bundle(cfg, GRID, 100.0).system
 
 
 @pytest.mark.parametrize("system, mode, horizon", [
     (lambda: catalog.make_example_3_9(GRID, 12.0).system, hybrid.StepMode.EXPANSIVE, 12.0),
     # contractive example_3_9 steps fail from t=6
     (lambda: catalog.make_example_3_9(GRID, 12.0).system, hybrid.StepMode.CONTRACTIVE, 6.0),
-    (lambda: dsl_system(5.0), hybrid.StepMode.EXPANSIVE, None),
-    (lambda: dsl_system(4.5), hybrid.StepMode.EXPANSIVE, 4.5),
+    (dsl_system, hybrid.StepMode.EXPANSIVE, None),
+    (dsl_system, hybrid.StepMode.EXPANSIVE, 4.5),
 ], ids=["example_3_9-expansive", "example_3_9-contractive", "dsl-gap", "dsl-gap-early-horizon"])
 def test_streamed_and_collected_trajectories_write_the_same_bytes(tmp_path, system, mode, horizon):
     sys = system()
@@ -185,7 +185,7 @@ def test_streamed_and_collected_trajectories_write_the_same_bytes(tmp_path, syst
 def test_simulate_stream_holds_no_state_before_the_previous_one(tmp_path):
     # the held values are computed, not states of the trajectory, so that
     # no switch keeps a yielded state alive; u0 is the system's own
-    sys = dsl_system(5.0, lambda_k="smul(0.5, u_k)")
+    sys = dsl_system(lambda_k="smul(0.5, u_k)")
     alive_at = []
     refs = []
 

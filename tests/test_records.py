@@ -5,7 +5,6 @@ import pytest
 
 import fuzzyts as f
 from fuzzyts import catalog, dsl
-from fuzzyts.comparison import MonotonicityReport
 from fuzzyts.errors import ConfigError, InvalidShapeError
 from fuzzyts.stability import ClassKPair, LyapunovFn, SamplingPlan, StabilityQuery
 from fuzzyts.timescale import SwitchSchedule
@@ -92,14 +91,6 @@ def test_replace_builds_and_checks_a_new_record():
     assert len(shorter) == 2 and shorter.segments is traj.segments and len(traj) == 4
     scalar = f.solve_comparison(b.comparison, horizon=3.0)
     assert scalar.replace(values=scalar.values * 2).segments is scalar.segments
-
-
-def test_monotonicity_reports_compare_field_by_field():
-    report = MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
-    assert report == MonotonicityReport(4, 1, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
-    assert report != MonotonicityReport(4, 2, (0.0, 1.0), [], [(0.5, 0.1, 0.2, -1.0)], [], True)
-    assert report != MonotonicityReport(4, 1, (0.0, 1.0), [], [], [], True)
-    assert report != report.to_dict()
 
 
 def test_verdict_to_dict_gives_every_field_unchanged():

@@ -824,10 +824,16 @@ def test_direct_route_reports_the_first_initial_state_outside_the_ball():
 
 def condition_ii_per_sample(V, comp, stacks, tol):
     """Reference: condition (ii) one surviving sample at a time, with V, g and
-    psi called on floats and the Dini estimate of V along one state at a time."""
+    psi called on floats and the Dini estimate of V along one state at a time.
+    A sample checked over some step must have a finite V at every point."""
     worst, violations, checked = math.inf, [], 0
     for mode, sample_ids, trajs in stacks:
         for sample_id, traj in zip(sample_ids, trajs):
+            for t in traj.times.tolist() if len(traj) > 1 else []:
+                value = float(V(t, traj.value_at(t)))
+                if not math.isfinite(value):
+                    raise ConfigError(f"V is not finite at t={t!r}, mode={mode}, "
+                                      f"sample={sample_id}: {value!r}")
             for t in traj.times[:-1].tolist():
                 k = int(np.searchsorted(comp.switch_times, t, side="right")) - 1
                 tk = comp.switch_times[k]
@@ -902,14 +908,17 @@ def test_condition_ii_on_stacks_of_a_dsl_system(config):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_condition_ii_overflows_as_silently_as_the_float_path():
+def test_condition_ii_raises_at_the_first_V_that_overflows_as_the_float_path():
     # the states grow past 1e8, so V = d * 1e300 overflows to inf
-    config = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace(
-        "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)")
-    bundle, stacks, trajs = dsl_stacks(config)
-    report = assert_stacked_check_equals_per_sample_check(bundle.lyapunov, bundle.comparison,
-                                                          stacks, trajs)
-    assert report["worst_margin"] == -math.inf
+    bundle, stacks, trajs = dsl_stacks(test_golden.DSL_STABILITY.replace(
+        "V = d", "V = d * 1e300").replace(
+        "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)"))
+    message = "V is not finite at t=0.2, mode=expansive, sample=-1: inf"
+    with pytest.raises(ConfigError) as got:
+        _check_condition_ii(bundle.comparison, stacks)
+    with pytest.raises(ConfigError) as want:
+        condition_ii_per_sample(bundle.lyapunov, bundle.comparison, trajs, tol=1e-9)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_condition_ii_on_a_stack_whose_samples_all_failed():
@@ -1216,8 +1225,7 @@ def test_stacked_monotonicity_equals_the_per_draw_loop(seed, g, psi, samples, ho
                                             horizon=horizon)
     want = oracles.check_monotonicity(comp, samples=samples, seed=seed, box=(0.0, 4.0),
                                       horizon=horizon)
-    assert got == want
-    assert_same_report(got.to_dict(), want.to_dict())
+    assert_same_report(got, want)
 
 
 def test_lipschitz_check_that_calls_V_on_no_pair_does_not_pass():
@@ -1232,13 +1240,14 @@ def test_monotonicity_check_that_draws_no_time_does_not_pass():
     # with the horizon at the first point, no (t, r, v) draw checks g
     b = catalog.make_example_3_9(GRID, 10.0)
     report = cmp.check_monotonicity_hypothesis(b.comparison, samples=50, horizon=0.0)
-    assert report.g_mu_r_violations == report.g_v_violations == report.psi_violations == []
-    assert report.to_dict()["passed"] is False
+    assert (report["g_mu_r_violations"], report["g_v_violations"],
+            report["psi_violations"]) == ([], [], [])
+    assert report["passed"] is False
 
 
 def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
     b = catalog.make_example_3_9(GRID, 10.0)
-    calls = {"V": 0, "g": 0, "psi": 0, "checked states": 0}
+    calls = {"V": 0, "g": 0, "psi": 0, "a": 0, "b": 0, "checked states": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -1250,6 +1259,9 @@ def test_hypothesis_checks_call_V_g_and_psi_once_per_layer(monkeypatch):
     V = LyapunovFn(counted("V", b.lyapunov), lipschitz=1.0)
     comp = b.comparison.replace(g=counted("g", b.comparison.g),
                                 psi=tuple(counted("psi", p) for p in b.comparison.psi))
+    stability._validate_class_k(ClassKPair(counted("a", b.kpair.a), counted("b", b.kpair.b)),
+                                xmax=3.0)
+    assert (calls["a"], calls["b"]) == (1, 1)  # on the whole grid at once
     seen = []
     for samples in (10, 40):
         for name in calls:
