@@ -8,7 +8,7 @@ import json
 import fuzzyts as f
 from fuzzyts import catalog
 from fuzzyts.hybrid import StepMode
-from fuzzyts.stability import SamplingPlan, StabilityQuery, check_practical_stability
+from fuzzyts.stability import StabilityQuery, check_practical_stability
 
 grid = f.AlphaGrid.uniform(11)
 
@@ -18,7 +18,7 @@ grid = f.AlphaGrid.uniform(11)
 # 1) A contracting system: yes, and every layer of evidence agrees.
 bundle = catalog.make_crisp_contraction(grid, horizon=10.0)
 query = StabilityQuery(lam=0.5, A=1.0, B=0.1, T0=4.0, rho=100.0,
-                       sampling=SamplingPlan(count=100, seed=1, family="crisp"))
+                       count=100, seed=1, family="crisp")
 verdict = check_practical_stability(bundle.system, bundle.comparison,
                                     bundle.lyapunov, bundle.kpair, query, 10.0)
 print("contracting system:")
@@ -30,8 +30,7 @@ print("  transferred conclusion :", verdict.implied_conclusions["practically_sta
 # 2) The expansive catalog system: uncertainty grows by x1.5 per step, so
 # A = 2 is overrun; the checker reports a concrete witness.
 bundle = catalog.make_example_3_9(grid, horizon=10.0)
-query = StabilityQuery(lam=1.0, A=2.0, rho=100.0,
-                       sampling=SamplingPlan(count=100, seed=1, family="triangular"))
+query = StabilityQuery(lam=1.0, A=2.0, rho=100.0, count=100, seed=1, family="triangular")
 verdict = check_practical_stability(bundle.system, bundle.comparison,
                                     bundle.lyapunov, bundle.kpair, query, 10.0,
                                     modes=(StepMode.EXPANSIVE,))

@@ -61,7 +61,7 @@ from .hybrid import HybridFuzzySystem, StepMode, build_example_system, solve
 _LAZY = {
     **dict.fromkeys(("ScalarHybridSystem", "ScalarTrajectory", "check_monotonicity_hypothesis",
                      "solve_comparison"), "comparison"),
-    **dict.fromkeys(("ClassKPair", "LyapunovFn", "SamplingPlan", "StabilityQuery", "Verdict",
+    **dict.fromkeys(("ClassKPair", "LyapunovFn", "StabilityQuery", "Verdict",
                      "check_practical_stability", "norm_lyapunov", "verify_comparison_bound"),
                     "stability"),
 }

@@ -275,21 +275,19 @@ def build_dsl_bundle(cfg: RunConfig, grid: AlphaGrid, rho: float) -> SystemBundl
 
 
 def build_query(cfg: RunConfig, rho: float):
-    from .stability import SamplingPlan, StabilityQuery
+    from .stability import StabilityQuery
     lam = _get_number(cfg, "stability", "lambda")
     big_a = _get_number(cfg, "stability", "a")
     if lam is None or big_a is None:
         raise ConfigError("stability checks need [stability] lambda and A")
-    plan = SamplingPlan(
-        count=_get_number(cfg, "stability", "samples", 200, int),
-        seed=cfg.seed if cfg.seed is not None else 0,
-        family=_get(cfg, "stability", "shape", "triangular"),
-    )
     return StabilityQuery(
         lam=lam, A=big_a,
         B=_get_number(cfg, "stability", "b"),
         T0=_get_number(cfg, "stability", "t0"),
-        rho=rho, sampling=plan,
+        rho=rho,
+        count=_get_number(cfg, "stability", "samples", 200, int),
+        seed=cfg.seed if cfg.seed is not None else 0,
+        family=_get(cfg, "stability", "shape", "triangular"),
     )
 
 
@@ -365,15 +363,16 @@ def cmd_compare(args) -> int:
     io.write_trajectory_csv(out / "trajectory.csv", itertools.chain((first,), march))
     times, r_values = scalar.times.tolist(), scalar.values.tolist()
     report = comparison_bound(times, v_values, r_values)
+    holds, violations = report["holds"], len(report["violations"])
     io.write_comparison_csv(out / "comparison.csv", times, v_values, r_values)
     io.write_scalar_csv(out / "scalar.csv", scalar)
     _write_meta(cfg, out, "compare", ["comparison.csv", "scalar.csv", "trajectory.csv"],
                 {"mode": mode.value, "horizon": horizon, "system": bundle.name,
-                 "bound_holds": report.holds, "violations": len(report.violations)})
+                 "bound_holds": holds, "violations": violations})
     print(f"comparison bound on {bundle.name}: "
-          f"{'holds' if report.holds else f'{len(report.violations)} violations'} "
-          f"over {report.checked_points} points -> {out}")
-    return 0 if report.holds else 1
+          f"{'holds' if holds else f'{violations} violations'} "
+          f"over {report['checked_points']} points -> {out}")
+    return 0 if holds else 1
 
 
 def cmd_stability(args) -> int:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import draws
-from .errors import BlowUpError, InvalidShapeError, Record
+from .errors import BlowUpError, ConfigError, InvalidShapeError, Record
 from .timescale import SwitchSchedule, TimeScale
 
 # g and psi may be given ``(S,)`` arrays, one value per sample (g also an
@@ -101,6 +101,8 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, s
       * v -> psi_k(v) is nondecreasing for every k.
     Violations are content, not errors: each draw with a wrong-signed
     difference is listed, as [t, r1, r2, gap], [t, v1, v2, gap] or [k, v1, v2].
+    A non-finite g or psi value, which no difference can order, raises
+    ConfigError naming the first one, draw by draw.
     """
     if samples < 1:
         raise InvalidShapeError("samples must be >= 1")
@@ -118,19 +120,39 @@ def check_monotonicity_hypothesis(sys: ScalarHybridSystem, samples: int = 200, s
             (r1, v1), (r2, v2) = pairs.min(axis=-1).T, pairs.max(axis=-1).T
             v, r = x[:, 4], x[:, 5]
             mu = sys.ts.mu(t)
-            left = sys.g(t, r1, v) * mu + r1
-            right = sys.g(t, r2, v) * mu + r2
-            gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
+            g1, g2, gv1, gv2 = (np.broadcast_to(sys.g(t, *rv), t.shape)
+                                for rv in ((r1, v), (r2, v), (r, v1), (r, v2)))
+            _require_finite({"t": t[:, None], "r": np.stack((r1, r2, r, r), axis=-1),
+                             "v": np.stack((v, v, v1, v2), axis=-1)},  # sample by sample
+                            {"g": np.stack((g1, g2, gv1, gv2), axis=-1)})
+            left, right = g1 * mu + r1, g2 * mu + r2
             g_mu_r = _entries(right < left - HYPOTHESIS_TOL, t, r1, r2, right - left)
             g_v = _entries(gv2 < gv1 - HYPOTHESIS_TOL, t, v1, v2, gv2 - gv1)
         count = max(8, samples // max(1, len(sys.psi)))
         for k, psi in enumerate(sys.psi):
             pairs = rng.uniform(lo, hi, size=(count, 2))
             p1, p2 = pairs.min(axis=-1), pairs.max(axis=-1)
-            psi_bad += _entries(psi(p2) < psi(p1) - HYPOTHESIS_TOL, k, p1, p2)
+            q1, q2 = (np.broadcast_to(psi(p), p.shape) for p in (p1, p2))
+            _require_finite({"k": k, "v": np.stack((p1, p2), axis=-1)},
+                            {"psi": np.stack((q1, q2), axis=-1)})
+            psi_bad += _entries(q2 < q1 - HYPOTHESIS_TOL, k, p1, p2)
     passed = bool(len(times)) and not (g_mu_r or g_v or psi_bad)  # no g checked, no pass
     return {"passed": passed, "samples": samples, "seed": seed, "box": list(box),
             "g_mu_r_violations": g_mu_r, "g_v_violations": g_v, "psi_violations": psi_bad}
+
+
+def _require_finite(at: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
+    """Raise ConfigError at the first point, in row-major order, where a
+    function's ``values`` are not finite, naming the first such function
+    there, its arguments ``at`` (broadcast to the values' shape) and its value."""
+    table = np.stack(np.broadcast_arrays(*values.values()), axis=-1)  # (points..., functions)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        *i, j = bad[0]
+        where = ", ".join(f"{key}={np.broadcast_to(arg, table.shape[:-1])[tuple(i)].item()}"
+                          for key, arg in at.items())
+        raise ConfigError(f"{list(values)[j]} is not finite at {where}: "
+                          f"{float(table[tuple(bad[0])])!r}")
 
 
 def _entries(flags, *columns) -> list[list]:

@@ -364,25 +364,6 @@ def _check_vars(seen: set[str], allowed: set[str] | None) -> None:
 # Compilation (Feeley & Lapalme 1987: one closure per syntax node)
 # ---------------------------------------------------------------------------
 
-class Env:
-    """Bindings for evaluation.
-
-    ``scalars`` binds scalar variables (floats or arrays), ``fuzzies`` binds
-    fuzzy variables (fuzzy numbers, or whole fuzzy vectors); each defaults
-    to a fresh empty dict.  ``ts`` supplies the time-scale context required
-    by mu/sigma/eta, and ``grid`` the alpha grid required by fuzzy literals.
-    """
-
-    __slots__ = ("scalars", "fuzzies", "ts", "grid")
-
-    def __init__(self, scalars: dict[str, float | np.ndarray] | None = None,
-                 fuzzies: dict[str, FuzzyNumber | FuzzyVector] | None = None,
-                 ts: TimeScale | None = None, grid: AlphaGrid | None = None):
-        self.scalars = {} if scalars is None else scalars
-        self.fuzzies = {} if fuzzies is None else fuzzies
-        self.ts, self.grid = ts, grid
-
-
 _MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _LITERALS = {"tri": "make_triangle", "trap": "make_trapezoid", "crisp": "crisp"}
@@ -512,13 +493,17 @@ def _compile(e, slots: dict[str, int], fuzzy_slots: dict[str, int], ts, grid):
     return power
 
 
-def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
-    """Evaluate once under ``env``: compile, then call (see compile_expr)."""
-    run = compile_expr(e, tuple(env.scalars), tuple(env.fuzzies), env.ts, env.grid)
-    return run(*env.scalars.values(), *env.fuzzies.values())
+def eval_scalar(e: ScalarExpr | FuzzyExpr, scalars: dict[str, float | np.ndarray] | None = None,
+                fuzzies: dict[str, FuzzyNumber | FuzzyVector] | None = None,
+                ts: TimeScale | None = None, grid: AlphaGrid | None = None):
+    """Evaluate once: compile, then call (see compile_expr).  ``scalars`` binds
+    scalar variables (floats or arrays), ``fuzzies`` fuzzy variables (fuzzy
+    numbers, or whole fuzzy vectors); ``ts`` supplies the time-scale context
+    required by mu/sigma/eta, and ``grid`` the alpha grid required by fuzzy
+    literals."""
+    scalars, fuzzies = scalars or {}, fuzzies or {}
+    run = compile_expr(e, tuple(scalars), tuple(fuzzies), ts, grid)
+    return run(*scalars.values(), *fuzzies.values())
 
 
-def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
-    """Evaluate once under ``env``: compile, then call (see compile_expr)."""
-    run = compile_expr(e, tuple(env.scalars), tuple(env.fuzzies), env.ts, env.grid)
-    return run(*env.scalars.values(), *env.fuzzies.values())
+eval_fuzzy = eval_scalar

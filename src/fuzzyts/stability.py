@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import comparison as cmp, draws, fuzzy, hybrid
-from .comparison import (HYPOTHESIS_TOL, ScalarHybridSystem, ScalarTrajectory,
+from .comparison import (HYPOTHESIS_TOL, ScalarHybridSystem, ScalarTrajectory, _require_finite,
                          check_monotonicity_hypothesis)
 from .errors import ConfigError, Frozen, FuzzyTSError, InvalidShapeError
 from .fuzzy import AlphaGrid, FuzzyVector
@@ -101,34 +101,21 @@ def build_analysis(system: HybridFuzzySystem, g, psi, V: LyapunovFn, a, b,
     return comparison, V, ClassKPair(a=a, b=b)
 
 
-class SamplingPlan(Frozen):
-    """``family`` is one of crisp, triangular and trapezoid."""
-
-    __slots__ = ("count", "seed", "family")
-
-    def __init__(self, count: int = 200, seed: int = 0, family: str = "triangular"):
-        if count < 1:
-            raise ConfigError("sampling count must be >= 1")
-        if family not in ("crisp", "triangular", "trapezoid"):
-            raise ConfigError(f"unknown sampling family {family!r}")
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-        self._set(count=count, seed=seed, family=family)
-
-
 class StabilityQuery(Frozen):
-    """Practical-stability question: premise radius lam, bounds A/B, tail T0.
+    """Practical-stability question: premise radius lam, bounds A/B, tail T0,
+    and the ``count`` initial states the direct route draws from ``seed``, of
+    one ``family``: crisp, triangular or trapezoid.
 
     The direct test is well posed for lam <= A < rho (lam = A allowed); the
     comparison-criterion gate additionally needs a(lam) < b(A) and reports
-    itself untested otherwise.  ``sampling`` defaults to a fresh
-    ``SamplingPlan()``.
+    itself untested otherwise.
     """
 
-    __slots__ = ("lam", "A", "B", "T0", "rho", "sampling")
+    __slots__ = ("lam", "A", "B", "T0", "rho", "count", "seed", "family")
 
     def __init__(self, lam: float, A: float, B: float | None = None, T0: float | None = None,
-                 rho: float = 100.0, sampling: SamplingPlan | None = None):
+                 rho: float = 100.0, count: int = 200, seed: int = 0,
+                 family: str = "triangular"):
         if not (0 < lam <= A):
             raise ConfigError(f"need 0 < lambda <= A, got lambda={lam}, A={A}")
         if A >= rho:  # lambda <= A, so this also rejects lambda >= rho
@@ -137,8 +124,13 @@ class StabilityQuery(Frozen):
             raise ConfigError("B must be positive")
         if T0 is not None and T0 < 0:
             raise ConfigError("T0 must be nonnegative")
-        self._set(lam=lam, A=A, B=B, T0=T0, rho=rho,
-                  sampling=SamplingPlan() if sampling is None else sampling)
+        if count < 1:
+            raise ConfigError("sampling count must be >= 1")
+        if family not in ("crisp", "triangular", "trapezoid"):
+            raise ConfigError(f"unknown sampling family {family!r}")
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+        self._set(lam=lam, A=A, B=B, T0=T0, rho=rho, count=count, seed=seed, family=family)
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +140,23 @@ class StabilityQuery(Frozen):
 BOUND_TOL = 1e-9  # the slack of V over r, at t0 too, before the comparison bound fails
 
 
-class BoundReport:
-    """Outcome of checking V(t, u(t)) <= r(t) + tol point by point;
-    ``violations`` holds (t, V, r) triples."""
-
-    __slots__ = ("precondition_ok", "checked_points", "violations", "max_excess")
-
-    def __init__(self, precondition_ok: bool, checked_points: int,
-                 violations: list[tuple[float, float, float]], max_excess: float):
-        self.precondition_ok, self.checked_points = precondition_ok, checked_points
-        self.violations, self.max_excess = violations, max_excess
-
-    @property
-    def holds(self) -> bool:
-        return self.precondition_ok and not self.violations
-
-
 def comparison_bound(times: Sequence[float], v_values: Sequence[float],
-                     r_values: Sequence[float], tol: float = BOUND_TOL) -> BoundReport:
-    """Check V <= r + tol at each point of paired ``times``, V and r values,
-    or report a precondition failure where not V(t0, u0) <= r0 + tol; a nan
-    V fails either."""
-    if not v_values[0] <= r_values[0] + tol:
-        return BoundReport(False, 0, [], max_excess=v_values[0] - r_values[0])
+                     r_values: Sequence[float]) -> dict:
+    """Check V <= r + BOUND_TOL at each point of paired ``times``, V and r
+    values, or report a precondition failure where not V(t0, u0) <= r0 +
+    BOUND_TOL; a nan V fails either.  ``violations`` holds (t, V, r) triples."""
+    if not v_values[0] <= r_values[0] + BOUND_TOL:
+        return {"holds": False, "precondition_ok": False, "checked_points": 0,
+                "violations": [], "max_excess": v_values[0] - r_values[0]}
     violations = [(t, v, r) for t, v, r in zip(times, v_values, r_values)
-                  if not v <= r + tol]
+                  if not v <= r + BOUND_TOL]
     worst = max(-math.inf, *(v - r for v, r in zip(v_values, r_values)))  # NaNs never win
-    return BoundReport(True, len(times), violations, max_excess=worst)
+    return {"holds": not violations, "precondition_ok": True, "checked_points": len(times),
+            "violations": violations, "max_excess": worst}
 
 
 def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
-                            scalar_traj: ScalarTrajectory, tol: float = BOUND_TOL) -> BoundReport:
+                            scalar_traj: ScalarTrajectory) -> dict:
     """Check the comparison bound along paired trajectories (see
     ``comparison_bound``), on the points both reach."""
     if not np.array_equal(fuzzy_traj.ts.points, scalar_traj.ts.points):
@@ -186,7 +164,7 @@ def verify_comparison_bound(V: LyapunovFn, fuzzy_traj: FuzzyTrajectory,
     n = min(len(fuzzy_traj), len(scalar_traj))
     times = fuzzy_traj.times[:n].tolist()
     v_values = [V(t, u) for t, u in zip(times, fuzzy_traj.values)]
-    return comparison_bound(times, v_values, scalar_traj.values[:n].tolist(), tol)
+    return comparison_bound(times, v_values, scalar_traj.values[:n].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +301,6 @@ class Verdict:
 # HYPOTHESIS_TOL of slack), and the points on which a and b are checked.
 HYPOTHESIS_SAMPLES = 100
 CLASS_K_POINTS = 101
-
-
-def _require_finite(at: dict[str, np.ndarray], values: dict[str, np.ndarray]) -> None:
-    """Raise ConfigError at the first point, in row-major order, where a
-    function's ``values`` are not finite, naming the first such function
-    there, its arguments ``at`` (broadcast to the values' shape) and its value."""
-    table = np.stack(np.broadcast_arrays(*values.values()), axis=-1)  # (points..., functions)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        *i, j = bad[0]
-        where = ", ".join(f"{key}={np.broadcast_to(arg, table.shape[:-1])[tuple(i)].item()}"
-                          for key, arg in at.items())
-        raise ConfigError(f"{list(values)[j]} is not finite at {where}: "
-                          f"{float(table[tuple(bad[0])])!r}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a and b overflow as silently as on floats
@@ -539,12 +503,10 @@ def _simulate_direct(sys: HybridFuzzySystem, V: LyapunovFn, q: StabilityQuery, h
     march failed; and the batch."""
     grid = sys.u0.grid
     n = sys.u0.n
-    plan = q.sampling
-    probe = boundary_probe(grid, n, plan.family, q.lam)
-    lower, upper = _sample(draws.Stream(plan.seed, 2), grid, n, plan.family,
-                           q.lam, plan.count)
+    probe = boundary_probe(grid, n, q.family, q.lam)
+    lower, upper = _sample(draws.Stream(q.seed, 2), grid, n, q.family, q.lam, q.count)
     shrunk = fuzzy.scale(1.0 - 1e-9, probe)
-    shrunk_row = plan.count + 1
+    shrunk_row = q.count + 1
     batch = FuzzyVector.from_arrays(grid, np.concatenate(([probe.lower], lower, [shrunk.lower])),
                                     np.concatenate(([probe.upper], upper, [shrunk.upper])))
     try:
@@ -656,7 +618,6 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     modes = tuple(modes)
     grid = sys.u0.grid
     n = sys.u0.n
-    plan = q.sampling
 
     # Layer 1: hypothesis checks.
     xmax = max(q.A, q.lam, q.B or 0.0, 1.0) * 1.5
@@ -664,15 +625,15 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
     a_lam = float(kpair.a(q.lam))
     b_A = float(kpair.b(q.A))
     gate = {"a_lambda": a_lam, "b_A": b_A, "passed": a_lam < b_A}
-    sandwich = _check_sandwich(V, kpair, sys.ts, horizon, grid, n, plan.family,
-                               radius=q.A, rng=draws.Stream(plan.seed, 0),
+    sandwich = _check_sandwich(V, kpair, sys.ts, horizon, grid, n, q.family,
+                               radius=q.A, rng=draws.Stream(q.seed, 0),
                                samples=HYPOTHESIS_SAMPLES)
-    lipschitz = _check_lipschitz(V, sys.ts, horizon, grid, n, plan.family,
+    lipschitz = _check_lipschitz(V, sys.ts, horizon, grid, n, q.family,
                                  radius=min(q.rho, 2.0 * q.A),
-                                 rng=draws.Stream(plan.seed, 1),
+                                 rng=draws.Stream(q.seed, 1),
                                  samples=HYPOTHESIS_SAMPLES)
     monotonicity = check_monotonicity_hypothesis(
-        comp, samples=HYPOTHESIS_SAMPLES, seed=plan.seed,
+        comp, samples=HYPOTHESIS_SAMPLES, seed=q.seed,
         box=(0.0, max(1.0, 2.0 * b_A)), horizon=horizon)
 
     # Layer 3 runs first so its V values can feed the condition (ii) check.
@@ -720,7 +681,7 @@ def check_practical_stability(sys: HybridFuzzySystem, comp: ScalarHybridSystem,
         "rho": q.rho,
         "horizon": horizon,
         "modes": [m.value for m in modes],
-        "sampling": {"count": plan.count, "seed": plan.seed, "family": plan.family},
+        "sampling": {"count": q.count, "seed": q.seed, "family": q.family},
         "trajectories": sum(len(sample_ids) for _, sample_ids, _, _ in stacks),
         "skipped_step_failures": skipped[:20],
         "probe_grazes": grazes[:20],

@@ -9,12 +9,13 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from fuzzyts import fuzzy
 from fuzzyts.dsl import (
-    BinOp, Call, CircMinus, Env, EvalError, FAdd, FuzzyExpr, FuzzyLit, FuzzyVar, GHSub, Neg, Num,
+    BinOp, Call, CircMinus, EvalError, FAdd, FuzzyExpr, FuzzyLit, FuzzyVar, GHSub, Neg, Num,
     ScalarExpr, SMul, Var, VAR_ALIASES,
 )
 from fuzzyts.errors import ConfigError, FuzzyTSError, NoSuccessorError, UnknownPointError
@@ -241,6 +242,18 @@ def gh_roundtrip_ok(u_records, v_records, w_records, atol=1e-12):
 # The evaluator the DSL had before it was compiled to closures: the reference
 # that the compiled closures must match bit for bit, error for error.
 
+def eval_scalar(e: ScalarExpr, scalars=None, fuzzies=None, ts=None, grid=None):
+    """``dsl.eval_scalar`` as a tree walk over ``e``, with the same parameters."""
+    return _scalar(e, SimpleNamespace(scalars=scalars or {}, fuzzies=fuzzies or {}, ts=ts,
+                                      grid=grid))
+
+
+def eval_fuzzy(e: FuzzyExpr, scalars=None, fuzzies=None, ts=None, grid=None):
+    """``dsl.eval_fuzzy`` as a tree walk over ``e``, with the same parameters."""
+    return _fuzzy(e, SimpleNamespace(scalars=scalars or {}, fuzzies=fuzzies or {}, ts=ts,
+                                     grid=grid))
+
+
 def env_scalar(env, name, span):
     if name in env.scalars:
         return env.scalars[name]
@@ -265,7 +278,7 @@ def env_timescale(env, span):
 _MATH_POW = np.frompyfunc(math.pow, 2, 1)  # math.pow on every element
 
 
-def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
+def _scalar(e: ScalarExpr, env: SimpleNamespace) -> float | np.ndarray:
     """Evaluate with float or array variables; arrays act element by element,
     each element as its float evaluation (min and max as the builtins, pow as
     math.pow), and an error in any element raises EvalError at that node."""
@@ -274,10 +287,10 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
     if isinstance(e, Var):
         return env_scalar(env, e.name, e.span)
     if isinstance(e, Neg):
-        return -eval_scalar(e.operand, env)
+        return -_scalar(e.operand, env)
     if isinstance(e, BinOp):
-        a = eval_scalar(e.left, env)
-        b = eval_scalar(e.right, env)
+        a = _scalar(e.left, env)
+        b = _scalar(e.right, env)
         if e.op == "+":
             return a + b
         if e.op == "-":
@@ -290,7 +303,7 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
     if isinstance(e, Call):
         if e.func in ("mu", "sigma", "eta"):
             ts = env_timescale(env, e.span)
-            t = eval_scalar(e.args[0], env)
+            t = _scalar(e.args[0], env)
             try:
                 if e.func == "sigma":
                     return ts.sigma(t)
@@ -298,7 +311,7 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
             except (NoSuccessorError, UnknownPointError) as exc:
                 raise EvalError(str(exc), e.span) from exc
             return mu if e.func == "mu" else 1.0 / (1.0 + mu)
-        args = [eval_scalar(a, env) for a in e.args]
+        args = [_scalar(a, env) for a in e.args]
         if e.func == "abs":
             return abs(args[0])
         # min(a, b) is b if b < a else a, and max(a, b) is b if b > a else a
@@ -314,7 +327,7 @@ def eval_scalar(e: ScalarExpr, env: Env) -> float | np.ndarray:
     raise TypeError(f"not a scalar expression: {e!r}")
 
 
-def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
+def _fuzzy(e: FuzzyExpr, env: SimpleNamespace) -> FuzzyNumber | FuzzyVector:
     """Evaluate a fuzzy expression.
 
     Operations act component-wise, so with vectors bound the result is a
@@ -328,7 +341,7 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
     if isinstance(e, FuzzyLit):
         if env.grid is None:
             raise EvalError("no alpha grid in scope for a fuzzy literal", e.span)
-        args = [eval_scalar(a, env) for a in e.args]
+        args = [_scalar(a, env) for a in e.args]
         try:
             if e.kind == "tri":
                 return fuzzy.make_triangle(args[0], args[1], args[2], env.grid)
@@ -338,11 +351,11 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
         except FuzzyTSError as exc:
             raise EvalError(str(exc), e.span) from exc
     if isinstance(e, FAdd):
-        return fuzzy.add(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
+        return fuzzy.add(_fuzzy(e.left, env), _fuzzy(e.right, env))
     if isinstance(e, SMul):
-        return fuzzy.scale(eval_scalar(e.scalar, env), eval_fuzzy(e.operand, env))
+        return fuzzy.scale(_scalar(e.scalar, env), _fuzzy(e.operand, env))
     if isinstance(e, GHSub):
-        return fuzzy.gh_difference(eval_fuzzy(e.left, env), eval_fuzzy(e.right, env))
+        return fuzzy.gh_difference(_fuzzy(e.left, env), _fuzzy(e.right, env))
     if isinstance(e, CircMinus):
         ts = env_timescale(env, e.span)
         t = env_scalar(env, "t", e.span)
@@ -350,7 +363,7 @@ def eval_fuzzy(e: FuzzyExpr, env: Env) -> FuzzyNumber | FuzzyVector:
             mu = ts.mu(t)
         except (NoSuccessorError, UnknownPointError) as exc:
             raise EvalError(str(exc), e.span) from exc
-        return fuzzy.scale(-1.0 / (1.0 + mu), eval_fuzzy(e.operand, env))
+        return fuzzy.scale(-1.0 / (1.0 + mu), _fuzzy(e.operand, env))
     raise TypeError(f"not a fuzzy expression: {e!r}")
 
 
@@ -516,6 +529,14 @@ def check_lipschitz(V, ts, horizon, grid, n, family, radius, rng, samples):
     }
 
 
+def finite(name, value, **at):
+    """``value``, or ConfigError naming ``name`` and its arguments ``at`` if it is not finite."""
+    if not math.isfinite(value):
+        where = ", ".join(f"{key}={x}" for key, x in at.items())
+        raise ConfigError(f"{name} is not finite at {where}: {float(value)!r}")
+    return value
+
+
 def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9, horizon=None):
     rng = Stream(seed, 3)
     ts = sys.ts
@@ -529,17 +550,19 @@ def check_monotonicity(sys, samples=200, seed=0, box=(0.0, 10.0), tol=1e-9, hori
         v1, v2 = sorted(rng.uniform(lo, hi, size=2))
         v = float(rng.uniform(lo, hi))
         r = float(rng.uniform(lo, hi))
-        left = sys.g(t, r1, v) * mu + r1
-        right = sys.g(t, r2, v) * mu + r2
+        g1, g2, gv1, gv2 = (finite("g", sys.g(t, *rv), t=t, r=rv[0], v=rv[1])
+                            for rv in ((r1, v), (r2, v), (r, v1), (r, v2)))
+        left = g1 * mu + r1
+        right = g2 * mu + r2
         if right < left - tol:
             g_mu_r.append([t, r1, r2, right - left])
-        gv1, gv2 = sys.g(t, r, v1), sys.g(t, r, v2)
         if gv2 < gv1 - tol:
             g_v.append([t, v1, v2, gv2 - gv1])
     for k, psi in enumerate(sys.psi):
         for _ in range(max(8, samples // max(1, len(sys.psi)))):
             v1, v2 = sorted(rng.uniform(lo, hi, size=2))
-            if psi(v2) < psi(v1) - tol:
+            q1, q2 = (finite("psi", psi(x), k=k, v=x) for x in (v1, v2))
+            if q2 < q1 - tol:
                 psi_bad.append([k, v1, v2])
     return {"passed": bool(times) and not (g_mu_r or g_v or psi_bad), "samples": samples,
             "seed": seed, "box": list(box), "g_mu_r_violations": g_mu_r,

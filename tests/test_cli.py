@@ -493,6 +493,14 @@ def test_stability_zero_samples_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sampling count must be >= 1\n"
 
 
+def test_stability_unknown_shape_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "s.cfg", test_golden.DSL_STABILITY.replace(
+        "samples = 6", "samples = 6\nshape = box"))
+    assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
+    assert capsys.readouterr().err == "error: unknown sampling family 'box'\n"
+    assert not (tmp_path / "v").exists()
+
+
 # A switch map whose gH difference fails for some samples at the second
 # switch time (t = 1.5) of the dsl-ghsub-stability golden case.
 GHSUB_SWITCH_STABILITY = test_golden.DSL_GHSUB_STABILITY.replace(
@@ -600,6 +608,18 @@ V_OVERFLOW = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace
     "rhs = circminus(u) fadd smul(eta(t), lam)", "rhs = smul(1e9, u)")
 
 
+def nan_beyond(x, c):
+    """A DSL term that is 0 where ``x`` <= ``c`` and nan (inf - inf) beyond."""
+    return f"(max({x} - {c}, 0) * 1e308 * 1e308 - max({x} - {c}, 0) * 1e308 * 1e308)"
+
+
+# The monotonicity check draws r, v and psi's v in (0, 2 b(A)) = (0, 4)
+NAN_G_IN_MONOTONICITY = test_golden.DSL_STABILITY.replace(
+    "g = (-r + v)/(1 + mu(t))", "g = (-r + v)/(1 + mu(t)) + " + nan_beyond("r", 1.5))
+NAN_PSI_IN_MONOTONICITY = test_golden.DSL_STABILITY.replace(
+    "psi = v", "psi = v + " + nan_beyond("v", 1.5))
+
+
 @pytest.mark.parametrize("config, message", [
     (NAN_V, r"V is not finite at t=[0-9.]+, d=[0-9.]+: nan"),
     (test_golden.DSL_STABILITY.replace("b = x", "b = x * 1e308 * 1e308"),
@@ -609,7 +629,10 @@ V_OVERFLOW = test_golden.DSL_STABILITY.replace("V = d", "V = d * 1e300").replace
     (V_NAN_BEYOND_2, r"V is not finite at t=0\.5: nan"),
     (V_INF_BEYOND_2, r"V is not finite at t=0\.5: inf"),
     (V_OVERFLOW, r"V is not finite at t=0\.2, mode=expansive, sample=-1: inf"),
-], ids=["V-nan", "b-inf", "a-nan", "lipschitz-V-nan", "lipschitz-V-inf", "condition-ii-V-inf"])
+    (NAN_G_IN_MONOTONICITY, r"g is not finite at t=0\.2, r=1\.58[0-9]+, v=1\.77[0-9]+: nan"),
+    (NAN_PSI_IN_MONOTONICITY, r"psi is not finite at k=0, v=1\.81[0-9]+: nan"),
+], ids=["V-nan", "b-inf", "a-nan", "lipschitz-V-nan", "lipschitz-V-inf", "condition-ii-V-inf",
+        "monotonicity-g-nan", "monotonicity-psi-nan"])
 def test_stability_with_a_non_finite_V_a_or_b_exits_2(tmp_path, capsys, config, message):
     cfg = write_cfg(tmp_path / "run.cfg", config)
     assert run("stability", "--config", cfg, "--out", tmp_path / "v") == 2
@@ -1081,12 +1104,20 @@ def test_dsl_system_is_evaluated_once_per_state(monkeypatch):
     assert counts[3] == (0, counts[1][1])
 
 
-def test_dsl_stability_run_builds_no_env_after_the_bundle(tmp_path, monkeypatch):
-    built, envs = [], []
-    init, build_bundle = dsl.Env.__init__, cli.build_bundle
-    monkeypatch.setattr(dsl.Env, "__init__",
-                        lambda self, *a, **k: envs.append(bool(built)) or init(self, *a, **k))
-    monkeypatch.setattr(cli, "build_bundle", lambda cfg: built.append(1) or build_bundle(cfg))
+def test_dsl_stability_run_compiles_nothing_after_the_bundle(tmp_path, monkeypatch):
+    built, calls = [], []  # calls: (name, whether build_bundle had returned)
+    build_bundle = cli.build_bundle
+    for name in ("compile_expr", "eval_scalar"):
+        fn = getattr(dsl, name)
+        monkeypatch.setattr(dsl, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append((_name, bool(built))) or _fn(*a, **k))
+
+    def build_and_mark(cfg):
+        bundle = build_bundle(cfg)
+        built.append(1)
+        return bundle
+    monkeypatch.setattr(cli, "build_bundle", build_and_mark)
     cfg = write_cfg(tmp_path / "run.cfg", test_golden.DSL_STABILITY)
     assert run("stability", "--config", cfg, "--out", tmp_path / "out") == 1
-    assert built and True not in envs
+    assert built and ("compile_expr", False) in calls
+    assert [call for call in calls if call[1]] == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import fuzzyts as f
 import oracles
 from fuzzyts import dsl, errors
-from fuzzyts.dsl import Env, EvalError, ParseError
+from fuzzyts.dsl import EvalError, ParseError
 from fuzzyts.errors import GHDifferenceError
 
 GRID = f.AlphaGrid.uniform(11)
@@ -15,7 +15,7 @@ TOL = 1e-12
 
 
 def ev(src, **scalars):
-    return dsl.eval_scalar(dsl.parse_scalar(src), Env(scalars=scalars))
+    return dsl.eval_scalar(dsl.parse_scalar(src), scalars=scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +39,14 @@ def test_parentheses():
 def test_eta_on_integer_scale():
     ts = f.integer(10)
     e = dsl.parse_scalar("eta(t)")
-    assert dsl.eval_scalar(e, Env(scalars={"t": 3.0}, ts=ts)) == pytest.approx(0.5, abs=TOL)
+    assert dsl.eval_scalar(e, scalars={"t": 3.0}, ts=ts) == pytest.approx(0.5, abs=TOL)
 
 
 def test_mu_sigma_calls():
     ts = f.qscale(1.0, 2.0, 5)
-    env = Env(scalars={"t": 4.0}, ts=ts)
-    assert dsl.eval_scalar(dsl.parse_scalar("mu(t)"), env) == pytest.approx(4.0, abs=TOL)
-    assert dsl.eval_scalar(dsl.parse_scalar("sigma(t)"), env) == pytest.approx(8.0, abs=TOL)
+    env = dict(scalars={"t": 4.0}, ts=ts)
+    assert dsl.eval_scalar(dsl.parse_scalar("mu(t)"), **env) == pytest.approx(4.0, abs=TOL)
+    assert dsl.eval_scalar(dsl.parse_scalar("sigma(t)"), **env) == pytest.approx(8.0, abs=TOL)
 
 
 def test_builtin_functions():
@@ -117,13 +117,13 @@ def test_unbound_variable_and_division_by_zero():
 def test_sigma_at_terminal_point_is_eval_error():
     ts = f.integer(4)
     with pytest.raises(EvalError):
-        dsl.eval_scalar(dsl.parse_scalar("sigma(t)"), Env(scalars={"t": 4.0}, ts=ts))
+        dsl.eval_scalar(dsl.parse_scalar("sigma(t)"), scalars={"t": 4.0}, ts=ts)
 
 
 def test_evaluation_is_pure():
     e = dsl.parse_scalar("(r + v) / (1 + mu(t))")
-    env = Env(scalars={"t": 2.0, "r": 1.5, "v": 0.5}, ts=f.integer(8))
-    assert dsl.eval_scalar(e, env) == dsl.eval_scalar(e, env)
+    env = dict(scalars={"t": 2.0, "r": 1.5, "v": 0.5}, ts=f.integer(8))
+    assert dsl.eval_scalar(e, **env) == dsl.eval_scalar(e, **env)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +131,15 @@ def test_evaluation_is_pure():
 # ---------------------------------------------------------------------------
 
 def fuzzy_env(t=3.0, **fuzzies):
-    return Env(scalars={"t": t}, fuzzies=fuzzies, ts=f.integer(10), grid=GRID)
+    return dict(scalars={"t": t}, fuzzies=fuzzies, ts=f.integer(10), grid=GRID)
 
 
 def test_fuzzy_literals():
-    u = dsl.eval_fuzzy(dsl.parse_fuzzy("tri(-1,0,1)"), fuzzy_env())
+    u = dsl.eval_fuzzy(dsl.parse_fuzzy("tri(-1,0,1)"), **fuzzy_env())
     assert u.cut(0) == (-1.0, 1.0) and u.cut(GRID.m - 1) == (0.0, 0.0)
-    w = dsl.eval_fuzzy(dsl.parse_fuzzy("trap(0,1,2,4)"), fuzzy_env())
+    w = dsl.eval_fuzzy(dsl.parse_fuzzy("trap(0,1,2,4)"), **fuzzy_env())
     assert w.cut(0) == (0.0, 4.0) and w.cut(GRID.m - 1) == (1.0, 2.0)
-    c = dsl.eval_fuzzy(dsl.parse_fuzzy("crisp(2.5)"), fuzzy_env())
+    c = dsl.eval_fuzzy(dsl.parse_fuzzy("crisp(2.5)"), **fuzzy_env())
     assert c.is_crisp and c.crisp_value() == 2.5
 
 
@@ -147,16 +147,16 @@ def test_fuzzy_operators_match_module_calls():
     u = f.make_triangle(-1, 0, 1, GRID)
     lam = f.make_triangle(0, 1, 2, GRID)
     env = fuzzy_env(u=u, lam=lam)
-    got = dsl.eval_fuzzy(dsl.parse_fuzzy("u fadd smul(2, lam)"), env)
+    got = dsl.eval_fuzzy(dsl.parse_fuzzy("u fadd smul(2, lam)"), **env)
     assert f.dist(got, f.add(u, f.scale(2.0, lam))) <= TOL
-    got = dsl.eval_fuzzy(dsl.parse_fuzzy("ghsub(u, u)"), env)
+    got = dsl.eval_fuzzy(dsl.parse_fuzzy("ghsub(u, u)"), **env)
     assert f.dist(got, f.zero(GRID)) <= TOL
 
 
 def test_circminus_is_scaled_negation():
     u = f.make_triangle(-1, 0, 1, GRID)
     env = fuzzy_env(t=3.0, u=u)
-    got = dsl.eval_fuzzy(dsl.parse_fuzzy("circminus(u)"), env)
+    got = dsl.eval_fuzzy(dsl.parse_fuzzy("circminus(u)"), **env)
     assert f.dist(got, f.scale(-0.5, u)) <= TOL  # mu = 1 on the integers
 
 
@@ -165,7 +165,7 @@ def test_example_rhs_expression():
     expr = dsl.parse_fuzzy(src, variables={"u", "lam"}, scalar_variables={"t"})
     u = f.crisp(4.0, GRID)
     lam = f.crisp(2.0, GRID)
-    got = dsl.eval_fuzzy(expr, fuzzy_env(u=u, lam=lam))
+    got = dsl.eval_fuzzy(expr, **fuzzy_env(u=u, lam=lam))
     assert got.crisp_value() == pytest.approx(-1.0, abs=TOL)  # -4/2 + 2/2
 
 
@@ -173,7 +173,7 @@ def test_gh_nonexistence_propagates():
     flat = f.FuzzyNumber(GRID, np.full(11, 0.0), np.full(11, 1.0))
     env = fuzzy_env(u=flat, lam=f.make_triangle(0, 0.5, 1, GRID))
     with pytest.raises(GHDifferenceError):
-        dsl.eval_fuzzy(dsl.parse_fuzzy("ghsub(u, lam)"), env)
+        dsl.eval_fuzzy(dsl.parse_fuzzy("ghsub(u, lam)"), **env)
 
 
 def test_fuzzy_parse_rejections():
@@ -405,9 +405,9 @@ def test_scalar_eval_matches_closed_form():
     for _ in range(200):
         t = float(rng.integers(0, 20))
         r, v = rng.uniform(-5, 5, 2)
-        env = Env(scalars={"t": t, "r": r, "v": v}, ts=ts)
+        env = dict(scalars={"t": t, "r": r, "v": v}, ts=ts)
         expected = (r + v) / 2.0 - r * r * 0.5
-        assert dsl.eval_scalar(e, env) == pytest.approx(expected, abs=TOL)
+        assert dsl.eval_scalar(e, **env) == pytest.approx(expected, abs=TOL)
 
 
 def test_fuzzy_eval_matches_module_composition():
@@ -420,9 +420,9 @@ def test_fuzzy_eval_matches_module_composition():
         c = float(rng.uniform(-2, 2))
         u = f.make_triangle(a, (a + b) / 2, b, GRID)
         lam = f.crisp(c, GRID)
-        env = Env(scalars={"t": float(rng.integers(0, 20))},
-                  fuzzies={"u": u, "lam": lam}, ts=ts, grid=GRID)
-        got = dsl.eval_fuzzy(expr, env)
+        env = dict(scalars={"t": float(rng.integers(0, 20))},
+                   fuzzies={"u": u, "lam": lam}, ts=ts, grid=GRID)
+        got = dsl.eval_fuzzy(expr, **env)
         expected = f.add(f.scale(-0.5, u), f.scale(0.5, lam))
         assert f.dist(got, expected) <= TOL
 
@@ -439,8 +439,8 @@ def test_eval_on_whole_vectors_equals_per_component_evaluation(src):
                  f.crisp(0.5, GRID))
     lam = f.vector(f.crisp(0.25, GRID), f.make_triangle(0, 1, 2, GRID),
                    f.make_trapezoid(0, 0.1, 0.2, 0.3, GRID))
-    got = dsl.eval_fuzzy(expr, fuzzy_env(u=u, lam=lam))
-    per_component = [dsl.eval_fuzzy(expr, fuzzy_env(u=uc, lam=lc)) for uc, lc in zip(u, lam)]
+    got = dsl.eval_fuzzy(expr, **fuzzy_env(u=u, lam=lam))
+    per_component = [dsl.eval_fuzzy(expr, **fuzzy_env(u=uc, lam=lc)) for uc, lc in zip(u, lam)]
     if isinstance(got, f.FuzzyNumber):  # names no fuzzy variable: one value for all
         got = f.vector(got, got, got)
     assert got.n == 3
@@ -478,27 +478,27 @@ def test_array_bindings_equal_float_evaluation_element_by_element(src, data, siz
               for name in ("r", "v", "d")}
     expected, spans = [], set()
     for i in range(size):
-        env = Env(scalars={"t": 4.0, **{k: float(a[i]) for k, a in arrays.items()}}, ts=ts)
+        env = dict(scalars={"t": 4.0, **{k: float(a[i]) for k, a in arrays.items()}}, ts=ts)
         try:
-            expected.append(dsl.eval_scalar(e, env))
+            expected.append(dsl.eval_scalar(e, **env))
         except EvalError as exc:
             spans.add(exc.span)
-    env = Env(scalars={"t": 4.0, **arrays}, ts=ts)
+    env = dict(scalars={"t": 4.0, **arrays}, ts=ts)
     if spans:  # an element fails, so the array fails at a node where one does
         with pytest.raises(EvalError) as info:
-            dsl.eval_scalar(e, env)
+            dsl.eval_scalar(e, **env)
         assert info.value.span in spans
     else:
-        got = np.broadcast_to(dsl.eval_scalar(e, env), (size,))
+        got = np.broadcast_to(dsl.eval_scalar(e, **env), (size,))
         assert [bits(x) for x in got] == [bits(x) for x in expected]
 
 
 def test_array_division_by_any_zero_raises_at_the_division():
     e = dsl.parse_scalar("r + 1 / v")
     with pytest.raises(EvalError) as float_info:
-        dsl.eval_scalar(e, Env(scalars={"r": 1.0, "v": -0.0}))
+        dsl.eval_scalar(e, scalars={"r": 1.0, "v": -0.0})
     with pytest.raises(EvalError) as array_info:
-        dsl.eval_scalar(e, Env(scalars={"r": np.ones(3), "v": np.array([2.0, -0.0, 1.0])}))
+        dsl.eval_scalar(e, scalars={"r": np.ones(3), "v": np.array([2.0, -0.0, 1.0])})
     assert array_info.value.span == float_info.value.span == (1, 7)
     assert "division by zero" in str(array_info.value)
 
@@ -506,22 +506,22 @@ def test_array_division_by_any_zero_raises_at_the_division():
 @given(pairs=st.lists(st.tuples(ARRAY_FLOATS, ARRAY_FLOATS), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_array_pow_is_math_pow_on_every_element(pairs):
-    env = Env(scalars={"r": np.array([a for a, _ in pairs]), "v": np.array([b for _, b in pairs])})
+    env = dict(scalars={"r": np.array([a for a, _ in pairs]), "v": np.array([b for _, b in pairs])})
     e = dsl.parse_scalar("pow(r, v)")
     try:
         want = [math.pow(a, b) for a, b in pairs]
     except (ValueError, OverflowError):
         with pytest.raises(EvalError):
-            dsl.eval_scalar(e, env)
+            dsl.eval_scalar(e, **env)
         return
-    assert bits(dsl.eval_scalar(e, env)) == bits(want)
+    assert bits(dsl.eval_scalar(e, **env)) == bits(want)
 
 
 def test_min_max_pick_what_the_builtins_pick():
     r, v = np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, 1.0])
-    env = Env(scalars={"r": r, "v": v})
+    env = dict(scalars={"r": r, "v": v})
     for func, builtin in (("min", min), ("max", max)):
-        got = dsl.eval_scalar(dsl.parse_scalar(f"{func}(r, v)"), env)
+        got = dsl.eval_scalar(dsl.parse_scalar(f"{func}(r, v)"), **env)
         assert [bits(x) for x in got] == [bits(builtin(a, b)) for a, b in zip(r.tolist(), v.tolist())]
 
 
@@ -593,10 +593,10 @@ def test_compiled_scalar_expressions_equal_the_tree_walk(data, src, size):
     for _ in range(2):  # one compiled closure, called on fresh values
         scalars = {name: data.draw(st.sampled_from(TS.points.tolist() + [0.3, 32.0]))
                    if name == "t" else data.draw(scalar_values(size)) for name in names}
-        env = Env(scalars=scalars, ts=ts)
-        want = outcome(lambda: oracles.eval_scalar(e, env))
+        env = dict(scalars=scalars, ts=ts)
+        want = outcome(lambda: oracles.eval_scalar(e, **env))
         assert outcome(lambda: run(*scalars.values())) == want
-        assert outcome(lambda: dsl.eval_scalar(e, env)) == want
+        assert outcome(lambda: dsl.eval_scalar(e, **env)) == want
 
 
 FUZZY_STATES = [f.make_triangle(-1, 0, 1, GRID), f.make_trapezoid(-2, -1, 0, 1, GRID),
@@ -615,7 +615,7 @@ def test_compiled_fuzzy_expressions_equal_the_tree_walk(data, src):
     fuzzies = {name: data.draw(st.sampled_from(FUZZY_STATES)) for name in bound(["u", "lam", "u_k"])}
     scalars = {name: data.draw(st.sampled_from(TS.points.tolist() + [0.3]))
                if name == "t" else data.draw(scalar_values(None)) for name in bound(SCALAR_NAMES)}
-    env = Env(scalars=scalars, fuzzies=fuzzies, ts=data.draw(st.sampled_from([TS] * 7 + [None])),
-              grid=data.draw(st.sampled_from([GRID] * 7 + [None])))
-    want = outcome(lambda: oracles.eval_fuzzy(e, env))
-    assert outcome(lambda: dsl.eval_fuzzy(e, env)) == want
+    env = dict(scalars=scalars, fuzzies=fuzzies, ts=data.draw(st.sampled_from([TS] * 7 + [None])),
+               grid=data.draw(st.sampled_from([GRID] * 7 + [None])))
+    want = outcome(lambda: oracles.eval_fuzzy(e, **env))
+    assert outcome(lambda: dsl.eval_fuzzy(e, **env)) == want

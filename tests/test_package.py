@@ -47,7 +47,7 @@ PUBLIC = {
     "hybrid": ("HybridFuzzySystem", "StepMode", "build_example_system", "solve"),
     "comparison": ("ScalarHybridSystem", "ScalarTrajectory", "check_monotonicity_hypothesis",
                    "solve_comparison"),
-    "stability": ("ClassKPair", "LyapunovFn", "SamplingPlan", "StabilityQuery", "Verdict",
+    "stability": ("ClassKPair", "LyapunovFn", "StabilityQuery", "Verdict",
                   "check_practical_stability", "norm_lyapunov", "verify_comparison_bound"),
 }
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fuzzyts as f
-from fuzzyts import catalog, dsl
+from fuzzyts import catalog
 from fuzzyts.errors import ConfigError, InvalidShapeError
-from fuzzyts.stability import ClassKPair, LyapunovFn, SamplingPlan, StabilityQuery
+from fuzzyts.stability import ClassKPair, LyapunovFn, StabilityQuery
 from fuzzyts.timescale import SwitchSchedule
 
 GRID = f.AlphaGrid.uniform(5)
@@ -22,8 +22,7 @@ FROZEN = {
     "RegressiveFn": (f.RegressiveFn(TS, lambda t: 1.0), "name"),
     "LyapunovFn": (LyapunovFn(lambda t, u: f.norm(u)), "lipschitz"),
     "ClassKPair": (ClassKPair(a=abs, b=abs), "a"),
-    "SamplingPlan": (SamplingPlan(), "count"),
-    "StabilityQuery": (StabilityQuery(lam=1, A=2), "sampling"),
+    "StabilityQuery": (StabilityQuery(lam=1, A=2), "family"),
 }
 
 
@@ -41,10 +40,10 @@ def test_frozen_records_reject_setting_and_deleting_a_field(record, name):
 
 def test_records_take_keywords_and_fill_in_their_defaults():
     q = StabilityQuery(lam=1, A=2)
-    assert q.sampling.count == 200 and (q.sampling.seed, q.sampling.family) == (0, "triangular")
     assert (q.B, q.T0, q.rho) == (None, None, 100.0)
-    assert StabilityQuery(lam=1, A=2).sampling is not q.sampling
-    assert StabilityQuery(1, 2, 0.5, 3.0, 10.0, SamplingPlan(8, 4, "crisp")).sampling.count == 8
+    assert (q.count, q.seed, q.family) == (200, 0, "triangular")
+    q = StabilityQuery(1, 2, 0.5, 3.0, 10.0, 8, 4, "crisp")
+    assert (q.B, q.T0, q.rho, q.count, q.seed, q.family) == (0.5, 3.0, 10.0, 8, 4, "crisp")
     ts = f.TimeScale(points=[0.0, 1.0, 3.0])
     assert (ts.dense_threshold, ts.kind, ts.graininess.tolist()) == (1e-6, "explicit", [1.0, 2.0])
     assert LyapunovFn(fn=abs).lipschitz is None
@@ -56,19 +55,17 @@ def test_records_take_keywords_and_fill_in_their_defaults():
 def test_constructors_keep_their_checks():
     with pytest.raises(ConfigError, match="need 0 < lambda <= A, got lambda=3, A=2"):
         StabilityQuery(lam=3, A=2)
-    with pytest.raises(ConfigError, match="unknown sampling family 'box'"):
-        SamplingPlan(family="box")
+    with pytest.raises(ConfigError, match="^sampling count must be >= 1$"):
+        StabilityQuery(lam=1, A=2, count=0)
+    with pytest.raises(ConfigError, match="^unknown sampling family 'box'$"):
+        StabilityQuery(lam=1, A=2, family="box")
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            StabilityQuery(lam=1, A=2, seed=seed)
     with pytest.raises(InvalidShapeError, match="the first switch time must be the initial point"):
         SwitchSchedule(TS, (1.0,))
     with pytest.raises(f.NonRegressiveError, match="1 \\+ mu\\*q vanishes at t=0.0"):
         f.RegressiveFn(TS, lambda t: -1.0, name="q")
-
-
-def test_envs_do_not_share_their_dicts():
-    first, second = dsl.Env(), dsl.Env()
-    first.scalars["t"] = 1.0
-    first.fuzzies["u"] = U
-    assert (second.scalars, second.fuzzies, second.ts, second.grid) == ({}, {}, None, None)
 
 
 def test_replace_builds_and_checks_a_new_record():
