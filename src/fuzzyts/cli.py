@@ -405,8 +405,11 @@ def cmd_eval(args) -> int:
     from . import dsl
     scalars = {name: value for name in ("t", "r", "v", "d", "x")
                if (value := getattr(args, name, None)) is not None}
+    for name, value in scalars.items():
+        if not math.isfinite(value):  # float() reads inf and nan
+            raise ConfigError(f"--{name} must be a finite number: {value!r}")
     ts = parse_timescale_spec(args.timescale) if args.timescale else None
-    grid = AlphaGrid.uniform(args.alpha_levels or 11)
+    grid = AlphaGrid.uniform(11 if args.alpha_levels is None else args.alpha_levels)
     expr = dsl.parse_fuzzy(args.expr) if args.fuzzy else dsl.parse_scalar(args.expr)
     result = dsl.compile_expr(expr, tuple(scalars), (), ts, grid)(*scalars.values())
     if args.fuzzy:

@@ -120,7 +120,7 @@ def states(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,
     is stepped as one stack: a step that fails for any sample raises."""
     _, freeze, advance = _steps(sys, mode)
     march = sys.schedule.march(sys.u0, horizon, freeze, advance)
-    return ((t, k, u) for t, (k, u) in zip(sys.ts.points.tolist(), march))
+    return ((t, k, u) for t, (k, u) in zip(memoryview(sys.ts.points), march))
 
 
 def stacked_states(sys: HybridFuzzySystem, mode: StepMode, horizon: float | None,
@@ -157,7 +157,7 @@ def stacked_states(sys: HybridFuzzySystem, mode: StepMode, horizon: float | None
         return u, lam
 
     march = sys.schedule.march(sys.u0, horizon, freeze_stack, advance_stack)
-    return ((t, k, rows, u) for t, (k, u) in zip(sys.ts.points.tolist(), march))
+    return ((t, k, rows, u) for t, (k, u) in zip(memoryview(sys.ts.points), march))
 
 
 def solve(sys: HybridFuzzySystem, mode: StepMode = StepMode.EXPANSIVE,

@@ -1,6 +1,6 @@
 """Sampled time scales: jump operators, delta derivatives, regressive algebra.
 
-A time scale is stored as a finite strictly increasing list of points.  The
+A time scale is stored as a finite strictly increasing array of points.  The
 forward jump of a stored point is the next stored point, and the graininess
 is their spacing.  Points whose spacing is at or below ``dense_threshold``
 are classified right-dense; derivative limits at such points are
@@ -10,6 +10,7 @@ error scale of anything computed there.
 
 from __future__ import annotations
 
+import bisect
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -31,9 +32,10 @@ DINI_SAMPLES = 8
 
 class TimeScale(Frozen):
     """Ordered finite sample of a time scale; ``graininess`` holds mu at
-    every non-terminal point."""
+    every non-terminal point.  A scale holds its points and graininess as
+    read-only arrays and nothing per point: a lookup bisects the points."""
 
-    __slots__ = ("points", "kind", "_index", "graininess")
+    __slots__ = ("points", "kind", "graininess")
     dense_threshold = 1e-6  # the largest graininess at which a point is right-dense
 
     def __init__(self, points: np.ndarray, kind: str = "explicit"):
@@ -47,8 +49,7 @@ class TimeScale(Frozen):
         points.setflags(write=False)
         graininess = np.diff(points)
         graininess.setflags(write=False)
-        self._set(points=points, kind=kind, _index={float(t): i for i, t in enumerate(points)},
-                  graininess=graininess)
+        self._set(points=points, kind=kind, graininess=graininess)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -59,8 +60,9 @@ class TimeScale(Frozen):
         or with ``successor`` the first terminal point, raises as it would alone."""
         array = isinstance(t, np.ndarray) and t.ndim > 0
         if not array:
-            i = self._index.get(float(t))
-            if i is not None and not (successor and i == len(self) - 1):
+            points = memoryview(self.points)
+            i = bisect.bisect_left(points, t)
+            if i < len(points) and points[i] == t and not (successor and i == len(points) - 1):
                 return i
         x = np.asarray(t, dtype=float)
         j = np.searchsorted(self.points, x)
@@ -176,8 +178,9 @@ class SwitchSchedule(Frozen):
         ts = self.ts
         last = len(ts) - 1 if horizon is None else ts.index_of(horizon)
         x, seg, held = x0, -1, None
-        steps = zip(self.segments[:last].tolist(), ts.points[:last].tolist(),
-                    ts.graininess[:last].tolist())
+        # the views yield Python ints and floats one at a time, with no list per array
+        steps = zip(memoryview(self.segments)[:last], memoryview(ts.points)[:last],
+                    memoryview(ts.graininess)[:last])
         for k, t, mu in steps:
             yield k, x
             if k != seg:

@@ -855,6 +855,18 @@ def test_eval_division_by_zero_exits_2_with_its_span(capsys):
     assert capsys.readouterr().err == "error: division by zero at line 1, column 2\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--fuzzy", "tri(0,1,2)", "--alpha-levels", "0"), "alpha grid needs at least two levels"),
+    (("--fuzzy", "tri(0,1,2)", "--alpha-levels", "1"), "alpha grid needs at least two levels"),
+    (("t + 1", "--t", "nan"), "--t must be a finite number: nan"),
+    (("t + 1", "--t", "inf"), "--t must be a finite number: inf"),
+    (("x * r", "--r", "1", "--x=-1e999"), "--x must be a finite number: -inf"),
+], ids=["levels-0", "levels-1", "t-nan", "t-inf", "x-overflow"])
+def test_eval_reads_its_numbers_as_the_other_commands_do(capsys, argv, message):
+    assert run("eval", *argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_eval_fuzzy_literal(capsys):
     assert run("eval", "--fuzzy", "tri(-1,0,1)") == 0
     out = capsys.readouterr().out

@@ -1,12 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import fuzzyts as f
-from fuzzyts import catalog, hybrid
+from fuzzyts import catalog, hybrid, stability
 from fuzzyts.cli import RunConfig, build_dsl_bundle, parse_timescale_spec
 from fuzzyts.comparison import ScalarHybridSystem, solve_comparison
 from fuzzyts.errors import InvalidShapeError, StepFailureError
@@ -486,6 +487,50 @@ def test_contractive_steps_make_one_full_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# cost: a time scale and its march hold no Python object per point
+# ---------------------------------------------------------------------------
+
+def traced_peak_of_a_march(n):
+    """The traced peak, in bytes, of building ``integer(n)`` with a
+    one-component, two-level system on it and exhausting ``hybrid.states``."""
+    grid = f.AlphaGrid.uniform(2)
+    tracemalloc.start()
+    try:
+        sys = HybridFuzzySystem(f.integer(n), (0.0,), lambda t, u, lam: u, (zero_map,), rho=1.0,
+                                u0=f.vector(f.crisp(0.0, grid)))
+        for _ in hybrid.states(sys):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_time_scale_and_its_march_hold_no_python_object_per_point():
+    # the points, graininess and segments arrays are 24 bytes a point; a
+    # float, an int or a dict entry per point would add 24 to 100 more
+    small, large = traced_peak_of_a_march(1000), traced_peak_of_a_march(5000)
+    assert (large - small) / 4000 < 48
+
+
+def test_streams_yield_times_as_floats_and_segments_as_ints():
+    """A numpy scalar would change the text of a StepFailureError and the
+    bytes of the CSV and JSON files."""
+    sys = build_example_system(GRID, 2, 3)
+    stacked = sys.replace(u0=oracles.stack([sys.u0, sys.u0]))
+    streams = hybrid.states(sys), hybrid.stacked_states(stacked, StepMode.EXPANSIVE, None, {})
+    for stream in streams:
+        assert {(type(t), type(k)) for t, k, *_ in stream} == {(float, int)}
+    steps = []
+
+    def advance(t, mu, x, held):
+        steps.append((type(t), type(mu)))
+        return x, held
+
+    segments = {type(k) for k, _ in sys.schedule.march(0.0, None, lambda k, x: x, advance)}
+    assert segments == {int} and set(steps) == {(float, float)} and len(steps) == len(sys.ts) - 1
+
+
+# ---------------------------------------------------------------------------
 # linear DSL systems against their exact endpoint march
 # ---------------------------------------------------------------------------
 
@@ -515,6 +560,29 @@ def exact_cuts(a, b, c):
     return [a + alpha * (b - a) for alpha in levels], [c - alpha * (c - b) for alpha in levels]
 
 
+def linear_dsl_system(scale, points, switches, terms, consts, lam0, hold_state):
+    """The DSL system with the right-hand side of ``terms`` and ``consts``,
+    switching at the points of index ``switches``, from two crisp zeros."""
+    lam0_text = "tri({}, {}, {})".format(*lam0)
+    sections = {
+        "timescale": {"scale": scale},
+        "system": {"rhs": " fadd ".join([TERMS[form][0].format(k=k, x=x) for form, k, x in terms]
+                                        + [f"crisp({k})" for k in consts]),
+                   "lambda_0": lam0_text, "lambda_k": "u_k" if hold_state else lam0_text,
+                   # each switch time written as its 10-digit decimal names its stored point
+                   "switch_times": " ".join(f"{points[i]:.10g}" for i in switches),
+                   "u0": "crisp(0) | crisp(0)"},
+    }
+    return build_dsl_bundle(RunConfig(sections, Path("out"), ORACLE_GRID.m, None), ORACLE_GRID,
+                            1e9).system
+
+
+def term_coefs(terms, var):
+    """The coefficients of ``var`` in ``terms``, as functions of mu."""
+    return [(lambda mu, form=form, k=Fraction(k): TERMS[form][1](k, mu))
+            for form, k, x in terms if x == var]
+
+
 @given(data=st.data(), scale=st.sampled_from(ORACLE_SCALES),
        terms=st.lists(st.tuples(st.sampled_from(sorted(TERMS)), eighths,
                                 st.sampled_from(["u", "lam"])), min_size=1, max_size=3),
@@ -529,30 +597,13 @@ def test_linear_dsl_systems_match_their_exact_endpoint_march(data, scale, terms,
     inner = data.draw(st.lists(st.integers(1, len(points) - 2), unique=True, max_size=3))
     switches = [0] + sorted(inner)
     last = data.draw(st.integers(1, len(points) - 1))
-    # each switch time written as its 10-digit decimal names its stored point
-    switch_text = " ".join(f"{points[i]:.10g}" for i in switches)
-    rhs = " fadd ".join([TERMS[form][0].format(k=k, x=x) for form, k, x in terms]
-                        + [f"crisp({k})" for k in consts])
-    lam0_text = "tri({}, {}, {})".format(*lam0)
-    sections = {
-        "timescale": {"scale": scale},
-        "system": {"rhs": rhs, "lambda_0": lam0_text,
-                   "lambda_k": "u_k" if hold_state else lam0_text,
-                   "switch_times": switch_text, "u0": "crisp(0) | crisp(0)"},
-    }
-    sys = build_dsl_bundle(RunConfig(sections, Path("out"), ORACLE_GRID.m, None), ORACLE_GRID,
-                           1e9).system
+    sys = linear_dsl_system(scale, points, switches, terms, consts, lam0, hold_state)
     assert sys.switch_times == tuple(points[i] for i in switches)
     states = [[f.make_triangle(*tri_, ORACLE_GRID) for tri_ in comps] for comps in samples]
     stack = oracles.stack([f.vector(*comps) for comps in states])
-
-    def coefs(var):
-        return [(lambda mu, form=form, k=Fraction(k): TERMS[form][1](k, mu))
-                for form, k, x in terms if x == var]
-
     segments, exact, gaps = oracles.linear_march(
-        points, switches, coefs("u"), coefs("lam"), sum(map(Fraction, consts)),
-        exact_cuts(*lam0), hold_state,
+        points, switches, term_coefs(terms, "u"), term_coefs(terms, "lam"),
+        sum(map(Fraction, consts)), exact_cuts(*lam0), hold_state,
         [[(u.lower.tolist(), u.upper.tolist()) for u in comps] for comps in states],
         mode is StepMode.CONTRACTIVE, last)
     # a step fails when its exact state is not a fuzzy number; none comes
@@ -607,3 +658,65 @@ def test_linear_dsl_systems_match_their_exact_endpoint_march(data, scale, terms,
     else:
         assert not fails
     assert seen == list(zip(points, segments))[:len(seen)]
+
+
+# ---------------------------------------------------------------------------
+# the comparison bound on linear systems, against their exact march
+# ---------------------------------------------------------------------------
+
+def exact_norm(comps):
+    """V = d, the distance to the crisp zero, of an exact state."""
+    return max(abs(v) for lo, up in comps for cut in (lo, up) for v in cut)
+
+
+@given(data=st.data(), scale=st.sampled_from(ORACLE_SCALES),
+       terms=st.lists(st.tuples(st.sampled_from(sorted(TERMS)), eighths,
+                                st.sampled_from(["u", "lam"])), min_size=1, max_size=3),
+       consts=st.lists(eighths, max_size=1), lam0=triangles, hold_state=st.booleans(),
+       u0=st.lists(triangles, min_size=2, max_size=2), mode=st.sampled_from(list(StepMode)),
+       alpha=st.integers(-4, 12).map(lambda i: i / 8),
+       beta=st.integers(0, 12).map(lambda i: i / 8),
+       slack=st.integers(0, 4).map(lambda i: i / 8))
+@settings(max_examples=40, deadline=None)
+def test_linear_systems_keep_the_comparison_bound_where_condition_ii_holds(
+        data, scale, terms, consts, lam0, hold_state, u0, mode, alpha, beta, slack):
+    """With V = d, g = alpha r + beta v (1 + mu alpha >= 0, beta >= 0), psi = v
+    and r0 >= V(t0, u0), the exact march keeps V <= r wherever condition (ii)
+    holds at every step, and so does the package's own march within BOUND_TOL."""
+    ts = parse_timescale_spec(scale)
+    points = ts.points.tolist()
+    mus = [Fraction(b) - Fraction(a) for a, b in zip(points, points[1:])]
+    assume(all(1 + mu * Fraction(alpha) >= 0 for mu in mus))
+    inner = data.draw(st.lists(st.integers(1, len(points) - 2), unique=True, max_size=3))
+    switches = [0] + sorted(inner)
+    state = f.vector(*(f.make_triangle(*tri_, ORACLE_GRID) for tri_ in u0))
+    sys = linear_dsl_system(scale, points, switches, terms, consts, lam0,
+                            hold_state).replace(u0=state)
+    last = data.draw(st.integers(1, len(points) - 1))
+    segments, exact, gaps = oracles.linear_march(
+        points, switches, term_coefs(terms, "u"), term_coefs(terms, "lam"),
+        sum(map(Fraction, consts)), exact_cuts(*lam0), hold_state,
+        [[(u.lower.tolist(), u.upper.tolist()) for u in state]], mode is StepMode.CONTRACTIVE, last)
+    # march no further than the last state that is a fuzzy number
+    last = next((i for i, gap in enumerate(gaps[0]) if gap), last)
+    V = [exact_norm(values[0]) for values in exact[:last + 1]]
+    r0 = float(V[0]) + slack  # rounds to no less than V(t0, u0), itself a float
+    r = [Fraction(r0)]
+    a, b = Fraction(alpha), Fraction(beta)
+    for i in range(last):
+        start = switches[segments[i]]
+        r.append(r[i] + mus[i] * (a * r[i] + b * r[start]))
+    condition_ii = all(V[i + 1] - V[i] <= mus[i] * (a * V[i] + b * V[switches[segments[i]]])
+                       for i in range(last))
+    event(f"condition (ii) {'holds' if condition_ii else 'fails'}")
+    if not condition_ii:
+        return
+    assert all(v <= x for v, x in zip(V, r))
+    comp = ScalarHybridSystem(ts, sys.switch_times, lambda t, r, v: alpha * r + beta * v,
+                              (lambda v: v,) * len(switches), r0)
+    march = list(hybrid.states(sys, mode, horizon=points[last]))
+    got = solve_comparison(comp, horizon=points[last]).values.tolist()
+    assert [float(x) for x in r] == pytest.approx(got, rel=1e-12)
+    bound = stability.comparison_bound([t for t, _, _ in march],
+                                       [f.norm(u) for _, _, u in march], got)
+    assert bound["holds"] and bound["checked_points"] == last + 1, bound

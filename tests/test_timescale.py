@@ -48,6 +48,15 @@ def test_point_lookup_errors():
         ts.sigma(5.0)
     with pytest.raises(NoSuccessorError):
         ts.mu(5.0)
+    # an exact terminal point, however it is written, has no successor
+    for t in (5.0, 5, np.float64(5.0)):
+        assert ts.index_of(t) == 5
+        with pytest.raises(NoSuccessorError, match="t=5(.0)? is the terminal point"):
+            ts.index_of(t, successor=True)
+    with pytest.raises(NoSuccessorError, match="t=-0.0 is the terminal point"):
+        f.explicit([-1.0, 0.0]).index_of(-0.0, successor=True)
+    with pytest.raises(UnknownPointError, match="t=7 is not a point"):
+        ts.index_of(7)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -228,6 +237,12 @@ def test_array_lookups_equal_their_scalar_lookups(ts, data):
         got = lookup(t)
         assert got.shape == t.shape
         assert got.tolist() == [lookup(float(x)) for x in t]
+    # a float, an np.float64 and an integral int name the same point, as a Python int
+    for x, i in zip(t.tolist(), ts.index_of(t).tolist()):
+        names = [x, np.float64(x)] + ([int(x)] if x.is_integer() else [])
+        assert [(type(j), j) for j in map(ts.index_of, names)] == [(int, i)] * len(names)
+    if ts.points[0] == 0:
+        assert type(ts.index_of(-0.0)) is int and ts.index_of(-0.0) == 0
 
 
 def _error_of(call):
