@@ -2,7 +2,8 @@
 
 Column orders and header names are frozen; the schema version travels in
 the run metadata.  Floats are written with 17 significant digits so a
-loader reconstructs exactly the in-memory values.
+loader reconstructs exactly the in-memory values; ``floatfmt`` writes the
+rows of states, in numpy, to the bytes ``_fmt`` gives.
 Rows are written as formatted strings with CRLF ends, as the csv module
 writes them: every field is a number, so no field ever needs quoting.
 A CSV is written as its rows come (a trajectory streamed from the solver is
@@ -64,16 +65,9 @@ def _write_rows(path: Path, header: list[str], rows) -> int:
 
 
 def _state_rows(points):
-    """Per ``(head, state)`` point, its rows (head, component, alpha, lower,
-    upper) as one string: the row tails, formatted once from the first state,
-    are filled in one ``%``, which writes the floats as ``_fmt`` does."""
-    tails = None
-    for head, value in points:
-        if tails is None:
-            tails = [f",{c},{_fmt(alpha)},%{_FLOAT_FORMAT},%{_FLOAT_FORMAT}\r\n"
-                     for c in range(value.n) for alpha in value.grid.levels.tolist()]
-        cuts = np.stack((value.lower, value.upper), -1).ravel().tolist()
-        yield (head + head.join(tails)) % tuple(cuts)
+    """Per ``(head, state)`` point, its rows as one string (see ``floatfmt``)."""
+    from . import floatfmt  # only a CSV of states compiles it
+    return floatfmt.state_rows(points)
 
 
 def write_trajectory_csv(path: Path, points) -> int:

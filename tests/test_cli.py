@@ -879,7 +879,8 @@ def test_eval_fuzzy_literal(capsys):
 
 # The optional modules: a command may load only those of them it runs.
 OPTIONAL_MODULES = ("fuzzyts.dsl", "fuzzyts.stability", "fuzzyts.comparison", "fuzzyts.draws",
-                    "fuzzyts.catalog", "logging", "csv", "dataclasses", "numpy.random")
+                    "fuzzyts.catalog", "fuzzyts.floatfmt", "logging", "csv", "dataclasses",
+                    "numpy.random")
 ANALYSIS_MODULES = ("fuzzyts.stability", "fuzzyts.comparison", "fuzzyts.draws", "fuzzyts.catalog")
 
 FOOTPRINT_SCRIPT = f"""
@@ -905,14 +906,14 @@ def fresh_cli(*argv):
 
 
 # the optional modules each golden case's command loads, and a catalog
-# system's given by flags alone
+# system's given by flags alone: only a CSV of states loads the formatter
 FOOTPRINTS = {
     "catalog-stability": "fuzzyts.catalog fuzzyts.comparison fuzzyts.draws fuzzyts.stability",
     "dsl-stability": "fuzzyts.comparison fuzzyts.draws fuzzyts.dsl fuzzyts.stability",
-    "dsl-three-simulate": "fuzzyts.dsl",
-    "dsl-three-deriv": "fuzzyts.dsl",
-    "catalog-flags-simulate": "fuzzyts.catalog",
-    "catalog-flags-deriv": "fuzzyts.catalog",
+    "dsl-three-simulate": "fuzzyts.dsl fuzzyts.floatfmt",
+    "dsl-three-deriv": "fuzzyts.dsl fuzzyts.floatfmt",
+    "catalog-flags-simulate": "fuzzyts.catalog fuzzyts.floatfmt",
+    "catalog-flags-deriv": "fuzzyts.catalog fuzzyts.floatfmt",
 }
 
 

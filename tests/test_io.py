@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fuzzyts as f
-from fuzzyts import catalog, hybrid, io as ftio
+from fuzzyts import catalog, floatfmt, hybrid, io as ftio
 from fuzzyts.cli import RunConfig, build_dsl_bundle
 from fuzzyts.hukuhara import FuzzyTrajectory
 
@@ -55,9 +55,15 @@ def reference_write_derivative_csv(path, entries):
 
 
 # Floats whose formatting is easy to get wrong: signed zero, the smallest
-# subnormal, the extremes and an integral value (written "2").
-SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, 0.1, -1 / 3]
-endpoints = st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6)
+# subnormal, the extremes, an integral value (written "2"), and each edge of
+# the window that floatfmt formats in numpy (1e-4 <= |x| < 1e16) with its
+# neighbour doubles.
+WINDOW_EDGES = [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0),
+                np.nextafter(1e16, np.inf)]
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0, 0.1, -1 / 3, *map(float, WINDOW_EDGES)]
+# so that a state straddles the window: tiny, moderate and huge endpoints
+endpoints = (st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6) | st.floats(-1e-3, 1e-3)
+             | st.floats(-1e18, 1e18))
 
 
 @st.composite
@@ -109,6 +115,57 @@ def test_writers_match_csv_writer_bytes_and_round_trip(traj, data):
     assert [_bits(v) for v in values] == [_bits(v) for v in traj.values]
 
 
+def formatted(values):
+    """``values`` written by ``floatfmt.rows`` as rows with an empty head and tail."""
+    x = np.asarray(values, float).reshape(-1, 2)
+    return floatfmt.rows([""], np.zeros((len(x), 0), np.uint8), x)[0]
+
+
+def reference(values):
+    """``values`` written by Python's own ``b"%.17g" % v``."""
+    return b"".join(b",%.17g,%.17g\r\n" % tuple(pair)
+                    for pair in np.asarray(values, float).reshape(-1, 2).tolist()).decode()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(99999999999999999.0)  # is 1e17: written by Python, in exponent notation
+@example(1000000000000000.25)  # a tie at the 17th digit, kept even: ...0.2
+@example(1000000000000000.75)  # a tie rounded up to even: ...0.8
+@example(1e-4)  # the window's edges and their neighbour doubles
+@example(float(np.nextafter(1e-4, 0)))
+@example(float(np.nextafter(1e-4, 1)))
+@example(1e16)
+@example(float(np.nextafter(1e16, 0)))
+@example(float(np.nextafter(1e16, np.inf)))
+def test_formatter_writes_each_float_as_percent_17g(v):
+    assert formatted([v, -v]) == reference([v, -v])
+
+
+def test_formatter_writes_each_power_of_ten_in_the_window_and_its_neighbours():
+    powers = np.array([float(f"1e{j}") for j in range(-4, 17)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert formatted(values) == reference(values)
+
+
+@pytest.mark.parametrize("second, error", [
+    (lambda: f.FuzzyVector.from_arrays(f.AlphaGrid(np.array([0, .25, 1])), [[0, 0, 0]], [[1, 1, 1]]),
+     f.GridMismatchError),
+    (lambda: f.FuzzyVector.from_arrays(f.AlphaGrid(np.array([0, .5, 1])), [[0, 0, 0]] * 2, [[1, 1, 1]] * 2),
+     f.DimensionMismatchError),
+], ids=["grid", "components"])
+def test_writers_reject_a_state_unlike_the_first_and_leave_no_file(tmp_path, second, error):
+    first = f.FuzzyVector.from_arrays(f.AlphaGrid(np.array([0, .5, 1])), [[0, 0, 0]], [[1, 1, 1]])
+    with pytest.raises(error):
+        ftio.write_trajectory_csv(tmp_path / "trajectory.csv", [(0.0, 0, first), (1.0, 0, second())])
+    with pytest.raises(error):
+        ftio.write_derivative_csv(tmp_path / "derivative.csv", [(0.0, first), (1.0, second())])
+    assert list(tmp_path.iterdir()) == []
+
+
 class _CountingFile:
     """A text file that counts the calls to its ``write``."""
 
@@ -142,6 +199,23 @@ def test_trajectory_writer_makes_one_write_per_point(tmp_path, monkeypatch):
     ftio.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
     assert len(files) == 1
     assert 0 < files[0].writes <= len(traj) + 1  # the header, then one per point
+
+
+def test_small_states_formatted_in_batches_are_written_one_by_one(tmp_path, monkeypatch):
+    # 3 rows a state: the formatter takes two batches of them, the last one short
+    traj = hybrid.solve(catalog.make_example_3_9(f.AlphaGrid.uniform(3), 100.0).system, horizon=100.0)
+    assert floatfmt._BATCH_ROWS < 3 * len(traj) < 2 * floatfmt._BATCH_ROWS
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(_CountingFile(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(ftio, "open", counting_open, raising=False)
+    assert ftio.write_trajectory_csv(tmp_path / "new.csv", traj) == len(traj)
+    assert files[0].writes == len(traj) + 1
+    reference_write_trajectory_csv(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
