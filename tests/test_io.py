@@ -6,6 +6,7 @@ formatted writers replaced; the formatted ones must produce the same bytes.
 
 import csv
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -116,9 +117,10 @@ def test_writers_match_csv_writer_bytes_and_round_trip(traj, data):
 
 
 def formatted(values):
-    """``values`` written by ``floatfmt.rows`` as rows with an empty head and tail."""
-    x = np.asarray(values, float).reshape(-1, 2)
-    return floatfmt.rows([""], np.zeros((len(x), 0), np.uint8), x)[0]
+    """``values`` written by ``floatfmt.rows`` as rows with an empty head and
+    a tail that is only the comma."""
+    x = np.asarray(values, float).reshape(-1, 2).T  # the lower floats, then the upper ones
+    return next(floatfmt.rows([""], np.full((x.shape[1], 1), ord(","), np.uint8), x))
 
 
 def reference(values):
@@ -202,9 +204,11 @@ def test_trajectory_writer_makes_one_write_per_point(tmp_path, monkeypatch):
 
 
 def test_small_states_formatted_in_batches_are_written_one_by_one(tmp_path, monkeypatch):
-    # 3 rows a state: the formatter takes two batches of them, the last one short
-    traj = hybrid.solve(catalog.make_example_3_9(f.AlphaGrid.uniform(3), 100.0).system, horizon=100.0)
-    assert floatfmt._BATCH_ROWS < 3 * len(traj) < 2 * floatfmt._BATCH_ROWS
+    # 3 rows, 6 floats, a state: the formatter takes two batches of them, the last one short
+    per_batch = -(-floatfmt._BATCH_FLOATS // 6)
+    horizon = float(per_batch * 3 // 2)
+    traj = hybrid.solve(catalog.make_example_3_9(f.AlphaGrid.uniform(3), horizon).system, horizon=horizon)
+    assert per_batch < len(traj) < 2 * per_batch
     files = []
 
     def counting_open(*args, **kwargs):
@@ -216,6 +220,68 @@ def test_small_states_formatted_in_batches_are_written_one_by_one(tmp_path, monk
     assert files[0].writes == len(traj) + 1
     reference_write_trajectory_csv(tmp_path / "ref.csv", traj)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Floats that Python writes itself, with their negatives: a signed zero, the
+# smallest subnormal, one below the window, and its top edge with its
+# neighbour doubles.
+FALLBACK = [0.0, 5e-324, 1e-5, 1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, np.inf))]
+LONG_GRID = f.AlphaGrid.uniform(101)
+
+
+def long_state(i, specials=()):
+    """A 4 x 101 state, simulate-long's shape; its first component holds
+    ``specials`` and their negatives among its endpoints."""
+    lower, upper = [], []
+    for c in range(4):
+        ends = np.linspace(-50.0, 50.0, 2 * LONG_GRID.m) / 3 + i + c / 7
+        if c == 0 and specials:
+            ends[:2 * len(specials)] = [*specials, *(-v for v in specials)]
+        ends.sort()
+        lower.append(ends[:LONG_GRID.m])
+        upper.append(ends[LONG_GRID.m:][::-1])
+    return f.FuzzyVector.from_arrays(LONG_GRID, lower, upper)
+
+
+def test_large_states_sharing_a_batch_match_the_reference_writers(tmp_path):
+    # two states a batch, the second of each holding floats Python writes
+    assert -(-floatfmt._BATCH_FLOATS // (2 * 4 * LONG_GRID.m)) == 2
+    values = [long_state(i, FALLBACK if i % 2 else ()) for i in range(5)]
+    traj = FuzzyTrajectory(f.explicit([0.0, 0.5, 1.0, 2.5, 4.0]), values, [0, 0, 1, 1, 2])
+    ftio.write_trajectory_csv(tmp_path / "new.csv", traj)
+    reference_write_trajectory_csv(tmp_path / "ref.csv", traj)
+    written = (tmp_path / "new.csv").read_bytes()
+    assert written == (tmp_path / "ref.csv").read_bytes()
+    assert all(b"%.17g" % v in written for v in FALLBACK + [-v for v in FALLBACK])
+    entries = [entry for t, value in zip(traj.times.tolist(), values) for entry in ((t, value), (t + 0.25, None))]
+    ftio.write_derivative_csv(tmp_path / "new_d.csv", entries)
+    reference_write_derivative_csv(tmp_path / "ref_d.csv", entries)
+    assert (tmp_path / "new_d.csv").read_bytes() == (tmp_path / "ref_d.csv").read_bytes()
+
+
+def test_writer_working_set_stays_small_for_simulate_long_states(tmp_path):
+    # simulate-long's system on 40 points; with its tables built and one
+    # write done, the writer's traced peak is its working set: 241 kB, where
+    # the one-state formatter held 288 kB, and 506 kB at two states a call
+    sections = {
+        "timescale": {"scale": "integer(39)"},
+        "system": {"rhs": "smul(-0.001, u) fadd smul(0.001, lam)", "lambda_0": "crisp(0)",
+                   "lambda_k": "u_k", "switch_times": "0 10 20 30",
+                   "u0": "tri(-1,0,1) | tri(-0.5,0.25,2) | trap(-2,-1,0,1) | tri(0,1,3)"},
+    }
+    cfg = RunConfig(sections, Path("out"), LONG_GRID.m, None)
+    points = list(hybrid.states(build_dsl_bundle(cfg, LONG_GRID, 39.0).system))
+    assert len(points) == 40
+    floatfmt._powers()
+    floatfmt._layout()
+    ftio.write_trajectory_csv(tmp_path / "trajectory.csv", points[:3])
+    tracemalloc.start()
+    try:
+        ftio.write_trajectory_csv(tmp_path / "trajectory.csv", points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256_000
 
 
 # ---------------------------------------------------------------------------
